@@ -62,6 +62,11 @@ def build_parser():
     return ap
 
 
+# Lowest meaningful value of each integer flag; anything below is an
+# input error rather than an empty (and falsely agreeing) computation.
+_FLOORS = {"strata": 0, "search": 0, "n": 1, "pole_max": 1, "window": 0}
+
+
 def _line_col(text, offset):
     line = text.count("\n", 0, offset) + 1
     col = offset - (text.rfind("\n", 0, offset) + 1) + 1
@@ -194,8 +199,14 @@ def cmd_dwork_check(args):
                 return _fail_input(f"DWORK_DMAX={env!r} is not an integer")
         else:
             d_max = 30 if n + len(fs) <= 3 else 16
+    # the twisted ladder starts at --window, else at deg(sum y_i f_i) + 1
+    first = (args.window if args.window is not None
+             else max(f.degree() for f in fs) + 2)
+    if d_max < first:
+        return _fail_input(f"largest window cutoff {d_max} is below the "
+                           f"first cutoff {first}")
     cmp = dwork_compare(fs, d0=args.window, d_max=d_max,
-                        t_max=max(args.pole_max - 1, 0))
+                        t_max=args.pole_max - 1)
     extra = {"f": list(args.f), "n": n}
     sys.stdout.write(render_report(cmp, args.output, extra=extra))
     if cmp.inconclusive:
@@ -205,6 +216,11 @@ def cmd_dwork_check(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    for name, low in _FLOORS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            return _fail_input(f"--{name.replace('_', '-')} must be at least "
+                               f"{low}, got {value}")
     if args.command == "verify-paper":
         return cmd_verify_paper(args)
     if args.command == "prove":

@@ -322,29 +322,25 @@ def prove(ctx, lhs, rhs, max_depth=6, mode="strict-smooth", allowed_strata=1,
           excluded=frozenset(), size_cap=64, try_closure=True):
     """Search for a rewrite chain between two terms.
 
-    Depth is iterative-deepening over total chain length; if the plain
-    search exhausts, the pair is retried wrapped in each declared closed
-    embedding's pushforward (returned as a closure on the result).
+    One layered bidirectional pass covers every chain length up to
+    `max_depth`; if it exhausts, the pair is retried wrapped in each
+    declared closed embedding's pushforward (returned as a closure on
+    the result).
     """
     gates = {"mode": mode, "allowed_strata": allowed_strata,
              "excluded": excluded}
-    total = 0
-    for depth in range(1, max_depth + 1):
-        steps, n = _mitm(ctx, lhs, rhs, depth, gates, size_cap)
-        total += n
-        if steps is not None:
-            return SearchResult(True, steps, None, total, len(steps))
+    steps, total = _mitm(ctx, lhs, rhs, max_depth, gates, size_cap)
+    if steps is not None:
+        return SearchResult(True, steps, None, total, len(steps))
     if try_closure:
         wrappers = [a.name for a in ctx.atoms.values()
                     if a.kind in EMBEDDING_KINDS and a.kind != "open"][:8]
         for name in wrappers:
             j = ctx.composite(name)
-            wl, wr = Oim(j, lhs), Oim(j, rhs)
-            for depth in range(1, max_depth + 1):
-                steps, n = _mitm(ctx, wl, wr, depth, gates, size_cap)
-                total += n
-                if steps is not None:
-                    return SearchResult(True, steps,
-                                        Closure("kashiwara", name), total,
-                                        len(steps))
+            steps, n = _mitm(ctx, Oim(j, lhs), Oim(j, rhs), max_depth,
+                             gates, size_cap)
+            total += n
+            if steps is not None:
+                return SearchResult(True, steps, Closure("kashiwara", name),
+                                    total, len(steps))
     return SearchResult(False, [], None, total, max_depth)

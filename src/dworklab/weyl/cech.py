@@ -10,6 +10,10 @@ pole higher, so image and window are compared after embedding the window
 two poles up (multiply by g_I^2) and using
 dim(U ∩ W) = rank U + rank W − rank(U ∪ W).
 
+Each f_i is first multiplied by the lcm of its coefficient denominators.
+That changes no window and no image subspace, and it makes every row
+integer.
+
 The uniform pole is what makes the answer insensitive to repeated
 factors: a non-reduced f skips odd denominator powers, so any schedule
 that hands lower poles to lower form degrees keeps primitives just out
@@ -18,14 +22,17 @@ of reach at every rung.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .forms import add_into, masks_of_degree, wedge_sign
+from .ladder import ladder
 from .linalg import rank
 from .poly import MultiPoly, binom, count_monomials, graded_monomials
-from .twisted import LadderResult
+
+
+def _int_terms(p):
+    """Coefficients of a polynomial with integer coefficients, as ints."""
+    return {m: int(c) for m, c in p.terms.items()}
 
 
 def _shifted(terms, mono, scale):
@@ -46,20 +53,22 @@ class CechDeRham:
                 raise ValueError("mixed variable rings")
             if f.is_zero():
                 raise ValueError("zero polynomial has empty invertible locus")
-        self.fs = list(fs)
+        self.fs = [f * f.denominator() for f in fs]
         self.r = len(fs)
         self.pieces = []
         for size in range(1, self.r + 1):
             self.pieces.extend(combinations(range(self.r), size))
         self.piece_index = {I: i for i, I in enumerate(self.pieces)}
         self.g = {}
+        self.g_int = {}
         self.dg = {}
         for I in self.pieces:
             gI = MultiPoly.constant(self.n, 1)
             for i in I:
                 gI = gI * self.fs[i]
             self.g[I] = gI
-            self.dg[I] = [gI.diff(j).terms for j in range(self.n)]
+            self.g_int[I] = _int_terms(gI)
+            self.dg[I] = [_int_terms(gI.diff(j)) for j in range(self.n)]
         self.maxdeg = max(f.degree() for f in self.fs)
         self._pole_cache = {}
 
@@ -73,7 +82,7 @@ class CechDeRham:
         got = self._pole_cache.get(key)
         if got is None:
             J = tuple(sorted(I + (j0,)))
-            got = ((self.fs[j0] ** pole) * self.g[J]).terms
+            got = _int_terms((self.fs[j0] ** pole) * self.g[J])
             self._pole_cache[key] = got
         return got
 
@@ -91,11 +100,10 @@ class CechDeRham:
             if mono[j]:
                 dm = list(mono)
                 dm[j] -= 1
-                for mm, c in _shifted(self.g[I].terms, tuple(dm),
-                                      Fraction(mono[j])).items():
+                for mm, c in _shifted(self.g_int[I], tuple(dm),
+                                      mono[j]).items():
                     add_into(row, (I, mm, tgt), sgn * c)
-            for mm, c in _shifted(self.dg[I][j], mono,
-                                  Fraction(-pole)).items():
+            for mm, c in _shifted(self.dg[I][j], mono, -pole).items():
                 add_into(row, (I, mm, tgt), sgn * c)
         for j0 in range(self.r):
             if j0 in I:
@@ -103,7 +111,7 @@ class CechDeRham:
             J = tuple(sorted(I + (j0,)))
             sgn = -1 if J.index(j0) & 1 else 1
             for mm, c in _shifted(self._cech_factor(I, j0, pole), mono,
-                                  Fraction(1)).items():
+                                  1).items():
                 add_into(row, (J, mm, mask), sgn * c)
         return row
 
@@ -146,6 +154,7 @@ class CechDeRham:
             if row:
                 img_rows.setdefault(q, []).append(row)
 
+        squares = {I: _int_terms(self.g[I] * self.g[I]) for I in self.pieces}
         dims = {}
         for q in range(self.n + self.r):
             dom = 0
@@ -161,11 +170,8 @@ class CechDeRham:
             img = img_rows.get(q - 1, [])
             emb = []
             for I, mono, mask in self.window_basis(P, D, q=q):
-                gI2 = self.g[I] * self.g[I]
-                row = {}
-                for mm, c in _shifted(gI2.terms, mono, Fraction(1)).items():
-                    add_into(row, (I, mm, mask), c)
-                emb.append(row)
+                emb.append({(I, mm, mask): c for mm, c
+                            in _shifted(squares[I], mono, 1).items()})
             ra = rank(img, key=key)
             rb = rank(emb, key=key)
             rab = rank(img + emb, key=key)
@@ -179,14 +185,4 @@ def complement_rung(fs, t, d0=None, step=None):
 
 def complement_cohomology(fs, t_max=8):
     """Ladder the rung index until three consecutive answers agree."""
-    cx = CechDeRham(fs)
-    res = LadderResult(dims=None)
-    values = []
-    for t in range(t_max + 1):
-        dims = cx.rung(t)
-        res.rungs.append((t, dims))
-        values.append(dims)
-        if len(values) >= 3 and values[-1] == values[-2] == values[-3]:
-            res.dims = dims
-            break
-    return res
+    return ladder("complement", CechDeRham(fs).rung, range(t_max + 1))

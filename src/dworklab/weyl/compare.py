@@ -12,23 +12,12 @@ grade once zero entries are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cech import complement_cohomology
+from .ladder import CohomologyReport
 from .poly import MultiPoly
 from .twisted import twisted_cohomology
-
-
-@dataclass
-class CohomologyReport:
-    kind: str
-    dims: dict | None
-    rungs: list = field(default_factory=list)
-    note: str = ""
-
-    @property
-    def stabilized(self):
-        return self.dims is not None
 
 
 def _nonzero(dims):
@@ -36,16 +25,15 @@ def _nonzero(dims):
 
 
 def supports_cohomology(fs, t_max=8):
-    comp = complement_cohomology(fs, t_max=t_max)
-    rep = CohomologyReport(kind="supports", dims=None, rungs=comp.rungs)
-    if comp.dims is None:
-        rep.note = "complement ladder did not stabilize"
+    rep = complement_cohomology(fs, t_max=t_max)
+    rep.kind = "supports"
+    if rep.dims is None:
         return rep
     out = {}
-    h1 = comp.dims.get(0, 0) - 1
+    h1 = rep.dims.get(0, 0) - 1
     if h1:
         out[1] = h1
-    for k, v in comp.dims.items():
+    for k, v in rep.dims.items():
         if k >= 1 and v:
             out[k + 1] = v
     rep.dims = out
@@ -74,12 +62,7 @@ class DworkComparison:
 def dwork_compare(fs, d0=None, d_max=20, t_max=8):
     """Twisted cohomology of sum y_i f_i against supported cohomology."""
     F = dwork_twist(fs)
-    tw = twisted_cohomology(F, d0=d0, d_max=d_max)
-    trep = CohomologyReport(kind="twisted",
-                            dims=None if tw.dims is None else dict(tw.dims),
-                            rungs=tw.rungs)
-    if tw.dims is None:
-        trep.note = "twisted ladder did not stabilize"
+    trep = twisted_cohomology(F, d0=d0, d_max=d_max)
     srep = supports_cohomology(fs, t_max=t_max)
     if trep.dims is None or srep.dims is None:
         return DworkComparison(False, trep, srep, inconclusive=True)

@@ -1,36 +1,25 @@
-"""Sparse exact rank computations.
+"""Sparse exact row echelon over the integers.
 
-Rows are dicts mapping column keys to numbers.  Elimination is
-fraction-free: incoming rows are cleared to integers, updates use the
-two-row cross-multiplication step, and every stored pivot row is divided
-by its content, so entries stay bounded and no rationals appear mid-run.
-Pivots are chosen per inserted row by minimal column under the caller's
-grading, not by a global column sweep.
+Rows are dicts mapping column keys to nonzero ints; callers build them
+integer-native.  Elimination is fraction-free: updates use the two-row
+cross-multiplication step, and every stored pivot row is divided by its
+content, so entries stay bounded and no rationals appear mid-run.  Each
+pivot is the row's largest column under the caller's grading.  Echelon
+rows then have distinct largest columns and cannot cancel each other's
+leads, so when the grading is by degree first, the span's part inside a
+window of degree <= D has dimension equal to the number of pivots of
+degree <= D.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-
-
-def _to_int_row(row):
-    items = [(c, Fraction(v)) for c, v in row.items() if v]
-    if not items:
-        return {}
-    mult = 1
-    for _c, v in items:
-        mult = mult * v.denominator // gcd(mult, v.denominator)
-    out = {}
-    for c, v in items:
-        out[c] = int(v * mult)
-    return _primitive(out)
 
 
 def _primitive(row):
     g = 0
     for v in row.values():
-        g = gcd(g, abs(v))
+        g = gcd(g, v)
         if g == 1:
             return row
     if g > 1:
@@ -38,14 +27,13 @@ def _primitive(row):
     return row
 
 
-def rank(rows, key=None):
-    """Rank of the span of the rows; `key` orders the columns."""
-    kf = key if key is not None else (lambda c: c)
+def echelon(rows, key):
+    """Echelon basis of the rows' span, keyed by each row's largest column."""
     pivots = {}
     for row in rows:
-        r = _to_int_row(row)
+        r = _primitive(row)
         while r:
-            lead = min(r, key=kf)
+            lead = max(r, key=key)
             p = pivots.get(lead)
             if p is None:
                 pivots[lead] = r
@@ -57,24 +45,9 @@ def rank(rows, key=None):
                 if s:
                     nxt[c] = s
             r = _primitive(nxt)
-    return len(pivots)
+    return pivots
 
 
-def compose_rows(row, action):
-    """Apply a linear map to a row: sum_c row[c] * action[c].
-
-    `action` maps a column key to its image row (dict); keys missing from
-    `action` are treated as sent to zero.
-    """
-    out = {}
-    for c, v in row.items():
-        img = action.get(c)
-        if not img:
-            continue
-        for c2, v2 in img.items():
-            s = out.get(c2, Fraction(0)) + v * v2
-            if s:
-                out[c2] = s
-            else:
-                out.pop(c2, None)
-    return out
+def rank(rows, key):
+    """Rank of the span of the rows; `key` orders the columns."""
+    return len(echelon(rows, key))

@@ -45,6 +45,10 @@ class MultiPoly:
     def degree(self):
         return max(sum(m) for m in self.terms) if self.terms else -1
 
+    def denominator(self):
+        """Lcm of the coefficient denominators: the least integer scale."""
+        return math.lcm(*(c.denominator for c in self.terms.values()))
+
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.nvars == other.nvars
                 and self.terms == other.terms)

@@ -1,19 +1,20 @@
 """Twisted de Rham cohomology with polynomial coefficients.
 
-The differential is d + dF∧.  Ranks are taken on finite windows: a rung
-at cutoff D restricts coefficients to degree <= D, computes the kernel
-there, and intersects the image of the slacked domain (degree <= D +
-deg F + 1) back with the window.  Rungs are laddered (step 2) until three
-in a row agree.
+The differential is d + dF∧.  Rows are integer: F's gradient is scaled
+once by L, the lcm of F's coefficient denominators, so each row is L
+times the differential and every rank is unchanged.  Ranks are taken on
+finite windows: a rung at cutoff D restricts coefficients to degree <=
+D and computes the kernel there.  The image comes from the slacked
+domain (degree <= D + deg F + 1); its echelon pivots are the rows'
+largest graded columns, so dim(image ∩ window) is the number of pivots
+of degree <= D.  Rungs are laddered (step 2) until three in a row agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
 from .forms import add_into, masks_of_degree, wedge_sign
-from .linalg import rank
+from .ladder import ladder
+from .linalg import echelon, rank
 from .poly import binom, count_monomials, graded_monomials
 
 
@@ -28,10 +29,12 @@ class TwistedComplex:
             raise ValueError("zero twist")
         self.F = F
         self.n = F.nvars
-        self.dF = [F.diff(j).terms for j in range(self.n)]
+        self.L = F.denominator()
+        self.dF = [{m: int(c * self.L) for m, c in F.diff(j).terms.items()}
+                   for j in range(self.n)]
 
     def apply(self, mono, mask):
-        """Row of the differential on the basis element x^mono dx_mask."""
+        """L times the differential on the basis element x^mono dx_mask."""
         row = {}
         for j in range(self.n):
             sgn = wedge_sign(j, mask)
@@ -41,7 +44,7 @@ class TwistedComplex:
             if mono[j]:
                 dm = list(mono)
                 dm[j] -= 1
-                add_into(row, (tuple(dm), tgt), Fraction(sgn * mono[j]))
+                add_into(row, (tuple(dm), tgt), self.L * sgn * mono[j])
             for fm, fc in self.dF[j].items():
                 mm = tuple(a + b for a, b in zip(mono, fm))
                 add_into(row, (mm, tgt), sgn * fc)
@@ -66,26 +69,10 @@ class TwistedComplex:
             if k == 0:
                 dims[0] = ker
                 continue
-            img = self.rows(k - 1, D + slack)
-            r_full = rank(img, key=_colkey)
-            outside = []
-            for row in img:
-                rr = {c: v for c, v in row.items() if sum(c[0]) > D}
-                if rr:
-                    outside.append(rr)
-            inside = r_full - rank(outside, key=_colkey)
+            img = echelon(self.rows(k - 1, D + slack), _colkey)
+            inside = sum(1 for mono, _mask in img if sum(mono) <= D)
             dims[k] = ker - inside
         return dims
-
-
-@dataclass
-class LadderResult:
-    dims: dict | None
-    rungs: list = field(default_factory=list)
-
-    @property
-    def stabilized(self):
-        return self.dims is not None
 
 
 def twisted_rung(F, D):
@@ -94,16 +81,6 @@ def twisted_rung(F, D):
 
 def twisted_cohomology(F, d0=None, d_max=20, step=2):
     """Ladder the window cutoff until three consecutive rungs agree."""
-    cx = TwistedComplex(F)
-    D = d0 if d0 is not None else F.degree() + 1
-    res = LadderResult(dims=None)
-    values = []
-    while D <= d_max:
-        dims = cx.rung(D)
-        res.rungs.append((D, dims))
-        values.append(dims)
-        if len(values) >= 3 and values[-1] == values[-2] == values[-3]:
-            res.dims = dims
-            break
-        D += step
-    return res
+    first = d0 if d0 is not None else F.degree() + 1
+    return ladder("twisted", TwistedComplex(F).rung,
+                  range(first, d_max + 1, step))

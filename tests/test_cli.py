@@ -192,14 +192,19 @@ def test_dwork_check_input_errors(capsys):
 
 
 def test_dwork_check_inconclusive(capsys):
-    assert main(["dwork-check", "--f", "x^2-1", "--d-max", "2"]) == 3
+    # one rung (cutoff 4) cannot show three agreeing tables
+    assert main(["dwork-check", "--f", "x^2-1", "--d-max", "4"]) == 3
     assert "inconclusive" in capsys.readouterr().out
 
 
 def test_dwork_check_env_cap(monkeypatch, capsys):
-    monkeypatch.setenv("DWORK_DMAX", "2")
+    monkeypatch.setenv("DWORK_DMAX", "4")
     assert main(["dwork-check", "--f", "x^2-1"]) == 3
     capsys.readouterr()
+    # below the first cutoff (deg(y*(x^2-1)) + 1 = 4) no rung can run
+    monkeypatch.setenv("DWORK_DMAX", "2")
+    assert main(["dwork-check", "--f", "x^2-1"]) == 2
+    assert "below the first cutoff" in capsys.readouterr().err
     # an explicit flag beats the environment default
     assert main(["dwork-check", "--f", "x^2-1", "--d-max", "20"]) == 0
     capsys.readouterr()
@@ -214,6 +219,25 @@ def test_dwork_check_window_flag(capsys):
     assert main(data_argv) == 0
     data = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert data["twisted"]["rungs"][0][0] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["dwork-check", "--f", "x", "--window", "-5"],
+    ["dwork-check", "--f", "x", "--window", "1000"],
+    ["dwork-check", "--f", "x^2-1", "--d-max", "2"],
+    ["dwork-check", "--f", "x", "--window", "8", "--d-max", "6"],
+    ["dwork-check", "--f", "x", "--d-max", "-1"],
+    ["dwork-check", "--f", "x", "--pole-max", "0"],
+    ["dwork-check", "--f", "x", "--n", "-1"],
+    ["prove", str(BUNDLED), "--search", "-1"],
+    ["verify-paper", "--strata", "-4"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_impossible_flag_values_are_input_errors(argv, capsys):
+    """Values that leave nothing to compute exit 2, not 1 or 3."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_unknown_flags_rejected():

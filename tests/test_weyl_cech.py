@@ -36,6 +36,7 @@ def test_frozen_dimensions(texts, names, expected):
 @pytest.mark.parametrize("texts,names,ts", [
     (["x^2-1"], X, (0, 1, 2)),
     (["x", "y"], XY, (0, 1)),
+    (["x^2-1/3"], X, (0, 1, 2)),
 ])
 def test_rungs_match_reference(texts, names, ts):
     fs = _polys(texts, names)

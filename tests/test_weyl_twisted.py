@@ -34,7 +34,8 @@ def test_frozen_dimensions(text, names, expected):
     assert [dims for _cut, dims in res.rungs[-3:]] == [expected] * 3
 
 
-@pytest.mark.parametrize("text,names", [("x", X), ("x*y", XY), ("y*x^2", XY)])
+@pytest.mark.parametrize("text,names", [("x", X), ("x*y", XY), ("y*x^2", XY),
+                                        ("y*(x^2-1/3)", XY)])
 def test_rungs_match_reference(text, names):
     F = parse_poly(text, names)
     d0 = F.degree() + 1
