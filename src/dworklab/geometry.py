@@ -9,7 +9,7 @@ rewriting of terms elsewhere never mutates raw data based on these facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GeometryError
 
@@ -47,9 +47,6 @@ class Morphism:
     atoms: tuple
     source: str
     target: str
-
-    def is_identity_shaped(self) -> bool:
-        return not self.atoms and self.source == self.target
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,6 @@ class GeometryContext:
         self.identities: list = []  # (lhs_atoms, rhs_atoms), declaration order
         self.cap_facts: dict = {}  # frozenset of member keys -> name
         self.pre_facts: dict = {}  # (morphism key, sub key) -> name
-        self.red_facts: dict = {}  # name -> name
         self.functions: dict = {}  # name -> (variety, definition or None)
         self.objects: dict = {}  # object name -> variety
         self.products: dict = {}  # (x, y) -> product variety name
@@ -379,11 +375,6 @@ class GeometryContext:
         self.need_subvariety(result)
         self.pre_facts[((morphism_name,), sub)] = result
 
-    def red_fact(self, a, result):
-        self.need_subvariety(a)
-        self.need_subvariety(result)
-        self.red_facts[a] = result
-
     def function(self, name, variety, definition=None):
         if name in self.functions:
             raise GeometryError(f"function {name!r} already declared")
@@ -446,12 +437,6 @@ class GeometryContext:
     def is_embedding(self, m: Morphism) -> bool:
         return all(self.atoms[a].kind in EMBEDDING_KINDS for a in m.atoms)
 
-    def need_negation(self, variety) -> str:
-        name = self.negations.get(variety)
-        if name is None:
-            raise GeometryError(f"no negation declared on {variety!r}")
-        return name
-
     def find_pmap(self, c1, c2, source, target):
         """Declared product map with the given components and endpoints."""
         for atom in self.atoms.values():
@@ -486,12 +471,8 @@ class GeometryContext:
             arg = self._sub_norm(s.arg)
             if isinstance(arg, SubRed):
                 return arg
-            if isinstance(arg, SubName):
-                sub = self.subvarieties[arg.name]
-                if sub.name in self.red_facts:
-                    return SubName(self.red_facts[sub.name])
-                if sub.reduced:
-                    return arg
+            if isinstance(arg, SubName) and self.subvarieties[arg.name].reduced:
+                return arg
             return SubRed(arg)
         if isinstance(s, SubCap):
             flat = []

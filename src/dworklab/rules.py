@@ -16,6 +16,11 @@ Matching tolerances, applied deterministically:
 * closed subpatterns (transform kernels, lemma sides) compare by normal
   form, with any shift difference transferred to the ledger;
 * metavariables bind raw subterms exactly.
+
+Next to each applier sits its enumerator: the moves the rule offers a
+search at one subterm, each with the step undoing it, read off the same
+subterm.  `apply_step` may still refuse a move, and an undo may land on a
+raw form other than the original; the search checks both.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .terms import (
     Oim,
     Opb,
     RGamma,
-    Shift,
     Struct,
     Tensor,
     navigate,
@@ -49,6 +53,10 @@ from .terms import (
     variety_of,
     with_shift,
 )
+
+
+# above this many atom pairs, compose splits are not offered to the search
+_ATOM_PAIR_CAP = 2500
 
 
 class Fail(Exception):
@@ -69,6 +77,25 @@ def _get(b, key, cls, what):
 def _orderings(t):
     """Tensor factors as written, then swapped."""
     return ((t.left, t.right, False), (t.right, t.left, True))
+
+
+def _both_ways(direction, bindings):
+    """A move whose undo is the same rule the other way, same bindings."""
+    undo = "bwd" if direction == "fwd" else "fwd"
+    return (direction, bindings), (undo, dict(bindings))
+
+
+def _by_shape(fwd, bwd, key=None):
+    """Enumerator of a rule that runs forward at the (outer, inner) node
+    classes `fwd` and backward at `bwd` (inner None: any argument), each
+    undone the other way; with a binding `key`, once per declared name."""
+    def enumerate_moves(moves, sub):
+        for direction, (outer, inner) in (("fwd", fwd), ("bwd", bwd)):
+            if isinstance(sub, outer) and (
+                    inner is None or isinstance(sub.arg, inner)):
+                for name in moves.names[key] if key else (None,):
+                    yield _both_ways(direction, {key: name} if key else {})
+    return enumerate_moves
 
 
 def _single_atom(ctx, m):
@@ -127,6 +154,30 @@ def _r2(ctx, sub, direction, b, mode, allowed):
     return _compose_apply(ctx, sub, direction, b, Oim)
 
 
+def _compose_moves(moves, sub, node):
+    """Merge a nested pair (undo: split at the written maps), or split the
+    map into declared atoms (undo: merge)."""
+    if not isinstance(sub, node):
+        return
+    if isinstance(sub.arg, node):
+        outer, inner = sub.morphism, sub.arg.morphism
+        f, g = (outer, inner) if node is Opb else (inner, outer)
+        yield ("fwd", {}), ("bwd", {"f": f, "g": g})
+    if moves.pairs:
+        m = moves.ctx.normalize_morphism(sub.morphism)
+        for f, g, gf in moves.pairs:
+            if gf == m:
+                yield ("bwd", {"f": f, "g": g}), ("fwd", {})
+
+
+def _r1_moves(moves, sub):
+    return _compose_moves(moves, sub, Opb)
+
+
+def _r2_moves(moves, sub):
+    return _compose_moves(moves, sub, Oim)
+
+
 # --- tensor interchange ------------------------------------------------------
 
 
@@ -142,6 +193,9 @@ def _r3(ctx, sub, direction, b, mode, allowed):
     if not ctx.morphisms_equal(sub.left.morphism, sub.right.morphism):
         raise Fail("pullbacks are along different maps")
     return Opb(sub.left.morphism, Tensor(sub.left.arg, sub.right.arg)), 0
+
+
+_r3_moves = _by_shape((Opb, Tensor), (Tensor, None))
 
 
 def _r4(ctx, sub, direction, b, mode, allowed):
@@ -160,6 +214,9 @@ def _r4(ctx, sub, direction, b, mode, allowed):
             p = second.morphism
             return Oim(p, Tensor(Opb(p, first), second.arg)), 0
     raise Fail("no pushed-forward factor")
+
+
+_r4_moves = _by_shape((Oim, Tensor), (Tensor, None))
 
 
 # --- base change -------------------------------------------------------------
@@ -199,6 +256,9 @@ def _r5(ctx, sub, direction, b, mode, allowed):
     return Oim(mfp, Opb(mhp, sub.arg.arg)), -delta_fwd
 
 
+_r5_moves = _by_shape((Oim, Opb), (Opb, Oim), "square")
+
+
 # --- supports ----------------------------------------------------------------
 
 
@@ -214,6 +274,9 @@ def _r6(ctx, sub, direction, b, mode, allowed):
         if isinstance(second, RGamma) and isinstance(second.arg, Struct):
             return RGamma(second.sub, first), 0
     raise Fail("no supported structure-sheaf factor")
+
+
+_r6_moves = _by_shape((RGamma, None), (Tensor, None))
 
 
 def _r7(ctx, sub, direction, b, mode, allowed):
@@ -239,6 +302,21 @@ def _r7(ctx, sub, direction, b, mode, allowed):
     return RGamma(left, RGamma(right, core)), 0
 
 
+def _r7_moves(moves, sub):
+    """Merge nested supports, rebracket them, or split one along a declared
+    intersection."""
+    if not isinstance(sub, RGamma):
+        return
+    nested = isinstance(sub.arg, RGamma)
+    if nested:
+        yield ("fwd", {}), ("bwd", {"left": sub.sub, "right": sub.arg.sub})
+    for left, right in moves.cap_orders:
+        if nested:
+            yield (("fwd", {"left": left, "right": right}),
+                   ("fwd", {"left": sub.sub, "right": sub.arg.sub}))
+        yield ("bwd", {"left": left, "right": right}), ("fwd", {})
+
+
 def _r8(ctx, sub, direction, b, mode, allowed):
     target = _get(b, "sub", None, "a subvariety")
     if direction == "fwd":
@@ -254,6 +332,15 @@ def _r8(ctx, sub, direction, b, mode, allowed):
     if not ctx.subs_equal(target, SubPre(m, sub.sub)):
         raise Fail("cited support is not the preimage of the written one")
     return Oim(m, RGamma(target, sub.arg.arg)), 0
+
+
+def _r8_moves(moves, sub):
+    if isinstance(sub, Oim) and isinstance(sub.arg, RGamma):
+        for z in moves.names["sub"]:
+            yield ("fwd", {"sub": z}), ("bwd", {"sub": sub.arg.sub})
+    elif isinstance(sub, RGamma) and isinstance(sub.arg, Oim):
+        for z in (SubPre(sub.arg.morphism, sub.sub), *moves.names["sub"]):
+            yield ("bwd", {"sub": z}), ("fwd", {"sub": sub.sub})
 
 
 def _r10_center(ctx, mode, m):
@@ -312,6 +399,22 @@ def _r10(ctx, sub, direction, b, mode, allowed):
     return out, sum(d for _n, d in centers)
 
 
+def _r10_moves(moves, sub):
+    """Unfold the top k of the nested supports, or fold the top k push-pull
+    pairs, for every k the tower allows."""
+    layers, cur = 0, sub
+    if isinstance(sub, RGamma):
+        direction = "fwd"
+        while isinstance(cur, RGamma):
+            layers, cur = layers + 1, cur.arg
+    else:
+        direction = "bwd"
+        while isinstance(cur, Oim) and isinstance(cur.arg, Opb):
+            layers, cur = layers + 1, cur.arg.arg
+    for k in range(1, layers + 1):
+        yield _both_ways(direction, {"layers": k})
+
+
 def _r18(ctx, sub, direction, b, mode, allowed):
     if not isinstance(sub, RGamma):
         raise Fail("need a supported term")
@@ -321,6 +424,13 @@ def _r18(ctx, sub, direction, b, mode, allowed):
     if not ctx.subs_equal(SubRed(z), sub.sub):
         raise Fail("cited subvariety does not reduce to the written support")
     return RGamma(z, sub.arg), 0
+
+
+def _r18_moves(moves, sub):
+    if isinstance(sub, RGamma):
+        yield ("fwd", {}), ("bwd", {"sub": sub.sub})
+        for z in moves.names["sub"]:
+            yield ("bwd", {"sub": z}), ("fwd", {})
 
 
 # --- exponentials and transforms ---------------------------------------------
@@ -341,6 +451,11 @@ def _r11(ctx, sub, direction, b, mode, allowed):
     if not ctx.funcs_equal(sub.func, FuncPull(psi, f)):
         raise Fail("twist is not the pullback of the cited function")
     return Opb(f, Exp(f.target, psi)), 0
+
+
+def _r11_moves(moves, sub):
+    if isinstance(sub, Opb) and isinstance(sub.arg, Exp):
+        yield ("fwd", {}), ("bwd", {"f": sub.morphism, "psi": sub.arg.func})
 
 
 def _r12(ctx, sub, direction, b, mode, allowed):
@@ -368,6 +483,14 @@ def _r12(ctx, sub, direction, b, mode, allowed):
     raise Fail("factors do not match the transform kernel shape")
 
 
+def _r12_moves(moves, sub):
+    if isinstance(sub, Fourier):
+        yield _both_ways("fwd", {"bundle": sub.bundle})
+    elif isinstance(sub, Oim) and isinstance(sub.arg, Tensor):
+        for bundle in moves.names["bundle"]:
+            yield _both_ways("bwd", {"bundle": bundle})
+
+
 def _r13(ctx, sub, direction, b, mode, allowed):
     bundle = _get(b, "bundle", str, "a bundle name")
     data = ctx.fourier.get(bundle)
@@ -386,6 +509,14 @@ def _r13(ctx, sub, direction, b, mode, allowed):
     if not ctx.morphisms_equal(sub.morphism, ctx.composite(neg)):
         raise Fail(f"map is not the negation of {bundle}")
     return Fourier(data.dual, Fourier(bundle, sub.arg)), 0
+
+
+def _r13_moves(moves, sub):
+    if isinstance(sub, Fourier) and isinstance(sub.arg, Fourier):
+        yield _both_ways("fwd", {"bundle": sub.arg.bundle})
+    elif isinstance(sub, Opb):
+        for bundle in moves.negated:
+            yield _both_ways("bwd", {"bundle": bundle})
 
 
 def _transposable(ctx, m):
@@ -418,6 +549,9 @@ def _r14(ctx, sub, direction, b, mode, allowed):
     return Fourier(u.target, Oim(u, sub.arg.arg)), 0
 
 
+_r14_moves = _by_shape((Fourier, Oim), (Opb, Fourier))
+
+
 def _r15(ctx, sub, direction, b, mode, allowed):
     if direction == "fwd":
         if not (isinstance(sub, Oim) and isinstance(sub.arg, Fourier)):
@@ -436,6 +570,9 @@ def _r15(ctx, sub, direction, b, mode, allowed):
     if u.target not in ctx.fourier:
         raise Fail(f"bundle {u.target!r} has no declared pairing")
     return Oim(_transposable(ctx, u), Fourier(u.target, sub.arg.arg)), 0
+
+
+_r15_moves = _by_shape((Oim, Fourier), (Fourier, Opb))
 
 
 def _r16(ctx, sub, direction, b, mode, allowed):
@@ -459,6 +596,14 @@ def _r16(ctx, sub, direction, b, mode, allowed):
     return Oim(sect, sub.arg.arg), 0
 
 
+def _r16_moves(moves, sub):
+    if isinstance(sub, Oim):
+        for bundle in moves.names["bundle"]:
+            yield _both_ways("fwd", {"bundle": bundle})
+    elif isinstance(sub, Fourier) and isinstance(sub.arg, Opb):
+        yield _both_ways("bwd", {"bundle": sub.bundle})
+
+
 def _r17(ctx, sub, direction, b, mode, allowed):
     bundle = _get(b, "bundle", str, "a bundle name")
     data = ctx.fourier.get(bundle)
@@ -478,6 +623,9 @@ def _r17(ctx, sub, direction, b, mode, allowed):
     if not ctx.morphisms_equal(sub.morphism, proj):
         raise Fail("pushforward is not along the bundle projection")
     return Opb(sect, sub.arg.arg), 0
+
+
+_r17_moves = _by_shape((Opb, None), (Oim, Fourier), "bundle")
 
 
 # --- unit laws (R19) and exterior-tensor laws (R20) --------------------------
@@ -518,6 +666,27 @@ def _r19(ctx, sub, direction, b, mode, allowed):
             raise Fail("cited map does not start here")
         return Opb(f, Struct(f.target)), 0
     raise Fail(f"unknown law {law!r}")
+
+
+def _r19_moves(moves, sub):
+    """Drop an identity map, a unit factor or a pulled-back structure sheaf;
+    pull a structure sheaf back along each declared map out of it."""
+    if isinstance(sub, (Opb, Oim)):
+        if moves.ctx.is_identity(sub.morphism):
+            law = "opb_id" if isinstance(sub, Opb) else "oim_id"
+            yield ("fwd", {"law": law}), ("bwd", {"law": law, "f": sub.morphism})
+        if isinstance(sub, Opb) and isinstance(sub.arg, Struct):
+            yield (("fwd", {"law": "struct_pullback"}),
+                   ("bwd", {"law": "struct_pullback", "f": sub.morphism}))
+    elif isinstance(sub, Tensor):
+        if isinstance(sub.left, Struct) or isinstance(sub.right, Struct):
+            yield _both_ways("fwd", {"law": "tensor_unit"})
+    elif isinstance(sub, Struct):
+        for atom in moves.ctx.atoms.values():
+            if atom.source == sub.variety:
+                f = moves.ctx.composite(atom.name)
+                yield (("bwd", {"law": "struct_pullback", "f": f}),
+                       ("fwd", {"law": "struct_pullback"}))
 
 
 def _r20(ctx, sub, direction, b, mode, allowed):
@@ -597,6 +766,25 @@ def _r20(ctx, sub, direction, b, mode, allowed):
     raise Fail(f"unknown law {law!r}")
 
 
+def _r20_moves(moves, sub):
+    if isinstance(sub, Opb):
+        direction = "fwd"
+        laws = ("etens_opb_proj2",)
+        if isinstance(sub.arg, ETensor):
+            laws = ("etens_opb_sndmap", "etens_opb_diag") + laws
+    elif isinstance(sub, Oim) and isinstance(sub.arg, ETensor):
+        direction, laws = "fwd", ("etens_oim_idmap", "etens_oim_fstmap")
+    elif isinstance(sub, Tensor):
+        direction, laws = "bwd", ("etens_opb_diag",)
+    elif isinstance(sub, ETensor):
+        direction, laws = "bwd", ("etens_opb_proj2", "etens_oim_idmap",
+                                  "etens_opb_sndmap", "etens_oim_fstmap")
+    else:
+        return
+    for law in laws:
+        yield _both_ways(direction, {"law": law})
+
+
 # --- lemmas -------------------------------------------------------------------
 
 
@@ -617,27 +805,63 @@ def _lemma(ctx, sub, direction, name, lemmas):
 
 # --- driver -------------------------------------------------------------------
 
+# name -> (least strata budget, applier, enumerator)
 RULES = {
-    "R1": (0, _r1),
-    "R2": (0, _r2),
-    "R3": (0, _r3),
-    "R4": (1, _r4),
-    "R5": (0, _r5),  # stratum checked inside: embeddings are fine at 0
-    "R6": (0, _r6),
-    "R7": (0, _r7),
-    "R8": (0, _r8),
-    "R10": (0, _r10),
-    "R11": (0, _r11),
-    "R12": (0, _r12),
-    "R13": (0, _r13),
-    "R14": (1, _r14),
-    "R15": (1, _r15),
-    "R16": (0, _r16),
-    "R17": (0, _r17),
-    "R18": (0, _r18),
-    "R19": (0, _r19),
-    "R20": (0, _r20),
+    "R1": (0, _r1, _r1_moves),
+    "R2": (0, _r2, _r2_moves),
+    "R3": (0, _r3, _r3_moves),
+    "R4": (1, _r4, _r4_moves),
+    "R5": (0, _r5, _r5_moves),  # stratum checked inside: embeddings are fine at 0
+    "R6": (0, _r6, _r6_moves),
+    "R7": (0, _r7, _r7_moves),
+    "R8": (0, _r8, _r8_moves),
+    "R10": (0, _r10, _r10_moves),
+    "R11": (0, _r11, _r11_moves),
+    "R12": (0, _r12, _r12_moves),
+    "R13": (0, _r13, _r13_moves),
+    "R14": (1, _r14, _r14_moves),
+    "R15": (1, _r15, _r15_moves),
+    "R16": (0, _r16, _r16_moves),
+    "R17": (0, _r17, _r17_moves),
+    "R18": (0, _r18, _r18_moves),
+    "R19": (0, _r19, _r19_moves),
+    "R20": (0, _r20, _r20_moves),
 }
+
+
+class Moves:
+    """The moves the rules offer one search, each with the step undoing it.
+
+    Called on a subterm, yields ``(move, undo)`` pairs of ``(rule,
+    direction, bindings)``.  Built once per search, so the declarations the
+    enumerators read are gathered once; rules that the strata budget or
+    the exclusions refuse are left out."""
+
+    def __init__(self, ctx, allowed_strata=1, excluded=frozenset()):
+        self.ctx = ctx
+        self.rules = [(name, enum) for name, (stratum, _fn, enum) in RULES.items()
+                      if stratum <= allowed_strata and name not in excluded]
+        # the declared names each binding key can take
+        self.names = {"bundle": sorted(ctx.fourier),
+                      "square": sorted(ctx.squares),
+                      "sub": [SubName(n) for n in sorted(ctx.subvarieties)]}
+        self.negated = [b for b in self.names["bundle"] if b in ctx.negations]
+        # both orders of the two members of each declared intersection
+        self.cap_orders = []
+        for members in sorted(ctx.cap_facts, key=sorted):
+            a, b = SubName(min(members)), SubName(max(members))
+            self.cap_orders += dict.fromkeys([(a, b), (b, a)])
+        # (f, g, normal form of g.f) for every composable pair of atoms
+        maps = [ctx.composite(name) for name in ctx.atoms]
+        if len(maps) ** 2 > _ATOM_PAIR_CAP:
+            maps = []
+        self.pairs = [(f, g, ctx.normalize_morphism(ctx.compose(g, f)))
+                      for f in maps for g in maps if f.target == g.source]
+
+    def __call__(self, sub):
+        for name, enumerate_moves in self.rules:
+            for (d, b), (ud, ub) in enumerate_moves(self, sub):
+                yield (name, d, b), (name, ud, ub)
 
 
 def apply_step(ctx, term, rule, direction, path, bindings=None, *,
@@ -663,7 +887,7 @@ def apply_step(ctx, term, rule, direction, path, bindings=None, *,
                 raise Fail(f"unknown rule {rule!r}")
             if rule in excluded:
                 raise Fail("rule excluded by this certificate")
-            stratum, fn = entry
+            stratum, fn, _moves = entry
             if stratum > allowed_strata:
                 raise Fail(f"stratum-{stratum} rule, only {allowed_strata} allowed")
             new_sub, delta = fn(ctx, sub, direction, b, mode, allowed_strata)

@@ -128,31 +128,27 @@ class CechDeRham:
                         out.append((I, mono, mask))
         return out
 
-    def schedule(self, t, d0=None, step=None):
-        if step is None:
-            step = max(2, self.maxdeg)
-        if d0 is None:
-            d0 = self.maxdeg + self.n + 1
+    def schedule(self, t):
+        """(P, D_t) at rung t, as in the module docstring."""
+        d0, step = self.maxdeg + self.n + 1, max(2, self.maxdeg)
         return 1 + t, d0 + step * t
 
-    def rung(self, t, d0=None, step=None):
-        """Windowed dims of every total grade q at rung t."""
-        P, D = self.schedule(t, d0, step)
-        slack = self.maxdeg + 1
-        key = self._colkey
+    def _rows_by_grade(self, pole, D):
+        """Nonzero differentials of the window (pole, D), by total grade."""
+        rows = {}
+        for I, mono, mask in self.window_basis(pole, D):
+            row = self.diff_row(I, mono, mask, pole)
+            if row:
+                q = (len(I) - 1) + bin(mask).count("1")
+                rows.setdefault(q, []).append(row)
+        return rows
 
-        win_rows = {}
-        for I, mono, mask in self.window_basis(P, D):
-            q = (len(I) - 1) + bin(mask).count("1")
-            row = self.diff_row(I, mono, mask, P)
-            if row:
-                win_rows.setdefault(q, []).append(row)
-        img_rows = {}
-        for I, mono, mask in self.window_basis(P + 1, D + slack):
-            q = (len(I) - 1) + bin(mask).count("1")
-            row = self.diff_row(I, mono, mask, P + 1)
-            if row:
-                img_rows.setdefault(q, []).append(row)
+    def rung(self, t):
+        """Windowed dims of every total grade q at rung t."""
+        P, D = self.schedule(t)
+        key = self._colkey
+        win_rows = self._rows_by_grade(P, D)
+        img_rows = self._rows_by_grade(P + 1, D + self.maxdeg + 1)
 
         squares = {I: _int_terms(self.g[I] * self.g[I]) for I in self.pieces}
         dims = {}
@@ -179,8 +175,8 @@ class CechDeRham:
         return dims
 
 
-def complement_rung(fs, t, d0=None, step=None):
-    return CechDeRham(fs).rung(t, d0=d0, step=step)
+def complement_rung(fs, t):
+    return CechDeRham(fs).rung(t)
 
 
 def complement_cohomology(fs, t_max=8):

@@ -79,8 +79,7 @@ def twisted_rung(F, D):
     return TwistedComplex(F).rung(D)
 
 
-def twisted_cohomology(F, d0=None, d_max=20, step=2):
+def twisted_cohomology(F, d0=None, d_max=20):
     """Ladder the window cutoff until three consecutive rungs agree."""
     first = d0 if d0 is not None else F.degree() + 1
-    return ladder("twisted", TwistedComplex(F).rung,
-                  range(first, d_max + 1, step))
+    return ladder("twisted", TwistedComplex(F).rung, range(first, d_max + 1, 2))

@@ -20,9 +20,9 @@ from dworklab import (
 )
 from dworklab.certificates import get_certificate
 from dworklab.errors import RuleError
-from dworklab.rules import apply_step
-from dworklab.search import _inverse_step, _successors, prove
-from dworklab.terms import equal_normal
+from dworklab.rules import Moves, apply_step
+from dworklab.search import prove
+from dworklab.terms import equal_normal, navigate, size, split_shift, subterm_paths
 from dworklab.weyl.cech import CechDeRham, complement_cohomology
 from dworklab.weyl.compare import (
     _nonzero,
@@ -92,6 +92,19 @@ def test_shift_ledger_balance():
     _report("shift-ledger-balance", ok)
 
 
+def _accepted_moves(ctx, moves, term, gates):
+    """(path, undo, result) for each move offered in term that applies."""
+    core, _k = split_shift(term)
+    for path in subterm_paths(core):
+        for (rule, d, b), undo in moves(navigate(core, path)):
+            try:
+                after, _d = apply_step(ctx, term, rule, d, path, b, **gates)
+            except RuleError:
+                continue
+            if size(after) <= 64:
+                yield path, undo, after
+
+
 def test_rule_round_trip_fuzz():
     contexts, pairs = builtin_suite()
     gates = {"mode": "allow-singular", "allowed_strata": 1,
@@ -104,28 +117,21 @@ def test_rule_round_trip_fuzz():
         key, term = seeds[walk % len(seeds)]
         walk += 1
         ctx = contexts[key]
+        moves = Moves(ctx)
         for _ in range(40):
-            succs = list(_successors(ctx, term, gates, 64))
+            succs = list(_accepted_moves(ctx, moves, term, gates))
             if not succs:
                 break
-            for step, after in succs:
-                inv = _inverse_step(ctx, term, step)
-                if inv is None:
-                    if step.rule in ("R1", "R2") and step.direction == "bwd":
-                        inv = dataclasses.replace(step, direction="fwd",
-                                                  bindings={})
-                    else:
-                        continue
+            for path, (rule, d, b), after in succs:
                 try:
-                    back, _d = apply_step(ctx, after, inv.rule, inv.direction,
-                                          inv.path, inv.bindings, **gates)
+                    back, _d = apply_step(ctx, after, rule, d, path, b, **gates)
                 except RuleError:
                     failures += 1
                     continue
                 count += 1
                 if not equal_normal(ctx, back, term):
                     failures += 1
-            term = rng.choice(succs)[1]
+            term = rng.choice(succs)[2]
     ok = count >= 10_000 and failures == 0
     _report("round-trip-fuzz", ok)
 

@@ -35,8 +35,8 @@ def test_search_respects_mode():
 
 
 def test_found_steps_replay_exactly_not_just_up_to_shift():
-    # every edge in the backward frontier must have survived the
-    # inverse-synthesis round trip, so replays cannot drift
+    # every edge in the backward frontier is recorded as the undo its rule
+    # offered, kept only if it landed back exactly, so replays cannot drift
     ctx, cert = get_certificate("C6")
     res = prove(ctx, cert.goal_lhs, cert.goal_rhs, max_depth=4,
                 allowed_strata=0)
