@@ -139,20 +139,28 @@ def count_monomials(nvars, d):
     return math.comb(d + nvars, nvars) if d >= 0 else 0
 
 
+def monomials_of_degree(nvars, total):
+    """Exponent tuples of total degree exactly `total`, in the order
+    `graded_monomials` lists them."""
+    if nvars == 0:
+        if total == 0:
+            yield ()
+        return
+    for cut in itertools.combinations(range(total + nvars - 1), nvars - 1):
+        prev = -1
+        e = []
+        for c in cut:
+            e.append(c - prev - 1)
+            prev = c
+        e.append(total + nvars - 2 - prev)
+        yield tuple(e)
+
+
 def graded_monomials(nvars, d):
     """Exponent tuples of total degree <= d, graded then lexicographic."""
-    if nvars == 0:
-        return [()] if d >= 0 else []
     out = []
     for total in range(d + 1):
-        for cut in itertools.combinations(range(total + nvars - 1), nvars - 1):
-            prev = -1
-            e = []
-            for c in cut:
-                e.append(c - prev - 1)
-                prev = c
-            e.append(total + nvars - 2 - prev)
-            out.append(tuple(e))
+        out.extend(monomials_of_degree(nvars, total))
     return out
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from dworklab import parse_poly, twisted_cohomology
 from dworklab.weyl.forms import masks_of_degree
-from dworklab.weyl.linalg import rank
+from dworklab.weyl.linalg import Echelon, rank
 from dworklab.weyl.poly import binom, count_monomials, graded_monomials
 from dworklab.weyl.twisted import TwistedComplex, _colkey, twisted_rung
 
@@ -42,6 +42,53 @@ def test_rungs_match_reference(text, names):
     for D in (d0, d0 + 2):
         assert twisted_rung(F, D) == oracles.oracle_twisted_rung(
             F.terms, F.nvars, D)
+
+
+# the four-variable case takes the dense oracle about 30 s per ladder
+CHEAP_CASES = [case for case in CASES if len(case[1]) <= 2]
+
+
+@pytest.mark.parametrize("text,names,_expected", CHEAP_CASES)
+def test_ladder_rungs_match_reference_and_fresh_complexes(text, names,
+                                                          _expected):
+    """Every rung of the incremental ladder equals the oracle's and a
+    fresh complex's answer at the same cutoff."""
+    F = parse_poly(text, names)
+    for D, dims in twisted_cohomology(F).rungs:
+        assert dims == oracles.oracle_twisted_rung(F.terms, F.nvars, D)
+        assert dims == TwistedComplex(F).rung(D)
+
+
+@pytest.mark.parametrize("text,names", [("x*y", XY), ("y*(x^2-1/3)", XY)])
+def test_rungs_after_feeding_past_them(text, names):
+    """A complex fed to a high cutoff answers lower cutoffs, in falling
+    order, exactly as fresh complexes do."""
+    F = parse_poly(text, names)
+    cx = TwistedComplex(F)
+    cutoffs = range(F.degree() + 5, -1, -1)
+    got = [cx.rung(D) for D in cutoffs]
+    assert got == [TwistedComplex(F).rung(D) for D in cutoffs]
+
+
+@pytest.mark.parametrize("text,names", [("x*y", XY), ("y*(x^2-1/3)", XY)])
+def test_echelon_snapshots_match_prefix_ranks(text, names):
+    """Fed degree by degree, the echelon's pivot count after each degree
+    is the oracle rank of all rows up to that degree."""
+    cx = TwistedComplex(parse_poly(text, names))
+    D = cx.F.degree() + 3
+    for k in range(cx.n + 1):
+        ech = Echelon(_colkey)
+        fed = []
+        for e in range(D + 1):
+            for row in cx.rows(k, e, e):
+                before = len(ech)
+                lead = ech.add(row)
+                assert (lead is None) == (len(ech) == before)
+                if lead is not None:
+                    assert lead == max(ech.pivots[lead], key=_colkey)
+                fed.append(row)
+            assert len(ech) == oracles.rank(fed)
+        assert fed == cx.rows(k, D)
 
 
 @pytest.mark.parametrize("text,names,_expected", CASES)
