@@ -9,8 +9,9 @@ import argparse
 import os
 import re
 import sys
+from dataclasses import replace
 
-from .certificates import ProofCertificate, builtin_suite, check_certificate, verify_paper
+from .certificates import builtin_suite, check_certificate, verify_paper
 from .dsl import load_script
 from .errors import ParseError
 from .reports import render_report, search_dict
@@ -129,23 +130,16 @@ def cmd_prove(args):
             print("goal has no proof script; pass --search DEPTH to look "
                   "for one")
         return 3
+    mode = mode or cert.mode
+    strata = args.strata if args.strata is not None else cert.allowed_strata
     res = search_prove(bound.ctx, cert.goal_lhs, cert.goal_rhs,
-                       max_depth=args.search,
-                       mode=mode or cert.mode,
-                       allowed_strata=(args.strata if args.strata is not None
-                                       else cert.allowed_strata),
-                       excluded=cert.excluded_rules)
+                       max_depth=args.search, mode=mode,
+                       allowed_strata=strata, excluded=cert.excluded_rules)
     if not res.found:
         sys.stdout.write(render_report(res, args.output))
         return 3
-    found = ProofCertificate(
-        name=cert.name, title=cert.title, goal_lhs=cert.goal_lhs,
-        goal_rhs=cert.goal_rhs, steps=tuple(res.steps),
-        mode=mode or cert.mode,
-        allowed_strata=(args.strata if args.strata is not None
-                        else cert.allowed_strata),
-        closure=res.closure, lemmas=cert.lemmas,
-        excluded_rules=cert.excluded_rules)
+    found = replace(cert, steps=tuple(res.steps), closure=res.closure,
+                    mode=mode, allowed_strata=strata)
     rep = check_certificate(bound.ctx, found)
     if args.output == "machine":
         sys.stdout.write(render_report(rep, "machine",

@@ -64,10 +64,6 @@ def tokenize(text):
 # --- syntax nodes ----------------------------------------------------------------
 
 
-def _stmt(cls):
-    return dataclass(frozen=True)(cls)
-
-
 @dataclass(frozen=True)
 class MName:
     parts: tuple

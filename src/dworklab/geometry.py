@@ -132,6 +132,12 @@ class FuncPull:
     morphism: Morphism
 
 
+def _check_codim(what, codim, ambient):
+    if not 0 <= codim <= ambient.dim:
+        raise GeometryError(f"{what}: codimension {codim} is outside "
+                            f"0..{ambient.dim} (dim {ambient.name})")
+
+
 class GeometryContext:
     """Mutable registry of declarations plus the normal-form machinery."""
 
@@ -148,7 +154,6 @@ class GeometryContext:
         self.functions: dict = {}  # name -> (variety, definition or None)
         self.objects: dict = {}  # object name -> variety
         self.products: dict = {}  # (x, y) -> product variety name
-        self.fproducts: dict = {}  # (x, y, base) -> fiber product name
         self.product_factors: dict = {}  # product name -> (x, y)
         self.projections: dict = {}  # (product, factor) -> atom name
         self.negations: dict = {}  # variety -> atom name
@@ -160,6 +165,8 @@ class GeometryContext:
     def variety(self, name, dim, smooth=True):
         if name in self.varieties:
             raise GeometryError(f"variety {name!r} already declared")
+        if dim < 0:
+            raise GeometryError(f"variety {name!r}: negative dimension {dim}")
         self.varieties[name] = Variety(name, dim, smooth)
         return name
 
@@ -174,9 +181,13 @@ class GeometryContext:
         if name in self.atoms:
             raise GeometryError(f"morphism {name!r} already declared")
         self.need_variety(source)
-        self.need_variety(target)
-        if kind == "closed" and codim <= 0:
-            codim = self.varieties[target].dim - self.varieties[source].dim
+        tgt = self.need_variety(target)
+        if kind == "closed" and codim == 0:
+            codim = tgt.dim - self.varieties[source].dim
+        _check_codim(f"morphism {name!r}", codim, tgt)
+        if kind == "projection" and factor not in (1, 2):
+            raise GeometryError(
+                f"morphism {name!r}: projection factor {factor} is not 1 or 2")
         atom = MorphismAtom(name, kind, source, target, codim, factor,
                             tuple(parts), transpose)
         self.atoms[name] = atom
@@ -289,7 +300,6 @@ class GeometryContext:
         self.bundles[b2] = Bundle(b2, v2.base, v2.rank, v2.proj, v2.sect, b1)
         self.fourier[b1] = FourierData(b1, b2, product, p1, p2, pairing, line, coord)
         self.fourier[b2] = FourierData(b2, b1, product, p2, p1, pairing, line, coord)
-        self.fproducts[(b1, b2, v1.base)] = product
         self.product_factors[product] = (b1, b2)
 
     def product(self, name, x, y, q1, q2):
@@ -311,7 +321,6 @@ class GeometryContext:
         self.variety(name, vx.dim + vy.dim - vb.dim, vx.smooth and vy.smooth)
         self.morphism(q1, name, x, kind="projection", factor=1)
         self.morphism(q2, name, y, kind="projection", factor=2)
-        self.fproducts[(x, y, base)] = name
         self.product_factors[name] = (x, y)
         return name
 
@@ -349,6 +358,7 @@ class GeometryContext:
                 smooth = src.smooth
         if codim is None:
             raise GeometryError(f"subvariety {name!r} needs a codimension")
+        _check_codim(f"subvariety {name!r}", codim, amb)
         if smooth is None:
             smooth = True
         self.subvarieties[name] = Subvariety(name, ambient, codim, smooth,
@@ -460,15 +470,11 @@ class GeometryContext:
     # -- subvariety normal forms ----------------------------------------
 
     def normalize_sub(self, s):
-        s = self._sub_norm(s)
-        return s
-
-    def _sub_norm(self, s):
         if isinstance(s, SubName):
             self.need_subvariety(s.name)
             return s
         if isinstance(s, SubRed):
-            arg = self._sub_norm(s.arg)
+            arg = self.normalize_sub(s.arg)
             if isinstance(arg, SubRed):
                 return arg
             if isinstance(arg, SubName) and self.subvarieties[arg.name].reduced:
@@ -477,7 +483,7 @@ class GeometryContext:
         if isinstance(s, SubCap):
             flat = []
             for a in s.args:
-                a = self._sub_norm(a)
+                a = self.normalize_sub(a)
                 if isinstance(a, SubCap):
                     flat.extend(a.args)
                 else:
@@ -503,7 +509,7 @@ class GeometryContext:
                 return flat[0]
             return SubCap(tuple(flat))
         if isinstance(s, SubPre):
-            arg = self._sub_norm(s.arg)
+            arg = self.normalize_sub(s.arg)
             m = self.normalize_morphism(s.morphism)
             if self.is_identity(m):
                 return arg

@@ -6,9 +6,13 @@ piece uses the uniform pole P = 1 + t and numerator degree bound
 P*deg(g_I) + D_t, with D_t = D0 + step*t, step = max(2, max deg f_i),
 D0 = max deg f_i + n + 1.  The total differential combines the Čech
 coboundary with the (−1)^p-signed de Rham differential; outputs live one
-pole higher, so image and window are compared after embedding the window
-two poles up (multiply by g_I^2) and using
-dim(U ∩ W) = rank U + rank W − rank(U ∪ W).
+pole higher, so the image U of the next window is compared with the
+window W after embedding W two poles up (multiply by g_I^2).  Each grade
+makes one elimination for its kernel and feeds one echelon U, then W:
+its size after U is rank U and after W is rank(U ∪ W), and rank W is the
+number of window elements, since multiplying by g_I^2 is injective and
+distinct (I, dx) parts use disjoint columns.  Then
+dim(U ∩ W) = rank U + |W| − rank(U ∪ W).
 
 Each f_i is first multiplied by the lcm of its coefficient denominators.
 That changes no window and no image subspace, and it makes every row
@@ -26,8 +30,8 @@ from itertools import combinations
 
 from .forms import add_into, masks_of_degree, wedge_sign
 from .ladder import ladder
-from .linalg import rank
-from .poly import MultiPoly, binom, count_monomials, graded_monomials
+from .linalg import Echelon, rank
+from .poly import MultiPoly, graded_monomials
 
 
 def _int_terms(p):
@@ -115,63 +119,53 @@ class CechDeRham:
                 add_into(row, (J, mm, mask), sgn * c)
         return row
 
-    def window_basis(self, pole, D, q=None):
+    def window_basis(self, pole, D):
         out = []
         for I in self.pieces:
-            p = len(I) - 1
             bound = pole * self.g[I].degree() + D
             for k in range(self.n + 1):
-                if q is not None and p + k != q:
-                    continue
                 for mask in masks_of_degree(self.n, k):
                     for mono in graded_monomials(self.n, bound):
                         out.append((I, mono, mask))
         return out
+
+    def _by_grade(self, pole, D):
+        """The window (pole, D), grouped by total grade."""
+        grades = {}
+        for I, mono, mask in self.window_basis(pole, D):
+            q = (len(I) - 1) + bin(mask).count("1")
+            grades.setdefault(q, []).append((I, mono, mask))
+        return grades
 
     def schedule(self, t):
         """(P, D_t) at rung t, as in the module docstring."""
         d0, step = self.maxdeg + self.n + 1, max(2, self.maxdeg)
         return 1 + t, d0 + step * t
 
-    def _rows_by_grade(self, pole, D):
-        """Nonzero differentials of the window (pole, D), by total grade."""
-        rows = {}
-        for I, mono, mask in self.window_basis(pole, D):
-            row = self.diff_row(I, mono, mask, pole)
-            if row:
-                q = (len(I) - 1) + bin(mask).count("1")
-                rows.setdefault(q, []).append(row)
-        return rows
-
     def rung(self, t):
         """Windowed dims of every total grade q at rung t."""
         P, D = self.schedule(t)
         key = self._colkey
-        win_rows = self._rows_by_grade(P, D)
-        img_rows = self._rows_by_grade(P + 1, D + self.maxdeg + 1)
-
+        window = self._by_grade(P, D)
+        image = self._by_grade(P + 1, D + self.maxdeg + 1)
         squares = {I: _int_terms(self.g[I] * self.g[I]) for I in self.pieces}
         dims = {}
         for q in range(self.n + self.r):
-            dom = 0
-            for I in self.pieces:
-                k = q - (len(I) - 1)
-                if 0 <= k <= self.n:
-                    dom += (count_monomials(self.n, P * self.g[I].degree() + D)
-                            * binom(self.n, k))
-            ker = dom - rank(win_rows.get(q, []), key=key)
+            basis = window[q]
+            rows = [row for I, mono, mask in basis
+                    if (row := self.diff_row(I, mono, mask, P))]
+            ker = len(basis) - rank(rows, key=key)
             if q == 0:
                 dims[0] = ker
                 continue
-            img = img_rows.get(q - 1, [])
-            emb = []
-            for I, mono, mask in self.window_basis(P, D, q=q):
-                emb.append({(I, mm, mask): c for mm, c
-                            in _shifted(squares[I], mono, 1).items()})
-            ra = rank(img, key=key)
-            rb = rank(emb, key=key)
-            rab = rank(img + emb, key=key)
-            dims[q] = ker - (ra + rb - rab)
+            ech = Echelon(key)
+            for I, mono, mask in image[q - 1]:
+                ech.add(self.diff_row(I, mono, mask, P + 1))
+            rank_u = len(ech)
+            for I, mono, mask in basis:
+                ech.add({(I, mm, mask): c for mm, c
+                         in _shifted(squares[I], mono, 1).items()})
+            dims[q] = ker - (rank_u + len(basis) - len(ech))
         return dims
 
 

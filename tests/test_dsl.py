@@ -6,6 +6,7 @@ import pytest
 
 from dworklab import dsl
 from dworklab.certificates import check_certificate
+from dworklab.cli import main
 from dworklab.errors import ParseError
 
 from docgen import random_document
@@ -95,6 +96,28 @@ def test_binder_rejects_unknown_references():
         dsl.load_script("variety X dim 1;\ngoal g : O[X] ~ O[Y];\n")
     with pytest.raises(ParseError, match="goal"):
         dsl.load_script("variety X dim 1;\nstep R1 fwd at /;\n")
+
+
+@pytest.mark.parametrize("bad", [
+    "variety Z dim -1;",
+    "subvariety S in X codim 4;",
+    "subvariety S in X codim -1;",
+    "morphism q : P -> X projection 5;",
+    "morphism q : P -> X projection 0;",
+    "morphism j : P -> X closed codim -2;",
+    "morphism j : X -> P closed codim 3;",
+])
+def test_binder_rejects_out_of_range_declarations(bad, tmp_path, capsys):
+    text = ("variety X dim 1;\nvariety P dim 2;\n" + bad + "\n"
+            "goal g : O[X] ~ O[X];\n")
+    with pytest.raises(ParseError) as exc:
+        dsl.load_script(text)
+    lo, hi = exc.value.span
+    assert text[lo:hi] == bad
+    script = tmp_path / "bad.dwk"
+    script.write_text(text, encoding="utf-8")
+    assert main(["prove", str(script), "--search", "0"]) == 2
+    assert f"{script}:3:" in capsys.readouterr().err
 
 
 def test_binder_single_goal_only():
