@@ -1,20 +1,37 @@
-"""Sparse exact row echelon over the integers.
+"""Sparse exact row echelon over the integers, on integer column codes.
 
-Rows are dicts mapping column keys to nonzero ints; callers build them
-integer-native.  Elimination is fraction-free: updates use the two-row
-cross-multiplication step, and every stored pivot row is divided by its
-content, so entries stay bounded and no rationals appear mid-run.  Each
-pivot is the row's largest column under the caller's grading.  Echelon
-rows then have distinct largest columns and cannot cancel each other's
-leads, so when the grading is by degree first, the span's part inside a
-window of degree <= D has dimension equal to the number of pivots of
-degree <= D.
+Rows are dicts mapping integer column codes to nonzero ints; callers
+build them integer-native and choose the codes so that integer order is
+their grading of the columns.  Elimination is fraction-free in the sense
+of Bareiss: a row is copied once and then reduced in place, each update
+cancels the lead by cross-multiplying with the two leads divided by
+their gcd, and the row is divided by its content before every step, so
+entries stay bounded, no rationals appear and every stored pivot row is
+primitive.  Each pivot is the row's largest code, `max(row)`, compared
+as plain integers.  Echelon rows then have distinct largest columns and
+cannot cancel each other's leads, so when the codes order columns by
+degree first, the span's part inside a window of degree <= D has
+dimension equal to the number of pivots of degree <= D.
 
 `Echelon` is the one elimination loop.  It grows one row at a time and
 never replaces a pivot, so the pivots present after any prefix of the
 rows are an echelon basis of that prefix's span: a caller that feeds
 rows in stages can read the rank of every stage off the pivot count it
 had then, without eliminating again.  `rank` is its one-shot form.
+
+`GradedCodes` is the column code both de Rham complexes use:
+
+    code = ((deg << n*W | digits(mono)) << low) | fields
+
+with deg = sum(mono), one W-bit digit per exponent (mono[0] most
+significant) and `fields` (the caller's part index and wedge mask) in
+the low bits.  While every exponent is below 2**W, integer order is
+(degree, exponents lexicographically, fields), the code of a product of
+monomials is the sum of their codes, and `code >> shift` is the degree.
+The caller derives W from the largest exponent it has to encode and
+asks for a wider code when that grows; `mono` is the unchecked fast path
+for exponents the caller has fitted, and `encode` refuses a digit that
+would overflow into its neighbour.
 """
 
 from __future__ import annotations
@@ -22,25 +39,13 @@ from __future__ import annotations
 from math import gcd
 
 
-def _primitive(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
-
-
 class Echelon:
     """Fraction-free echelon basis, grown by `add`; `pivots` maps each
     lead column to its primitive pivot row."""
 
-    __slots__ = ("key", "pivots")
+    __slots__ = ("pivots",)
 
-    def __init__(self, key):
-        self.key = key
+    def __init__(self):
         self.pivots = {}
 
     def __len__(self):
@@ -48,28 +53,83 @@ class Echelon:
 
     def add(self, row):
         """Reduce `row` against the pivots; store it and return its lead
-        column, or return None if it lies in their span."""
-        pivots, key = self.pivots, self.key
-        r = _primitive(row)
+        column, or return None if it lies in their span.  The caller's
+        dict is copied, never changed or kept."""
+        pivots = self.pivots
+        r = dict(row)
         while r:
-            lead = max(r, key=key)
+            g = gcd(*r.values())
+            if g > 1:
+                for c in r:
+                    r[c] //= g
+            lead = max(r)
             p = pivots.get(lead)
             if p is None:
                 pivots[lead] = r
                 return lead
             a, b = p[lead], r[lead]
-            nxt = {}
-            for c in set(r) | set(p):
-                s = a * r.get(c, 0) - b * p.get(c, 0)
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                for c in r:
+                    r[c] *= a
+            for c, v in p.items():
+                s = r.get(c, 0) - b * v
                 if s:
-                    nxt[c] = s
-            r = _primitive(nxt)
+                    r[c] = s
+                else:
+                    del r[c]
         return None
 
 
-def rank(rows, key):
-    """Rank of the span of the rows; `key` orders the columns."""
-    ech = Echelon(key)
+def rank(rows):
+    """Rank of the span of the rows."""
+    ech = Echelon()
     for row in rows:
         ech.add(row)
     return len(ech)
+
+
+class GradedCodes:
+    """Graded integer codes for `nvars` exponents plus `low` field bits,
+    wide enough for every exponent <= `top` (see the module docstring)."""
+
+    __slots__ = ("nvars", "low", "width", "shift", "_digits")
+
+    def __init__(self, nvars, low, top):
+        self.nvars = nvars
+        self.low = low
+        self.width = max(top, 1).bit_length()
+        self._digits = nvars * self.width
+        self.shift = self._digits + low
+
+    def covers(self, top):
+        """True if every exponent <= `top` fits in one digit."""
+        return top >> self.width == 0
+
+    def mono(self, mono):
+        """Code of x^mono with zero fields, unchecked."""
+        w = self.width
+        d = 0
+        for e in mono:
+            d = d << w | e
+        return (sum(mono) << self._digits | d) << self.low
+
+    def encode(self, mono, fields):
+        if len(mono) != self.nvars or not all(
+                0 <= e and e >> self.width == 0 for e in mono):
+            raise ValueError(f"exponents {mono} do not fit "
+                             f"{self.width}-bit digits")
+        if not 0 <= fields < 1 << self.low:
+            raise ValueError(f"fields {fields} do not fit {self.low} bits")
+        return self.mono(mono) | fields
+
+    def decode(self, code):
+        """(mono, fields) of a code."""
+        w, mask = self.width, (1 << self.width) - 1
+        d = code >> self.low
+        mono = [0] * self.nvars
+        for i in range(self.nvars - 1, -1, -1):
+            mono[i] = d & mask
+            d >>= w
+        return tuple(mono), code & ((1 << self.low) - 1)

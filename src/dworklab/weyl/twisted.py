@@ -7,6 +7,17 @@ finite windows: a rung at cutoff D restricts coefficients to degree <=
 D and computes the kernel there.  The image comes from the slacked
 domain (degree <= D + deg F + 1) and is intersected with the window.
 
+Columns x^mono dx_mask are `linalg.GradedCodes` integers with the mask in
+the low n bits, so integer order is (degree, mono, mask).  The digit
+width W is the bit length of the largest exponent a row of the highest
+domain degree asked for so far can reach (that degree + deg F - 1); when
+a later rung or call needs more, the complex widens once, re-keying the
+stored pivots, so a code is valid until the next widening.  Rows are
+built from one template per mask: the dF_j terms as code offsets, plus
+one offset per variable j scaled by mono[j] (the d term).  A row of
+x^mono dx_mask is then the template shifted by code(mono); no two of its
+terms share a column.
+
 A complex keeps one incremental echelon per form degree k for its whole
 life.  Rows are fed in increasing domain degree e (the stage), each
 degree once, and every new pivot records its stage and the degree of
@@ -25,16 +36,22 @@ Rungs are laddered (step 2) until three in a row agree.
 
 from __future__ import annotations
 
-from .forms import add_into, masks_of_degree, wedge_sign
+from .forms import masks_of_degree, wedge_sign
 from .ladder import ladder
 # `rank` stays importable here: bench/spans.py traces it under this name.
-from .linalg import Echelon, rank  # noqa: F401
+from .linalg import Echelon, GradedCodes, rank  # noqa: F401
 from .poly import binom, count_monomials, monomials_of_degree
 
 
-def _colkey(col):
-    mono, mask = col
-    return (sum(mono), mono, mask)
+def _row(base, mono, template):
+    """The row of x^mono dx_mask: its mask's template shifted by
+    base = code(mono)."""
+    dF_terms, d_terms = template
+    row = {base + off: c for off, c in dF_terms}
+    for j, off, c in d_terms:
+        if mono[j]:
+            row[base + off] = c * mono[j]
+    return row
 
 
 class TwistedComplex:
@@ -47,55 +64,94 @@ class TwistedComplex:
         self.dF = [{m: int(c * self.L) for m, c in F.diff(j).terms.items()}
                    for j in range(self.n)]
         self.slack = F.degree() + 1
+        # how far a dF term raises an exponent
+        self._rise = max(F.degree() - 1, 0)
         # top forms are closed, so grade n has no rows and no echelon
-        self._echelons = [Echelon(_colkey) for _ in range(self.n)]
+        self._echelons = [Echelon() for _ in range(self.n)]
         self._leads = [[] for _ in range(self.n + 1)]  # (stage, lead degree)
         self._fed = -1
-        # one key object per column, shared by every stored row holding it
-        self._cols = {}
+        self._codes = GradedCodes(self.n, self.n, 0)
+        self._templates = {}
+
+    def _fit(self, top):
+        """Widen the codes, if needed, for rows of domain degree <= top."""
+        reach = top + self._rise
+        if self._codes.covers(reach):
+            return
+        old = self._codes
+        # one spare bit: a ladder rising by two per rung seldom widens again
+        new = self._codes = GradedCodes(self.n, self.n, 2 * reach)
+        self._templates = {}
+        recode = {}
+        for ech in self._echelons:
+            for p in ech.pivots.values():
+                for c in p:
+                    if c not in recode:
+                        mono, mask = old.decode(c)
+                        recode[c] = new.mono(mono) | mask
+        for ech in self._echelons:
+            ech.pivots = {recode[lead]: {recode[c]: v for c, v in p.items()}
+                          for lead, p in ech.pivots.items()}
+
+    def code(self, mono, mask=0):
+        """Column code of x^mono dx_mask; ValueError if it does not fit."""
+        return self._codes.encode(mono, mask)
+
+    def column(self, code):
+        """(mono, mask) of a column code."""
+        return self._codes.decode(code)
+
+    def _template(self, mask):
+        """(dF terms, d terms) of dx_mask as code offsets and coefficients;
+        a d term is (j, offset, coefficient), to be scaled by mono[j]."""
+        tpl = self._templates.get(mask)
+        if tpl is None:
+            mono_code = self._codes.mono
+            dF_terms, d_terms = [], []
+            for j in range(self.n):
+                sgn = wedge_sign(j, mask)
+                if not sgn:
+                    continue
+                tgt = mask | (1 << j)
+                unit = tuple(int(i == j) for i in range(self.n))
+                d_terms.append((j, tgt - mono_code(unit), self.L * sgn))
+                for fm, fc in self.dF[j].items():
+                    dF_terms.append((mono_code(fm) | tgt, sgn * fc))
+            tpl = self._templates[mask] = (dF_terms, d_terms)
+        return tpl
 
     def apply(self, mono, mask):
-        """L times the differential on the basis element x^mono dx_mask."""
-        row = {}
-        intern = self._cols.setdefault
-        for j in range(self.n):
-            sgn = wedge_sign(j, mask)
-            if not sgn:
-                continue
-            tgt = mask | (1 << j)
-            if mono[j]:
-                dm = list(mono)
-                dm[j] -= 1
-                col = (tuple(dm), tgt)
-                add_into(row, intern(col, col), self.L * sgn * mono[j])
-            for fm, fc in self.dF[j].items():
-                mm = tuple(a + b for a, b in zip(mono, fm))
-                col = (mm, tgt)
-                add_into(row, intern(col, col), sgn * fc)
-        return row
+        """L times the differential on the basis element x^mono dx_mask,
+        keyed by column code."""
+        self._fit(sum(mono))
+        return _row(self._codes.mono(mono), mono, self._template(mask))
 
     def rows(self, k, hi, lo=0):
         """Nonzero grade-k rows of basis degrees lo..hi, in degree order."""
+        self._fit(hi)
         masks = masks_of_degree(self.n, k)
+        mono_code = self._codes.mono
         out = []
         for e in range(lo, hi + 1):
-            monos = list(monomials_of_degree(self.n, e))
+            monos = [(m, mono_code(m)) for m in monomials_of_degree(self.n, e)]
             for mask in masks:
-                for mono in monos:
-                    r = self.apply(mono, mask)
-                    if r:
-                        out.append(r)
+                tpl = self._template(mask)
+                for mono, base in monos:
+                    if row := _row(base, mono, tpl):
+                        out.append(row)
         return out
 
     def _feed(self, top):
         """Feed every grade the rows of the degrees up to `top` not yet fed."""
+        self._fit(top)
+        shift = self._codes.shift
         for e in range(self._fed + 1, top + 1):
             for k, ech in enumerate(self._echelons):
                 leads = self._leads[k]
                 for row in self.rows(k, e, e):
                     lead = ech.add(row)
                     if lead is not None:
-                        leads.append((e, sum(lead[0])))
+                        leads.append((e, lead >> shift))
         self._fed = max(self._fed, top)
 
     def rung(self, D):

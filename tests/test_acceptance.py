@@ -159,6 +159,11 @@ def test_multiplicity_insensitivity():
     _report("multiplicity-insensitivity", ok)
 
 
+def _decoded(cx, row):
+    """A row keyed by tuple columns instead of integer codes."""
+    return {cx.column(code): v for code, v in row.items()}
+
+
 def _twisted_square_is_zero(F, D):
     cx = TwistedComplex(F)
     bound = max(D - 2 * F.degree(), 0)
@@ -166,8 +171,10 @@ def _twisted_square_is_zero(F, D):
         for mask in masks_of_degree(cx.n, k):
             for mono in graded_monomials(cx.n, bound):
                 out = {}
-                for (m2, mask2), c in cx.apply(mono, mask).items():
-                    for col, c2 in cx.apply(m2, mask2).items():
+                # decoded at once: a later apply may widen the codes
+                for (m2, mask2), c in _decoded(cx,
+                                               cx.apply(mono, mask)).items():
+                    for col, c2 in _decoded(cx, cx.apply(m2, mask2)).items():
                         s = out.get(col, 0) + c * c2
                         if s:
                             out[col] = s
@@ -182,8 +189,10 @@ def _cech_square_is_zero(cx, t):
     P, D = cx.schedule(t)
     for I, mono, mask in cx.window_basis(P, D):
         out = {}
-        for (J, m2, mask2), c in cx.diff_row(I, mono, mask, P).items():
-            for col, c2 in cx.diff_row(J, m2, mask2, P + 1).items():
+        row = _decoded(cx, cx.diff_row(I, mono, mask, P))
+        for (J, m2, mask2), c in row.items():
+            for col, c2 in _decoded(cx,
+                                    cx.diff_row(J, m2, mask2, P + 1)).items():
                 s = out.get(col, Fraction(0)) + c * c2
                 if s:
                     out[col] = s

@@ -13,6 +13,11 @@ import oracles
 X = ("x",)
 XY = ("x", "y")
 
+
+def _decoded(cx, row):
+    """A row keyed by (I, mono, mask) columns instead of integer codes."""
+    return {cx.column(code): v for code, v in row.items()}
+
 CASES = [
     (["x"], X, {0: 1, 1: 1}),
     (["x^2"], X, {0: 1, 1: 1}),
@@ -73,10 +78,12 @@ def test_total_differential_squares_to_zero(texts, names):
     for t in (0, 1):
         P, D = cx.schedule(t)
         for I, mono, mask in cx.window_basis(P, D):
-            row = cx.diff_row(I, mono, mask, P)
+            # decoded at once: a later diff_row may widen the codes
+            row = _decoded(cx, cx.diff_row(I, mono, mask, P))
             out = {}
             for (J, m2, mask2), c in row.items():
-                for col, c2 in cx.diff_row(J, m2, mask2, P + 1).items():
+                for col, c2 in _decoded(
+                        cx, cx.diff_row(J, m2, mask2, P + 1)).items():
                     s = out.get(col, Fraction(0)) + c * c2
                     if s:
                         out[col] = s
