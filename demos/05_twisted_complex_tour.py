@@ -19,7 +19,8 @@ NAMES = {0: "1", 1: "dx", 2: "dy", 3: "dx^dy"}
 
 def show(mono, mask):
     src = poly_to_str(MultiPoly(2, {mono: 1}), ("x", "y"))
-    row = cx.apply(mono, mask)
+    # rows are keyed by integer column codes; decode them to (mono, mask)
+    row = {cx.column(code): c for code, c in cx.apply(mono, mask).items()}
     bits = []
     for tgt in sorted({t for _m, t in row}):
         coef = MultiPoly(2, {m: c for (m, t), c in row.items() if t == tgt})
