@@ -31,6 +31,15 @@ counts:
   <= D + slack and lead degree <= D}, because an echelon basis whose
   leads are largest columns is compatible with the degree filtration.
 
+Grade k is fed after grade k - 1 at each stage, and a grade-k basis
+element whose code leads a grade-(k-1) pivot is left out before its row
+is built.  (d + dF∧)² = 0 puts that pivot in the kernel of the grade-k
+rows, so the element's row is a combination of the rows of the pivot's
+other columns, whose codes are smaller and whose degrees are no higher.
+The rows fed through each stage therefore span what all its rows span,
+and since an echelon with largest-column leads has a lead set fixed by
+its span, every record and every count above is unchanged.
+
 Rungs are laddered (step 2) until three in a row agree.
 """
 
@@ -126,8 +135,9 @@ class TwistedComplex:
         self._fit(sum(mono))
         return _row(self._codes.mono(mono), mono, self._template(mask))
 
-    def rows(self, k, hi, lo=0):
-        """Nonzero grade-k rows of basis degrees lo..hi, in degree order."""
+    def rows(self, k, hi, lo=0, *, exclude=()):
+        """Nonzero grade-k rows of basis degrees lo..hi, in degree order,
+        leaving out the basis elements whose codes are in `exclude`."""
         self._fit(hi)
         masks = masks_of_degree(self.n, k)
         mono_code = self._codes.mono
@@ -137,18 +147,33 @@ class TwistedComplex:
             for mask in masks:
                 tpl = self._template(mask)
                 for mono, base in monos:
+                    if base | mask in exclude:
+                        continue
                     if row := _row(base, mono, tpl):
                         out.append(row)
         return out
 
     def _feed(self, top):
-        """Feed every grade the rows of the degrees up to `top` not yet fed."""
+        """Feed every grade the rows of the degrees up to `top` not yet fed.
+
+        A grade-k basis element whose code leads a grade-(k-1) pivot is
+        left out before its row is built.  That pivot lies in the image
+        of d + dF∧, hence in the kernel of the grade-k rows, so the
+        element's row is a combination of the rows of the smaller codes
+        in the pivot, none of higher degree.  By induction on code order
+        the rows fed through each stage span what all rows of those
+        stages span, and an echelon whose leads are largest columns has
+        a lead set fixed by its span: every (stage, lead degree) record,
+        and so every rung, is what feeding every row would give.
+        """
         self._fit(top)
         shift = self._codes.shift
+        # read after _fit: widening replaces the pivot dicts
+        below = [{}] + [ech.pivots for ech in self._echelons]
         for e in range(self._fed + 1, top + 1):
             for k, ech in enumerate(self._echelons):
                 leads = self._leads[k]
-                for row in self.rows(k, e, e):
+                for row in self.rows(k, e, e, exclude=below[k]):
                     lead = ech.add(row)
                     if lead is not None:
                         leads.append((e, lead >> shift))

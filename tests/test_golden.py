@@ -1,8 +1,11 @@
 """`dwork-check --output machine` documents against recorded copies.
 
-Each file under tests/golden/ is the standard output of one run, recorded
-before the de Rham engine moved to integer column codes; the CI workflow
-compares `x*y*z` (dwork-check-xyz.json) the same way from the shell.
+Each file under tests/golden/ is the standard output of one run.  The
+first eleven were recorded before the de Rham engine moved to integer
+column codes, and the three-variable quadric and the two-variable cubic
+before the twisted ladder began to leave out rows known to be dependent.
+The CI workflow also compares `x*y*z` (dwork-check-xyz.json) from the
+shell.
 """
 
 import pathlib
@@ -25,6 +28,10 @@ CASES = [
     (["--f", "x^2/3-y/5"], "dwork-check-x2_3-y_5.json", 0),
     (["--f", "y*(x^2-1/3)"], "dwork-check-y_x2-1_3.json", 0),
     (["--f", "x^2-1", "--d-max", "4"], "dwork-check-x2-1_dmax4.json", 3),
+    (["--f", "x*y*z"], "dwork-check-xyz.json", 0),
+    (["--f", "x^2+y^2+z^2"], "dwork-check-x2+y2+z2.json", 0),
+    (["--f", "x^2*y + 1/3*y^3 + 3*y^2 - 1/2"],
+     "dwork-check-x2y+y3_3+3y2-1_2.json", 0),
 ]
 
 

@@ -70,6 +70,49 @@ def test_ladder_rungs_match_reference_and_fresh_complexes(text, names,
         assert dims == TwistedComplex(F).rung(D)
 
 
+@pytest.mark.parametrize("text,names,_expected", CHEAP_CASES)
+def test_stage_pivot_counts_match_ranks_of_all_rows(text, names, _expected):
+    """Driven through its ladder, a complex holds, in every grade and at
+    every stage it fed, as many pivots as the oracle rank of all rows up
+    to that stage, the rows it left out included."""
+    F = parse_poly(text, names)
+    cx = TwistedComplex(F)
+    for D, dims in twisted_cohomology(F).rungs:
+        assert cx.rung(D) == dims
+    for k in range(cx.n + 1):
+        stages = [e for e, _deg in cx._leads[k]]
+        for e in range(cx._fed + 1):
+            rows = [_decoded(cx, r) for r in cx.rows(k, e)]
+            assert sum(1 for s in stages if s <= e) == oracles.rank(rows)
+
+
+@pytest.mark.parametrize("text,names,_expected", CHEAP_CASES)
+def test_ladder_skips_rows_known_dependent(text, names, _expected,
+                                           monkeypatch):
+    """A ladder eliminates fewer rows than its stages hold: grade-k rows
+    whose basis element leads a grade-(k-1) pivot are never added."""
+    F = parse_poly(text, names)
+    cutoffs = [D for D, _dims in twisted_cohomology(F).rungs]
+    added = []
+    add = Echelon.add
+
+    def counted(ech, row):
+        added.append(row)
+        return add(ech, row)
+
+    monkeypatch.setattr(Echelon, "add", counted)
+    cx = TwistedComplex(F)
+    for D in cutoffs:
+        cx.rung(D)
+    monkeypatch.undo()
+    total = sum(len(cx.rows(k, cx._fed)) for k in range(cx.n))
+    # grade 0 has no pivots below it, so one variable leaves nothing out
+    if cx.n == 1:
+        assert len(added) == total
+    else:
+        assert len(added) < total
+
+
 @pytest.mark.parametrize("text,names", [("x*y", XY), ("y*(x^2-1/3)", XY)])
 def test_rungs_after_feeding_past_them(text, names):
     """A complex fed to a high cutoff answers lower cutoffs, in falling
