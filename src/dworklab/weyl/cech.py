@@ -8,11 +8,34 @@ D0 = max deg f_i + n + 1.  The total differential combines the Čech
 coboundary with the (−1)^p-signed de Rham differential; outputs live one
 pole higher, so the image U of the next window is compared with the
 window W after embedding W two poles up (multiply by g_I^2).  Each grade
-makes one elimination for its kernel and feeds one echelon U, then W:
-its size after U is rank U and after W is rank(U ∪ W), and rank W is the
-number of window elements, since multiplying by g_I^2 is injective and
-distinct (I, dx) parts use disjoint columns.  Then
+q feeds one echelon the U rows (grade q − 1 at pole P + 1), then the
+embedded W rows: its size after U is rank U and after W is rank(U ∪ W),
+and rank W is the number of window elements, since multiplying by g_I^2
+is injective and distinct (I, dx) parts use disjoint columns.  Then
 dim(U ∩ W) = rank U + |W| − rank(U ∪ W).
+
+A ladder carries what each rung learns to the next.  Rung t + 1's
+grade-(q−1) kernel rows are rows of window(P + 1, D_{t+1}) at pole P + 1,
+and since step ≤ maxdeg + 1 that window lies inside the U domain
+window(P + 1, D + maxdeg + 1) of rung t.  The U echelon of grade q is
+therefore fed the monomials inside the next window first, and its size
+and lead set at that point are the kernel rank and lead set of rung
+t + 1, which then builds no kernel row below its top grade.  Rung 0, a
+rung asked for out of order or after the codes widened, the top grade
+n + r − 1 (no U echelon covers it) and a constant section (maxdeg 0,
+step 2 > maxdeg + 1) eliminate a fresh kernel instead.  Only lead sets
+are carried, never pivot rows.
+
+U rows that d² = 0 proves dependent are never built.  Every grade-(q−2)
+kernel row of window(P, D) lands in window(P + 1, D): its piece-I part
+has degree ≤ (P + 1)·deg g_I + D − 1 and its Čech part degree
+≤ (P + 1)·deg g_J + D.  That row lies in the kernel of the grade-(q−1)
+rows at pole P + 1, so the U row of the basis element at its pivot's
+lead is a combination of the U rows at the pivot's other, smaller
+columns, all inside the next window.  By induction on code order the
+rows left fed span what all the rows span, both for the prefix and for
+the whole of U, and an echelon whose leads are largest columns has a
+lead set fixed by its span: every snapshot, rank and rung is unchanged.
 
 Each f_i is first multiplied by the lcm of its coefficient denominators.
 That changes no window and no image subspace, and it makes every row
@@ -29,14 +52,15 @@ mono, piece, mask).  The digit width W is the bit length of a bound on
 the largest exponent any row built so far can reach: a pole-p row of
 degree e reaches at most e + p·max deg f_i + deg g, and a rung's widest
 rows are its image rows at pole P + 1.  Each rung (and each `diff_row`
-called on its own) fits W before it builds anything, so the codes never
-widen inside a rung; no elimination state outlives a rung, so widening
-only drops the templates.  Rows are built from one template per
-(I, mask, pole): the -pole·dg_I[j] and Čech terms merged into one part
-of code offsets, plus a g_I part per variable j scaled by mono[j].  A
-row is the template shifted by code(mono); the scaled parts can meet the
-merged one, so they are added entry by entry.  The embedded window rows
-shift the terms of g_I², formed once per piece, the same way.
+called on its own) fits W, with one spare bit, before it builds
+anything, so the codes never widen inside a rung and seldom between two
+consecutive ones; widening drops the templates and the carried lead
+sets.  Rows are built from one template per (I, mask, pole): the
+-pole·dg_I[j] and Čech terms merged into one part of code offsets, plus
+a g_I part per variable j scaled by mono[j].  A row is the template
+shifted by code(mono); the scaled parts can meet the merged one, so they
+are added entry by entry.  The embedded window rows shift the terms of
+g_I², formed once per piece, the same way.
 """
 
 from __future__ import annotations
@@ -45,8 +69,9 @@ from itertools import combinations
 
 from .forms import add_into, masks_of_degree, wedge_sign
 from .ladder import ladder
-from .linalg import Echelon, GradedCodes, rank
-from .poly import MultiPoly, graded_monomials
+# `rank` stays importable here: bench/spans.py traces it under this name.
+from .linalg import Echelon, GradedCodes, rank  # noqa: F401
+from .poly import MultiPoly, count_monomials, graded_monomials
 
 
 def _int_terms(p):
@@ -88,6 +113,8 @@ class CechDeRham:
         self._codes = GradedCodes(
             self.n, self.n + (len(self.pieces) - 1).bit_length(), 0)
         self._templates = {}
+        # (next rung, codes, {grade: (kernel rank, kernel leads)})
+        self._carry = None
 
     def _reach(self, deg, pole):
         """Bound on the exponents of a pole-`pole` row of degree `deg`."""
@@ -96,7 +123,9 @@ class CechDeRham:
     def _fit(self, top):
         """Widen the codes, if needed, for exponents up to `top`."""
         if not self._codes.covers(top):
-            self._codes = GradedCodes(self.n, self._codes.low, top)
+            # one spare bit, so a ladder seldom widens between rungs and
+            # loses the lead sets it carries
+            self._codes = GradedCodes(self.n, self._codes.low, 2 * top)
             self._templates = {}
 
     def code(self, I, mono, mask):
@@ -168,22 +197,22 @@ class CechDeRham:
                     add_into(row, base + off, s * c)
         return row
 
-    def window_basis(self, pole, D):
-        out = []
+    def _window(self, pole, D):
+        """The window (pole, D) by total grade, as (I, mask, monos) groups;
+        the groups of one piece share its graded_monomials list."""
+        grades = {}
         for I in self.pieces:
             monos = graded_monomials(self.n, pole * self.g[I].degree() + D)
             for k in range(self.n + 1):
                 for mask in masks_of_degree(self.n, k):
-                    out.extend((I, mono, mask) for mono in monos)
-        return out
-
-    def _by_grade(self, pole, D):
-        """The window (pole, D), grouped by total grade."""
-        grades = {}
-        for I, mono, mask in self.window_basis(pole, D):
-            q = (len(I) - 1) + bin(mask).count("1")
-            grades.setdefault(q, []).append((I, mono, mask))
+                    grades.setdefault(len(I) - 1 + k, []).append(
+                        (I, mask, monos))
         return grades
+
+    def window_basis(self, pole, D):
+        """Every (I, mono, mask) of the window (pole, D)."""
+        return [(I, mono, mask) for groups in self._window(pole, D).values()
+                for I, mask, monos in groups for mono in monos]
 
     def schedule(self, t):
         """(P, D_t) at rung t, as in the module docstring."""
@@ -194,30 +223,65 @@ class CechDeRham:
         """Windowed dims of every total grade q at rung t."""
         P, D = self.schedule(t)
         D_img = D + self.maxdeg + 1
+        # rung t + 1's kernel window lies inside this rung's image window
+        # unless every f_i is constant (step 2 > maxdeg + 1)
+        D_next = self.schedule(t + 1)[1]
+        carries = D_next <= D_img
         # the image rows are the widest this rung builds
         self._fit(self._reach((P + 1) * self._gdeg + D_img, P + 1))
-        window = self._by_grade(P, D)
-        image = self._by_grade(P + 1, D_img)
-        codes = self._codes
+        codes, n, index = self._codes, self.n, self.piece_index
+        carry = self._carry
+        # grade -> (kernel rank, kernel pivot leads) at this rung
+        kernels = (carry[2] if carry and carry[0] == t and carry[1] is codes
+                   else {})
+        window = self._window(P, D)
+        image = self._window(P + 1, D_img)
+        # monomial codes per piece; each window list is a prefix of the
+        # image list, since both are graded_monomials lists
+        image_monos = {I: monos for groups in image.values()
+                       for I, _mask, monos in groups}
+        bases = {I: list(map(codes.mono, monos))
+                 for I, monos in image_monos.items()}
+        # the U monomials of piece I inside rung t + 1's kernel window
+        cut = {I: count_monomials(n, (P + 1) * self.g[I].degree()
+                                  + min(D_next, D_img)) for I in self.pieces}
         embed = {I: [(codes.mono(m), c) for m, c in sq.items()]
                  for I, sq in self.squares.items()}
-        dims = {}
+        dims, ahead = {}, {}
         for q in range(self.n + self.r):
             basis = window[q]
-            rows = [row for I, mono, mask in basis
-                    if (row := self.diff_row(I, mono, mask, P))]
-            ker = len(basis) - rank(rows)
+            size = sum(len(monos) for _I, _mask, monos in basis)
+            if q not in kernels:
+                ech = Echelon()
+                for I, mask, monos in basis:
+                    for mono in monos:
+                        ech.add(self.diff_row(I, mono, mask, P))
+                kernels[q] = len(ech), set(ech.pivots)
+            ker = size - kernels[q][0]
             if q == 0:
                 dims[0] = ker
                 continue
+            # d² = 0: a U element leading a grade-(q-2) kernel pivot has
+            # a row in the span of the rows at that pivot's other columns
+            skip = kernels[q - 2][1] if q > 1 else ()
             ech = Echelon()
-            for I, mono, mask in image[q - 1]:
-                ech.add(self.diff_row(I, mono, mask, P + 1))
+            for prefix in (True, False):
+                for I, mask, monos in image[q - 1]:
+                    fields = index[I] << n | mask
+                    part = slice(cut[I]) if prefix else slice(cut[I], None)
+                    for mono, base in zip(monos[part], bases[I][part]):
+                        if base | fields not in skip:
+                            ech.add(self.diff_row(I, mono, mask, P + 1))
+                if prefix:
+                    ahead[q - 1] = len(ech), set(ech.pivots)
             rank_u = len(ech)
-            for I, mono, mask in basis:
-                base = codes.mono(mono) | self.piece_index[I] << self.n | mask
-                ech.add({base + off: c for off, c in embed[I]})
-            dims[q] = ker - (rank_u + len(basis) - len(ech))
+            for I, mask, monos in basis:
+                fields = index[I] << n | mask
+                for base in bases[I][:len(monos)]:
+                    base |= fields
+                    ech.add({base + off: c for off, c in embed[I]})
+            dims[q] = ker - (rank_u + size - len(ech))
+        self._carry = (t + 1, codes, ahead) if carries else None
         return dims
 
 

@@ -2,10 +2,12 @@
 
 Each file under tests/golden/ is the standard output of one run.  The
 first eleven were recorded before the de Rham engine moved to integer
-column codes, and the three-variable quadric and the two-variable cubic
-before the twisted ladder began to leave out rows known to be dependent.
-The CI workflow also compares `x*y*z` (dwork-check-xyz.json) from the
-shell.
+column codes, the three-variable quadric and the two-variable cubic
+before the twisted ladder began to leave out rows known to be dependent,
+and the two- and three-section inputs `x*y, x-y` and `x, y, x+y` before
+the Čech ladder began to carry its kernels across rungs.  The CI
+workflow also compares `x*y*z` (dwork-check-xyz.json) and `x, y, x+y`
+from the shell.
 """
 
 import pathlib
@@ -32,6 +34,8 @@ CASES = [
     (["--f", "x^2+y^2+z^2"], "dwork-check-x2+y2+z2.json", 0),
     (["--f", "x^2*y + 1/3*y^3 + 3*y^2 - 1/2"],
      "dwork-check-x2y+y3_3+3y2-1_2.json", 0),
+    (["--f", "x*y", "--f", "x-y"], "dwork-check-xy_x-y.json", 0),
+    (["--f", "x", "--f", "y", "--f", "x+y"], "dwork-check-x_y_x+y.json", 0),
 ]
 
 
