@@ -125,14 +125,12 @@ def _wrap_closure(ctx, closure, term):
     return Oim(ctx.composite(closure.morphism), term)
 
 
-def check_certificate(ctx, cert, extra_lemmas=None, mode=None, allowed_strata=None):
+def check_certificate(ctx, cert, mode=None, allowed_strata=None):
     """Replay a certificate; returns a ValidationReport, never raises."""
     eff_mode = mode or cert.mode
     strata = cert.allowed_strata if allowed_strata is None else allowed_strata
     rep = ValidationReport(certificate=cert.name, mode=eff_mode)
     lemmas = {l.name: (l.lhs, l.rhs) for l in cert.lemmas}
-    if extra_lemmas:
-        lemmas.update(extra_lemmas)
 
     try:
         lhs, rhs = cert.goal_lhs, cert.goal_rhs

@@ -107,7 +107,7 @@ def cmd_prove(args):
     except OSError as e:
         return _fail_input(str(e))
     try:
-        bound = load_script(text, name=os.path.basename(args.script))
+        bound = load_script(text)
     except ParseError as e:
         if e.span is not None:
             line, col = _line_col(text, e.span[0])

@@ -2,15 +2,29 @@
 
 A script is a list of `;`-terminated statements with `#` comments.  The
 parser builds a plain syntax document (so scripts can be re-rendered
-canonically and round-tripped); `bind` turns a document into a geometry
-context plus a proof certificate.  Parse and bind errors carry the byte
-span of the offending statement.
+canonically and round-tripped); `bind_script` turns a document into a
+geometry context plus a proof certificate.  Parse and bind errors carry
+the byte span of the offending statement.
+
+Statements are parsed, rendered and bound by hand, one case each.
+Expressions come in four sorts: M maps, F functions, S subvarieties and
+D terms.  Each keyword-led form is one row of `FORMS`: its keyword, its
+syntax node, the class it binds to and its layout, for example
+`"Opb": (DOpb, terms.Opb, "[M](D)")`.  One parser (`_Parser.expr`), one
+renderer (`render_expr`) and one binder (`bind_expr`) read the rows.
+Only the leaves are written out: dotted map names and bare names, the
+postfix shift `[k]`, the binds of `id(X)` and `cap(a, b)`, and the
+spellings of the two bound values whose fields differ from their
+node's.  `render_expr` spells bound values as well as syntax nodes, so
+the reports spell a search's step bindings in script syntax.  Step
+binding keys map to the sort of their value in `_BINDING_SORTS`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from .certificates import Closure, Lemma, ProofCertificate, ProofStep
 from .errors import GeometryError, ParseError, TermError
@@ -18,6 +32,7 @@ from .geometry import (
     FuncName,
     FuncPull,
     GeometryContext,
+    Morphism,
     SubCap,
     SubName,
     SubPre,
@@ -314,6 +329,116 @@ class ScriptDocument:
     statements: tuple
 
 
+# --- expression forms -------------------------------------------------------------
+
+# Every keyword-led expression form, once, by sort: M maps, F functions,
+# S subvarieties, D terms.  A row is keyword -> (syntax node, bound class,
+# layout).  An upper-case letter in a layout is a slot, filled in the
+# node's field order: M, F, S or D an expression of that sort, V a
+# variety name, B a bundle name.  Every other character is spelled as is;
+# the parser skips the spaces.  The two rows without a bound class bind
+# by hand (see `_BIND`).
+FORMS = {
+    "M": {"id": (MId, None, "(V)")},
+    "F": {"pull": (FPull, FuncPull, "(F, M)")},
+    "S": {"cap": (SCap, None, "(S, S)"),
+          "pre": (SPre, SubPre, "(M, S)"),
+          "red": (SRed, SubRed, "(S)")},
+    "D": {"O": (DStruct, T.Struct, "[V]"),
+          "Exp": (DExp, T.Exp, "[V](F)"),
+          "Tensor": (DTensor, T.Tensor, "(D, D)"),
+          "ETensor": (DETensor, T.ETensor, "(D, D)"),
+          "Opb": (DOpb, T.Opb, "[M](D)"),
+          "Oim": (DOim, T.Oim, "[M](D)"),
+          "RGamma": (DRGamma, T.RGamma, "[S](D)"),
+          "Fourier": (DFourier, T.Fourier, "[B](D)")},
+}
+_NAME_SLOTS = {"V": "a variety", "B": "a bundle"}
+# the bare-name leaf of each sort but M (a dotted chain of map names)
+_LEAVES = {"F": (FName, "a function name"),
+           "S": (SName, "a subvariety name"),
+           "D": (DRef, "a term")}
+
+# step binding key -> the sort of its value, or int / str for plain values
+_BINDING_SORTS = {"f": "M", "g": "M", "map": "M", "psi": "F",
+                  "sub": "S", "left": "S", "right": "S",
+                  "layers": int, "square": str, "bundle": str, "law": str}
+
+
+def render_expr(x):
+    """Script spelling of an expression, given as a syntax node or as the
+    value it binds to; plain values (names, layer counts) go through `str`."""
+    spell = _SPELL.get(x.__class__)
+    return str(x) if spell is None else spell(x)
+
+
+def bind_expr(ctx, x):
+    """The geometry value or term an expression node denotes; plain values
+    bind to themselves."""
+    bind = _BIND.get(x.__class__)
+    return x if bind is None else bind(ctx, x)
+
+
+def _spell_shift(x):
+    return f"{render_expr(x.arg)}[{x.k}]"
+
+
+def _bind_ref(ctx, d):
+    variety = ctx.objects.get(d.name)
+    if variety is None:
+        raise GeometryError(f"unknown object {d.name!r}")
+    return T.Var(d.name, variety)
+
+
+_by_name = attrgetter("name")
+_SPELL = {
+    MName: lambda m: ".".join(m.parts),
+    FName: _by_name, SName: _by_name, DRef: _by_name,
+    FuncName: _by_name, SubName: _by_name, T.Var: _by_name,
+    DShift: _spell_shift, T.Shift: _spell_shift,
+    # the two bound values whose fields differ from their node's are
+    # spelled as that node
+    Morphism: lambda m: render_expr(MName(m.atoms) if m.atoms
+                                    else MId(m.source)),
+    SubCap: lambda s: render_expr(SCap(*s.args)),
+}
+_BIND = {
+    MName: lambda ctx, m: ctx.composite(*m.parts),
+    MId: lambda ctx, m: ctx.identity(m.variety),
+    FName: lambda ctx, f: FuncName(f.name),
+    SName: lambda ctx, s: SubName(s.name),
+    SCap: lambda ctx, s: SubCap((bind_expr(ctx, s.left),
+                                 bind_expr(ctx, s.right))),
+    DRef: _bind_ref,
+    DShift: lambda ctx, d: T.Shift(bind_expr(ctx, d.arg), d.k),
+}
+
+
+def _speller(fmt, names):
+    # every form has one or two slots; spelling each out keeps this fast
+    gets = [attrgetter(f) for f in names]
+    if len(gets) == 1:
+        get, = gets
+        return lambda x: fmt.format(render_expr(get(x)))
+    left, right = gets
+    return lambda x: fmt.format(render_expr(left(x)), render_expr(right(x)))
+
+
+def _binder(bound, names):
+    return lambda ctx, x: bound(*[bind_expr(ctx, getattr(x, f))
+                                  for f in names])
+
+
+for _forms in FORMS.values():
+    for _kw, (_node, _bound, _layout) in _forms.items():
+        _fmt = _kw + re.sub("[A-Z]", "{}", _layout)
+        _names = [f.name for f in fields(_node)]
+        _SPELL[_node] = _speller(_fmt, _names)
+        if _bound is not None:
+            _SPELL[_bound] = _speller(_fmt, [f.name for f in fields(_bound)])
+            _BIND[_node] = _binder(_bound, _names)
+
+
 # --- parser ----------------------------------------------------------------------
 
 
@@ -369,119 +494,32 @@ class _Parser:
                       tok)
         return -int(tok.text) if neg else int(tok.text)
 
-    # morphism expressions: dotted atom names or id(X)
-    def mexpr(self):
-        if self.peek().text == "id":
+    def expr(self, sort):
+        """One expression of `sort`; a D term may carry shifts `[k]`."""
+        row = FORMS[sort].get(self.peek().text)
+        if row is not None:
             self.take()
-            self.expect("(")
-            v = self.name("a variety")
-            self.expect(")")
-            return MId(v)
-        parts = [self.name("a map name")]
-        while self.peek().text == ".":
-            self.take()
-            parts.append(self.name("a map name"))
-        return MName(tuple(parts))
-
-    def fexpr(self):
-        if self.peek().text == "pull":
-            self.take()
-            self.expect("(")
-            f = self.fexpr()
-            self.expect(",")
-            m = self.mexpr()
-            self.expect(")")
-            return FPull(f, m)
-        return FName(self.name("a function name"))
-
-    def sexpr(self):
-        tok = self.peek()
-        if tok.text == "cap":
-            self.take()
-            self.expect("(")
-            a = self.sexpr()
-            self.expect(",")
-            b = self.sexpr()
-            self.expect(")")
-            return SCap(a, b)
-        if tok.text == "pre":
-            self.take()
-            self.expect("(")
-            m = self.mexpr()
-            self.expect(",")
-            s = self.sexpr()
-            self.expect(")")
-            return SPre(m, s)
-        if tok.text == "red":
-            self.take()
-            self.expect("(")
-            s = self.sexpr()
-            self.expect(")")
-            return SRed(s)
-        return SName(self.name("a subvariety name"))
-
-    def dexpr(self):
-        out = self._dprimary()
-        while self.peek().text == "[":
+            node, _bound, layout = row
+            args = []
+            for ch in layout:
+                if ch in FORMS:
+                    args.append(self.expr(ch))
+                elif ch in _NAME_SLOTS:
+                    args.append(self.name(_NAME_SLOTS[ch]))
+                elif ch != " ":
+                    self.expect(ch)
+            out = node(*args)
+        elif sort == "M":
+            out = MName(self._atom_chain())
+        else:
+            leaf, what = _LEAVES[sort]
+            out = leaf(self.name(what))
+        while sort == "D" and self.peek().text == "[":
             self.take()
             k = self.integer("a shift")
             self.expect("]")
             out = DShift(out, k)
         return out
-
-    def _dprimary(self):
-        tok = self.peek()
-        if tok.text == "O":
-            self.take()
-            self.expect("[")
-            v = self.name("a variety")
-            self.expect("]")
-            return DStruct(v)
-        if tok.text == "Exp":
-            self.take()
-            self.expect("[")
-            v = self.name("a variety")
-            self.expect("]")
-            self.expect("(")
-            f = self.fexpr()
-            self.expect(")")
-            return DExp(v, f)
-        if tok.text in ("Tensor", "ETensor"):
-            self.take()
-            self.expect("(")
-            a = self.dexpr()
-            self.expect(",")
-            b = self.dexpr()
-            self.expect(")")
-            return (DTensor if tok.text == "Tensor" else DETensor)(a, b)
-        if tok.text in ("Opb", "Oim"):
-            self.take()
-            self.expect("[")
-            m = self.mexpr()
-            self.expect("]")
-            self.expect("(")
-            a = self.dexpr()
-            self.expect(")")
-            return (DOpb if tok.text == "Opb" else DOim)(m, a)
-        if tok.text == "RGamma":
-            self.take()
-            self.expect("[")
-            s = self.sexpr()
-            self.expect("]")
-            self.expect("(")
-            a = self.dexpr()
-            self.expect(")")
-            return DRGamma(s, a)
-        if tok.text == "Fourier":
-            self.take()
-            self.expect("[")
-            b = self.name("a bundle")
-            self.expect("]")
-            self.expect("(")
-            a = self.dexpr()
-            self.expect(")")
-            return DFourier(b, a)
-        return DRef(self.name("a term"))
 
     def path(self):
         self.expect("/")
@@ -639,7 +677,7 @@ class _Parser:
         definition = None
         if self.peek().text == "=":
             self.take()
-            definition = self.fexpr()
+            definition = self.expr("F")
         return FunctionDecl(name, variety, definition)
 
     def _stmt_subvariety(self):
@@ -704,17 +742,17 @@ class _Parser:
     def _stmt_goal(self):
         name = self.name("a goal name")
         self.expect(":")
-        lhs = self.dexpr()
+        lhs = self.expr("D")
         self.expect("~")
-        rhs = self.dexpr()
+        rhs = self.expr("D")
         return GoalDecl(name, lhs, rhs)
 
     def _stmt_lemma(self):
         name = self.name("a lemma name")
         self.expect(":")
-        lhs = self.dexpr()
+        lhs = self.expr("D")
         self.expect("~")
-        rhs = self.dexpr()
+        rhs = self.expr("D")
         return LemmaDecl(name, lhs, rhs)
 
     def _stmt_step(self):
@@ -740,17 +778,14 @@ class _Parser:
         return StepDecl(rule, direction, path, tuple(bindings))
 
     def _binding_value(self, key):
-        if key in ("f", "g", "map"):
-            return self.mexpr()
-        if key == "psi":
-            return self.fexpr()
-        if key in ("sub", "left", "right"):
-            return self.sexpr()
-        if key == "layers":
+        sort = _BINDING_SORTS.get(key)
+        if sort is None:
+            self._err(f"unknown binding key {key!r}")
+        if sort is int:
             return self.integer("a layer count")
-        if key in ("square", "bundle", "law"):
+        if sort is str:
             return self.name(f"a {key}")
-        self._err(f"unknown binding key {key!r}")
+        return self.expr(sort)
 
     def _stmt_closure(self):
         kind = self.name("a closure kind")
@@ -787,60 +822,6 @@ def parse_script(text):
 
 
 # --- renderer ---------------------------------------------------------------------
-
-
-def _r_m(m):
-    if isinstance(m, MId):
-        return f"id({m.variety})"
-    return ".".join(m.parts)
-
-
-def _r_f(f):
-    if isinstance(f, FPull):
-        return f"pull({_r_f(f.func)}, {_r_m(f.morphism)})"
-    return f.name
-
-
-def _r_s(s):
-    if isinstance(s, SCap):
-        return f"cap({_r_s(s.left)}, {_r_s(s.right)})"
-    if isinstance(s, SPre):
-        return f"pre({_r_m(s.morphism)}, {_r_s(s.sub)})"
-    if isinstance(s, SRed):
-        return f"red({_r_s(s.sub)})"
-    return s.name
-
-
-def _r_d(d):
-    if isinstance(d, DStruct):
-        return f"O[{d.variety}]"
-    if isinstance(d, DExp):
-        return f"Exp[{d.variety}]({_r_f(d.func)})"
-    if isinstance(d, DTensor):
-        return f"Tensor({_r_d(d.left)}, {_r_d(d.right)})"
-    if isinstance(d, DETensor):
-        return f"ETensor({_r_d(d.left)}, {_r_d(d.right)})"
-    if isinstance(d, DOpb):
-        return f"Opb[{_r_m(d.morphism)}]({_r_d(d.arg)})"
-    if isinstance(d, DOim):
-        return f"Oim[{_r_m(d.morphism)}]({_r_d(d.arg)})"
-    if isinstance(d, DRGamma):
-        return f"RGamma[{_r_s(d.sub)}]({_r_d(d.arg)})"
-    if isinstance(d, DFourier):
-        return f"Fourier[{d.bundle}]({_r_d(d.arg)})"
-    if isinstance(d, DShift):
-        return f"{_r_d(d.arg)}[{d.k}]"
-    return d.name
-
-
-def _r_binding(key, value):
-    if key in ("f", "g", "map"):
-        return _r_m(value)
-    if key == "psi":
-        return _r_f(value)
-    if key in ("sub", "left", "right"):
-        return _r_s(value)
-    return str(value)
 
 
 def render_statement(st):
@@ -884,7 +865,7 @@ def render_statement(st):
         return (f"{kw} {st.name} = {st.x} x {st.y}{over} "
                 f"proj {st.q1} {st.q2};")
     if isinstance(st, FunctionDecl):
-        tail = f" = {_r_f(st.definition)}" if st.definition is not None else ""
+        tail = f" = {render_expr(st.definition)}" if st.definition is not None else ""
         return f"function {st.name} on {st.variety}{tail};"
     if isinstance(st, SubvarietyDecl):
         bits = [f"subvariety {st.name} in {st.ambient}"]
@@ -909,15 +890,15 @@ def render_statement(st):
     if isinstance(st, ObjectDecl):
         return f"object {st.name} on {st.variety};"
     if isinstance(st, GoalDecl):
-        return f"goal {st.name} : {_r_d(st.lhs)} ~ {_r_d(st.rhs)};"
+        return f"goal {st.name} : {render_expr(st.lhs)} ~ {render_expr(st.rhs)};"
     if isinstance(st, LemmaDecl):
-        return f"lemma {st.name} : {_r_d(st.lhs)} ~ {_r_d(st.rhs)};"
+        return f"lemma {st.name} : {render_expr(st.lhs)} ~ {render_expr(st.rhs)};"
     if isinstance(st, StepDecl):
         path = "/" + "/".join(str(i) for i in st.path)
         out = f"step {st.rule} {st.direction} at {path}"
         if st.bindings:
             out += " with " + ", ".join(
-                f"{k}={_r_binding(k, v)}" for k, v in st.bindings)
+                f"{k}={render_expr(v)}" for k, v in st.bindings)
         return out + ";"
     if isinstance(st, ClosureDecl):
         return f"closure {st.kind} {st.morphism};"
@@ -944,64 +925,7 @@ class BoundScript:
     document: ScriptDocument
 
 
-def _bind_m(ctx, m):
-    if isinstance(m, MId):
-        return ctx.identity(m.variety)
-    return ctx.composite(*m.parts)
-
-
-def _bind_f(ctx, f):
-    if isinstance(f, FPull):
-        return FuncPull(_bind_f(ctx, f.func), _bind_m(ctx, f.morphism))
-    return FuncName(f.name)
-
-
-def _bind_s(ctx, s):
-    if isinstance(s, SCap):
-        return SubCap((_bind_s(ctx, s.left), _bind_s(ctx, s.right)))
-    if isinstance(s, SPre):
-        return SubPre(_bind_m(ctx, s.morphism), _bind_s(ctx, s.sub))
-    if isinstance(s, SRed):
-        return SubRed(_bind_s(ctx, s.sub))
-    return SubName(s.name)
-
-
-def _bind_d(ctx, d):
-    if isinstance(d, DStruct):
-        return T.Struct(d.variety)
-    if isinstance(d, DExp):
-        return T.Exp(d.variety, _bind_f(ctx, d.func))
-    if isinstance(d, DTensor):
-        return T.Tensor(_bind_d(ctx, d.left), _bind_d(ctx, d.right))
-    if isinstance(d, DETensor):
-        return T.ETensor(_bind_d(ctx, d.left), _bind_d(ctx, d.right))
-    if isinstance(d, DOpb):
-        return T.Opb(_bind_m(ctx, d.morphism), _bind_d(ctx, d.arg))
-    if isinstance(d, DOim):
-        return T.Oim(_bind_m(ctx, d.morphism), _bind_d(ctx, d.arg))
-    if isinstance(d, DRGamma):
-        return T.RGamma(_bind_s(ctx, d.sub), _bind_d(ctx, d.arg))
-    if isinstance(d, DFourier):
-        return T.Fourier(d.bundle, _bind_d(ctx, d.arg))
-    if isinstance(d, DShift):
-        return T.Shift(_bind_d(ctx, d.arg), d.k)
-    variety = ctx.objects.get(d.name)
-    if variety is None:
-        raise GeometryError(f"unknown object {d.name!r}")
-    return T.Var(d.name, variety)
-
-
-def _bind_binding(ctx, key, value):
-    if key in ("f", "g", "map"):
-        return _bind_m(ctx, value)
-    if key == "psi":
-        return _bind_f(ctx, value)
-    if key in ("sub", "left", "right"):
-        return _bind_s(ctx, value)
-    return value
-
-
-def bind_script(doc, name="script"):
+def bind_script(doc):
     """Build the geometry context and certificate from a parsed document."""
     ctx = GeometryContext()
     goal = None
@@ -1035,7 +959,7 @@ def bind_script(doc, name="script"):
                     ctx.product(st.name, st.x, st.y, st.q1, st.q2)
             elif isinstance(st, FunctionDecl):
                 defn = (None if st.definition is None
-                        else _bind_f(ctx, st.definition))
+                        else bind_expr(ctx, st.definition))
                 ctx.function(st.name, st.variety, definition=defn)
             elif isinstance(st, SubvarietyDecl):
                 ctx.subvariety(st.name, st.ambient, codim=st.codim,
@@ -1052,17 +976,17 @@ def bind_script(doc, name="script"):
             elif isinstance(st, GoalDecl):
                 if goal is not None:
                     raise GeometryError("a script carries a single goal")
-                goal = (st.name, _bind_d(ctx, st.lhs), _bind_d(ctx, st.rhs))
+                goal = (st.name, bind_expr(ctx, st.lhs), bind_expr(ctx, st.rhs))
                 T.variety_of(ctx, goal[1])
                 T.variety_of(ctx, goal[2])
             elif isinstance(st, LemmaDecl):
-                lem = Lemma(st.name, _bind_d(ctx, st.lhs),
-                            _bind_d(ctx, st.rhs))
+                lem = Lemma(st.name, bind_expr(ctx, st.lhs),
+                            bind_expr(ctx, st.rhs))
                 T.variety_of(ctx, lem.lhs)
                 T.variety_of(ctx, lem.rhs)
                 lemmas.append(lem)
             elif isinstance(st, StepDecl):
-                b = {k: _bind_binding(ctx, k, v) for k, v in st.bindings}
+                b = {k: bind_expr(ctx, v) for k, v in st.bindings}
                 steps.append(ProofStep(st.rule, st.direction, st.path, b))
             elif isinstance(st, ClosureDecl):
                 closure = Closure(st.kind, st.morphism)
@@ -1089,5 +1013,5 @@ def bind_script(doc, name="script"):
     return BoundScript(ctx=ctx, certificate=cert, document=doc)
 
 
-def load_script(text, name="script"):
-    return bind_script(parse_script(text), name=name)
+def load_script(text):
+    return bind_script(parse_script(text))

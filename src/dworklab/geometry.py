@@ -542,12 +542,6 @@ class GeometryContext:
             return s.morphism.source
         raise GeometryError(f"not a subvariety expression: {s!r}")
 
-    def sub_smooth(self, s) -> bool:
-        s = self.normalize_sub(s)
-        if isinstance(s, SubName):
-            return self.subvarieties[s.name].smooth
-        return False  # unnamed intersections etc. are not certified smooth
-
     # -- function normal forms ------------------------------------------
 
     def normalize_func(self, f):

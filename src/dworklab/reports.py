@@ -10,31 +10,12 @@ from __future__ import annotations
 import json
 
 from .certificates import PaperReport, ValidationReport
-from .geometry import FuncName, FuncPull, Morphism, SubCap, SubName, SubPre, SubRed
+# a step binding is spelled as it is written in a script
+from .dsl import render_expr as binding_str
 from .search import SearchResult
 from .weyl.compare import CohomologyReport, DworkComparison
 
 SCHEMA_VERSION = 1
-
-
-def binding_str(value):
-    """Canonical one-line spelling for a step binding value."""
-    if isinstance(value, Morphism):
-        return ".".join(a for a in value.atoms) or f"id({value.source})"
-    if isinstance(value, FuncPull):
-        return f"pull({binding_str(value.arg)}, {binding_str(value.morphism)})"
-    if isinstance(value, FuncName):
-        return value.name
-    if isinstance(value, SubCap):
-        left, right = value.args
-        return f"cap({binding_str(left)}, {binding_str(right)})"
-    if isinstance(value, SubPre):
-        return f"pre({binding_str(value.morphism)}, {binding_str(value.arg)})"
-    if isinstance(value, SubRed):
-        return f"red({binding_str(value.arg)})"
-    if isinstance(value, SubName):
-        return value.name
-    return str(value)
 
 
 def _path_str(path):

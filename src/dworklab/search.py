@@ -28,6 +28,10 @@ from .terms import (
 )
 
 
+# terms larger than this are never put on a frontier
+_SIZE_CAP = 64
+
+
 @dataclass
 class SearchResult:
     found: bool
@@ -37,7 +41,7 @@ class SearchResult:
     depth: int = 0
 
 
-def _successors(ctx, moves, term, gates, size_cap):
+def _successors(ctx, moves, term, gates):
     """Terms one offered move away, with the move and its undo as steps."""
     core, _k = split_shift(term)
     for path in subterm_paths(core):
@@ -46,7 +50,7 @@ def _successors(ctx, moves, term, gates, size_cap):
                 nt, _delta = apply_step(ctx, term, rule, d, path, b, **gates)
             except RuleError:
                 continue
-            if size(nt) > size_cap:
+            if size(nt) > _SIZE_CAP:
                 continue
             yield ProofStep(rule, d, path, b), ProofStep(urule, ud, path, ub), nt
 
@@ -60,7 +64,7 @@ def _path(parents, key):
     return steps
 
 
-def _mitm(ctx, moves, lhs, rhs, max_depth, gates, size_cap):
+def _mitm(ctx, moves, lhs, rhs, max_depth, gates):
     left = canonical_shift(lhs)
     right = canonical_shift(rhs)
     lkey, rkey = serialize(left), serialize(right)
@@ -83,8 +87,7 @@ def _mitm(ctx, moves, lhs, rhs, max_depth, gates, size_cap):
         other = bpar if forward else fpar
         nxt = {}
         for key, term in src.items():
-            for step, undo, nt in _successors(ctx, moves, term, gates,
-                                              size_cap):
+            for step, undo, nt in _successors(ctx, moves, term, gates):
                 expanded += 1
                 nk = serialize(nt)
                 if nk in parents:
@@ -114,7 +117,7 @@ def _mitm(ctx, moves, lhs, rhs, max_depth, gates, size_cap):
 
 
 def prove(ctx, lhs, rhs, max_depth=6, mode="strict-smooth", allowed_strata=1,
-          excluded=frozenset(), size_cap=64, try_closure=True):
+          excluded=frozenset()):
     """Search for a rewrite chain between two terms.
 
     One layered bidirectional pass covers every chain length up to
@@ -125,18 +128,16 @@ def prove(ctx, lhs, rhs, max_depth=6, mode="strict-smooth", allowed_strata=1,
     gates = {"mode": mode, "allowed_strata": allowed_strata,
              "excluded": excluded}
     moves = Moves(ctx, allowed_strata, excluded)
-    steps, total = _mitm(ctx, moves, lhs, rhs, max_depth, gates, size_cap)
+    steps, total = _mitm(ctx, moves, lhs, rhs, max_depth, gates)
     if steps is not None:
         return SearchResult(True, steps, None, total, len(steps))
-    if try_closure:
-        wrappers = [a.name for a in ctx.atoms.values()
-                    if a.kind in EMBEDDING_KINDS and a.kind != "open"][:8]
-        for name in wrappers:
-            j = ctx.composite(name)
-            steps, n = _mitm(ctx, moves, Oim(j, lhs), Oim(j, rhs), max_depth,
-                             gates, size_cap)
-            total += n
-            if steps is not None:
-                return SearchResult(True, steps, Closure("kashiwara", name),
-                                    total, len(steps))
+    wrappers = [a.name for a in ctx.atoms.values()
+                if a.kind in EMBEDDING_KINDS and a.kind != "open"][:8]
+    for name in wrappers:
+        j = ctx.composite(name)
+        steps, n = _mitm(ctx, moves, Oim(j, lhs), Oim(j, rhs), max_depth, gates)
+        total += n
+        if steps is not None:
+            return SearchResult(True, steps, Closure("kashiwara", name),
+                                total, len(steps))
     return SearchResult(False, [], None, total, max_depth)

@@ -20,11 +20,12 @@ and since step ≤ maxdeg + 1 that window lies inside the U domain
 window(P + 1, D + maxdeg + 1) of rung t.  The U echelon of grade q is
 therefore fed the monomials inside the next window first, and its size
 and lead set at that point are the kernel rank and lead set of rung
-t + 1, which then builds no kernel row below its top grade.  Rung 0, a
-rung asked for out of order or after the codes widened, the top grade
-n + r − 1 (no U echelon covers it) and a constant section (maxdeg 0,
-step 2 > maxdeg + 1) eliminate a fresh kernel instead.  Only lead sets
-are carried, never pivot rows.
+t + 1, which then builds no kernel row at all.  Rung 0, a rung asked
+for out of order or after the codes widened, and a constant section
+(maxdeg 0, step 2 > maxdeg + 1) eliminate a fresh kernel instead.  The
+top grade n + r − 1 (the full piece with every dx) has differential
+zero, so its kernel is its whole window and no row of it is built.
+Only lead sets are carried, never pivot rows.
 
 U rows that d² = 0 proves dependent are never built.  Every grade-(q−2)
 kernel row of window(P, D) lands in window(P + 1, D): its piece-I part
@@ -234,6 +235,8 @@ class CechDeRham:
         # grade -> (kernel rank, kernel pivot leads) at this rung
         kernels = (carry[2] if carry and carry[0] == t and carry[1] is codes
                    else {})
+        # the top grade's differential is zero
+        kernels[self.n + self.r - 1] = 0, set()
         window = self._window(P, D)
         image = self._window(P + 1, D_img)
         # monomial codes per piece; each window list is a prefix of the

@@ -12,6 +12,8 @@ from dworklab.certificates import (
 
 BUNDLED = (pathlib.Path(__file__).resolve().parent.parent
            / "src" / "dworklab" / "data" / "dwork_theorem.dwk")
+COLLAPSE_GOAL = ("goal collapse : Opb[iotacheck](Oim[s](O[X])) ~ "
+                 "RGamma[S](O[X])[1];\n")
 
 
 @pytest.fixture
@@ -42,3 +44,12 @@ def suite():
 @pytest.fixture(scope="session")
 def bundled_text():
     return BUNDLED.read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="session")
+def collapse_text(bundled_text):
+    """The bundled script's declarations with the support-collapse goal and
+    no proof, as the CI workflow writes `collapse.dwk`."""
+    decls = [line for line in bundled_text.splitlines(keepends=True)
+             if not line.startswith(("goal ", "step ", "closure "))]
+    return "".join(decls) + COLLAPSE_GOAL

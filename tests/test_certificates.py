@@ -36,8 +36,7 @@ def _reports(suite):
     contexts, certs = suite
     out = {}
     for key, cert in certs:
-        out[cert.name] = check_certificate(contexts[key], cert,
-                                           extra_lemmas=None)
+        out[cert.name] = check_certificate(contexts[key], cert)
     return out
 
 

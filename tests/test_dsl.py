@@ -1,5 +1,7 @@
 """Script language: parsing, rendering, spans, and binding."""
 
+import dataclasses
+import pathlib
 import random
 
 import pytest
@@ -10,6 +12,8 @@ from dworklab.cli import main
 from dworklab.errors import ParseError
 
 from docgen import random_document
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_bundled_script_shape(bundled_text):
@@ -156,3 +160,49 @@ def test_comments_and_whitespace_are_ignored():
             "\n\n   goal g : O[X] ~ O[X] ;\n")
     doc = dsl.parse_script(text)
     assert len(doc.statements) == 2
+
+
+def test_readme_script_example_loads():
+    section = README.read_text(encoding="utf-8").split("### Scripts\n", 1)[1]
+    example = section.split("```\n", 2)[1]
+    bound = dsl.load_script(example)
+    assert bound.certificate.name == "collapse"
+    assert len(bound.certificate.steps) == 1
+
+
+# every expression form, bound: goal and lemma sides, and step bindings
+EVERY_FORM = """object M on X;
+product XX = X x X proj q1 q2;
+lemma forms : Fourier[V](Exp[V](F)) ~ Tensor(O[X], M[-1]);
+lemma external : ETensor(O[X], M) ~ Opb[id(XX)](O[XX]);
+step R1 fwd at / with f=id(X), g=gammaV.stilde, map=pi,
+  psi=pull(pull(t, gammaV), stilde), sub=red(pre(iotacheck, S)),
+  left=cap(iotaX, sX), right=iotaS, layers=2, square=sq1, bundle=V,
+  law=tensor_unit;
+"""
+
+
+def _node_classes(node):
+    yield type(node)
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _node_classes(value)
+
+
+def test_bound_expressions_spell_as_their_syntax(collapse_text):
+    doc = dsl.parse_script(collapse_text + EVERY_FORM)
+    ctx = dsl.bind_script(doc).ctx
+    nodes = []
+    for st in doc.statements:
+        if isinstance(st, (dsl.GoalDecl, dsl.LemmaDecl)):
+            nodes += [st.lhs, st.rhs]
+        elif isinstance(st, dsl.StepDecl):
+            nodes += [value for _key, value in st.bindings]
+    seen = {cls for node in nodes if dataclasses.is_dataclass(node)
+            for cls in _node_classes(node)}
+    assert {row[0] for forms in dsl.FORMS.values()
+            for row in forms.values()} <= seen
+    for node in nodes:
+        assert dsl.render_expr(dsl.bind_expr(ctx, node)) \
+            == dsl.render_expr(node)

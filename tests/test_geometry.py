@@ -120,8 +120,6 @@ def test_reduction_is_idempotent(dwork):
 def test_sub_ambient_and_smoothness(dwork):
     assert dwork.sub_ambient(SubName("S")) == "X"
     assert dwork.sub_ambient(SubName("iotaS")) == "Adual"
-    assert not dwork.sub_smooth(SubName("S"))
-    assert dwork.sub_smooth(SubName("iotaX"))
 
 
 def test_function_normal_form(dwork):

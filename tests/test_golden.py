@@ -1,19 +1,31 @@
-"""`dwork-check --output machine` documents against recorded copies.
+"""CLI documents against recorded copies.
 
-Each file under tests/golden/ is the standard output of one run.  The
-first eleven were recorded before the de Rham engine moved to integer
-column codes, the three-variable quadric and the two-variable cubic
-before the twisted ladder began to leave out rows known to be dependent,
-and the two- and three-section inputs `x*y, x-y` and `x, y, x+y` before
-the Čech ladder began to carry its kernels across rungs.  The CI
-workflow also compares `x*y*z` (dwork-check-xyz.json) and `x, y, x+y`
-from the shell.
+Each file under tests/golden/ is the standard output of one run.
+
+The `dwork-check --output machine` documents cover the de Rham engine.
+The first eleven were recorded before it moved to integer column codes,
+the three-variable quadric and the two-variable cubic before the twisted
+ladder began to leave out rows known to be dependent, and the two- and
+three-section inputs `x*y, x-y` and `x, y, x+y` before the Čech ladder
+began to carry its kernels across rungs.
+
+The symbolic engine's documents were recorded before the script parser,
+renderer and binder began to read one table of expression forms:
+`verify-paper --output machine`, `prove` of the bundled script in machine
+output, and `prove collapse.dwk --search 6` in machine and in text
+output.  `collapse.dwk` is the bundled script without its `goal`, `step`
+and `closure` lines, plus the support-collapse goal (the `collapse_text`
+fixture).
+
+The CI workflow also compares `x*y*z` (dwork-check-xyz.json), `x, y, x+y`,
+`verify-paper` and the machine-output search from the shell.
 """
 
 import pathlib
 
 import pytest
 
+from conftest import BUNDLED
 from dworklab.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -42,5 +54,30 @@ CASES = [
 @pytest.mark.parametrize("args,name,code", CASES, ids=[c[1] for c in CASES])
 def test_machine_document_is_byte_identical(args, name, code, capsys):
     assert main(["dwork-check", *args, "--output", "machine"]) == code
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / name).read_bytes()
+
+
+# (CLI arguments, recorded document, exit code); COLLAPSE stands for the
+# path of the goal-only script
+COLLAPSE = object()
+SYMBOLIC = [
+    (["verify-paper", "--output", "machine"], "verify-paper.json", 0),
+    (["prove", str(BUNDLED), "--output", "machine"],
+     "prove-dwork_theorem.json", 0),
+    (["prove", COLLAPSE, "--search", "6", "--output", "machine"],
+     "prove-collapse-search6.json", 0),
+    (["prove", COLLAPSE, "--search", "6"], "prove-collapse-search6.txt", 0),
+]
+
+
+@pytest.mark.parametrize("args,name,code", SYMBOLIC,
+                         ids=[c[1] for c in SYMBOLIC])
+def test_symbolic_document_is_byte_identical(args, name, code, collapse_text,
+                                             tmp_path, capsys):
+    script = tmp_path / "collapse.dwk"
+    script.write_text(collapse_text, encoding="utf-8")
+    args = [str(script) if a is COLLAPSE else a for a in args]
+    assert main(args) == code
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (GOLDEN / name).read_bytes()

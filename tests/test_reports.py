@@ -7,6 +7,7 @@ from dworklab import (
     builtin_suite,
     check_certificate,
     dwork_compare,
+    load_script,
     machine_report,
     prove,
     render_report,
@@ -114,6 +115,29 @@ def test_binding_str_forms(dwork):
     assert binding_str(SubPre(m, SubName("S"))) == "pre(pi, S)"
     assert binding_str(SubRed(SubName("S"))) == "red(S)"
     assert binding_str(3) == "3"
+
+
+def test_search_bindings_are_script_syntax(collapse_text):
+    """Each step of a found chain, written as a `step` statement with its
+    bindings spelled by `binding_str`, replays as a script."""
+    bound = load_script(collapse_text)
+    cert = bound.certificate
+    res = prove(bound.ctx, cert.goal_lhs, cert.goal_rhs, max_depth=6,
+                mode=cert.mode, allowed_strata=cert.allowed_strata,
+                excluded=cert.excluded_rules)
+    assert res.found and res.closure is not None
+    lines = [collapse_text]
+    for step in res.steps:
+        path = "/" + "/".join(str(i) for i in step.path)
+        bindings = ", ".join(f"{k}={binding_str(v)}"
+                             for k, v in step.bindings.items())
+        lines.append(f"step {step.rule} {step.direction} at {path}"
+                     + (f" with {bindings}" if bindings else "") + ";\n")
+    lines.append(f"closure {res.closure.kind} {res.closure.morphism};\n")
+    replay = load_script("".join(lines))
+    assert len(replay.certificate.steps) == len(res.steps)
+    rep = check_certificate(replay.ctx, replay.certificate)
+    assert rep.status == "verified", rep.reason
 
 
 def test_text_report_shapes(suite):

@@ -61,5 +61,5 @@ def test_search_finds_trivial_one_steps():
     ctx, _ = get_certificate("C4")
     m = Var("M", "X")
     lhs = Opb(ctx.identity("X"), m)
-    res = prove(ctx, lhs, m, max_depth=2, try_closure=False)
+    res = prove(ctx, lhs, m, max_depth=2)
     assert res.found and len(res.steps) == 1
