@@ -44,7 +44,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofStep:
     rule: str
     direction: str = "fwd"

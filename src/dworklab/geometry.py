@@ -40,7 +40,7 @@ class MorphismAtom:
     transpose: str = ""  # paired bundle map, if declared
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Morphism:
     """Composite of declared atoms, outermost first; () is the identity."""
 
@@ -100,33 +100,33 @@ class CartesianFact:
 # --- subvariety and function expressions -----------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubName:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubRed:
     arg: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubCap:
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubPre:
     morphism: Morphism
     arg: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuncName:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuncPull:
     arg: object
     morphism: Morphism

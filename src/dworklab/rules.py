@@ -2,8 +2,12 @@
 
 Raw terms between steps stay shift-canonical (one Shift at most, at the
 root); rule patterns are shift-free and paths address the shift-stripped
-core.  Each applier returns a shift-free replacement plus an integer delta;
-the driver folds the delta into the root shift and the caller ledgers it.
+core.  Each applier returns a shift-free replacement plus an integer delta.
+`rewrite` applies one rule at a subterm: it checks the gates (strata
+budget, exclusions) and turns a refusal into a `RuleError`.  `apply_step`
+is `rewrite` on a whole term: it navigates to the path, splices the
+replacement in, folds the delta into the root shift (the caller ledgers
+it) and checks that the result is well-formed.
 
 Matching tolerances, applied deterministically:
 
@@ -19,7 +23,7 @@ Matching tolerances, applied deterministically:
 
 Next to each applier sits its enumerator: the moves the rule offers a
 search at one subterm, each with the step undoing it, read off the same
-subterm.  `apply_step` may still refuse a move, and an undo may land on a
+subterm.  `rewrite` may still refuse a move, and an undo may land on a
 raw form other than the original; the search checks both.
 """
 
@@ -80,9 +84,10 @@ def _orderings(t):
 
 
 def _both_ways(direction, bindings):
-    """A move whose undo is the same rule the other way, same bindings."""
+    """A move whose undo is the same rule the other way, same bindings
+    (one dict: steps never change their bindings)."""
     undo = "bwd" if direction == "fwd" else "fwd"
-    return (direction, bindings), (undo, dict(bindings))
+    return (direction, bindings), (undo, bindings)
 
 
 def _by_shape(fwd, bwd, key=None):
@@ -864,37 +869,50 @@ class Moves:
                 yield (name, d, b), (name, ud, ub)
 
 
+def rewrite(ctx, sub, rule, direction, bindings=None, *,
+            mode="strict-smooth", allowed_strata=1, excluded=frozenset(),
+            lemmas=None):
+    """Apply one rewrite to a subterm, in place: (replacement, delta).
+
+    Checks the rule's gates and the rule itself, but not the term around
+    `sub`; a refusal is a RuleError at the empty path."""
+    if direction not in ("fwd", "bwd"):
+        raise RuleError(rule, (), f"bad direction {direction!r}")
+    b = dict(bindings or {})
+    try:
+        if rule.startswith("lemma:"):
+            return _lemma(ctx, sub, direction, rule[len("lemma:"):], lemmas or {})
+        entry = RULES.get(rule)
+        if entry is None:
+            raise Fail(f"unknown rule {rule!r}")
+        if rule in excluded:
+            raise Fail("rule excluded by this certificate")
+        stratum, fn, _moves = entry
+        if stratum > allowed_strata:
+            raise Fail(f"stratum-{stratum} rule, only {allowed_strata} allowed")
+        return fn(ctx, sub, direction, b, mode, allowed_strata)
+    except Fail as e:
+        raise RuleError(rule, (), e.reason) from None
+    except GeometryError as e:
+        raise RuleError(rule, (), str(e)) from None
+
+
 def apply_step(ctx, term, rule, direction, path, bindings=None, *,
                mode="strict-smooth", allowed_strata=1,
                excluded=frozenset(), lemmas=None):
     """Apply one rewrite to a shift-canonical term; returns (term, delta)."""
-    b = dict(bindings or {})
     path = tuple(path)
-    if direction not in ("fwd", "bwd"):
-        raise RuleError(rule, path, f"bad direction {direction!r}")
     core, root_k = split_shift(term)
     try:
         sub = navigate(core, path)
     except TermError as e:
         raise RuleError(rule, path, str(e)) from None
     try:
-        if rule.startswith("lemma:"):
-            new_sub, delta = _lemma(ctx, sub, direction, rule[len("lemma:"):],
-                                    lemmas or {})
-        else:
-            entry = RULES.get(rule)
-            if entry is None:
-                raise Fail(f"unknown rule {rule!r}")
-            if rule in excluded:
-                raise Fail("rule excluded by this certificate")
-            stratum, fn, _moves = entry
-            if stratum > allowed_strata:
-                raise Fail(f"stratum-{stratum} rule, only {allowed_strata} allowed")
-            new_sub, delta = fn(ctx, sub, direction, b, mode, allowed_strata)
-    except Fail as e:
+        new_sub, delta = rewrite(ctx, sub, rule, direction, bindings, mode=mode,
+                                 allowed_strata=allowed_strata,
+                                 excluded=excluded, lemmas=lemmas)
+    except RuleError as e:
         raise RuleError(rule, path, e.reason) from None
-    except GeometryError as e:
-        raise RuleError(rule, path, str(e)) from None
     new_term = with_shift(replace(core, path, new_sub), root_k + delta)
     try:
         variety_of(ctx, new_term)

@@ -7,6 +7,25 @@ this module only grows the frontiers.  A backward edge is recorded as its
 undo and kept only when that undo lands back exactly on the frontier
 state it came from.  When the direct search fails, the goal is retried
 inside a pushforward along each declared closed embedding.
+
+The rules are matched once per distinct subterm, not once per place it
+occurs.  `prove` builds one `MoveTable` and shares it across the direct
+search and every closure retry.  The table is keyed by a subterm's
+serialization and holds one row per offered move that `rules.rewrite`
+accepts there: the move, its undo, the replacement, the shift delta, the
+size change and whether the replacement keeps the subterm's variety.  A
+successor is the replacement spliced in at its path, with the delta
+folded into the root shift; nothing is re-applied to the whole term.
+
+Well-formedness is checked locally only where that is sound.  A node's
+variety depends only on its children's varieties, so on a well-formed
+term a replacement with the subterm's own variety, or any well-formed
+replacement at the root, leaves the term well-formed.  Every other
+successor (an ill-formed goal side, or a replacement that changes
+variety below the root) is checked with `variety_of` on the whole term.
+Whether a move's undo lands back exactly on the subterm, with the
+opposite delta, is also decided once per (subterm, move), the first
+time a backward edge needs it.
 """
 
 from __future__ import annotations
@@ -14,17 +33,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .certificates import Closure, ProofStep
-from .errors import RuleError
+from .errors import RuleError, TermError
 from .geometry import EMBEDDING_KINDS
-from .rules import Moves, apply_step
+# `apply_step` is not called here; tracing tools look it up on this module
+from .rules import Moves, apply_step, rewrite  # noqa: F401
 from .terms import (
     Oim,
     canonical_shift,
-    navigate,
+    replace,
     serialize,
     size,
     split_shift,
-    subterm_paths,
+    subterms,
+    variety_of,
+    with_shift,
 )
 
 
@@ -41,18 +63,97 @@ class SearchResult:
     depth: int = 0
 
 
-def _successors(ctx, moves, term, gates):
-    """Terms one offered move away, with the move and its undo as steps."""
-    core, _k = split_shift(term)
-    for path in subterm_paths(core):
-        for (rule, d, b), (urule, ud, ub) in moves(navigate(core, path)):
+def _variety(ctx, t):
+    """The variety `t` lives on, or None when it is ill-formed."""
+    try:
+        return variety_of(ctx, t)
+    except TermError:
+        return None
+
+
+class MoveTable:
+    """The offered moves that apply at each subterm one search has met.
+
+    Rows are plain tuples ``(rule, direction, bindings, undo direction,
+    undo bindings, replacement, delta, size change, keeps variety)``; a
+    move and its undo are always the same rule.  A subterm where no move
+    applies shares the empty tuple."""
+
+    def __init__(self, ctx, moves, gates):
+        self.ctx = ctx
+        self.moves = moves
+        self.gates = gates
+        self._rows = {}
+        self._undoes = {}
+
+    def rows(self, sub, key):
+        """The rows at `sub`, serialized as `key`; matched on first sight."""
+        rows = self._rows.get(key)
+        if rows is None:
+            ctx, gates = self.ctx, self.gates
+            variety = _variety(ctx, sub)
+            found = []
+            for (rule, d, b), (_rule, ud, ub) in self.moves(sub):
+                try:
+                    new_sub, delta = rewrite(ctx, sub, rule, d, b, **gates)
+                except RuleError:
+                    continue
+                new_variety = _variety(ctx, new_sub)
+                if new_variety is None:
+                    continue  # the whole term would be ill-formed too
+                found.append((rule, d, b, ud, ub, new_sub, delta,
+                              size(new_sub) - size(sub),
+                              variety is not None and new_variety == variety))
+            rows = self._rows[key] = tuple(found)
+        return rows
+
+    def undoes(self, key, i):
+        """Whether row `i` at `key` is undone exactly: its undo turns the
+        replacement back into a subterm serialized as `key`, with the
+        opposite delta."""
+        verdict = self._undoes.get((key, i))
+        if verdict is None:
+            rule, _d, _b, ud, ub, new_sub, delta, _grow, _keeps = \
+                self._rows[key][i]
             try:
-                nt, _delta = apply_step(ctx, term, rule, d, path, b, **gates)
+                back, back_delta = rewrite(self.ctx, new_sub, rule, ud, ub,
+                                           **self.gates)
             except RuleError:
+                verdict = False
+            else:
+                verdict = back_delta == -delta and serialize(back) == key
+            self._undoes[(key, i)] = verdict
+        return verdict
+
+
+def _successors(table, term, seen, forward=True, well_formed=True):
+    """Terms one offered move away, as ``(serialization, term, step)``.
+    The step is the one the frontier records: going forward the move
+    itself; going backward its undo, or None when the undo does not land
+    back exactly on `term`.  It is None too when `seen` has the term
+    already, and then the undo is not tried."""
+    core, k = split_shift(term)
+    n = size(core)
+    for path, sub in subterms(core):
+        key = serialize(sub)
+        for i, row in enumerate(table.rows(sub, key)):
+            rule, d, b, ud, ub, new_sub, delta, grow, keeps = row
+            shift = k + delta
+            if n + grow + (shift != 0) > _SIZE_CAP:
                 continue
-            if size(nt) > _SIZE_CAP:
+            nt = with_shift(replace(core, path, new_sub), shift)
+            if path and not (well_formed and keeps) \
+                    and _variety(table.ctx, nt) is None:
                 continue
-            yield ProofStep(rule, d, path, b), ProofStep(urule, ud, path, ub), nt
+            nk = serialize(nt)
+            if nk in seen:
+                yield nk, nt, None
+            elif forward:
+                yield nk, nt, ProofStep(rule, d, path, b)
+            elif well_formed and table.undoes(key, i):
+                yield nk, nt, ProofStep(rule, ud, path, ub)
+            else:
+                yield nk, nt, None
 
 
 def _path(parents, key):
@@ -64,7 +165,7 @@ def _path(parents, key):
     return steps
 
 
-def _mitm(ctx, moves, lhs, rhs, max_depth, gates):
+def _mitm(table, lhs, rhs, max_depth):
     left = canonical_shift(lhs)
     right = canonical_shift(rhs)
     lkey, rkey = serialize(left), serialize(right)
@@ -72,12 +173,15 @@ def _mitm(ctx, moves, lhs, rhs, max_depth, gates):
     bpar = {rkey: None}
     if lkey == rkey:
         return [], 0
+    # successors are well-formed; only a goal side may not be
+    ill_formed = {key for key, t in ((lkey, left), (rkey, right))
+                  if _variety(table.ctx, t) is None}
     flevel = {lkey: left}
     blevel = {rkey: right}
     fd = bd = 0
     expanded = 0
     while fd + bd < max_depth and (flevel or blevel):
-        forward = (len(flevel) <= len(blevel) and flevel) or not blevel
+        forward = bool(len(flevel) <= len(blevel) and flevel or not blevel)
         if forward:
             fd += 1
         else:
@@ -87,22 +191,12 @@ def _mitm(ctx, moves, lhs, rhs, max_depth, gates):
         other = bpar if forward else fpar
         nxt = {}
         for key, term in src.items():
-            for step, undo, nt in _successors(ctx, moves, term, gates):
+            well_formed = key not in ill_formed
+            for nk, nt, step in _successors(table, term, parents, forward,
+                                            well_formed):
                 expanded += 1
-                nk = serialize(nt)
-                if nk in parents:
+                if step is None:
                     continue
-                if not forward:
-                    # record the undo, and keep the edge only if the undo
-                    # lands back exactly on this frontier state
-                    try:
-                        back, _d = apply_step(ctx, nt, undo.rule, undo.direction,
-                                              undo.path, undo.bindings, **gates)
-                    except RuleError:
-                        continue
-                    if serialize(back) != key:
-                        continue
-                    step = undo
                 parents[nk] = (key, step)
                 nxt[nk] = nt
                 if nk in other:
@@ -123,19 +217,19 @@ def prove(ctx, lhs, rhs, max_depth=6, mode="strict-smooth", allowed_strata=1,
     One layered bidirectional pass covers every chain length up to
     `max_depth`; if it exhausts, the pair is retried wrapped in each
     declared closed embedding's pushforward (returned as a closure on
-    the result).
+    the result).  All passes read one move table.
     """
     gates = {"mode": mode, "allowed_strata": allowed_strata,
              "excluded": excluded}
-    moves = Moves(ctx, allowed_strata, excluded)
-    steps, total = _mitm(ctx, moves, lhs, rhs, max_depth, gates)
+    table = MoveTable(ctx, Moves(ctx, allowed_strata, excluded), gates)
+    steps, total = _mitm(table, lhs, rhs, max_depth)
     if steps is not None:
         return SearchResult(True, steps, None, total, len(steps))
     wrappers = [a.name for a in ctx.atoms.values()
                 if a.kind in EMBEDDING_KINDS and a.kind != "open"][:8]
     for name in wrappers:
         j = ctx.composite(name)
-        steps, n = _mitm(ctx, moves, Oim(j, lhs), Oim(j, rhs), max_depth, gates)
+        steps, n = _mitm(table, Oim(j, lhs), Oim(j, rhs), max_depth)
         total += n
         if steps is not None:
             return SearchResult(True, steps, Closure("kashiwara", name),

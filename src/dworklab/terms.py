@@ -29,60 +29,60 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Struct:
     variety: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
     variety: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exp:
     variety: str
     func: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tensor:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ETensor:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Opb:
     morphism: Morphism
     arg: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Oim:
     morphism: Morphism
     arg: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RGamma:
     sub: object
     arg: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fourier:
     bundle: str
     arg: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shift:
     arg: object
     k: int
@@ -143,11 +143,11 @@ def size(t) -> int:
     return 1 + sum(size(c) for c in children(t))
 
 
-def subterm_paths(t, prefix=()):
-    """All paths into t, preorder."""
-    yield prefix
+def subterms(t, prefix=()):
+    """(path, subterm) for every subterm of t, preorder."""
+    yield prefix, t
     for i, c in enumerate(children(t)):
-        yield from subterm_paths(c, prefix + (i,))
+        yield from subterms(c, prefix + (i,))
 
 
 def morphism_key(m: Morphism) -> str:

@@ -15,6 +15,8 @@ _KEYWORDS = {
     "smooth", "nonreduced", "image", "cap", "preimage", "at", "fwd", "bwd",
     "id", "pull", "pre", "red", "O", "Exp", "Tensor", "ETensor", "Opb",
     "Oim", "RGamma", "Fourier", "x",
+    # step binding keys
+    "f", "g", "map", "psi", "sub", "left", "right", "layers", "square", "law",
 }
 
 

@@ -22,7 +22,7 @@ from dworklab.certificates import get_certificate
 from dworklab.errors import RuleError
 from dworklab.rules import Moves, apply_step
 from dworklab.search import prove
-from dworklab.terms import equal_normal, navigate, size, split_shift, subterm_paths
+from dworklab.terms import equal_normal, size, split_shift, subterms
 from dworklab.weyl.cech import CechDeRham, complement_cohomology
 from dworklab.weyl.compare import (
     _nonzero,
@@ -95,8 +95,8 @@ def test_shift_ledger_balance():
 def _accepted_moves(ctx, moves, term, gates):
     """(path, undo, result) for each move offered in term that applies."""
     core, _k = split_shift(term)
-    for path in subterm_paths(core):
-        for (rule, d, b), undo in moves(navigate(core, path)):
+    for path, sub in subterms(core):
+        for (rule, d, b), undo in moves(sub):
             try:
                 after, _d = apply_step(ctx, term, rule, d, path, b, **gates)
             except RuleError:

@@ -11,6 +11,7 @@ from dworklab.certificates import check_certificate
 from dworklab.cli import main
 from dworklab.errors import ParseError
 
+import docgen
 from docgen import random_document
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -206,3 +207,14 @@ def test_bound_expressions_spell_as_their_syntax(collapse_text):
     for node in nodes:
         assert dsl.render_expr(dsl.bind_expr(ctx, node)) \
             == dsl.render_expr(node)
+
+
+def test_docgen_never_draws_a_keyword_as_a_name():
+    # random documents must not use a keyword as a plain name, or their
+    # rendered text would not parse back
+    stmts = {name[len("_stmt_"):] for name in vars(dsl._Parser)
+             if name.startswith("_stmt_")}
+    forms = {kw for rows in dsl.FORMS.values() for kw in rows}
+    keywords = stmts | forms | set(dsl._BINDING_SORTS)
+    assert stmts and forms
+    assert keywords <= docgen._KEYWORDS, sorted(keywords - docgen._KEYWORDS)

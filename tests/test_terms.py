@@ -20,7 +20,7 @@ from dworklab.terms import (
     serialize,
     size,
     split_shift,
-    subterm_paths,
+    subterms,
     variety_of,
 )
 
@@ -73,8 +73,9 @@ def test_navigate_and_replace(dwork):
 
 def test_subterm_paths_and_size(dwork):
     t = _section_side(dwork)
-    paths = list(subterm_paths(t))
+    paths = [path for path, _sub in subterms(t)]
     assert ((), (0,), (0, 0)) == tuple(paths)
+    assert all(sub is navigate(t, path) for path, sub in subterms(t))
     assert size(t) == 3
 
 
