@@ -1,7 +1,7 @@
 """Script language for geometry declarations, goals, and proof scripts.
 
 A script is a list of `;`-terminated statements with `#` comments.  The
-parser builds a plain syntax document (so scripts can be re-rendered
+parser builds a plain document (so scripts can be re-rendered
 canonically and round-tripped); `bind_script` turns a document into a
 geometry context plus a proof certificate.  Parse and bind errors carry
 the byte span of the offending statement.
@@ -9,15 +9,17 @@ the byte span of the offending statement.
 Statements are parsed, rendered and bound by hand, one case each.
 Expressions come in four sorts: M maps, F functions, S subvarieties and
 D terms.  Each keyword-led form is one row of `FORMS`: its keyword, its
-syntax node, the class it binds to and its layout, for example
-`"Opb": (DOpb, terms.Opb, "[M](D)")`.  One parser (`_Parser.expr`), one
-renderer (`render_expr`) and one binder (`bind_expr`) read the rows.
-Only the leaves are written out: dotted map names and bare names, the
-postfix shift `[k]`, the binds of `id(X)` and `cap(a, b)`, and the
-spellings of the two bound values whose fields differ from their
-node's.  `render_expr` spells bound values as well as syntax nodes, so
-the reports spell a search's step bindings in script syntax.  Step
-binding keys map to the sort of their value in `_BINDING_SORTS`.
+class and its layout, for example `"Opb": (terms.Opb, "[M](D)")`.  The
+parser builds the term and geometry classes themselves, so a parsed
+expression is already its bound value except at four syntax-only
+leaves: a dotted map chain `MName`, an identity map `MId`, a binary
+`SCap` (a bound `SubCap` holds a tuple) and an object name `DRef`, whose
+variety the context supplies.  One parser (`_Parser.expr`), one renderer
+(`render_expr`) and one binder (`bind_expr`) read the rows; a form binds
+by rebuilding itself from its bound fields.  `render_expr` spells parsed
+and bound expressions alike, so the reports spell a search's step
+bindings in script syntax.  Step binding keys map to the sort of their
+value in `_BINDING_SORTS`.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ def tokenize(text):
     return out
 
 
-# --- syntax nodes ----------------------------------------------------------------
+# --- syntax-only expression leaves ---------------------------------------------
+# Every other expression node is the term or geometry value it binds to.
 
 
 @dataclass(frozen=True)
@@ -90,83 +93,9 @@ class MId:
 
 
 @dataclass(frozen=True)
-class FName:
-    name: str
-
-
-@dataclass(frozen=True)
-class FPull:
-    func: object
-    morphism: object
-
-
-@dataclass(frozen=True)
-class SName:
-    name: str
-
-
-@dataclass(frozen=True)
 class SCap:
     left: object
     right: object
-
-
-@dataclass(frozen=True)
-class SPre:
-    morphism: object
-    sub: object
-
-
-@dataclass(frozen=True)
-class SRed:
-    sub: object
-
-
-@dataclass(frozen=True)
-class DStruct:
-    variety: str
-
-
-@dataclass(frozen=True)
-class DExp:
-    variety: str
-    func: object
-
-
-@dataclass(frozen=True)
-class DTensor:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class DETensor:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class DOpb:
-    morphism: object
-    arg: object
-
-
-@dataclass(frozen=True)
-class DOim:
-    morphism: object
-    arg: object
-
-
-@dataclass(frozen=True)
-class DRGamma:
-    sub: object
-    arg: object
-
-
-@dataclass(frozen=True)
-class DFourier:
-    bundle: str
-    arg: object
 
 
 @dataclass(frozen=True)
@@ -174,10 +103,14 @@ class DRef:
     name: str
 
 
-@dataclass(frozen=True)
-class DShift:
-    arg: object
-    k: int
+# The names the parsed expression classes had while they were separate
+# syntax classes.  The benchmark's document generator (`bench/docs.py`)
+# still builds documents under them, so they stay until it moves to the
+# real classes.
+FName, FPull, SName, SPre, SRed = FuncName, FuncPull, SubName, SubPre, SubRed
+DStruct, DExp, DTensor, DETensor = T.Struct, T.Exp, T.Tensor, T.ETensor
+DOpb, DOim, DRGamma, DFourier = T.Opb, T.Oim, T.RGamma, T.Fourier
+DShift = T.Shift
 
 
 @dataclass(frozen=True)
@@ -332,31 +265,31 @@ class ScriptDocument:
 # --- expression forms -------------------------------------------------------------
 
 # Every keyword-led expression form, once, by sort: M maps, F functions,
-# S subvarieties, D terms.  A row is keyword -> (syntax node, bound class,
-# layout).  An upper-case letter in a layout is a slot, filled in the
-# node's field order: M, F, S or D an expression of that sort, V a
-# variety name, B a bundle name.  Every other character is spelled as is;
-# the parser skips the spaces.  The two rows without a bound class bind
-# by hand (see `_BIND`).
+# S subvarieties, D terms.  A row is keyword -> (class, layout); the
+# parser builds the class itself.  An upper-case letter in a layout is a
+# slot, filled in the class's field order: M, F, S or D an expression of
+# that sort, V a variety name, B a bundle name.  Every other character is
+# spelled as is; the parser skips the spaces.  `MId` and `SCap` are
+# syntax-only: they bind by hand (see `_BIND`).
 FORMS = {
-    "M": {"id": (MId, None, "(V)")},
-    "F": {"pull": (FPull, FuncPull, "(F, M)")},
-    "S": {"cap": (SCap, None, "(S, S)"),
-          "pre": (SPre, SubPre, "(M, S)"),
-          "red": (SRed, SubRed, "(S)")},
-    "D": {"O": (DStruct, T.Struct, "[V]"),
-          "Exp": (DExp, T.Exp, "[V](F)"),
-          "Tensor": (DTensor, T.Tensor, "(D, D)"),
-          "ETensor": (DETensor, T.ETensor, "(D, D)"),
-          "Opb": (DOpb, T.Opb, "[M](D)"),
-          "Oim": (DOim, T.Oim, "[M](D)"),
-          "RGamma": (DRGamma, T.RGamma, "[S](D)"),
-          "Fourier": (DFourier, T.Fourier, "[B](D)")},
+    "M": {"id": (MId, "(V)")},
+    "F": {"pull": (FuncPull, "(F, M)")},
+    "S": {"cap": (SCap, "(S, S)"),
+          "pre": (SubPre, "(M, S)"),
+          "red": (SubRed, "(S)")},
+    "D": {"O": (T.Struct, "[V]"),
+          "Exp": (T.Exp, "[V](F)"),
+          "Tensor": (T.Tensor, "(D, D)"),
+          "ETensor": (T.ETensor, "(D, D)"),
+          "Opb": (T.Opb, "[M](D)"),
+          "Oim": (T.Oim, "[M](D)"),
+          "RGamma": (T.RGamma, "[S](D)"),
+          "Fourier": (T.Fourier, "[B](D)")},
 }
 _NAME_SLOTS = {"V": "a variety", "B": "a bundle"}
 # the bare-name leaf of each sort but M (a dotted chain of map names)
-_LEAVES = {"F": (FName, "a function name"),
-           "S": (SName, "a subvariety name"),
+_LEAVES = {"F": (FuncName, "a function name"),
+           "S": (SubName, "a subvariety name"),
            "D": (DRef, "a term")}
 
 # step binding key -> the sort of its value, or int / str for plain values
@@ -366,21 +299,17 @@ _BINDING_SORTS = {"f": "M", "g": "M", "map": "M", "psi": "F",
 
 
 def render_expr(x):
-    """Script spelling of an expression, given as a syntax node or as the
-    value it binds to; plain values (names, layer counts) go through `str`."""
+    """Script spelling of an expression, parsed or bound; plain values
+    (names, layer counts) go through `str`."""
     spell = _SPELL.get(x.__class__)
     return str(x) if spell is None else spell(x)
 
 
 def bind_expr(ctx, x):
-    """The geometry value or term an expression node denotes; plain values
-    bind to themselves."""
+    """The geometry value or term an expression denotes; bound and plain
+    values bind to themselves."""
     bind = _BIND.get(x.__class__)
     return x if bind is None else bind(ctx, x)
-
-
-def _spell_shift(x):
-    return f"{render_expr(x.arg)}[{x.k}]"
 
 
 def _bind_ref(ctx, d):
@@ -390,14 +319,18 @@ def _bind_ref(ctx, d):
     return T.Var(d.name, variety)
 
 
+def _rebind(cls):
+    names = [f.name for f in fields(cls)]
+    return lambda ctx, x: cls(*[bind_expr(ctx, getattr(x, f)) for f in names])
+
+
 _by_name = attrgetter("name")
 _SPELL = {
     MName: lambda m: ".".join(m.parts),
-    FName: _by_name, SName: _by_name, DRef: _by_name,
-    FuncName: _by_name, SubName: _by_name, T.Var: _by_name,
-    DShift: _spell_shift, T.Shift: _spell_shift,
-    # the two bound values whose fields differ from their node's are
-    # spelled as that node
+    FuncName: _by_name, SubName: _by_name, DRef: _by_name, T.Var: _by_name,
+    T.Shift: lambda x: f"{render_expr(x.arg)}[{x.k}]",
+    # the two bound values whose fields differ from their syntax are
+    # spelled as that syntax
     Morphism: lambda m: render_expr(MName(m.atoms) if m.atoms
                                     else MId(m.source)),
     SubCap: lambda s: render_expr(SCap(*s.args)),
@@ -405,18 +338,16 @@ _SPELL = {
 _BIND = {
     MName: lambda ctx, m: ctx.composite(*m.parts),
     MId: lambda ctx, m: ctx.identity(m.variety),
-    FName: lambda ctx, f: FuncName(f.name),
-    SName: lambda ctx, s: SubName(s.name),
     SCap: lambda ctx, s: SubCap((bind_expr(ctx, s.left),
                                  bind_expr(ctx, s.right))),
     DRef: _bind_ref,
-    DShift: lambda ctx, d: T.Shift(bind_expr(ctx, d.arg), d.k),
+    T.Shift: _rebind(T.Shift),
 }
 
 
-def _speller(fmt, names):
+def _speller(fmt, cls):
     # every form has one or two slots; spelling each out keeps this fast
-    gets = [attrgetter(f) for f in names]
+    gets = [attrgetter(f.name) for f in fields(cls)]
     if len(gets) == 1:
         get, = gets
         return lambda x: fmt.format(render_expr(get(x)))
@@ -424,19 +355,10 @@ def _speller(fmt, names):
     return lambda x: fmt.format(render_expr(left(x)), render_expr(right(x)))
 
 
-def _binder(bound, names):
-    return lambda ctx, x: bound(*[bind_expr(ctx, getattr(x, f))
-                                  for f in names])
-
-
 for _forms in FORMS.values():
-    for _kw, (_node, _bound, _layout) in _forms.items():
-        _fmt = _kw + re.sub("[A-Z]", "{}", _layout)
-        _names = [f.name for f in fields(_node)]
-        _SPELL[_node] = _speller(_fmt, _names)
-        if _bound is not None:
-            _SPELL[_bound] = _speller(_fmt, [f.name for f in fields(_bound)])
-            _BIND[_node] = _binder(_bound, _names)
+    for _kw, (_cls, _layout) in _forms.items():
+        _SPELL[_cls] = _speller(_kw + re.sub("[A-Z]", "{}", _layout), _cls)
+        _BIND.setdefault(_cls, _rebind(_cls))
 
 
 # --- parser ----------------------------------------------------------------------
@@ -499,7 +421,7 @@ class _Parser:
         row = FORMS[sort].get(self.peek().text)
         if row is not None:
             self.take()
-            node, _bound, layout = row
+            cls, layout = row
             args = []
             for ch in layout:
                 if ch in FORMS:
@@ -508,7 +430,7 @@ class _Parser:
                     args.append(self.name(_NAME_SLOTS[ch]))
                 elif ch != " ":
                     self.expect(ch)
-            out = node(*args)
+            out = cls(*args)
         elif sort == "M":
             out = MName(self._atom_chain())
         else:
@@ -518,7 +440,7 @@ class _Parser:
             self.take()
             k = self.integer("a shift")
             self.expect("]")
-            out = DShift(out, k)
+            out = T.Shift(out, k)
         return out
 
     def path(self):

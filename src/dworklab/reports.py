@@ -102,29 +102,6 @@ def comparison_dict(cmp):
     }
 
 
-_DICTERS = (
-    (ValidationReport, "validation", validation_dict),
-    (PaperReport, "paper", paper_dict),
-    (SearchResult, "search", search_dict),
-    (CohomologyReport, "cohomology", cohomology_dict),
-    (DworkComparison, "comparison", comparison_dict),
-)
-
-
-def machine_report(obj, extra=None):
-    """Canonical JSON line for any report object."""
-    for cls, kind, fn in _DICTERS:
-        if isinstance(obj, cls):
-            payload = fn(obj)
-            payload["kind"] = kind
-            payload["schema_version"] = SCHEMA_VERSION
-            if extra:
-                payload.update(extra)
-            return json.dumps(payload, sort_keys=True,
-                              separators=(",", ":")) + "\n"
-    raise TypeError(f"no machine form for {type(obj).__name__}")
-
-
 # --- text forms -------------------------------------------------------------------
 
 
@@ -199,20 +176,39 @@ def comparison_text(cmp):
     return out + f"result: {'match' if cmp.match else 'MISMATCH'}\n"
 
 
-_TEXTERS = (
-    (ValidationReport, validation_text),
-    (PaperReport, paper_text),
-    (SearchResult, search_text),
-    (CohomologyReport, cohomology_text),
-    (DworkComparison, comparison_text),
+# --- one table of report kinds -----------------------------------------------------
+
+# report class, machine kind, dict form, text form
+_KINDS = (
+    (ValidationReport, "validation", validation_dict, validation_text),
+    (PaperReport, "paper", paper_dict, paper_text),
+    (SearchResult, "search", search_dict, search_text),
+    (CohomologyReport, "cohomology", cohomology_dict, cohomology_text),
+    (DworkComparison, "comparison", comparison_dict, comparison_text),
 )
 
 
-def text_report(obj):
-    for cls, fn in _TEXTERS:
+def _kind_of(obj):
+    for cls, kind, dict_form, text_form in _KINDS:
         if isinstance(obj, cls):
-            return fn(obj)
-    raise TypeError(f"no text form for {type(obj).__name__}")
+            return kind, dict_form, text_form
+    raise TypeError(f"no report form for {type(obj).__name__}")
+
+
+def machine_report(obj, extra=None):
+    """Canonical JSON line for any report object."""
+    kind, dict_form, _text_form = _kind_of(obj)
+    payload = dict_form(obj)
+    payload["kind"] = kind
+    payload["schema_version"] = SCHEMA_VERSION
+    if extra:
+        payload.update(extra)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def text_report(obj):
+    _kind, _dict_form, text_form = _kind_of(obj)
+    return text_form(obj)
 
 
 def render_report(obj, output="text", extra=None):

@@ -603,7 +603,7 @@ def _r16(ctx, sub, direction, b, mode, allowed):
 
 def _r16_moves(moves, sub):
     if isinstance(sub, Oim):
-        for bundle in moves.names["bundle"]:
+        for bundle in moves.dual_section_of(sub.morphism):
             yield _both_ways("fwd", {"bundle": bundle})
     elif isinstance(sub, Fourier) and isinstance(sub.arg, Opb):
         yield _both_ways("bwd", {"bundle": sub.bundle})
@@ -630,7 +630,13 @@ def _r17(ctx, sub, direction, b, mode, allowed):
     return Opb(sect, sub.arg.arg), 0
 
 
-_r17_moves = _by_shape((Opb, None), (Oim, Fourier), "bundle")
+def _r17_moves(moves, sub):
+    if isinstance(sub, Opb):
+        for bundle in moves.dual_section_of(sub.morphism):
+            yield _both_ways("fwd", {"bundle": bundle})
+    elif isinstance(sub, Oim) and isinstance(sub.arg, Fourier):
+        for bundle in moves.paired_with.get(sub.arg.bundle, ()):
+            yield _both_ways("bwd", {"bundle": bundle})
 
 
 # --- unit laws (R19) and exterior-tensor laws (R20) --------------------------
@@ -851,6 +857,17 @@ class Moves:
                       "square": sorted(ctx.squares),
                       "sub": [SubName(n) for n in sorted(ctx.subvarieties)]}
         self.negated = [b for b in self.names["bundle"] if b in ctx.negations]
+        # R16 and R17 run forward only along a dual's zero section and
+        # backward only at a transform along the dual: each bundle by the
+        # endpoints and normal form of that section, and by its dual
+        self.dual_sections = {}
+        self.paired_with = {}
+        for b in self.names["bundle"]:
+            dual = ctx.fourier[b].dual
+            sect = ctx.composite(ctx.bundles[dual].sect)
+            self.dual_sections.setdefault((sect.source, sect.target), []) \
+                .append((ctx.normalize_morphism(sect).atoms, b))
+            self.paired_with.setdefault(dual, []).append(b)
         # both orders of the two members of each declared intersection
         self.cap_orders = []
         for members in sorted(ctx.cap_facts, key=sorted):
@@ -862,6 +879,15 @@ class Moves:
             maps = []
         self.pairs = [(f, g, ctx.normalize_morphism(ctx.compose(g, f)))
                       for f in maps for g in maps if f.target == g.source]
+
+    def dual_section_of(self, m):
+        """The bundles, in name order, whose dual's zero section is `m` (as
+        `ctx.morphisms_equal` decides)."""
+        found = self.dual_sections.get((m.source, m.target))
+        if not found:
+            return ()
+        atoms = self.ctx.normalize_morphism(m).atoms
+        return [b for sect, b in found if sect == atoms]
 
     def __call__(self, sub):
         for name, enumerate_moves in self.rules:

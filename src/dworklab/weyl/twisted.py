@@ -11,15 +11,16 @@ Columns x^mono dx_mask are `linalg.GradedCodes` integers with the mask in
 the low n bits, so integer order is (degree, mono, mask).  The digit
 width W is the bit length of the largest exponent a row of the highest
 domain degree asked for so far can reach (that degree + deg F - 1); when
-a later rung or call needs more, the complex widens once, re-keying the
-stored pivots, so a code is valid until the next widening.  Rows are
-built from one template per mask: the dF_j terms as code offsets, plus
-one offset per variable j scaled by mono[j] (the d term).  A row of
-x^mono dx_mask is then the template shifted by code(mono); no two of its
-terms share a column.
+a later rung or call needs more, the complex widens once and drops its
+echelons, as `CechDeRham` drops its carry; the next rung feeds the same
+stages again, in the same order, under the new codes.  A code is valid
+until the next widening.  Rows are built from one template per mask: the
+dF_j terms as code offsets, plus one offset per variable j scaled by
+mono[j] (the d term).  A row of x^mono dx_mask is then the template
+shifted by code(mono); no two of its terms share a column.
 
-A complex keeps one incremental echelon per form degree k for its whole
-life.  Rows are fed in increasing domain degree e (the stage), each
+A complex keeps one incremental echelon per form degree k until its codes
+widen.  Rows are fed in increasing domain degree e (the stage), each
 degree once, and every new pivot records its stage and the degree of
 its lead column, which is the row's largest graded column.  Pivots are
 never replaced, so a rung at any cutoff D, rising or falling, eliminates
@@ -75,32 +76,25 @@ class TwistedComplex:
         self.slack = F.degree() + 1
         # how far a dF term raises an exponent
         self._rise = max(F.degree() - 1, 0)
+        self._restart(0)
+
+    def _restart(self, reach):
+        """Start over, with nothing fed, on codes for exponents <= reach."""
+        self._codes = GradedCodes(self.n, self.n, reach)
+        self._templates = {}
         # top forms are closed, so grade n has no rows and no echelon
         self._echelons = [Echelon() for _ in range(self.n)]
         self._leads = [[] for _ in range(self.n + 1)]  # (stage, lead degree)
         self._fed = -1
-        self._codes = GradedCodes(self.n, self.n, 0)
-        self._templates = {}
 
     def _fit(self, top):
-        """Widen the codes, if needed, for rows of domain degree <= top."""
+        """Widen the codes, if needed, for rows of domain degree <= top;
+        widening drops every stage fed so far, for `_feed` to feed again."""
         reach = top + self._rise
-        if self._codes.covers(reach):
-            return
-        old = self._codes
-        # one spare bit: a ladder rising by two per rung seldom widens again
-        new = self._codes = GradedCodes(self.n, self.n, 2 * reach)
-        self._templates = {}
-        recode = {}
-        for ech in self._echelons:
-            for p in ech.pivots.values():
-                for c in p:
-                    if c not in recode:
-                        mono, mask = old.decode(c)
-                        recode[c] = new.mono(mono) | mask
-        for ech in self._echelons:
-            ech.pivots = {recode[lead]: {recode[c]: v for c, v in p.items()}
-                          for lead, p in ech.pivots.items()}
+        if not self._codes.covers(reach):
+            # one spare bit: a ladder rising by two per rung seldom widens
+            # again
+            self._restart(2 * reach)
 
     def code(self, mono, mask=0):
         """Column code of x^mono dx_mask; ValueError if it does not fit."""
@@ -168,7 +162,7 @@ class TwistedComplex:
         """
         self._fit(top)
         shift = self._codes.shift
-        # read after _fit: widening replaces the pivot dicts
+        # read after _fit: widening replaces the echelons
         below = [{}] + [ech.pivots for ech in self._echelons]
         for e in range(self._fed + 1, top + 1):
             for k, ech in enumerate(self._echelons):

@@ -4,6 +4,8 @@ import random
 import string
 
 from dworklab import dsl
+from dworklab import terms as T
+from dworklab.geometry import FuncName, FuncPull, SubName, SubPre, SubRed
 
 _KEYWORDS = {
     "variety", "bundle", "fourierpair", "morphism", "product", "fiberproduct",
@@ -38,8 +40,8 @@ def _mexpr(rng, depth=0):
 
 def _fexpr(rng, depth=0):
     if depth < 2 and rng.random() < 0.4:
-        return dsl.FPull(_fexpr(rng, depth + 1), _mexpr(rng))
-    return dsl.FName(_name(rng))
+        return FuncPull(_fexpr(rng, depth + 1), _mexpr(rng))
+    return FuncName(_name(rng))
 
 
 def _sexpr(rng, depth=0):
@@ -48,36 +50,36 @@ def _sexpr(rng, depth=0):
         if r < 0.2:
             return dsl.SCap(_sexpr(rng, depth + 1), _sexpr(rng, depth + 1))
         if r < 0.35:
-            return dsl.SPre(_mexpr(rng), _sexpr(rng, depth + 1))
+            return SubPre(_mexpr(rng), _sexpr(rng, depth + 1))
         if r < 0.45:
-            return dsl.SRed(_sexpr(rng, depth + 1))
-    return dsl.SName(_name(rng))
+            return SubRed(_sexpr(rng, depth + 1))
+    return SubName(_name(rng))
 
 
 def _dexpr(rng, depth=0):
     if depth >= 3:
-        return rng.choice((dsl.DStruct(_name(rng)), dsl.DRef(_name(rng))))
+        return rng.choice((T.Struct(_name(rng)), dsl.DRef(_name(rng))))
     roll = rng.randrange(10)
     if roll == 0:
-        out = dsl.DStruct(_name(rng))
+        out = T.Struct(_name(rng))
     elif roll == 1:
-        out = dsl.DExp(_name(rng), _fexpr(rng))
+        out = T.Exp(_name(rng), _fexpr(rng))
     elif roll == 2:
-        out = dsl.DTensor(_dexpr(rng, depth + 1), _dexpr(rng, depth + 1))
+        out = T.Tensor(_dexpr(rng, depth + 1), _dexpr(rng, depth + 1))
     elif roll == 3:
-        out = dsl.DETensor(_dexpr(rng, depth + 1), _dexpr(rng, depth + 1))
+        out = T.ETensor(_dexpr(rng, depth + 1), _dexpr(rng, depth + 1))
     elif roll == 4:
-        out = dsl.DOpb(_mexpr(rng), _dexpr(rng, depth + 1))
+        out = T.Opb(_mexpr(rng), _dexpr(rng, depth + 1))
     elif roll == 5:
-        out = dsl.DOim(_mexpr(rng), _dexpr(rng, depth + 1))
+        out = T.Oim(_mexpr(rng), _dexpr(rng, depth + 1))
     elif roll == 6:
-        out = dsl.DRGamma(_sexpr(rng), _dexpr(rng, depth + 1))
+        out = T.RGamma(_sexpr(rng), _dexpr(rng, depth + 1))
     elif roll == 7:
-        out = dsl.DFourier(_name(rng), _dexpr(rng, depth + 1))
+        out = T.Fourier(_name(rng), _dexpr(rng, depth + 1))
     else:
         out = dsl.DRef(_name(rng))
     if rng.random() < 0.25:
-        out = dsl.DShift(out, rng.randint(-4, 4))
+        out = T.Shift(out, rng.randint(-4, 4))
     return out
 
 

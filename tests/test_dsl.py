@@ -7,6 +7,7 @@ import random
 import pytest
 
 from dworklab import dsl
+from dworklab import terms as T
 from dworklab.certificates import check_certificate
 from dworklab.cli import main
 from dworklab.errors import ParseError
@@ -151,7 +152,7 @@ def test_negative_shift_round_trip():
     text = "variety X dim 1;\ngoal g : O[X][-2] ~ O[X][3];\n"
     doc = dsl.parse_script(text)
     goal = doc.statements[-1]
-    assert goal.lhs == dsl.DShift(dsl.DStruct("X"), -2)
+    assert goal.lhs == T.Shift(T.Struct("X"), -2)
     assert dsl.parse_script(dsl.render_script(doc)) == doc
 
 
@@ -218,3 +219,50 @@ def test_docgen_never_draws_a_keyword_as_a_name():
     keywords = stmts | forms | set(dsl._BINDING_SORTS)
     assert stmts and forms
     assert keywords <= docgen._KEYWORDS, sorted(keywords - docgen._KEYWORDS)
+
+
+def _reparsed(text, key=None):
+    """The expression `text` spells, read as a term side or, given a step
+    binding key, as that binding's value."""
+    parser = dsl._Parser(text)
+    out = parser.expr("D") if key is None else parser._binding_value(key)
+    assert parser.peek().kind == "eof", text
+    return out
+
+
+def test_bound_expressions_round_trip_through_text(suite):
+    # bound -> text -> bound: each goal side, lemma side and step binding
+    # of every built-in certificate binds back to itself
+    contexts, certs = suite
+    sides = bindings = 0
+    for key, cert in certs:
+        ctx = contexts[key]
+        for x in [cert.goal_lhs, cert.goal_rhs,
+                  *[side for lem in cert.lemmas for side in (lem.lhs, lem.rhs)]]:
+            assert dsl.bind_expr(ctx, _reparsed(dsl.render_expr(x))) == x, \
+                dsl.render_expr(x)
+            sides += 1
+        for st in cert.steps:
+            for k, v in st.bindings.items():
+                assert dsl.bind_expr(ctx, _reparsed(dsl.render_expr(v), k)) \
+                    == v, (k, dsl.render_expr(v))
+                bindings += 1
+    # lemma sides and step bindings are both exercised
+    assert sides > 2 * len(certs) and bindings
+
+
+def test_every_bound_form_round_trips_through_text(collapse_text):
+    # the built-in certificates bind no cap, preimage, reduction or
+    # exterior tensor; EVERY_FORM binds each of them
+    doc = dsl.parse_script(collapse_text + EVERY_FORM)
+    ctx = dsl.bind_script(doc).ctx
+    for st in doc.statements:
+        if isinstance(st, dsl.LemmaDecl):
+            for side in (st.lhs, st.rhs):
+                x = dsl.bind_expr(ctx, side)
+                assert dsl.bind_expr(ctx, _reparsed(dsl.render_expr(x))) == x
+        elif isinstance(st, dsl.StepDecl):
+            for k, v in st.bindings:
+                x = dsl.bind_expr(ctx, v)
+                assert dsl.bind_expr(ctx, _reparsed(dsl.render_expr(x), k)) \
+                    == x, k

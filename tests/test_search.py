@@ -3,6 +3,8 @@
 import dataclasses
 import time
 
+import pytest
+
 from dworklab import rules, search
 from dworklab.certificates import ProofStep, check_certificate, get_certificate
 from dworklab.dsl import load_script
@@ -11,6 +13,7 @@ from dworklab.geometry import SubName
 from dworklab.rules import Moves, apply_step
 from dworklab.search import prove
 from dworklab.terms import (
+    Fourier,
     Oim,
     Opb,
     RGamma,
@@ -153,25 +156,89 @@ def _assert_reference_successors(table, term, well_formed=None):
         serialize(term)
 
 
-def test_move_table_gives_the_reference_successors(suite, collapse_text,
-                                                   monkeypatch):
-    expanded = []
+@pytest.fixture(scope="module")
+def expanded(suite, collapse_text):
+    """(table, term, well-formed) for every term the searches of `_goals`
+    expand, in order."""
+    out = []
     real = search._successors
 
     def recording(table, term, seen, forward=True, well_formed=True):
-        expanded.append((table, term, well_formed))
+        out.append((table, term, well_formed))
         return real(table, term, seen, forward, well_formed)
 
-    monkeypatch.setattr(search, "_successors", recording)
-    for _name, ctx, lhs, rhs, depth, cert in _goals(suite, collapse_text):
-        _search(ctx, lhs, rhs, depth, cert)
-    monkeypatch.undo()
+    search._successors = recording
+    try:
+        for _name, ctx, lhs, rhs, depth, cert in _goals(suite, collapse_text):
+            _search(ctx, lhs, rhs, depth, cert)
+    finally:
+        search._successors = real
+    return out
+
+
+def test_move_table_gives_the_reference_successors(expanded):
     # the wrapped goal sides of the closure retries are ill-formed here,
     # so the whole-term fallback is exercised too
     assert not all(wf for _t, _term, wf in expanded)
     assert len(expanded) > 800
     for table, term, well_formed in expanded:
         _assert_reference_successors(table, term, well_formed)
+
+
+def _every_bundle_offers(moves, sub):
+    """R16 and R17 offered as they first were: forward at every pushforward
+    or pullback and R17 backward at every pushforward of a transform, once
+    per declared bundle; R16 backward at a transform of a pullback."""
+    bundles = moves.names["bundle"]
+    if isinstance(sub, Oim):
+        yield from (("R16", "fwd", {"bundle": b}) for b in bundles)
+    elif isinstance(sub, Fourier) and isinstance(sub.arg, Opb):
+        yield "R16", "bwd", {"bundle": sub.bundle}
+    if isinstance(sub, Opb):
+        yield from (("R17", "fwd", {"bundle": b}) for b in bundles)
+    elif isinstance(sub, Oim) and isinstance(sub.arg, Fourier):
+        yield from (("R17", "bwd", {"bundle": b}) for b in bundles)
+
+
+def _accepted(table, sub, offers):
+    """The offers `rewrite` accepts at `sub`, with what each gives, and the
+    number it refuses."""
+    out, refused = [], 0
+    for rule, d, b in offers:
+        try:
+            new, delta = rules.rewrite(table.ctx, sub, rule, d, b,
+                                       **table.gates)
+        except RuleError:
+            refused += 1
+        else:
+            out.append((rule, d, b, serialize(new), delta))
+    return out, refused
+
+
+def test_r16_r17_offer_exactly_the_moves_they_accept(expanded):
+    # offering R16/R17 only along a dual zero section or at a transform
+    # along the dual drops refusals and no accepted move, in order
+    seen = set()
+    refused_before = refused_now = accepted = 0
+    for table, term, _wf in expanded:
+        enabled = {name for name, _enum in table.moves.rules} & {"R16", "R17"}
+        core, _k = split_shift(term)
+        for _path, sub in subterms(core):
+            key = (id(table), serialize(sub))
+            if key in seen:
+                continue
+            seen.add(key)
+            now = [move for move, _undo in table.moves(sub)
+                   if move[0] in enabled]
+            before = [move for move in _every_bundle_offers(table.moves, sub)
+                      if move[0] in enabled]
+            want, refused = _accepted(table, sub, before)
+            got, still_refused = _accepted(table, sub, now)
+            assert got == want, serialize(sub)
+            refused_before += refused
+            refused_now += still_refused
+            accepted += len(got)
+    assert accepted and refused_now < refused_before
 
 
 def test_search_work_is_pinned(suite, collapse_text):

@@ -105,8 +105,8 @@ def test_cech_codes_follow_the_graded_order():
 
 def test_twisted_widening_keeps_every_rung():
     """A complex sized by a low rung and then asked for one that needs
-    wider codes re-keys its pivots and still answers every cutoff, above
-    and below, as fresh complexes and the oracle do."""
+    wider codes feeds its stages again and still answers every cutoff,
+    above and below, as fresh complexes and the oracle do."""
     F = parse_poly("x*y", XY)
     cx = TwistedComplex(F)
     cx.rung(3)
