@@ -11,7 +11,7 @@ from dworklab.weyl.poly import poly_to_str, MultiPoly
 from dworklab.weyl.twisted import TwistedComplex, twisted_cohomology
 
 F = parse_poly("y*(x^2-1)", ("x", "y"))
-cx = TwistedComplex(F)
+cx = TwistedComplex(F, d_max=4)
 print(f"F = {poly_to_str(F, ('x', 'y'))}, twist d + dF^")
 
 NAMES = {0: "1", 1: "dx", 2: "dy", 3: "dx^dy"}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import GeometryError, TermError, RuleError
 from .geometry import (
-    EMBEDDING_KINDS,
+    CLOSED_EMBEDDING_KINDS,
     FuncName,
     FuncPull,
     GeometryContext,
@@ -118,7 +118,7 @@ def _wrap_closure(ctx, closure, term):
     atom = ctx.atoms.get(closure.morphism)
     if atom is None:
         raise GeometryError(f"unknown map {closure.morphism!r}")
-    if atom.kind not in EMBEDDING_KINDS or atom.kind == "open":
+    if atom.kind not in CLOSED_EMBEDDING_KINDS:
         raise GeometryError(f"{closure.morphism} is not a closed embedding")
     if closure.kind != "kashiwara":
         raise GeometryError(f"unknown closure kind {closure.kind!r}")

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 falsified/invalid, 2 input error, 3 inconclusive.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from dataclasses import replace
@@ -185,14 +184,7 @@ def cmd_dwork_check(args):
             return _fail_input(f"constant polynomial {t!r} cuts out nothing")
     d_max = args.d_max
     if d_max is None:
-        env = os.environ.get("DWORK_DMAX")
-        if env is not None:
-            try:
-                d_max = int(env)
-            except ValueError:
-                return _fail_input(f"DWORK_DMAX={env!r} is not an integer")
-        else:
-            d_max = 30 if n + len(fs) <= 3 else 16
+        d_max = 30 if n + len(fs) <= 3 else 16
     # the twisted ladder starts at --window, else at deg(sum y_i f_i) + 1
     first = (args.window if args.window is not None
              else max(f.degree() for f in fs) + 2)

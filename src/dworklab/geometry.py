@@ -15,6 +15,8 @@ from .errors import GeometryError
 
 # atom kinds that are (locally) closed embeddings
 EMBEDDING_KINDS = {"closed", "open", "section", "zero-section", "diagonal", "graph"}
+# closed embeddings: every embedding kind but the open immersion
+CLOSED_EMBEDDING_KINDS = EMBEDDING_KINDS - {"open"}
 
 # hard cap on declared-identity rewriting; identities are user input and can
 # loop, and a stalled normal form is harmless where a hang is not

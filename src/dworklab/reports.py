@@ -131,10 +131,10 @@ def validation_text(rep, verbose=True):
     return "\n".join(lines) + "\n"
 
 
-def paper_text(rep, verbose=False):
+def paper_text(rep):
     lines = []
     for sub in rep.reports:
-        lines.append(validation_text(sub, verbose=verbose).rstrip("\n"))
+        lines.append(validation_text(sub, verbose=False).rstrip("\n"))
     for note in rep.lemma_notes:
         how = (f"discharged via {', '.join(note.via)}"
                if note.discharged else "NOT discharged")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .errors import GeometryError, RuleError, TermError
 from .geometry import (
-    EMBEDDING_KINDS,
+    CLOSED_EMBEDDING_KINDS,
     FuncName,
     FuncPull,
     Morphism,
@@ -354,7 +354,7 @@ def _r10_center(ctx, mode, m):
         raise Fail("embedding must normalize to a declared atom")
     j = n.atoms[0]
     atom = ctx.atoms[j]
-    if atom.kind not in EMBEDDING_KINDS or atom.kind == "open":
+    if atom.kind not in CLOSED_EMBEDDING_KINDS:
         raise Fail(f"{j} is not a closed embedding")
     name = ctx.images.get(j)
     if name is None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .certificates import Closure, ProofStep
 from .errors import RuleError, TermError
-from .geometry import EMBEDDING_KINDS
+from .geometry import CLOSED_EMBEDDING_KINDS
 # `apply_step` is not called here; tracing tools look it up on this module
 from .rules import Moves, apply_step, rewrite  # noqa: F401
 from .terms import (
@@ -226,7 +226,7 @@ def prove(ctx, lhs, rhs, max_depth=6, mode="strict-smooth", allowed_strata=1,
     if steps is not None:
         return SearchResult(True, steps, None, total, len(steps))
     wrappers = [a.name for a in ctx.atoms.values()
-                if a.kind in EMBEDDING_KINDS and a.kind != "open"][:8]
+                if a.kind in CLOSED_EMBEDDING_KINDS][:8]
     for name in wrappers:
         j = ctx.composite(name)
         steps, n = _mitm(table, Oim(j, lhs), Oim(j, rhs), max_depth)

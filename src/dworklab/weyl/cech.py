@@ -21,7 +21,7 @@ window(P + 1, D + maxdeg + 1) of rung t.  The U echelon of grade q is
 therefore fed the monomials inside the next window first, and its size
 and lead set at that point are the kernel rank and lead set of rung
 t + 1, which then builds no kernel row at all.  Rung 0, a rung asked
-for out of order or after the codes widened, and a constant section
+for out of order, and a constant section
 (maxdeg 0, step 2 > maxdeg + 1) eliminate a fresh kernel instead.  The
 top grade n + r − 1 (the full piece with every dx) has differential
 zero, so its kernel is its whole window and no row of it is built.
@@ -49,19 +49,18 @@ of reach at every rung.
 
 Columns (I, x^mono, dx_mask) are `linalg.GradedCodes` integers with
 piece_index[I] << n | mask in the low bits, so integer order is (degree,
-mono, piece, mask).  The digit width W is the bit length of a bound on
-the largest exponent any row built so far can reach: a pole-p row of
-degree e reaches at most e + p·max deg f_i + deg g, and a rung's widest
-rows are its image rows at pole P + 1.  Each rung (and each `diff_row`
-called on its own) fits W, with one spare bit, before it builds
-anything, so the codes never widen inside a rung and seldom between two
-consecutive ones; widening drops the templates and the carried lead
-sets.  Rows are built from one template per (I, mask, pole): the
--pole·dg_I[j] and Čech terms merged into one part of code offsets, plus
-a g_I part per variable j scaled by mono[j].  A row is the template
-shifted by code(mono); the scaled parts can meet the merged one, so they
-are added entry by entry.  The embedded window rows shift the terms of
-g_I², formed once per piece, the same way.
+mono, piece, mask).  A complex has one width, chosen in `__init__` from
+the rung cap `t_max` its ladder takes: a pole-p row of degree e reaches
+exponents at most e + p·max deg f_i + deg g, a rung's widest rows are its
+image rows at pole P + 1, and W is the bit length of that bound at rung
+t_max.  Every code, template and carried lead set is valid for the life
+of the complex, and a rung or row beyond the cap raises ValueError.
+Rows are built from one template per (I, mask, pole): the -pole·dg_I[j]
+and Čech terms merged into one part of code offsets, plus a g_I part per
+variable j scaled by mono[j].  A row is the template shifted by
+code(mono); the scaled parts can meet the merged one, so they are added
+entry by entry.  The embedded window rows shift the codes of the terms
+of g_I², formed once per complex, the same way.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ def _int_terms(p):
 
 
 class CechDeRham:
-    def __init__(self, fs):
+    def __init__(self, fs, t_max):
         if not fs:
             raise ValueError("need at least one polynomial")
         self.n = fs[0].nvars
@@ -99,7 +98,7 @@ class CechDeRham:
         self.g = {}
         self.g_int = {}
         self.dg = {}
-        self.squares = {}
+        squares = {}
         for I in self.pieces:
             gI = MultiPoly.constant(self.n, 1)
             for i in I:
@@ -107,27 +106,34 @@ class CechDeRham:
             self.g[I] = gI
             self.g_int[I] = _int_terms(gI)
             self.dg[I] = [_int_terms(gI.diff(j)) for j in range(self.n)]
-            self.squares[I] = _int_terms(gI * gI)
+            squares[I] = _int_terms(gI * gI)
         self.maxdeg = max(f.degree() for f in self.fs)
         self._gdeg = max(g.degree() for g in self.g.values())
         self._pole_cache = {}
         self._codes = GradedCodes(
-            self.n, self.n + (len(self.pieces) - 1).bit_length(), 0)
+            self.n, self.n + (len(self.pieces) - 1).bit_length(),
+            self._rung_reach(t_max))
         self._templates = {}
-        # (next rung, codes, {grade: (kernel rank, kernel leads)})
+        # g_I² as (code offset, coefficient) pairs, for the embedded rows
+        self._embed = {I: [(self._codes.mono(m), c) for m, c in sq.items()]
+                       for I, sq in squares.items()}
+        # (next rung, {grade: (kernel rank, kernel leads)})
         self._carry = None
 
     def _reach(self, deg, pole):
         """Bound on the exponents of a pole-`pole` row of degree `deg`."""
         return deg + pole * self.maxdeg + self._gdeg
 
-    def _fit(self, top):
-        """Widen the codes, if needed, for exponents up to `top`."""
+    def _rung_reach(self, t):
+        """Bound on the exponents of rung t's rows: its image rows at pole
+        P + 1 are the widest it builds."""
+        P, D = self.schedule(t)
+        return self._reach((P + 1) * self._gdeg + D + self.maxdeg + 1, P + 1)
+
+    def _check(self, top):
+        """ValueError unless exponents <= top are under the cap."""
         if not self._codes.covers(top):
-            # one spare bit, so a ladder seldom widens between rungs and
-            # loses the lead sets it carries
-            self._codes = GradedCodes(self.n, self._codes.low, 2 * top)
-            self._templates = {}
+            raise ValueError(f"exponent bound {top} is above the cap")
 
     def code(self, I, mono, mask):
         """Column code of (I, x^mono, dx_mask); ValueError if it does not
@@ -187,7 +193,7 @@ class CechDeRham:
 
     def diff_row(self, I, mono, mask, pole):
         """Total differential of x^mono/g_I^pole dx_mask, at pole + 1."""
-        self._fit(self._reach(sum(mono), pole))
+        self._check(self._reach(sum(mono), pole))
         merged, scaled = self._template(I, mask, pole)
         base = self._codes.mono(mono)
         row = {base + off: c for off, c in merged}
@@ -228,13 +234,11 @@ class CechDeRham:
         # unless every f_i is constant (step 2 > maxdeg + 1)
         D_next = self.schedule(t + 1)[1]
         carries = D_next <= D_img
-        # the image rows are the widest this rung builds
-        self._fit(self._reach((P + 1) * self._gdeg + D_img, P + 1))
+        self._check(self._rung_reach(t))
         codes, n, index = self._codes, self.n, self.piece_index
         carry = self._carry
         # grade -> (kernel rank, kernel pivot leads) at this rung
-        kernels = (carry[2] if carry and carry[0] == t and carry[1] is codes
-                   else {})
+        kernels = carry[1] if carry and carry[0] == t else {}
         # the top grade's differential is zero
         kernels[self.n + self.r - 1] = 0, set()
         window = self._window(P, D)
@@ -248,8 +252,7 @@ class CechDeRham:
         # the U monomials of piece I inside rung t + 1's kernel window
         cut = {I: count_monomials(n, (P + 1) * self.g[I].degree()
                                   + min(D_next, D_img)) for I in self.pieces}
-        embed = {I: [(codes.mono(m), c) for m, c in sq.items()]
-                 for I, sq in self.squares.items()}
+        embed = self._embed
         dims, ahead = {}, {}
         for q in range(self.n + self.r):
             basis = window[q]
@@ -284,14 +287,14 @@ class CechDeRham:
                     base |= fields
                     ech.add({base + off: c for off, c in embed[I]})
             dims[q] = ker - (rank_u + size - len(ech))
-        self._carry = (t + 1, codes, ahead) if carries else None
+        self._carry = (t + 1, ahead) if carries else None
         return dims
 
 
 def complement_rung(fs, t):
-    return CechDeRham(fs).rung(t)
+    return CechDeRham(fs, t).rung(t)
 
 
 def complement_cohomology(fs, t_max=8):
     """Ladder the rung index until three consecutive answers agree."""
-    return ladder("complement", CechDeRham(fs).rung, range(t_max + 1))
+    return ladder("complement", CechDeRham(fs, t_max).rung, range(t_max + 1))

@@ -28,10 +28,11 @@ significant) and `fields` (the caller's part index and wedge mask) in
 the low bits.  While every exponent is below 2**W, integer order is
 (degree, exponents lexicographically, fields), the code of a product of
 monomials is the sum of their codes, and `code >> shift` is the degree.
-The caller derives W from the largest exponent it has to encode and
-asks for a wider code when that grows; `mono` is the unchecked fast path
-for exponents the caller has fitted, and `encode` refuses a digit that
-would overflow into its neighbour.
+A caller builds one `GradedCodes` per complex, sized from the largest
+exponent its cap lets a row reach, and keeps it: W never changes, so a
+code stays valid for the complex's life.  `covers` is the caller's check
+against that cap, `mono` the unchecked fast path for exponents under it,
+and `encode` refuses a digit that would overflow into its neighbour.
 """
 
 from __future__ import annotations
@@ -92,20 +93,21 @@ def rank(rows):
 
 class GradedCodes:
     """Graded integer codes for `nvars` exponents plus `low` field bits,
-    wide enough for every exponent <= `top` (see the module docstring)."""
+    sized for every exponent <= `top` (see the module docstring)."""
 
-    __slots__ = ("nvars", "low", "width", "shift", "_digits")
+    __slots__ = ("nvars", "low", "top", "width", "shift", "_digits")
 
     def __init__(self, nvars, low, top):
         self.nvars = nvars
         self.low = low
+        self.top = top
         self.width = max(top, 1).bit_length()
         self._digits = nvars * self.width
         self.shift = self._digits + low
 
     def covers(self, top):
-        """True if every exponent <= `top` fits in one digit."""
-        return top >> self.width == 0
+        """True if exponents <= `top` are within the size cap."""
+        return top <= self.top
 
     def mono(self, mono):
         """Code of x^mono with zero fields, unchecked."""

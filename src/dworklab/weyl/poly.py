@@ -94,8 +94,9 @@ class MultiPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def diff(self, j):

@@ -8,24 +8,23 @@ D and computes the kernel there.  The image comes from the slacked
 domain (degree <= D + deg F + 1) and is intersected with the window.
 
 Columns x^mono dx_mask are `linalg.GradedCodes` integers with the mask in
-the low n bits, so integer order is (degree, mono, mask).  The digit
-width W is the bit length of the largest exponent a row of the highest
-domain degree asked for so far can reach (that degree + deg F - 1); when
-a later rung or call needs more, the complex widens once and drops its
-echelons, as `CechDeRham` drops its carry; the next rung feeds the same
-stages again, in the same order, under the new codes.  A code is valid
-until the next widening.  Rows are built from one template per mask: the
-dF_j terms as code offsets, plus one offset per variable j scaled by
-mono[j] (the d term).  A row of x^mono dx_mask is then the template
-shifted by code(mono); no two of its terms share a column.
+the low n bits, so integer order is (degree, mono, mask).  A complex has
+one width, chosen in `__init__` from the cutoff cap `d_max` its ladder
+takes: W is the bit length of the largest exponent a row of the highest
+domain degree, d_max + slack, can reach (that degree + deg F - 1).  Every
+code is valid for the life of the complex, and asking for rows, a row or
+a rung beyond the cap raises ValueError.  Rows are built from one
+template per mask: the dF_j terms as code offsets, plus one offset per
+variable j scaled by mono[j] (the d term).  A row of x^mono dx_mask is
+then the template shifted by code(mono); no two of its terms share a
+column.
 
-A complex keeps one incremental echelon per form degree k until its codes
-widen.  Rows are fed in increasing domain degree e (the stage), each
-degree once, and every new pivot records its stage and the degree of
-its lead column, which is the row's largest graded column.  Pivots are
-never replaced, so a rung at any cutoff D, rising or falling, eliminates
-nothing new beyond the degrees it is the first to need; it reads two
-counts:
+A complex keeps one incremental echelon per form degree k.  Rows are fed
+in increasing domain degree e (the stage), each degree once, and every
+new pivot records its stage and the degree of its lead column, which is
+the row's largest graded column.  Pivots are never replaced, so a rung
+at any cutoff D <= d_max, rising or falling, eliminates nothing new
+beyond the degrees it is the first to need; it reads two counts:
 
 * the kernel in grade k is dom - #{grade-k pivots of stage <= D};
 * dim(image ∩ window) in grade k is #{grade-(k-1) pivots of stage
@@ -65,7 +64,7 @@ def _row(base, mono, template):
 
 
 class TwistedComplex:
-    def __init__(self, F):
+    def __init__(self, F, d_max):
         if F.is_zero():
             raise ValueError("zero twist")
         self.F = F
@@ -76,25 +75,18 @@ class TwistedComplex:
         self.slack = F.degree() + 1
         # how far a dF term raises an exponent
         self._rise = max(F.degree() - 1, 0)
-        self._restart(0)
-
-    def _restart(self, reach):
-        """Start over, with nothing fed, on codes for exponents <= reach."""
-        self._codes = GradedCodes(self.n, self.n, reach)
+        self._codes = GradedCodes(self.n, self.n,
+                                  d_max + self.slack + self._rise)
         self._templates = {}
         # top forms are closed, so grade n has no rows and no echelon
         self._echelons = [Echelon() for _ in range(self.n)]
         self._leads = [[] for _ in range(self.n + 1)]  # (stage, lead degree)
         self._fed = -1
 
-    def _fit(self, top):
-        """Widen the codes, if needed, for rows of domain degree <= top;
-        widening drops every stage fed so far, for `_feed` to feed again."""
-        reach = top + self._rise
-        if not self._codes.covers(reach):
-            # one spare bit: a ladder rising by two per rung seldom widens
-            # again
-            self._restart(2 * reach)
+    def _check(self, top):
+        """ValueError unless domain degrees <= top are under the cap."""
+        if not self._codes.covers(top + self._rise):
+            raise ValueError(f"domain degree {top} is above the cap")
 
     def code(self, mono, mask=0):
         """Column code of x^mono dx_mask; ValueError if it does not fit."""
@@ -126,13 +118,13 @@ class TwistedComplex:
     def apply(self, mono, mask):
         """L times the differential on the basis element x^mono dx_mask,
         keyed by column code."""
-        self._fit(sum(mono))
+        self._check(sum(mono))
         return _row(self._codes.mono(mono), mono, self._template(mask))
 
     def rows(self, k, hi, lo=0, *, exclude=()):
         """Nonzero grade-k rows of basis degrees lo..hi, in degree order,
         leaving out the basis elements whose codes are in `exclude`."""
-        self._fit(hi)
+        self._check(hi)
         masks = masks_of_degree(self.n, k)
         mono_code = self._codes.mono
         out = []
@@ -160,9 +152,8 @@ class TwistedComplex:
         a lead set fixed by its span: every (stage, lead degree) record,
         and so every rung, is what feeding every row would give.
         """
-        self._fit(top)
+        self._check(top)
         shift = self._codes.shift
-        # read after _fit: widening replaces the echelons
         below = [{}] + [ech.pivots for ech in self._echelons]
         for e in range(self._fed + 1, top + 1):
             for k, ech in enumerate(self._echelons):
@@ -188,10 +179,11 @@ class TwistedComplex:
 
 
 def twisted_rung(F, D):
-    return TwistedComplex(F).rung(D)
+    return TwistedComplex(F, D).rung(D)
 
 
 def twisted_cohomology(F, d0=None, d_max=20):
     """Ladder the window cutoff until three consecutive rungs agree."""
     first = d0 if d0 is not None else F.degree() + 1
-    return ladder("twisted", TwistedComplex(F).rung, range(first, d_max + 1, 2))
+    return ladder("twisted", TwistedComplex(F, d_max).rung,
+                  range(first, d_max + 1, 2))

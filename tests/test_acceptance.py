@@ -165,13 +165,12 @@ def _decoded(cx, row):
 
 
 def _twisted_square_is_zero(F, D):
-    cx = TwistedComplex(F)
+    cx = TwistedComplex(F, D)
     bound = max(D - 2 * F.degree(), 0)
     for k in range(cx.n):
         for mask in masks_of_degree(cx.n, k):
             for mono in graded_monomials(cx.n, bound):
                 out = {}
-                # decoded at once: a later apply may widen the codes
                 for (m2, mask2), c in _decoded(cx,
                                                cx.apply(mono, mask)).items():
                     for col, c2 in _decoded(cx, cx.apply(m2, mask2)).items():
@@ -214,7 +213,7 @@ def test_exactness_at_every_truncation():
             ok = ok and _twisted_square_is_zero(F, D)
             ok = ok and all(v >= 0 for v in dims.values())
         comp = complement_cohomology(fs)
-        cx = CechDeRham(fs)
+        cx = CechDeRham(fs, comp.rungs[-1][0])
         ok = ok and comp.stabilized
         for t, dims in comp.rungs:
             ok = ok and _cech_square_is_zero(cx, t)

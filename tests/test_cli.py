@@ -197,21 +197,6 @@ def test_dwork_check_inconclusive(capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
-def test_dwork_check_env_cap(monkeypatch, capsys):
-    monkeypatch.setenv("DWORK_DMAX", "4")
-    assert main(["dwork-check", "--f", "x^2-1"]) == 3
-    capsys.readouterr()
-    # below the first cutoff (deg(y*(x^2-1)) + 1 = 4) no rung can run
-    monkeypatch.setenv("DWORK_DMAX", "2")
-    assert main(["dwork-check", "--f", "x^2-1"]) == 2
-    assert "below the first cutoff" in capsys.readouterr().err
-    # an explicit flag beats the environment default
-    assert main(["dwork-check", "--f", "x^2-1", "--d-max", "20"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("DWORK_DMAX", "soon")
-    assert main(["dwork-check", "--f", "x^2-1"]) == 2
-
-
 def test_dwork_check_window_flag(capsys):
     assert main(["dwork-check", "--f", "x", "--window", "5"]) == 0
     data_argv = ["dwork-check", "--f", "x", "--window", "5",

@@ -68,12 +68,12 @@ def test_rungs_after_a_ladder(texts, names):
     each rung as a fresh complex and the oracle do."""
     fs = _polys(texts, names)
     terms = [f.terms for f in fs]
-    cx = CechDeRham(fs)
+    cx = CechDeRham(fs, 3)
     want = {}
     for t in (0, 1, 2, 3, 1, 3, 0):
         if t not in want:
             want[t] = oracles.oracle_complement_rung(terms, cx.n, t)
-        assert cx.rung(t) == CechDeRham(fs).rung(t) == want[t]
+        assert cx.rung(t) == complement_rung(fs, t) == want[t]
 
 
 def _grade(I, mask):
@@ -104,7 +104,7 @@ def _rung_counting(monkeypatch, cx, t):
 def test_ladder_carries_kernels_and_skips_dependent_rows(monkeypatch):
     """Rung 1 after rung 0 builds no pole-P kernel row, and leaves out U
     rows whose basis element leads a grade-(q-2) kernel pivot."""
-    cx = CechDeRham(_polys(["x", "y"], XY))
+    cx = CechDeRham(_polys(["x", "y"], XY), 1)
     cx.rung(0)
     _dims, built, added = _rung_counting(monkeypatch, cx, 1)
     P, D = cx.schedule(1)
@@ -121,26 +121,10 @@ def test_ladder_carries_kernels_and_skips_dependent_rows(monkeypatch):
     assert fed_u < size_u
 
 
-def test_widening_between_rungs_drops_the_carry(monkeypatch):
-    """Carried lead sets are codes of the old width: once a `diff_row`
-    call widens the codes, the next rung eliminates fresh kernels."""
-    fs = _polys(["x", "y"], XY)
-    cx = CechDeRham(fs)
-    cx.rung(0)
-    width = cx._codes.width
-    cx.diff_row(cx.pieces[0], (1 << width, 0), 0, 1)
-    assert cx._codes.width > width
-    dims, built, _added = _rung_counting(monkeypatch, cx, 1)
-    P = cx.schedule(1)[0]
-    assert any(pole == P and _grade(I, mask) < cx.n + cx.r - 1
-               for I, mask, pole in built)
-    assert dims == CechDeRham(fs).rung(1)
-
-
 @pytest.mark.parametrize("texts,names", [(["(x^2-1)^3"], X), (["x", "y"], XY)])
 def test_embedded_window_rows_are_independent(texts, names):
     # the rung counts rank W as |W|: g_I^2 * x^mono over one grade's window
-    cx = CechDeRham(_polys(texts, names))
+    cx = CechDeRham(_polys(texts, names), 1)
     for t in (0, 1):
         P, D = cx.schedule(t)
         grades = {}
@@ -156,11 +140,10 @@ def test_embedded_window_rows_are_independent(texts, names):
 
 @pytest.mark.parametrize("texts,names", [(["x^2-1"], X), (["x", "y"], XY)])
 def test_total_differential_squares_to_zero(texts, names):
-    cx = CechDeRham(_polys(texts, names))
+    cx = CechDeRham(_polys(texts, names), 1)
     for t in (0, 1):
         P, D = cx.schedule(t)
         for I, mono, mask in cx.window_basis(P, D):
-            # decoded at once: a later diff_row may widen the codes
             row = _decoded(cx, cx.diff_row(I, mono, mask, P))
             out = {}
             for (J, m2, mask2), c in row.items():
@@ -184,18 +167,18 @@ def test_connected_cover_has_one_unit_class_per_rung():
 
 
 def test_piece_enumeration():
-    cx = CechDeRham(_polys(["x", "y"], XY))
+    cx = CechDeRham(_polys(["x", "y"], XY), 0)
     assert cx.pieces == [(0,), (1,), (0, 1)]
     assert cx.g[(0, 1)].terms == {(1, 1): Fraction(1)}
 
 
 def test_bad_inputs_rejected():
     with pytest.raises(ValueError):
-        CechDeRham([])
+        CechDeRham([], 0)
     with pytest.raises(ValueError):
-        CechDeRham(_polys(["x", "0"], XY))
+        CechDeRham(_polys(["x", "0"], XY), 0)
     with pytest.raises(ValueError):
-        CechDeRham([parse_poly("x", X), parse_poly("x*y", XY)])
+        CechDeRham([parse_poly("x", X), parse_poly("x*y", XY)], 0)
 
 
 def test_ladder_can_give_up():

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from dworklab import parse_poly
-from dworklab.weyl.cech import CechDeRham
+from dworklab.weyl.cech import CechDeRham, complement_rung
 from dworklab.weyl.linalg import Echelon
-from dworklab.weyl.twisted import TwistedComplex
+from dworklab.weyl.twisted import TwistedComplex, twisted_rung
 
 import oracles
 
@@ -53,9 +53,10 @@ def _random_monos(rng, n, top, count):
 ])
 def test_twisted_codes_follow_the_graded_order(text, names):
     rng = random.Random(20260)
-    cx = TwistedComplex(parse_poly(text, names))
+    F = parse_poly(text, names)
+    cx = TwistedComplex(F, F.degree() + 1)
     n = cx.n
-    cx.rung(cx.F.degree() + 1)
+    cx.rung(F.degree() + 1)
     top = _top_exponent(cx.code, n, (0,))
     assert top & (top + 1) == 0  # a digit uses its whole width
     for j in range(n):
@@ -78,7 +79,7 @@ def test_twisted_codes_follow_the_graded_order(text, names):
 
 def test_cech_codes_follow_the_graded_order():
     rng = random.Random(20261)
-    cx = CechDeRham([parse_poly(t, XY) for t in ("x", "y", "x-y^2")])
+    cx = CechDeRham([parse_poly(t, XY) for t in ("x", "y", "x-y^2")], 0)
     n, first = cx.n, cx.pieces[0]
     cx.rung(0)
     top = _top_exponent(lambda mono: cx.code(first, mono, 0), n, ())
@@ -103,31 +104,30 @@ def test_cech_codes_follow_the_graded_order():
                 == cx.code(I, product, mask))
 
 
-def test_twisted_widening_keeps_every_rung():
-    """A complex sized by a low rung and then asked for one that needs
-    wider codes feeds its stages again and still answers every cutoff,
-    above and below, as fresh complexes and the oracle do."""
+def test_codes_are_sized_once_from_the_cap():
+    """Each complex builds its codes once, from its ladder's cap.  After
+    every rung up to the cap, in order and then out of order, it still
+    holds them and agrees with fresh complexes and the oracle; a rung
+    above the cap is refused and leaves the complex as it was."""
     F = parse_poly("x*y", XY)
-    cx = TwistedComplex(F)
-    cx.rung(3)
-    narrow = _top_exponent(cx.code, cx.n, (0,))
-    cx.rung(13)
-    assert _top_exponent(cx.code, cx.n, (0,)) > narrow
+    tw = TwistedComplex(F, 13)
+    fs = [parse_poly("x^2-1", ("x",))]
+    cech = CechDeRham(fs, 8)
+    codes = tw._codes, cech._codes
+    for D in range(3, 14, 2):
+        tw.rung(D)
+    for t in range(9):
+        cech.rung(t)
     for D in (13, 3, 5, 9):
         want = oracles.oracle_twisted_rung(F.terms, F.nvars, D)
-        assert cx.rung(D) == TwistedComplex(F).rung(D) == want
-
-
-def test_cech_widening_keeps_every_rung():
-    fs = [parse_poly("x^2-1", ("x",))]
-    cx = CechDeRham(fs)
-    first = cx.pieces[0]
-    cx.rung(0)
-    narrow = _top_exponent(lambda mono: cx.code(first, mono, 0), cx.n, ())
-    # the spare bit covers rungs 1-7 after rung 0; rung 8 still widens
-    cx.rung(8)
-    assert _top_exponent(lambda mono: cx.code(first, mono, 0),
-                         cx.n, ()) > narrow
+        assert tw.rung(D) == twisted_rung(F, D) == want
     for t in (8, 0, 1, 2):
         want = oracles.oracle_complement_rung([fs[0].terms], 1, t)
-        assert cx.rung(t) == CechDeRham(fs).rung(t) == want
+        assert cech.rung(t) == complement_rung(fs, t) == want
+    assert tw._codes is codes[0] and cech._codes is codes[1]
+    with pytest.raises(ValueError):
+        tw.rung(15)
+    with pytest.raises(ValueError):
+        cech.rung(9)
+    assert tw.rung(13) == twisted_rung(F, 13)
+    assert cech.rung(8) == complement_rung(fs, 8)

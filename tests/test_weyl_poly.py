@@ -52,6 +52,27 @@ def test_arithmetic():
         x * MultiPoly.variable(3, 0)
 
 
+@pytest.mark.parametrize("k", [3, 16, 20])
+def test_power_builds_no_product_above_its_degree(k, monkeypatch):
+    p = parse_poly("x + y + 1", XY)
+    degrees = []
+    mul = MultiPoly.__mul__
+
+    def counted(a, b):
+        out = mul(a, b)
+        degrees.append(out.degree())
+        return out
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    got = p ** k
+    monkeypatch.undo()
+    assert max(degrees) == k * p.degree()
+    want = MultiPoly.constant(2, 1)
+    for _ in range(k):
+        want = want * p
+    assert got == want
+
+
 def test_diff_and_extend():
     p = parse_poly("x^3*y - 2*x", XY)
     assert p.diff(0) == parse_poly("3*x^2*y - 2", XY)

@@ -67,7 +67,7 @@ def test_ladder_rungs_match_reference_and_fresh_complexes(text, names,
     F = parse_poly(text, names)
     for D, dims in twisted_cohomology(F).rungs:
         assert dims == oracles.oracle_twisted_rung(F.terms, F.nvars, D)
-        assert dims == TwistedComplex(F).rung(D)
+        assert dims == twisted_rung(F, D)
 
 
 @pytest.mark.parametrize("text,names,_expected", CHEAP_CASES)
@@ -76,8 +76,9 @@ def test_stage_pivot_counts_match_ranks_of_all_rows(text, names, _expected):
     every stage it fed, as many pivots as the oracle rank of all rows up
     to that stage, the rows it left out included."""
     F = parse_poly(text, names)
-    cx = TwistedComplex(F)
-    for D, dims in twisted_cohomology(F).rungs:
+    rungs = twisted_cohomology(F).rungs
+    cx = TwistedComplex(F, rungs[-1][0])
+    for D, dims in rungs:
         assert cx.rung(D) == dims
     for k in range(cx.n + 1):
         stages = [e for e, _deg in cx._leads[k]]
@@ -101,7 +102,7 @@ def test_ladder_skips_rows_known_dependent(text, names, _expected,
         return add(ech, row)
 
     monkeypatch.setattr(Echelon, "add", counted)
-    cx = TwistedComplex(F)
+    cx = TwistedComplex(F, cutoffs[-1])
     for D in cutoffs:
         cx.rung(D)
     monkeypatch.undo()
@@ -118,20 +119,20 @@ def test_rungs_after_feeding_past_them(text, names):
     """A complex fed to a high cutoff answers lower cutoffs, in falling
     order, exactly as fresh complexes do."""
     F = parse_poly(text, names)
-    cx = TwistedComplex(F)
+    cx = TwistedComplex(F, F.degree() + 5)
     cutoffs = range(F.degree() + 5, -1, -1)
     got = [cx.rung(D) for D in cutoffs]
-    assert got == [TwistedComplex(F).rung(D) for D in cutoffs]
+    assert got == [twisted_rung(F, D) for D in cutoffs]
 
 
 @pytest.mark.parametrize("text,names", [("x*y", XY), ("y*(x^2-1/3)", XY)])
 def test_echelon_snapshots_match_prefix_ranks(text, names):
     """Fed degree by degree, the echelon's pivot count after each degree
     is the oracle rank of all rows up to that degree."""
-    cx = TwistedComplex(parse_poly(text, names))
-    D = cx.F.degree() + 3
+    F = parse_poly(text, names)
+    D = F.degree() + 3
+    cx = TwistedComplex(F, D)
     for k in range(cx.n + 1):
-        # built first, so the column codes do not widen inside the loop
         whole = cx.rows(k, D)
         ech = Echelon()
         fed = []
@@ -153,14 +154,13 @@ def test_echelon_snapshots_match_prefix_ranks(text, names):
 @pytest.mark.parametrize("text,names,_expected", CASES)
 def test_differential_squares_to_zero(text, names, _expected):
     F = parse_poly(text, names)
-    cx = TwistedComplex(F)
     res = twisted_cohomology(F)
+    cx = TwistedComplex(F, res.rungs[-1][0])
     for D, _dims in res.rungs:
         bound = D - 2 * F.degree()
         for k in range(cx.n):
             for mask in masks_of_degree(cx.n, k):
                 for mono in graded_monomials(cx.n, max(bound, 0)):
-                    # decoded at once: a later apply may widen the codes
                     row = _decoded(cx, cx.apply(mono, mask))
                     out = {}
                     for (m2, mask2), c in row.items():
@@ -179,8 +179,8 @@ def test_rank_nullity_consistency(text, names):
     """Both eliminations agree grade by grade, and the window dimension
     splits as kernel + rank everywhere (alternating-sum form included)."""
     F = parse_poly(text, names)
-    cx = TwistedComplex(F)
     D = F.degree() + 3
+    cx = TwistedComplex(F, D)
     doms, kers, ranks = [], [], []
     for k in range(cx.n + 1):
         rows = cx.rows(k, D)
@@ -208,7 +208,7 @@ def test_rung_dims_nonnegative_everywhere():
 
 def test_zero_twist_rejected():
     with pytest.raises(ValueError):
-        TwistedComplex(parse_poly("0", X))
+        TwistedComplex(parse_poly("0", X), 4)
 
 
 def test_ladder_can_give_up():
