@@ -121,6 +121,31 @@ def test_ladder_carries_kernels_and_skips_dependent_rows(monkeypatch):
     assert fed_u < size_u
 
 
+def test_widening_between_rungs_drops_the_carry(monkeypatch):
+    """Codes never widen between rungs: a `diff_row` call above the cap
+    is refused and leaves the carried kernels for the next rung, while a
+    rung that is not the next one drops the carry and eliminates fresh
+    kernels."""
+    fs = _polys(["x", "y"], XY)
+    cx = CechDeRham(fs, 2)
+    top = cx.n + cx.r - 1
+    cx.rung(0)
+    codes = cx._codes
+    with pytest.raises(ValueError):
+        cx.diff_row(cx.pieces[0], (1 << codes.width, 0), 0, 1)
+    assert cx._codes is codes
+    dims, built, _added = _rung_counting(monkeypatch, cx, 1)
+    P = cx.schedule(1)[0]
+    assert not [pole for _I, _mask, pole in built if pole == P]
+    assert dims == CechDeRham(fs, 1).rung(1)
+    cx.rung(0)
+    dims, built, _added = _rung_counting(monkeypatch, cx, 2)
+    P = cx.schedule(2)[0]
+    assert any(pole == P and _grade(I, mask) < top
+               for I, mask, pole in built)
+    assert dims == CechDeRham(fs, 2).rung(2)
+
+
 @pytest.mark.parametrize("texts,names", [(["(x^2-1)^3"], X), (["x", "y"], XY)])
 def test_embedded_window_rows_are_independent(texts, names):
     # the rung counts rank W as |W|: g_I^2 * x^mono over one grade's window

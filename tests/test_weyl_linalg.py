@@ -104,30 +104,46 @@ def test_cech_codes_follow_the_graded_order():
                 == cx.code(I, product, mask))
 
 
-def test_codes_are_sized_once_from_the_cap():
-    """Each complex builds its codes once, from its ladder's cap.  After
-    every rung up to the cap, in order and then out of order, it still
-    holds them and agrees with fresh complexes and the oracle; a rung
-    above the cap is refused and leaves the complex as it was."""
+def test_twisted_widening_keeps_every_rung():
+    """A complex sized once from its cap never widens: after a low rung
+    and then the cap's rung it holds the same codes, still answers every
+    cutoff, above and below, as fresh complexes and the oracle do, and
+    refuses a rung above the cap without changing."""
     F = parse_poly("x*y", XY)
-    tw = TwistedComplex(F, 13)
-    fs = [parse_poly("x^2-1", ("x",))]
-    cech = CechDeRham(fs, 8)
-    codes = tw._codes, cech._codes
-    for D in range(3, 14, 2):
-        tw.rung(D)
-    for t in range(9):
-        cech.rung(t)
+    cx = TwistedComplex(F, 13)
+    codes = cx._codes
+    cx.rung(3)
+    top = _top_exponent(cx.code, cx.n, (0,))
+    cx.rung(13)
+    assert cx._codes is codes
+    assert _top_exponent(cx.code, cx.n, (0,)) == top
     for D in (13, 3, 5, 9):
         want = oracles.oracle_twisted_rung(F.terms, F.nvars, D)
-        assert tw.rung(D) == twisted_rung(F, D) == want
+        assert cx.rung(D) == twisted_rung(F, D) == want
+    with pytest.raises(ValueError):
+        cx.rung(15)
+    assert cx._codes is codes
+    assert cx.rung(13) == twisted_rung(F, 13)
+
+
+def test_cech_widening_keeps_every_rung():
+    """The Čech complex likewise: one set of codes for every rung up to
+    its cap, each rung as fresh complexes and the oracle give it, and a
+    rung above the cap refused with the complex left intact."""
+    fs = [parse_poly("x^2-1", ("x",))]
+    cx = CechDeRham(fs, 8)
+    codes, first = cx._codes, cx.pieces[0]
+    cx.rung(0)
+    top = _top_exponent(lambda mono: cx.code(first, mono, 0), cx.n, ())
+    for t in range(1, 9):
+        cx.rung(t)
+    assert cx._codes is codes
+    assert _top_exponent(lambda mono: cx.code(first, mono, 0),
+                         cx.n, ()) == top
     for t in (8, 0, 1, 2):
         want = oracles.oracle_complement_rung([fs[0].terms], 1, t)
-        assert cech.rung(t) == complement_rung(fs, t) == want
-    assert tw._codes is codes[0] and cech._codes is codes[1]
+        assert cx.rung(t) == complement_rung(fs, t) == want
     with pytest.raises(ValueError):
-        tw.rung(15)
-    with pytest.raises(ValueError):
-        cech.rung(9)
-    assert tw.rung(13) == twisted_rung(F, 13)
-    assert cech.rung(8) == complement_rung(fs, 8)
+        cx.rung(9)
+    assert cx._codes is codes
+    assert cx.rung(8) == complement_rung(fs, 8)
