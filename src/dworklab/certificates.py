@@ -24,7 +24,7 @@ from .geometry import (
     GeometryContext,
     SubName,
 )
-from .rules import apply_step
+from .rules import RULES, apply_step
 from .terms import (
     Exp,
     Fourier,
@@ -462,6 +462,8 @@ class PaperReport:
     reports: list
     lemma_notes: list
     mode: str = ""
+    # certificate -> sorted rules above the strata bound; None: no bound
+    stratum_needs: dict | None = None
 
 
 def _nf_key(ctx, term):
@@ -489,10 +491,14 @@ def _discharge(ctx, pair, proven):
 
 
 def verify_paper(mode=None, allowed_strata=None):
-    """Replay the whole bundled suite and discharge every cited lemma."""
+    """Replay the whole bundled suite and discharge every cited lemma.
+
+    With a strata bound, `stratum_needs` maps each certificate whose steps
+    cite rules above the bound to those rules, sorted ({} when none do)."""
     contexts, certs = builtin_suite()
     reports = []
     notes = []
+    needs = None if allowed_strata is None else {}
     proven = []  # (nf key lhs, nf key rhs, cert name), verified certs only
     ok = True
     for key, cert in certs:
@@ -501,6 +507,11 @@ def verify_paper(mode=None, allowed_strata=None):
         reports.append(rep)
         if not rep.ok:
             ok = False
+        if needs is not None:
+            over = sorted({s.rule for s in cert.steps if s.rule in RULES
+                           and RULES[s.rule][0] > allowed_strata})
+            if over:
+                needs[cert.name] = over
         for lem in cert.lemmas:
             via = _discharge(ctx, (lem.lhs, lem.rhs),
                              [p[:3] for p in proven if p[3] is ctx])
@@ -513,4 +524,4 @@ def verify_paper(mode=None, allowed_strata=None):
             proven.append((_nf_key(ctx, cert.goal_lhs),
                            _nf_key(ctx, cert.goal_rhs), cert.name, ctx))
     return PaperReport(ok=ok, reports=reports, lemma_notes=notes,
-                       mode=mode or "per-certificate")
+                       mode=mode or "per-certificate", stratum_needs=needs)

@@ -10,11 +10,10 @@ import re
 import sys
 from dataclasses import replace
 
-from .certificates import builtin_suite, check_certificate, verify_paper
+from .certificates import check_certificate, verify_paper
 from .dsl import load_script
 from .errors import ParseError
-from .reports import render_report, search_dict
-from .rules import RULES
+from .reports import machine_document, render_report, search_dict
 from .search import prove as search_prove
 from .weyl.compare import dwork_compare
 from .weyl.poly import default_names, parse_poly
@@ -54,7 +53,7 @@ def build_parser():
                    help="number of base variables")
     p.add_argument("--d-max", type=int, default=None,
                    help="largest twisted window cutoff")
-    p.add_argument("--pole-max", type=int, default=10,
+    p.add_argument("--pole-max", type=int, default=None,
                    help="largest pole order on the complement side")
     p.add_argument("--window", type=int, default=None,
                    help="first twisted window cutoff")
@@ -81,21 +80,7 @@ def _fail_input(msg):
 def cmd_verify_paper(args):
     mode = _MODES[args.mode] if args.mode else None
     rep = verify_paper(mode=mode, allowed_strata=args.strata)
-    extra = {}
-    if args.strata is not None:
-        needs = {}
-        for _, cert in builtin_suite()[1]:
-            over = sorted({s.rule for s in cert.steps
-                           if s.rule in RULES and RULES[s.rule][0] > args.strata})
-            if over:
-                needs[cert.name] = over
-        extra["stratum_needs"] = needs
-    out = render_report(rep, args.output, extra=extra or None)
-    sys.stdout.write(out)
-    if args.output == "text" and extra.get("stratum_needs"):
-        for name, over in sorted(extra["stratum_needs"].items()):
-            print(f"{name} needs stratum rules above the bound: "
-                  f"{', '.join(over)}")
+    sys.stdout.write(render_report(rep, args.output))
     return 0 if rep.ok else 1
 
 
@@ -123,8 +108,8 @@ def cmd_prove(args):
         return 0 if rep.ok else 1
     if args.search is None:
         if args.output == "machine":
-            sys.stdout.write('{"kind":"prove","schema_version":1,'
-                             '"status":"inconclusive"}\n')
+            sys.stdout.write(machine_document("prove",
+                                              {"status": "inconclusive"}))
         else:
             print("goal has no proof script; pass --search DEPTH to look "
                   "for one")
@@ -182,17 +167,11 @@ def cmd_dwork_check(args):
     for t, f in zip(args.f, fs):
         if f.degree() <= 0:
             return _fail_input(f"constant polynomial {t!r} cuts out nothing")
-    d_max = args.d_max
-    if d_max is None:
-        d_max = 30 if n + len(fs) <= 3 else 16
-    # the twisted ladder starts at --window, else at deg(sum y_i f_i) + 1
-    first = (args.window if args.window is not None
-             else max(f.degree() for f in fs) + 2)
-    if d_max < first:
-        return _fail_input(f"largest window cutoff {d_max} is below the "
-                           f"first cutoff {first}")
-    cmp = dwork_compare(fs, d0=args.window, d_max=d_max,
-                        t_max=args.pole_max - 1)
+    t_max = None if args.pole_max is None else args.pole_max - 1
+    try:
+        cmp = dwork_compare(fs, d0=args.window, d_max=args.d_max, t_max=t_max)
+    except ValueError as e:  # a cap below the first twisted cutoff
+        return _fail_input(str(e))
     extra = {"f": list(args.f), "n": n}
     sys.stdout.write(render_report(cmp, args.output, extra=extra))
     if cmp.inconclusive:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
+from typing import NamedTuple
 
 from .certificates import Closure, Lemma, ProofCertificate, ProofStep
 from .errors import GeometryError, ParseError, TermError
@@ -45,17 +46,20 @@ from . import terms as T
 
 # --- lexer ---------------------------------------------------------------------
 
+# the last group takes any one character no other group does, so the
+# matches tile the text and one `finditer` pass reads it
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+|#[^\n]*)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<int>\d+)"
     r"|(?P<arrow>->)"
     r"|(?P<sym>[;:,()\[\]/=~.\-])"
+    r"|(?P<stray>.)",
+    re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     start: int
@@ -64,16 +68,15 @@ class Token:
 
 def tokenize(text):
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"stray character {text[pos]!r}",
-                             span=(pos, pos + 1))
-        pos = m.end()
-        if m.lastgroup == "ws":
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
             continue
-        out.append(Token(m.lastgroup, m.group(), m.start(), m.end()))
+        start, end = m.span()
+        if kind == "stray":
+            raise ParseError(f"stray character {m.group()!r}",
+                             span=(start, end))
+        out.append(Token(kind, m.group(), start, end))
     out.append(Token("eof", "", len(text), len(text)))
     return out
 
@@ -661,21 +664,20 @@ class _Parser:
         variety = self.name("a variety")
         return ObjectDecl(name, variety)
 
-    def _stmt_goal(self):
-        name = self.name("a goal name")
+    def _equivalence(self, decl, noun):
+        """`name : lhs ~ rhs`, the body of a goal or a lemma."""
+        name = self.name(f"a {noun} name")
         self.expect(":")
         lhs = self.expr("D")
         self.expect("~")
         rhs = self.expr("D")
-        return GoalDecl(name, lhs, rhs)
+        return decl(name, lhs, rhs)
+
+    def _stmt_goal(self):
+        return self._equivalence(GoalDecl, "goal")
 
     def _stmt_lemma(self):
-        name = self.name("a lemma name")
-        self.expect(":")
-        lhs = self.expr("D")
-        self.expect("~")
-        rhs = self.expr("D")
-        return LemmaDecl(name, lhs, rhs)
+        return self._equivalence(LemmaDecl, "lemma")
 
     def _stmt_step(self):
         rule = self.name("a rule name")

@@ -53,7 +53,7 @@ def validation_dict(rep):
 
 
 def paper_dict(rep):
-    return {
+    out = {
         "ok": rep.ok,
         "mode": rep.mode,
         "certificates": [validation_dict(r) for r in rep.reports],
@@ -63,6 +63,9 @@ def paper_dict(rep):
             for n in rep.lemma_notes
         ],
     }
+    if rep.stratum_needs is not None:
+        out["stratum_needs"] = rep.stratum_needs
+    return out
 
 
 def search_dict(res):
@@ -141,6 +144,9 @@ def paper_text(rep):
         lines.append(f"lemma {note.lemma!r} used by {note.certificate}: {how}")
     n_ok = sum(1 for r in rep.reports if r.status == "verified")
     lines.append(f"verified {n_ok}/{len(rep.reports)} certificates")
+    for name, over in sorted((rep.stratum_needs or {}).items()):
+        lines.append(f"{name} needs stratum rules above the bound: "
+                     f"{', '.join(over)}")
     return "\n".join(lines) + "\n"
 
 
@@ -195,15 +201,17 @@ def _kind_of(obj):
     raise TypeError(f"no report form for {type(obj).__name__}")
 
 
+def machine_document(kind, fields):
+    """Frame one machine document: `fields` plus its kind and the schema
+    version, as one canonical JSON line."""
+    doc = dict(fields, kind=kind, schema_version=SCHEMA_VERSION)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def machine_report(obj, extra=None):
     """Canonical JSON line for any report object."""
     kind, dict_form, _text_form = _kind_of(obj)
-    payload = dict_form(obj)
-    payload["kind"] = kind
-    payload["schema_version"] = SCHEMA_VERSION
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return machine_document(kind, {**dict_form(obj), **(extra or {})})
 
 
 def text_report(obj):

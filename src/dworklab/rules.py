@@ -49,6 +49,7 @@ from .terms import (
     RGamma,
     Struct,
     Tensor,
+    hoist_shifts,
     navigate,
     normalize,
     replace,
@@ -554,7 +555,16 @@ def _r14(ctx, sub, direction, b, mode, allowed):
     return Fourier(u.target, Oim(u, sub.arg.arg)), 0
 
 
-_r14_moves = _by_shape((Fourier, Oim), (Opb, Fourier))
+def _r14_moves(moves, sub):
+    """Forward at a transform of a pushforward that lands in the
+    transformed bundle from a paired one; backward at a pullback of a
+    transform."""
+    if isinstance(sub, Fourier) and isinstance(sub.arg, Oim):
+        u = sub.arg.morphism
+        if sub.bundle == u.target and u.source in moves.ctx.fourier:
+            yield _both_ways("fwd", {})
+    elif isinstance(sub, Opb) and isinstance(sub.arg, Fourier):
+        yield _both_ways("bwd", {})
 
 
 def _r15(ctx, sub, direction, b, mode, allowed):
@@ -785,7 +795,7 @@ def _r20_moves(moves, sub):
             laws = ("etens_opb_sndmap", "etens_opb_diag") + laws
     elif isinstance(sub, Oim) and isinstance(sub.arg, ETensor):
         direction, laws = "fwd", ("etens_oim_idmap", "etens_oim_fstmap")
-    elif isinstance(sub, Tensor):
+    elif isinstance(sub, Tensor) and moves.ctx.diagonals:
         direction, laws = "bwd", ("etens_opb_diag",)
     elif isinstance(sub, ETensor):
         direction, laws = "bwd", ("etens_opb_proj2", "etens_oim_idmap",
@@ -809,7 +819,6 @@ def _lemma(ctx, sub, direction, name, lemmas):
     d_core, d_k = split_shift(normalize(ctx, dst))
     if serialize(normalize(ctx, sub)) != serialize(s_core):
         raise Fail(f"subterm does not match lemma {name}")
-    from .terms import hoist_shifts
     raw_core, _raw_k = hoist_shifts(dst)
     return raw_core, d_k - s_k
 

@@ -295,6 +295,10 @@ def complement_rung(fs, t):
     return CechDeRham(fs, t).rung(t)
 
 
-def complement_cohomology(fs, t_max=8):
-    """Ladder the rung index until three consecutive answers agree."""
+def complement_cohomology(fs, t_max=None):
+    """Ladder the rung index t = 0..t_max (pole orders 1..t_max + 1) until
+    three consecutive answers agree; `t_max` defaults to 9, for the
+    library and `dwork-check` alike."""
+    if t_max is None:
+        t_max = 9
     return ladder("complement", CechDeRham(fs, t_max).rung, range(t_max + 1))

@@ -24,7 +24,10 @@ def _nonzero(dims):
     return {k: v for k, v in dims.items() if v}
 
 
-def supports_cohomology(fs, t_max=8):
+def supports_cohomology(fs, t_max=None):
+    """Cohomology supported on the common zero locus of `fs`, read off the
+    complement ladder; `t_max` (None: its default) goes to
+    `complement_cohomology`."""
     rep = complement_cohomology(fs, t_max=t_max)
     rep.kind = "supports"
     if rep.dims is None:
@@ -59,8 +62,13 @@ class DworkComparison:
     inconclusive: bool = False
 
 
-def dwork_compare(fs, d0=None, d_max=20, t_max=8):
-    """Twisted cohomology of sum y_i f_i against supported cohomology."""
+def dwork_compare(fs, d0=None, d_max=None, t_max=None):
+    """Twisted cohomology of sum y_i f_i against supported cohomology.
+
+    The caps go through as given, None for the defaults that
+    `twisted_cohomology` and `complement_cohomology` decide; a `d_max`
+    below the first twisted cutoff raises `twisted_cohomology`'s
+    ValueError."""
     F = dwork_twist(fs)
     trep = twisted_cohomology(F, d0=d0, d_max=d_max)
     srep = supports_cohomology(fs, t_max=t_max)

@@ -182,8 +182,18 @@ def twisted_rung(F, D):
     return TwistedComplex(F, D).rung(D)
 
 
-def twisted_cohomology(F, d0=None, d_max=20):
-    """Ladder the window cutoff until three consecutive rungs agree."""
+def twisted_cohomology(F, d0=None, d_max=None):
+    """Ladder the window cutoff, step 2, until three consecutive rungs agree.
+
+    The ladder starts at `d0`, else at deg F + 1, and stops at `d_max`,
+    else at 30 when F has at most three variables and 16 beyond; these
+    defaults are the library's and `dwork-check`'s alike.  A cap below
+    the first cutoff raises ValueError before any complex is built."""
     first = d0 if d0 is not None else F.degree() + 1
+    if d_max is None:
+        d_max = 30 if F.nvars <= 3 else 16
+    if d_max < first:
+        raise ValueError(f"largest window cutoff {d_max} is below the "
+                         f"first cutoff {first}")
     return ladder("twisted", TwistedComplex(F, d_max).rung,
                   range(first, d_max + 1, 2))

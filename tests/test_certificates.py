@@ -183,6 +183,14 @@ def test_verify_paper_strict_only_breaks_c5():
     for name, r in by_name.items():
         if name != "C5":
             assert r.status == "verified", name
+    assert rep.stratum_needs is None  # no strata bound given
+
+
+def test_verify_paper_names_the_rules_above_a_strata_bound():
+    rep = verify_paper(allowed_strata=0)
+    assert rep.stratum_needs == {"C1": ["R4"], "C2": ["R4"], "C8": ["R4"],
+                                 "C9": ["R14"]}
+    assert verify_paper(allowed_strata=1).stratum_needs == {}
 
 
 def test_builtin_suite_is_fresh_each_call():

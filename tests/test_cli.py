@@ -7,6 +7,10 @@ import pytest
 
 from dworklab.cli import main
 from dworklab.dsl import GoalDecl, StepDecl, parse_script, render_statement
+from dworklab.weyl import cech, twisted
+from dworklab.weyl.compare import dwork_compare
+from dworklab.weyl.ladder import CohomologyReport
+from dworklab.weyl.poly import parse_poly
 
 from conftest import BUNDLED
 
@@ -223,6 +227,27 @@ def test_impossible_flag_values_are_input_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("texts", [["x*y"], ["x*y", "x-y"]],
+                         ids=["3 variables", "4 variables"])
+def test_dwork_check_runs_the_library_caps(texts, monkeypatch):
+    """`dwork-check` and a plain `dwork_compare` hand both ladders the same
+    cutoffs."""
+    seen = []
+
+    def recording(kind, _rung, cutoffs):
+        seen.append((kind, list(cutoffs)))
+        return CohomologyReport(kind=kind, dims=None)  # no rung is run
+
+    monkeypatch.setattr(twisted, "ladder", recording)
+    monkeypatch.setattr(cech, "ladder", recording)
+    dwork_compare([parse_poly(t, ("x", "y")) for t in texts])
+    library, seen[:] = seen[:], []
+    argv = ["dwork-check"] + [a for t in texts for a in ("--f", t)]
+    assert main(argv) == 3
+    assert [kind for kind, _cuts in library] == ["twisted", "complement"]
+    assert seen == library
 
 
 def test_unknown_flags_rejected():

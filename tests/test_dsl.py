@@ -89,6 +89,23 @@ def test_parse_error_on_stray_character():
         dsl.parse_script("variety X dim;")
 
 
+def test_tokens_keep_their_kinds_and_spans():
+    text = "m : X -> Y; # a -> b\nstep R1 fwd at /0-1;"
+    got = [(t.kind, t.text, t.start, t.end) for t in dsl.tokenize(text)]
+    assert got == [
+        ("name", "m", 0, 1), ("sym", ":", 2, 3), ("name", "X", 4, 5),
+        ("arrow", "->", 6, 8), ("name", "Y", 9, 10), ("sym", ";", 10, 11),
+        ("name", "step", 21, 25), ("name", "R1", 26, 28),
+        ("name", "fwd", 29, 32), ("name", "at", 33, 35),
+        ("sym", "/", 36, 37), ("int", "0", 37, 38), ("sym", "-", 38, 39),
+        ("int", "1", 39, 40), ("sym", ";", 40, 41), ("eof", "", 41, 41),
+    ]
+    with pytest.raises(ParseError) as exc:
+        dsl.tokenize(text + " ?")
+    assert exc.value.message == "stray character '?'"
+    assert exc.value.span == (42, 43)
+
+
 def test_binder_rejects_duplicates_with_spans():
     text = "variety X dim 1;\nvariety X dim 2;\n"
     with pytest.raises(ParseError) as exc:

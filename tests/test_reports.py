@@ -93,7 +93,8 @@ def test_comparison_report_forms():
 
 
 def test_inconclusive_comparison_text():
-    cmp = dwork_compare([parse_poly("x", ("x",))], d_max=2)
+    # a cap at the first cutoff (deg F + 1 = 3) runs a single rung
+    cmp = dwork_compare([parse_poly("x", ("x",))], d_max=3)
     assert cmp.inconclusive
     assert "inconclusive" in text_report(cmp)
     data = json.loads(machine_report(cmp))

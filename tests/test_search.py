@@ -185,10 +185,17 @@ def test_move_table_gives_the_reference_successors(expanded):
         _assert_reference_successors(table, term, well_formed)
 
 
-def _every_bundle_offers(moves, sub):
-    """R16 and R17 offered as they first were: forward at every pushforward
-    or pullback and R17 backward at every pushforward of a transform, once
-    per declared bundle; R16 backward at a transform of a pullback."""
+def _first_offers(moves, sub):
+    """R14, R16, R17 and R20 offered as they first were, in rule order.
+    R14 forward at every transform of a pushforward and backward at every
+    pullback of a transform.  R16 and R17 forward at every pushforward or
+    pullback and R17 backward at every pushforward of a transform, once
+    per declared bundle; R16 backward at a transform of a pullback.  R20's
+    diagonal law backward at every tensor."""
+    if isinstance(sub, Fourier) and isinstance(sub.arg, Oim):
+        yield "R14", "fwd", {}
+    elif isinstance(sub, Opb) and isinstance(sub.arg, Fourier):
+        yield "R14", "bwd", {}
     bundles = moves.names["bundle"]
     if isinstance(sub, Oim):
         yield from (("R16", "fwd", {"bundle": b}) for b in bundles)
@@ -198,6 +205,11 @@ def _every_bundle_offers(moves, sub):
         yield from (("R17", "fwd", {"bundle": b}) for b in bundles)
     elif isinstance(sub, Oim) and isinstance(sub.arg, Fourier):
         yield from (("R17", "bwd", {"bundle": b}) for b in bundles)
+    if isinstance(sub, Tensor):
+        yield "R20", "bwd", {"law": "etens_opb_diag"}
+    else:  # elsewhere R20 offers what it always did
+        yield from (("R20",) + move
+                    for move, _undo in rules._r20_moves(moves, sub))
 
 
 def _accepted(table, sub, offers):
@@ -217,11 +229,14 @@ def _accepted(table, sub, offers):
 
 def test_r16_r17_offer_exactly_the_moves_they_accept(expanded):
     # offering R16/R17 only along a dual zero section or at a transform
-    # along the dual drops refusals and no accepted move, in order
+    # along the dual, R14 forward only into the transformed bundle from a
+    # paired one, and R20's diagonal law only where a diagonal is declared
+    # drops refusals and no accepted move, in order
     seen = set()
     refused_before = refused_now = accepted = 0
     for table, term, _wf in expanded:
-        enabled = {name for name, _enum in table.moves.rules} & {"R16", "R17"}
+        enabled = ({name for name, _enum in table.moves.rules}
+                   & {"R14", "R16", "R17", "R20"})
         core, _k = split_shift(term)
         for _path, sub in subterms(core):
             key = (id(table), serialize(sub))
@@ -230,7 +245,7 @@ def test_r16_r17_offer_exactly_the_moves_they_accept(expanded):
             seen.add(key)
             now = [move for move, _undo in table.moves(sub)
                    if move[0] in enabled]
-            before = [move for move in _every_bundle_offers(table.moves, sub)
+            before = [move for move in _first_offers(table.moves, sub)
                       if move[0] in enabled]
             want, refused = _accepted(table, sub, before)
             got, still_refused = _accepted(table, sub, now)

@@ -3,6 +3,7 @@
 import pytest
 
 from dworklab import parse_poly, twisted_cohomology
+from dworklab.weyl import twisted
 from dworklab.weyl.forms import masks_of_degree
 from dworklab.weyl.linalg import Echelon, rank
 from dworklab.weyl.poly import binom, count_monomials, graded_monomials
@@ -209,6 +210,22 @@ def test_rung_dims_nonnegative_everywhere():
 def test_zero_twist_rejected():
     with pytest.raises(ValueError):
         TwistedComplex(parse_poly("0", X), 4)
+
+
+def test_cap_below_the_first_cutoff_is_refused_before_any_complex(
+        monkeypatch):
+    def no_complex(*_args):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(twisted, "TwistedComplex", no_complex)
+    F = parse_poly("y*(x^2-1)", XY)  # first cutoff deg F + 1 = 4
+    with pytest.raises(ValueError) as exc:
+        twisted_cohomology(F, d_max=2)
+    assert str(exc.value) == ("largest window cutoff 2 is below the first "
+                              "cutoff 4")
+    with pytest.raises(ValueError, match="cutoff 6 is below the first "
+                                         "cutoff 8$"):
+        twisted_cohomology(F, d0=8, d_max=6)
 
 
 def test_ladder_can_give_up():
