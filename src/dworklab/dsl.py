@@ -6,20 +6,24 @@ canonically and round-tripped); `bind_script` turns a document into a
 geometry context plus a proof certificate.  Parse and bind errors carry
 the byte span of the offending statement.
 
-Statements are parsed, rendered and bound by hand, one case each.
 Expressions come in four sorts: M maps, F functions, S subvarieties and
 D terms.  Each keyword-led form is one row of `FORMS`: its keyword, its
-class and its layout, for example `"Opb": (terms.Opb, "[M](D)")`.  The
-parser builds the term and geometry classes themselves, so a parsed
-expression is already its bound value except at four syntax-only
-leaves: a dotted map chain `MName`, an identity map `MId`, a binary
-`SCap` (a bound `SubCap` holds a tuple) and an object name `DRef`, whose
-variety the context supplies.  One parser (`_Parser.expr`), one renderer
-(`render_expr`) and one binder (`bind_expr`) read the rows; a form binds
-by rebuilding itself from its bound fields.  `render_expr` spells parsed
-and bound expressions alike, so the reports spell a search's step
-bindings in script syntax.  Step binding keys map to the sort of their
-value in `_BINDING_SORTS`.
+class and its layout, for example `"Opb": (terms.Opb, "[M](D)")`.  Each
+statement of one fixed layout is a row of `STATEMENTS`, shaped the same
+way, for example `"object": (ObjectDecl, "N on V")`.  One walker
+(`_Parser.fill`) parses the layouts of both tables and one speller
+(`_speller`) spells them.  The parser builds the term and geometry
+classes themselves, so a parsed expression is already its bound value
+except at four syntax-only leaves: a dotted map chain `MName`, an
+identity map `MId`, a binary `SCap` (a bound `SubCap` holds a tuple)
+and an object name `DRef`, whose variety the context supplies.
+`bind_expr` binds a form by rebuilding it from its bound fields, and
+`render_expr` spells parsed and bound expressions alike, so the reports
+spell a search's step bindings in script syntax.  Step binding keys map
+to the slot of their value in `_BINDING_SLOTS`.  A declaration whose
+fields are the arguments of a `GeometryContext` method binds through
+`_DECLARE`.  The other statements, with flags, options in any order or
+lists, are parsed, rendered and bound by hand, one case each.
 """
 
 from __future__ import annotations
@@ -117,25 +121,29 @@ DShift = T.Shift
 
 
 @dataclass(frozen=True)
-class VarietyDecl:
-    name: str
-    dim: int
-    smooth: bool = True
-    span: tuple = field(default=(0, 0), compare=False)
+class _Statement:
+    # the byte span of the statement in its script; equality ignores it
+    span: tuple = field(default=(0, 0), compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
-class BundleDecl:
+class VarietyDecl(_Statement):
+    name: str
+    dim: int
+    smooth: bool = True
+
+
+@dataclass(frozen=True)
+class BundleDecl(_Statement):
     name: str
     base: str
     rank: int
     proj: str
     sect: str
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class FourierDecl:
+class FourierDecl(_Statement):
     b1: str
     b2: str
     product: str
@@ -144,11 +152,10 @@ class FourierDecl:
     pairing: str
     line: str
     coord: str
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class MorphismDecl:
+class MorphismDecl(_Statement):
     name: str
     source: str
     target: str
@@ -158,30 +165,27 @@ class MorphismDecl:
     parts: tuple = ()
     transpose: str = ""
     identities: tuple = ()  # ((lhs parts), (rhs parts or () for id)) pairs
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class ProductDecl:
+class ProductDecl(_Statement):
     name: str
     x: str
     y: str
     q1: str
     q2: str
     base: str = ""  # nonempty = fiber product
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class FunctionDecl:
+class FunctionDecl(_Statement):
     name: str
     variety: str
     definition: object = None
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class SubvarietyDecl:
+class SubvarietyDecl(_Statement):
     name: str
     ambient: str
     codim: int | None = None
@@ -190,74 +194,64 @@ class SubvarietyDecl:
     image: str = ""
     caps: tuple = ()       # (left, right) pairs intersecting to this
     preimages: tuple = ()  # (morphism name, result) pairs: pullback of this
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class CartesianDecl:
+class CartesianDecl(_Statement):
     name: str
     f: str
     h: str
     f_prime: str
     h_prime: str
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class ObjectDecl:
+class ObjectDecl(_Statement):
     name: str
     variety: str
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class GoalDecl:
+class GoalDecl(_Statement):
     name: str
     lhs: object
     rhs: object
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class LemmaDecl:
+class LemmaDecl(_Statement):
     name: str
     lhs: object
     rhs: object
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class StepDecl:
+class StepDecl(_Statement):
     rule: str
     direction: str
     path: tuple
     bindings: tuple = ()  # (key, value node) pairs
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class ClosureDecl:
+class ClosureDecl(_Statement):
     kind: str
     morphism: str
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class ModeDecl:
+class ModeDecl(_Statement):
     mode: str
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class StrataDecl:
+class StrataDecl(_Statement):
     strata: int
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class ExcludeDecl:
+class ExcludeDecl(_Statement):
     rules: tuple
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -265,15 +259,15 @@ class ScriptDocument:
     statements: tuple
 
 
-# --- expression forms -------------------------------------------------------------
+# --- forms and statements ------------------------------------------------------
 
 # Every keyword-led expression form, once, by sort: M maps, F functions,
 # S subvarieties, D terms.  A row is keyword -> (class, layout); the
 # parser builds the class itself.  An upper-case letter in a layout is a
 # slot, filled in the class's field order: M, F, S or D an expression of
-# that sort, V a variety name, B a bundle name.  Every other character is
-# spelled as is; the parser skips the spaces.  `MId` and `SCap` are
-# syntax-only: they bind by hand (see `_BIND`).
+# that sort, N a name, V a variety name, B a bundle name, I an integer.
+# Every other token is spelled as is.  `MId` and `SCap` are syntax-only:
+# they bind by hand (see `_BIND`).
 FORMS = {
     "M": {"id": (MId, "(V)")},
     "F": {"pull": (FuncPull, "(F, M)")},
@@ -289,16 +283,30 @@ FORMS = {
           "RGamma": (T.RGamma, "[S](D)"),
           "Fourier": (T.Fourier, "[B](D)")},
 }
-_NAME_SLOTS = {"V": "a variety", "B": "a bundle"}
+# Every statement of one fixed layout, as the rows of `FORMS`; a statement
+# is spelled `keyword layout;`.  The others, with flags, options in any
+# order or lists, are parsed by `_Parser._stmt_<keyword>`.
+STATEMENTS = {
+    "bundle": (BundleDecl, "N on V rank I proj N sect N"),
+    "fourierpair": (FourierDecl,
+                    "N N product N proj N N pairing N line N coord N"),
+    "cartesian": (CartesianDecl, "N = (N, N, N, N)"),
+    "object": (ObjectDecl, "N on V"),
+    "goal": (GoalDecl, "N : D ~ D"),
+    "lemma": (LemmaDecl, "N : D ~ D"),
+    "closure": (ClosureDecl, "N N"),
+    "strata": (StrataDecl, "I"),
+}
+_NAME_SLOTS = {"N": "a name", "V": "a variety", "B": "a bundle"}
 # the bare-name leaf of each sort but M (a dotted chain of map names)
 _LEAVES = {"F": (FuncName, "a function name"),
            "S": (SubName, "a subvariety name"),
            "D": (DRef, "a term")}
 
-# step binding key -> the sort of its value, or int / str for plain values
-_BINDING_SORTS = {"f": "M", "g": "M", "map": "M", "psi": "F",
+# step binding key -> the slot its value fills
+_BINDING_SLOTS = {"f": "M", "g": "M", "map": "M", "psi": "F",
                   "sub": "S", "left": "S", "right": "S",
-                  "layers": int, "square": str, "bundle": str, "law": str}
+                  "layers": "I", "square": "N", "bundle": "B", "law": "N"}
 
 
 def render_expr(x):
@@ -315,6 +323,11 @@ def bind_expr(ctx, x):
     return x if bind is None else bind(ctx, x)
 
 
+def render_path(path):
+    """A term path as a script spells it: `/`, or `/0/1` from the root."""
+    return "/" + "/".join(str(i) for i in path)
+
+
 def _bind_ref(ctx, d):
     variety = ctx.objects.get(d.name)
     if variety is None:
@@ -322,8 +335,12 @@ def _bind_ref(ctx, d):
     return T.Var(d.name, variety)
 
 
+def _positional(cls):
+    return [f.name for f in fields(cls) if not f.kw_only]
+
+
 def _rebind(cls):
-    names = [f.name for f in fields(cls)]
+    names = _positional(cls)
     return lambda ctx, x: cls(*[bind_expr(ctx, getattr(x, f)) for f in names])
 
 
@@ -348,19 +365,39 @@ _BIND = {
 }
 
 
-def _speller(fmt, cls):
-    # every form has one or two slots; spelling each out keeps this fast
-    gets = [attrgetter(f.name) for f in fields(cls)]
-    if len(gets) == 1:
-        get, = gets
-        return lambda x: fmt.format(render_expr(get(x)))
-    left, right = gets
-    return lambda x: fmt.format(render_expr(left(x)), render_expr(right(x)))
+def _speller(fmt, cls, slots):
+    # a name or an integer is spelled by `str` (or by `format` itself), an
+    # expression by `render_expr`; reading a statement's names with one
+    # `attrgetter` and spelling out a form's one or two slots keep this fast
+    names = _positional(cls)
+    if len(names) > 1 and not FORMS.keys() & slots:
+        get = attrgetter(*names)
+        return lambda x: fmt.format(*get(x))
+    parts = [(attrgetter(name), render_expr if slot in FORMS else str)
+             for name, slot in zip(names, slots)]
+    if len(parts) == 1:
+        (get, spell), = parts
+        return lambda x: fmt.format(spell(get(x)))
+    if len(parts) == 2:
+        (left, lspell), (right, rspell) = parts
+        return lambda x: fmt.format(lspell(left(x)), rspell(right(x)))
+    return lambda x: fmt.format(*[spell(get(x)) for get, spell in parts])
 
 
+def _compile(rows, head, tail):
+    """Tokenize each row's layout and register its class's speller."""
+    out = {}
+    for kw, (cls, layout) in rows.items():
+        out[kw] = cls, tuple(tok.text for tok in tokenize(layout)[:-1])
+        _SPELL[cls] = _speller(kw + head + re.sub("[A-Z]", "{}", layout)
+                               + tail, cls, re.findall("[A-Z]", layout))
+    return out
+
+
+_FORM_ROWS = {sort: _compile(rows, "", "") for sort, rows in FORMS.items()}
+_STATEMENT_ROWS = _compile(STATEMENTS, " ", ";")
 for _forms in FORMS.values():
-    for _kw, (_cls, _layout) in _forms.items():
-        _SPELL[_cls] = _speller(_kw + re.sub("[A-Z]", "{}", _layout), _cls)
+    for _cls, _layout in _forms.values():
         _BIND.setdefault(_cls, _rebind(_cls))
 
 
@@ -369,7 +406,6 @@ for _forms in FORMS.values():
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.toks = tokenize(text)
         self.i = 0
         self.stmt_start = 0
@@ -421,19 +457,11 @@ class _Parser:
 
     def expr(self, sort):
         """One expression of `sort`; a D term may carry shifts `[k]`."""
-        row = FORMS[sort].get(self.peek().text)
+        row = _FORM_ROWS[sort].get(self.peek().text)
         if row is not None:
             self.take()
             cls, layout = row
-            args = []
-            for ch in layout:
-                if ch in FORMS:
-                    args.append(self.expr(ch))
-                elif ch in _NAME_SLOTS:
-                    args.append(self.name(_NAME_SLOTS[ch]))
-                elif ch != " ":
-                    self.expect(ch)
-            out = cls(*args)
+            out = cls(*self.fill(layout))
         elif sort == "M":
             out = MName(self._atom_chain())
         else:
@@ -445,6 +473,20 @@ class _Parser:
             self.expect("]")
             out = T.Shift(out, k)
         return out
+
+    def fill(self, layout):
+        """The values of the slots of a tokenized layout, in order."""
+        args = []
+        for item in layout:
+            if item in FORMS:
+                args.append(self.expr(item))
+            elif item in _NAME_SLOTS:
+                args.append(self.name(_NAME_SLOTS[item]))
+            elif item == "I":
+                args.append(self.integer())
+            else:
+                self.expect(item)
+        return args
 
     def path(self):
         self.expect("/")
@@ -469,12 +511,18 @@ class _Parser:
     def statement(self):
         self.stmt_start = self.peek().start
         kw = self.name("a statement keyword")
-        fn = getattr(self, f"_stmt_{kw}", None)
-        if fn is None:
-            self._err(f"unknown statement {kw!r}")
-        node = fn()
+        row = _STATEMENT_ROWS.get(kw)
+        if row is not None:
+            cls, layout = row
+            node = cls(*self.fill(layout))
+        else:
+            fn = getattr(self, f"_stmt_{kw}", None)
+            if fn is None:
+                self._err(f"unknown statement {kw!r}")
+            node = fn()
         end = self.expect(";").end
-        return node, (self.stmt_start, end)
+        object.__setattr__(node, "span", (self.stmt_start, end))
+        return node
 
     def _stmt_variety(self):
         name = self.name("a variety name")
@@ -487,34 +535,6 @@ class _Parser:
         elif self.peek().text == "smooth":
             self.take()
         return VarietyDecl(name, dim, smooth)
-
-    def _stmt_bundle(self):
-        name = self.name("a bundle name")
-        self.expect("on")
-        base = self.name("the base variety")
-        self.expect("rank")
-        rank = self.integer("a rank")
-        self.expect("proj")
-        proj = self.name("the projection name")
-        self.expect("sect")
-        sect = self.name("the zero-section name")
-        return BundleDecl(name, base, rank, proj, sect)
-
-    def _stmt_fourierpair(self):
-        b1 = self.name("a bundle")
-        b2 = self.name("the paired bundle")
-        self.expect("product")
-        product = self.name("the product total space")
-        self.expect("proj")
-        p1 = self.name("first projection")
-        p2 = self.name("second projection")
-        self.expect("pairing")
-        pairing = self.name("the pairing map")
-        self.expect("line")
-        line = self.name("the line total space")
-        self.expect("coord")
-        coord = self.name("the fiber coordinate")
-        return FourierDecl(b1, b2, product, p1, p2, pairing, line, coord)
 
     def _stmt_morphism(self):
         name = self.name("a map name")
@@ -578,22 +598,23 @@ class _Parser:
             parts.append(self.name("a map name"))
         return tuple(parts)
 
-    def _stmt_product(self):
+    def _stmt_product(self, fiber=False):
         name = self.name("a product name")
         self.expect("=")
         x = self.name("the first factor")
         self.expect("x")
         y = self.name("the second factor")
         base = ""
-        if self.peek().text == "over":
-            self.take()
+        if fiber:
+            self.expect("over")
             base = self.name("the base")
         self.expect("proj")
         q1 = self.name("first projection")
         q2 = self.name("second projection")
         return ProductDecl(name, x, y, q1, q2, base)
 
-    _stmt_fiberproduct = _stmt_product
+    def _stmt_fiberproduct(self):
+        return self._stmt_product(fiber=True)
 
     def _stmt_function(self):
         name = self.name("a function name")
@@ -644,41 +665,6 @@ class _Parser:
         return SubvarietyDecl(name, ambient, codim, smooth, reduced, image,
                               tuple(caps), tuple(pres))
 
-    def _stmt_cartesian(self):
-        name = self.name("a square name")
-        self.expect("=")
-        self.expect("(")
-        f = self.name("the base map")
-        self.expect(",")
-        h = self.name("the transverse map")
-        self.expect(",")
-        fp = self.name("the pulled base map")
-        self.expect(",")
-        hp = self.name("the pulled transverse map")
-        self.expect(")")
-        return CartesianDecl(name, f, h, fp, hp)
-
-    def _stmt_object(self):
-        name = self.name("an object name")
-        self.expect("on")
-        variety = self.name("a variety")
-        return ObjectDecl(name, variety)
-
-    def _equivalence(self, decl, noun):
-        """`name : lhs ~ rhs`, the body of a goal or a lemma."""
-        name = self.name(f"a {noun} name")
-        self.expect(":")
-        lhs = self.expr("D")
-        self.expect("~")
-        rhs = self.expr("D")
-        return decl(name, lhs, rhs)
-
-    def _stmt_goal(self):
-        return self._equivalence(GoalDecl, "goal")
-
-    def _stmt_lemma(self):
-        return self._equivalence(LemmaDecl, "lemma")
-
     def _stmt_step(self):
         rule = self.name("a rule name")
         if rule == "lemma" and self.peek().text == ":":
@@ -702,25 +688,13 @@ class _Parser:
         return StepDecl(rule, direction, path, tuple(bindings))
 
     def _binding_value(self, key):
-        sort = _BINDING_SORTS.get(key)
-        if sort is None:
+        slot = _BINDING_SLOTS.get(key)
+        if slot is None:
             self._err(f"unknown binding key {key!r}")
-        if sort is int:
-            return self.integer("a layer count")
-        if sort is str:
-            return self.name(f"a {key}")
-        return self.expr(sort)
-
-    def _stmt_closure(self):
-        kind = self.name("a closure kind")
-        morphism = self.name("an embedding")
-        return ClosureDecl(kind, morphism)
+        return self.fill((slot,))[0]
 
     def _stmt_mode(self):
         return ModeDecl(self.dashed_name())
-
-    def _stmt_strata(self):
-        return StrataDecl(self.integer("a stratum bound"))
 
     def _stmt_exclude(self):
         rules = [self.name("a rule name")]
@@ -731,14 +705,8 @@ class _Parser:
     def document(self):
         stmts = []
         while self.peek().kind != "eof":
-            node, span = self.statement()
-            stmts.append(_with_span(node, span))
+            stmts.append(self.statement())
         return ScriptDocument(tuple(stmts))
-
-
-def _with_span(node, span):
-    object.__setattr__(node, "span", span)
-    return node
 
 
 def parse_script(text):
@@ -749,16 +717,12 @@ def parse_script(text):
 
 
 def render_statement(st):
+    spell = _SPELL.get(st.__class__)
+    if spell is not None:
+        return spell(st)
     if isinstance(st, VarietyDecl):
         tail = "" if st.smooth else " singular"
         return f"variety {st.name} dim {st.dim}{tail};"
-    if isinstance(st, BundleDecl):
-        return (f"bundle {st.name} on {st.base} rank {st.rank} "
-                f"proj {st.proj} sect {st.sect};")
-    if isinstance(st, FourierDecl):
-        return (f"fourierpair {st.b1} {st.b2} product {st.product} "
-                f"proj {st.p1} {st.p2} pairing {st.pairing} "
-                f"line {st.line} coord {st.coord};")
     if isinstance(st, MorphismDecl):
         bits = [f"morphism {st.name} : {st.source} -> {st.target}"]
         if st.kind == "closed":
@@ -808,28 +772,14 @@ def render_statement(st):
         for m, z in st.preimages:
             bits.append(f"preimage {m} {z}")
         return " ".join(bits) + ";"
-    if isinstance(st, CartesianDecl):
-        return (f"cartesian {st.name} = ({st.f}, {st.h}, "
-                f"{st.f_prime}, {st.h_prime});")
-    if isinstance(st, ObjectDecl):
-        return f"object {st.name} on {st.variety};"
-    if isinstance(st, GoalDecl):
-        return f"goal {st.name} : {render_expr(st.lhs)} ~ {render_expr(st.rhs)};"
-    if isinstance(st, LemmaDecl):
-        return f"lemma {st.name} : {render_expr(st.lhs)} ~ {render_expr(st.rhs)};"
     if isinstance(st, StepDecl):
-        path = "/" + "/".join(str(i) for i in st.path)
-        out = f"step {st.rule} {st.direction} at {path}"
+        out = f"step {st.rule} {st.direction} at {render_path(st.path)}"
         if st.bindings:
             out += " with " + ", ".join(
                 f"{k}={render_expr(v)}" for k, v in st.bindings)
         return out + ";"
-    if isinstance(st, ClosureDecl):
-        return f"closure {st.kind} {st.morphism};"
     if isinstance(st, ModeDecl):
         return f"mode {st.mode};"
-    if isinstance(st, StrataDecl):
-        return f"strata {st.strata};"
     if isinstance(st, ExcludeDecl):
         return f"exclude {' '.join(st.rules)};"
     raise TypeError(f"cannot render {type(st).__name__}")
@@ -849,6 +799,17 @@ class BoundScript:
     document: ScriptDocument
 
 
+# declaration class -> the context method that declares it, whose
+# arguments are the class's fields in order
+_DECLARE = {cls: (method, attrgetter(*_positional(cls))) for cls, method in (
+    (VarietyDecl, GeometryContext.variety),
+    (BundleDecl, GeometryContext.bundle),
+    (FourierDecl, GeometryContext.fourier_pair),
+    (CartesianDecl, GeometryContext.square),
+    (ObjectDecl, GeometryContext.object_),
+)}
+
+
 def bind_script(doc):
     """Build the geometry context and certificate from a parsed document."""
     ctx = GeometryContext()
@@ -861,14 +822,9 @@ def bind_script(doc):
     excluded = frozenset()
     for st in doc.statements:
         try:
-            if isinstance(st, VarietyDecl):
-                ctx.variety(st.name, st.dim, smooth=st.smooth)
-            elif isinstance(st, BundleDecl):
-                ctx.bundle(st.name, st.base, st.rank, proj=st.proj,
-                           sect=st.sect)
-            elif isinstance(st, FourierDecl):
-                ctx.fourier_pair(st.b1, st.b2, st.product, st.p1, st.p2,
-                                 st.pairing, st.line, st.coord)
+            if st.__class__ in _DECLARE:
+                method, args = _DECLARE[st.__class__]
+                method(ctx, *args(st))
             elif isinstance(st, MorphismDecl):
                 ctx.morphism(st.name, st.source, st.target, kind=st.kind,
                              codim=st.codim, factor=st.factor,
@@ -893,22 +849,16 @@ def bind_script(doc):
                     ctx.cap_fact(a, b, st.name)
                 for m, z in st.preimages:
                     ctx.pre_fact(m, st.name, z)
-            elif isinstance(st, CartesianDecl):
-                ctx.square(st.name, st.f, st.h, st.f_prime, st.h_prime)
-            elif isinstance(st, ObjectDecl):
-                ctx.object_(st.name, st.variety)
-            elif isinstance(st, GoalDecl):
-                if goal is not None:
+            elif isinstance(st, (GoalDecl, LemmaDecl)):
+                if goal is not None and isinstance(st, GoalDecl):
                     raise GeometryError("a script carries a single goal")
-                goal = (st.name, bind_expr(ctx, st.lhs), bind_expr(ctx, st.rhs))
-                T.variety_of(ctx, goal[1])
-                T.variety_of(ctx, goal[2])
-            elif isinstance(st, LemmaDecl):
-                lem = Lemma(st.name, bind_expr(ctx, st.lhs),
-                            bind_expr(ctx, st.rhs))
-                T.variety_of(ctx, lem.lhs)
-                T.variety_of(ctx, lem.rhs)
-                lemmas.append(lem)
+                eq = (st.name, bind_expr(ctx, st.lhs), bind_expr(ctx, st.rhs))
+                T.variety_of(ctx, eq[1])
+                T.variety_of(ctx, eq[2])
+                if isinstance(st, GoalDecl):
+                    goal = eq
+                else:
+                    lemmas.append(Lemma(*eq))
             elif isinstance(st, StepDecl):
                 b = {k: bind_expr(ctx, v) for k, v in st.bindings}
                 steps.append(ProofStep(st.rule, st.direction, st.path, b))
@@ -919,6 +869,9 @@ def bind_script(doc):
                     raise GeometryError(f"unknown mode {st.mode!r}")
                 mode = st.mode
             elif isinstance(st, StrataDecl):
+                if st.strata < 0:
+                    raise GeometryError(
+                        f"strata must be at least 0, got {st.strata}")
                 strata = st.strata
             elif isinstance(st, ExcludeDecl):
                 excluded = frozenset(st.rules)

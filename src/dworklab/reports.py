@@ -10,16 +10,12 @@ from __future__ import annotations
 import json
 
 from .certificates import PaperReport, ValidationReport
-# a step binding is spelled as it is written in a script
-from .dsl import render_expr as binding_str
+# step bindings and paths are spelled as a script writes them
+from .dsl import render_expr as binding_str, render_path
 from .search import SearchResult
 from .weyl.compare import CohomologyReport, DworkComparison
 
 SCHEMA_VERSION = 1
-
-
-def _path_str(path):
-    return "/" + "/".join(str(i) for i in path)
 
 
 # --- dict forms -------------------------------------------------------------------
@@ -130,7 +126,7 @@ def validation_text(rep, verbose=True):
             flag = "ok " if rec.ok else "FAIL"
             tail = rec.error if not rec.ok else rec.term
             lines.append(f"  [{rec.index}] {flag} {rec.rule} {rec.direction} "
-                         f"at {_path_str(rec.path)}  {tail}")
+                         f"at {render_path(rec.path)}  {tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -161,7 +157,7 @@ def search_text(res):
     for s in res.steps:
         b = ", ".join(f"{k}={binding_str(v)}"
                       for k, v in sorted(s.bindings.items()))
-        lines.append(f"  {s.rule} {s.direction} at {_path_str(s.path)}"
+        lines.append(f"  {s.rule} {s.direction} at {render_path(s.path)}"
                      + (f" with {b}" if b else ""))
     return "\n".join(lines) + "\n"
 

@@ -3,6 +3,7 @@
 import dataclasses
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -143,6 +144,43 @@ def test_binder_rejects_out_of_range_declarations(bad, tmp_path, capsys):
     assert f"{script}:3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    "product P = X x Y over B proj a b;",
+    "fiberproduct P = X x Y proj a b;",
+])
+def test_product_keyword_decides_the_base(bad):
+    # a plain product takes no base and a fiber product needs one
+    text = "variety X dim 1;\nvariety Y dim 1;\nvariety B dim 0;\n" + bad
+    with pytest.raises(ParseError) as exc:
+        dsl.parse_script(text)
+    lo, hi = exc.value.span
+    assert text[lo:hi] == bad
+
+
+def test_fiberproduct_binds_over_its_base():
+    text = ("variety X dim 2;\nvariety Y dim 3;\nvariety B dim 1;\n"
+            "fiberproduct P = X x Y over B proj a b;\n")
+    doc = dsl.parse_script(text)
+    assert dsl.render_script(doc) == text
+    ctx = dsl.bind_script(doc).ctx
+    assert ctx.product_factors["P"] == ("X", "Y")
+    assert "P" not in ctx.products.values()
+    assert ctx.varieties["P"].dim == 2 + 3 - 1
+
+
+def test_negative_strata_is_an_input_error(tmp_path, capsys):
+    text = "variety X dim 1;\nstrata -1;\ngoal g : O[X] ~ O[X];\n"
+    with pytest.raises(ParseError) as exc:
+        dsl.load_script(text)
+    lo, hi = exc.value.span
+    assert text[lo:hi] == "strata -1;"
+    script = tmp_path / "strata.dwk"
+    script.write_text(text, encoding="utf-8")
+    assert main(["prove", str(script)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {script}:2:1: strata must be at least 0, got -1\n")
+
+
 def test_binder_single_goal_only():
     text = ("variety X dim 1;\n"
             "goal a : O[X] ~ O[X];\n"
@@ -231,10 +269,16 @@ def test_docgen_never_draws_a_keyword_as_a_name():
     # random documents must not use a keyword as a plain name, or their
     # rendered text would not parse back
     stmts = {name[len("_stmt_"):] for name in vars(dsl._Parser)
-             if name.startswith("_stmt_")}
+             if name.startswith("_stmt_")} | set(dsl.STATEMENTS)
     forms = {kw for rows in dsl.FORMS.values() for kw in rows}
-    keywords = stmts | forms | set(dsl._BINDING_SORTS)
-    assert stmts and forms
+    words = {word for rows in [dsl.STATEMENTS, *dsl.FORMS.values()]
+             for _cls, layout in rows.values()
+             for word in re.findall("[a-z]+", layout)}
+    keywords = stmts | forms | words | set(dsl._BINDING_SLOTS)
+    assert {"variety", "goal", "strata"} <= stmts
+    assert forms
+    assert {"on", "rank", "proj", "sect", "product", "pairing", "line",
+            "coord"} <= words
     assert keywords <= docgen._KEYWORDS, sorted(keywords - docgen._KEYWORDS)
 
 

@@ -85,6 +85,17 @@ def test_search_finds_trivial_one_steps():
     assert res.found and len(res.steps) == 1
 
 
+def test_search_on_equal_sides_finds_the_empty_chain():
+    # sides equal up to a zero shift are found before any expansion, even
+    # with no depth to search
+    ctx, _ = get_certificate("C4")
+    t = Oim(ctx.composite("s"), Struct("X"))
+    for rhs in (t, Shift(t, 0)):
+        res = prove(ctx, t, rhs, max_depth=0)
+        assert res.found and res.closure is None
+        assert res.steps == [] and res.expanded == 0 and res.depth == 0
+
+
 # --- the move table -------------------------------------------------------------
 
 # the frontier terms each search expands: the built-in certificates at
