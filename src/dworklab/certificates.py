@@ -24,7 +24,7 @@ from .geometry import (
     GeometryContext,
     SubName,
 )
-from .rules import RULES, apply_step
+from .rules import RULES, apply_step, step_stratum
 from .terms import (
     Exp,
     Fourier,
@@ -493,8 +493,9 @@ def _discharge(ctx, pair, proven):
 def verify_paper(mode=None, allowed_strata=None):
     """Replay the whole bundled suite and discharge every cited lemma.
 
-    With a strata bound, `stratum_needs` maps each certificate whose steps
-    cite rules above the bound to those rules, sorted ({} when none do)."""
+    With a strata bound, `stratum_needs` maps each certificate with steps
+    that need more than the bound (`step_stratum`) to those steps' rules,
+    sorted ({} when none do)."""
     contexts, certs = builtin_suite()
     reports = []
     notes = []
@@ -508,8 +509,8 @@ def verify_paper(mode=None, allowed_strata=None):
         if not rep.ok:
             ok = False
         if needs is not None:
-            over = sorted({s.rule for s in cert.steps if s.rule in RULES
-                           and RULES[s.rule][0] > allowed_strata})
+            over = sorted({s.rule for s in cert.steps if s.rule in RULES and
+                           step_stratum(ctx, s.rule, s.bindings) > allowed_strata})
             if over:
                 needs[cert.name] = over
         for lem in cert.lemmas:

@@ -39,7 +39,6 @@ class MorphismAtom:
     codim: int = 0  # closed embeddings
     factor: int = 0  # product projections
     parts: tuple = ()  # pmap components, graph base map
-    transpose: str = ""  # paired bundle map, if declared
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,6 +160,7 @@ class GeometryContext:
         self.negations: dict = {}  # variety -> atom name
         self.diagonals: dict = {}  # variety -> atom name
         self.images: dict = {}  # embedding atom -> subvariety name
+        self.transposes: dict = {}  # bundle map -> its transpose, both ways
 
     # -- declarations --------------------------------------------------
 
@@ -190,9 +190,8 @@ class GeometryContext:
         if kind == "projection" and factor not in (1, 2):
             raise GeometryError(
                 f"morphism {name!r}: projection factor {factor} is not 1 or 2")
-        atom = MorphismAtom(name, kind, source, target, codim, factor,
-                            tuple(parts), transpose)
-        self.atoms[name] = atom
+        self.atoms[name] = MorphismAtom(name, kind, source, target, codim,
+                                        factor, tuple(parts))
         if kind == "negation":
             if source != target:
                 raise GeometryError(f"negation {name!r} must be an endomap")
@@ -202,11 +201,9 @@ class GeometryContext:
         elif kind == "projection":
             self.projections[(source, factor)] = name
         if transpose:
-            other = self.atoms.get(transpose)
-            if other is not None and not other.transpose:
-                self.atoms[transpose] = MorphismAtom(
-                    other.name, other.kind, other.source, other.target,
-                    other.codim, other.factor, other.parts, name)
+            # either map may be declared first
+            self.transposes[name] = transpose
+            self.transposes.setdefault(transpose, name)
         return name
 
     def need_atom(self, name) -> MorphismAtom:
@@ -376,15 +373,22 @@ class GeometryContext:
             raise GeometryError(f"unknown subvariety {name!r}") from None
 
     def cap_fact(self, a, b, result):
-        self.need_subvariety(a)
-        self.need_subvariety(b)
-        self.need_subvariety(result)
+        """Record that a and b meet in result, all in one ambient."""
+        ambients = {self.need_subvariety(z).ambient for z in (a, b, result)}
+        if len(ambients) != 1:
+            raise GeometryError(f"cap {a} {b} as {result} spans the "
+                                f"ambients {', '.join(sorted(ambients))}")
         self.cap_facts[frozenset((a, b))] = result
 
     def pre_fact(self, morphism_name, sub, result):
-        self.need_atom(morphism_name)
-        self.need_subvariety(sub)
-        self.need_subvariety(result)
+        """Record that the preimage of sub along the map is result."""
+        atom = self.need_atom(morphism_name)
+        if self.need_subvariety(sub).ambient != atom.target:
+            raise GeometryError(f"{morphism_name} does not land in the "
+                                f"ambient of {sub}")
+        if self.need_subvariety(result).ambient != atom.source:
+            raise GeometryError(f"{result} does not lie in the source of "
+                                f"{morphism_name}")
         self.pre_facts[((morphism_name,), sub)] = result
 
     def function(self, name, variety, definition=None):
@@ -461,10 +465,10 @@ class GeometryContext:
         """Transpose of a composite of paired bundle maps."""
         names = []
         for a in reversed(m.atoms):
-            atom = self.need_atom(a)
-            if not atom.transpose:
+            t = self.transposes.get(a)
+            if t is None:
                 raise GeometryError(f"{a} has no declared transpose")
-            names.append(atom.transpose)
+            names.append(t)
         if not names:
             raise GeometryError("cannot transpose an identity without its bundle")
         return self.composite(*names)

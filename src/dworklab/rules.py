@@ -3,11 +3,15 @@
 Raw terms between steps stay shift-canonical (one Shift at most, at the
 root); rule patterns are shift-free and paths address the shift-stripped
 core.  Each applier returns a shift-free replacement plus an integer delta.
-`rewrite` applies one rule at a subterm: it checks the gates (strata
-budget, exclusions) and turns a refusal into a `RuleError`.  `apply_step`
-is `rewrite` on a whole term: it navigates to the path, splices the
-replacement in, folds the delta into the root shift (the caller ledgers
-it) and checks that the result is well-formed.
+`rewrite` applies one rule at a subterm and is the one place that checks
+a step beyond its rule's matching: the exclusions, the step's strata need
+(`step_stratum`), and that the replacement is well-formed on the
+subterm's own variety.  Every rule is an isomorphism on one variety, and
+a node's variety depends only on its children's, so a step that passes
+keeps a well-formed term well-formed.  A refusal is a `RuleError`.
+`apply_step` is `rewrite` on a whole term: it navigates to the path,
+splices the replacement in and folds the delta into the root shift (the
+caller ledgers it).
 
 Matching tolerances, applied deterministically:
 
@@ -143,20 +147,18 @@ def _compose_apply(ctx, sub, direction, b, node):
         if not ctx.morphisms_equal(gf, sub.morphism):
             raise Fail("cited factors do not compose to the written map")
         sub = sub.arg
-    else:
-        v = variety_of(ctx, sub)
-        if not (gf.source == v and ctx.is_identity(gf)):
-            raise Fail("cited factors are not an identity on this term")
+    elif not ctx.is_identity(gf):
+        raise Fail("cited factors are not an identity")
     if node is Opb:
         return Opb(f, Opb(g, sub if direction == "bwd" else sub.arg.arg)), 0
     return Oim(g, Oim(f, sub if direction == "bwd" else sub.arg.arg)), 0
 
 
-def _r1(ctx, sub, direction, b, mode, allowed):
+def _r1(ctx, sub, direction, b, mode):
     return _compose_apply(ctx, sub, direction, b, Opb)
 
 
-def _r2(ctx, sub, direction, b, mode, allowed):
+def _r2(ctx, sub, direction, b, mode):
     return _compose_apply(ctx, sub, direction, b, Oim)
 
 
@@ -187,7 +189,7 @@ def _r2_moves(moves, sub):
 # --- tensor interchange ------------------------------------------------------
 
 
-def _r3(ctx, sub, direction, b, mode, allowed):
+def _r3(ctx, sub, direction, b, mode):
     if direction == "fwd":
         if not (isinstance(sub, Opb) and isinstance(sub.arg, Tensor)):
             raise Fail("need a pullback of a tensor")
@@ -204,7 +206,7 @@ def _r3(ctx, sub, direction, b, mode, allowed):
 _r3_moves = _by_shape((Opb, Tensor), (Tensor, None))
 
 
-def _r4(ctx, sub, direction, b, mode, allowed):
+def _r4(ctx, sub, direction, b, mode):
     if direction == "fwd":
         if not (isinstance(sub, Oim) and isinstance(sub.arg, Tensor)):
             raise Fail("need a pushforward of a tensor")
@@ -228,7 +230,7 @@ _r4_moves = _by_shape((Oim, Tensor), (Tensor, None))
 # --- base change -------------------------------------------------------------
 
 
-def _r5(ctx, sub, direction, b, mode, allowed):
+def _r5(ctx, sub, direction, b, mode):
     name = _get(b, "square", str, "a declared square name")
     sq = ctx.squares.get(name)
     if sq is None:
@@ -239,8 +241,6 @@ def _r5(ctx, sub, direction, b, mode, allowed):
         for v in (af.source, af.target, ah.source, afp.source):
             if not ctx.varieties[v].smooth:
                 raise Fail(f"square corner {v} is not smooth")
-    if allowed < 1 and not ctx.is_embedding(ctx.composite(sq.h)):
-        raise Fail("needs stratum 1 unless the transverse leg is an embedding")
     dims = {v: ctx.varieties[v].dim
             for v in (af.source, af.target, ah.source, afp.source)}
     delta_fwd = (dims[ah.source] - dims[af.target]) \
@@ -262,13 +262,20 @@ def _r5(ctx, sub, direction, b, mode, allowed):
     return Oim(mfp, Opb(mhp, sub.arg.arg)), -delta_fwd
 
 
+def _r5_stratum(ctx, b):
+    """Base change over a square needs stratum 1 unless its transverse leg
+    is an embedding."""
+    sq = ctx.squares.get(b.get("square"))
+    return int(sq is not None and not ctx.is_embedding(ctx.composite(sq.h)))
+
+
 _r5_moves = _by_shape((Oim, Opb), (Opb, Oim), "square")
 
 
 # --- supports ----------------------------------------------------------------
 
 
-def _r6(ctx, sub, direction, b, mode, allowed):
+def _r6(ctx, sub, direction, b, mode):
     if direction == "fwd":
         if not isinstance(sub, RGamma):
             raise Fail("need a supported term")
@@ -285,7 +292,7 @@ def _r6(ctx, sub, direction, b, mode, allowed):
 _r6_moves = _by_shape((RGamma, None), (Tensor, None))
 
 
-def _r7(ctx, sub, direction, b, mode, allowed):
+def _r7(ctx, sub, direction, b, mode):
     if direction == "fwd" and not b:
         if not (isinstance(sub, RGamma) and isinstance(sub.arg, RGamma)):
             raise Fail("need nested supports to merge")
@@ -323,7 +330,7 @@ def _r7_moves(moves, sub):
         yield ("bwd", {"left": left, "right": right}), ("fwd", {})
 
 
-def _r8(ctx, sub, direction, b, mode, allowed):
+def _r8(ctx, sub, direction, b, mode):
     target = _get(b, "sub", None, "a subvariety")
     if direction == "fwd":
         if not (isinstance(sub, Oim) and isinstance(sub.arg, RGamma)):
@@ -366,7 +373,7 @@ def _r10_center(ctx, mode, m):
     return name, sv.codim
 
 
-def _r10(ctx, sub, direction, b, mode, allowed):
+def _r10(ctx, sub, direction, b, mode):
     layers = b.get("layers", 1)
     if not isinstance(layers, int) or layers < 1:
         raise Fail("layers must be a positive integer")
@@ -421,7 +428,7 @@ def _r10_moves(moves, sub):
         yield _both_ways(direction, {"layers": k})
 
 
-def _r18(ctx, sub, direction, b, mode, allowed):
+def _r18(ctx, sub, direction, b, mode):
     if not isinstance(sub, RGamma):
         raise Fail("need a supported term")
     if direction == "fwd":
@@ -442,7 +449,7 @@ def _r18_moves(moves, sub):
 # --- exponentials and transforms ---------------------------------------------
 
 
-def _r11(ctx, sub, direction, b, mode, allowed):
+def _r11(ctx, sub, direction, b, mode):
     if direction == "fwd":
         if not (isinstance(sub, Opb) and isinstance(sub.arg, Exp)):
             raise Fail("need a pullback of an exponential")
@@ -452,8 +459,6 @@ def _r11(ctx, sub, direction, b, mode, allowed):
         raise Fail("need an exponential")
     f = _get(b, "f", Morphism, "a map")
     psi = _get(b, "psi", None, "a function")
-    if f.source != sub.variety:
-        raise Fail("cited map does not start at the exponential's variety")
     if not ctx.funcs_equal(sub.func, FuncPull(psi, f)):
         raise Fail("twist is not the pullback of the cited function")
     return Opb(f, Exp(f.target, psi)), 0
@@ -464,7 +469,7 @@ def _r11_moves(moves, sub):
         yield ("fwd", {}), ("bwd", {"f": sub.morphism, "psi": sub.arg.func})
 
 
-def _r12(ctx, sub, direction, b, mode, allowed):
+def _r12(ctx, sub, direction, b, mode):
     bundle = _get(b, "bundle", str, "a bundle name")
     data = ctx.fourier.get(bundle)
     if data is None:
@@ -497,7 +502,7 @@ def _r12_moves(moves, sub):
             yield _both_ways("bwd", {"bundle": bundle})
 
 
-def _r13(ctx, sub, direction, b, mode, allowed):
+def _r13(ctx, sub, direction, b, mode):
     bundle = _get(b, "bundle", str, "a bundle name")
     data = ctx.fourier.get(bundle)
     if data is None:
@@ -532,7 +537,7 @@ def _transposable(ctx, m):
         raise Fail(str(e)) from None
 
 
-def _r14(ctx, sub, direction, b, mode, allowed):
+def _r14(ctx, sub, direction, b, mode):
     if direction == "fwd":
         if not (isinstance(sub, Fourier) and isinstance(sub.arg, Oim)):
             raise Fail("need a transform of a pushforward")
@@ -567,7 +572,7 @@ def _r14_moves(moves, sub):
         yield _both_ways("bwd", {})
 
 
-def _r15(ctx, sub, direction, b, mode, allowed):
+def _r15(ctx, sub, direction, b, mode):
     if direction == "fwd":
         if not (isinstance(sub, Oim) and isinstance(sub.arg, Fourier)):
             raise Fail("need a pushforward of a transform")
@@ -590,7 +595,7 @@ def _r15(ctx, sub, direction, b, mode, allowed):
 _r15_moves = _by_shape((Oim, Fourier), (Fourier, Opb))
 
 
-def _r16(ctx, sub, direction, b, mode, allowed):
+def _r16(ctx, sub, direction, b, mode):
     bundle = _get(b, "bundle", str, "a bundle name")
     data = ctx.fourier.get(bundle)
     if data is None:
@@ -619,7 +624,7 @@ def _r16_moves(moves, sub):
         yield _both_ways("bwd", {"bundle": sub.bundle})
 
 
-def _r17(ctx, sub, direction, b, mode, allowed):
+def _r17(ctx, sub, direction, b, mode):
     bundle = _get(b, "bundle", str, "a bundle name")
     data = ctx.fourier.get(bundle)
     if data is None:
@@ -652,7 +657,7 @@ def _r17_moves(moves, sub):
 # --- unit laws (R19) and exterior-tensor laws (R20) --------------------------
 
 
-def _r19(ctx, sub, direction, b, mode, allowed):
+def _r19(ctx, sub, direction, b, mode):
     law = _get(b, "law", str, "one of opb_id/oim_id/tensor_unit/struct_pullback")
     if law == "opb_id" or law == "oim_id":
         node = Opb if law == "opb_id" else Oim
@@ -663,8 +668,6 @@ def _r19(ctx, sub, direction, b, mode, allowed):
         f = _get(b, "f", Morphism, "a map")
         if not ctx.is_identity(f):
             raise Fail("cited map is not an identity")
-        if f.source != variety_of(ctx, sub):
-            raise Fail("identity is on the wrong variety")
         return node(f, sub), 0
     if law == "tensor_unit":
         if direction == "fwd":
@@ -683,8 +686,6 @@ def _r19(ctx, sub, direction, b, mode, allowed):
         if not isinstance(sub, Struct):
             raise Fail("need a structure sheaf")
         f = _get(b, "f", Morphism, "a map")
-        if f.source != sub.variety:
-            raise Fail("cited map does not start here")
         return Opb(f, Struct(f.target)), 0
     raise Fail(f"unknown law {law!r}")
 
@@ -710,7 +711,7 @@ def _r19_moves(moves, sub):
                        ("fwd", {"law": "struct_pullback"}))
 
 
-def _r20(ctx, sub, direction, b, mode, allowed):
+def _r20(ctx, sub, direction, b, mode):
     law = _get(b, "law", str, "an exterior-tensor law name")
     if law == "etens_opb_proj2":
         if direction == "fwd":
@@ -831,7 +832,7 @@ RULES = {
     "R2": (0, _r2, _r2_moves),
     "R3": (0, _r3, _r3_moves),
     "R4": (1, _r4, _r4_moves),
-    "R5": (0, _r5, _r5_moves),  # stratum checked inside: embeddings are fine at 0
+    "R5": (0, _r5, _r5_moves),
     "R6": (0, _r6, _r6_moves),
     "R7": (0, _r7, _r7_moves),
     "R8": (0, _r8, _r8_moves),
@@ -904,38 +905,59 @@ class Moves:
                 yield (name, d, b), (name, ud, ub)
 
 
+def step_stratum(ctx, rule, bindings):
+    """The strata budget one step of a rule in RULES needs: the rule's
+    least stratum, or R5's need over the cited square."""
+    if rule == "R5":
+        return _r5_stratum(ctx, bindings)
+    return RULES[rule][0]
+
+
 def rewrite(ctx, sub, rule, direction, bindings=None, *,
             mode="strict-smooth", allowed_strata=1, excluded=frozenset(),
             lemmas=None):
-    """Apply one rewrite to a subterm, in place: (replacement, delta).
+    """Apply one rewrite to a well-formed subterm, in place: (replacement,
+    delta).
 
-    Checks the rule's gates and the rule itself, but not the term around
-    `sub`; a refusal is a RuleError at the empty path."""
+    Checks the gates (exclusions, the step's strata need), the rule itself
+    and that the replacement is well-formed on the subterm's own variety;
+    a refusal is a RuleError at the empty path."""
     if direction not in ("fwd", "bwd"):
         raise RuleError(rule, (), f"bad direction {direction!r}")
     b = dict(bindings or {})
     try:
         if rule.startswith("lemma:"):
-            return _lemma(ctx, sub, direction, rule[len("lemma:"):], lemmas or {})
-        entry = RULES.get(rule)
-        if entry is None:
-            raise Fail(f"unknown rule {rule!r}")
-        if rule in excluded:
-            raise Fail("rule excluded by this certificate")
-        stratum, fn, _moves = entry
-        if stratum > allowed_strata:
-            raise Fail(f"stratum-{stratum} rule, only {allowed_strata} allowed")
-        return fn(ctx, sub, direction, b, mode, allowed_strata)
+            new, delta = _lemma(ctx, sub, direction, rule[len("lemma:"):],
+                                lemmas or {})
+        else:
+            entry = RULES.get(rule)
+            if entry is None:
+                raise Fail(f"unknown rule {rule!r}")
+            if rule in excluded:
+                raise Fail("rule excluded by this certificate")
+            need = step_stratum(ctx, rule, b)
+            if need > allowed_strata:
+                raise Fail(f"stratum-{need} rule, only {allowed_strata} allowed")
+            new, delta = entry[1](ctx, sub, direction, b, mode)
+        try:
+            there = variety_of(ctx, new)
+        except TermError as e:
+            raise Fail(f"result ill-formed: {e}") from None
+        here = variety_of(ctx, sub)
+        if there != here:
+            raise Fail(f"result lives on {there}, not on {here}")
+        return new, delta
     except Fail as e:
         raise RuleError(rule, (), e.reason) from None
-    except GeometryError as e:
+    except (GeometryError, TermError) as e:
         raise RuleError(rule, (), str(e)) from None
 
 
 def apply_step(ctx, term, rule, direction, path, bindings=None, *,
                mode="strict-smooth", allowed_strata=1,
                excluded=frozenset(), lemmas=None):
-    """Apply one rewrite to a shift-canonical term; returns (term, delta)."""
+    """Apply one rewrite to a well-formed, shift-canonical term (as
+    `certificates.check_certificate` establishes); returns (term, delta)."""
     path = tuple(path)
     core, root_k = split_shift(term)
     try:
@@ -948,9 +970,4 @@ def apply_step(ctx, term, rule, direction, path, bindings=None, *,
                                  excluded=excluded, lemmas=lemmas)
     except RuleError as e:
         raise RuleError(rule, path, e.reason) from None
-    new_term = with_shift(replace(core, path, new_sub), root_k + delta)
-    try:
-        variety_of(ctx, new_term)
-    except TermError as e:
-        raise RuleError(rule, path, f"result ill-formed: {e}") from None
-    return new_term, delta
+    return with_shift(replace(core, path, new_sub), root_k + delta), delta

@@ -12,17 +12,12 @@ The rules are matched once per distinct subterm, not once per place it
 occurs.  `prove` builds one `MoveTable` and shares it across the direct
 search and every closure retry.  The table is keyed by a subterm's
 serialization and holds one row per offered move that `rules.rewrite`
-accepts there: the move, its undo, the replacement, the shift delta, the
-size change and whether the replacement keeps the subterm's variety.  A
-successor is the replacement spliced in at its path, with the delta
-folded into the root shift; nothing is re-applied to the whole term.
-
-Well-formedness is checked locally only where that is sound.  A node's
-variety depends only on its children's varieties, so on a well-formed
-term a replacement with the subterm's own variety, or any well-formed
-replacement at the root, leaves the term well-formed.  Every other
-successor (an ill-formed goal side, or a replacement that changes
-variety below the root) is checked with `variety_of` on the whole term.
+accepts there: the move, its undo, the replacement, the shift delta and
+the size change.  A successor is the replacement spliced in at its path,
+with the delta folded into the root shift; nothing is re-applied to the
+whole term.  `rewrite` accepts only replacements that are well-formed on
+the subterm's own variety, so from well-formed goal sides every
+successor is well-formed; a goal with an ill-formed side is not searched.
 Whether a move's undo lands back exactly on the subterm, with the
 opposite delta, is also decided once per (subterm, move), the first
 time a backward edge needs it.
@@ -63,21 +58,13 @@ class SearchResult:
     depth: int = 0
 
 
-def _variety(ctx, t):
-    """The variety `t` lives on, or None when it is ill-formed."""
-    try:
-        return variety_of(ctx, t)
-    except TermError:
-        return None
-
-
 class MoveTable:
     """The offered moves that apply at each subterm one search has met.
 
     Rows are plain tuples ``(rule, direction, bindings, undo direction,
-    undo bindings, replacement, delta, size change, keeps variety)``; a
-    move and its undo are always the same rule.  A subterm where no move
-    applies shares the empty tuple."""
+    undo bindings, replacement, delta, size change)``; a move and its undo
+    are always the same rule.  A subterm where no move applies shares the
+    empty tuple."""
 
     def __init__(self, ctx, moves, gates):
         self.ctx = ctx
@@ -91,19 +78,14 @@ class MoveTable:
         rows = self._rows.get(key)
         if rows is None:
             ctx, gates = self.ctx, self.gates
-            variety = _variety(ctx, sub)
             found = []
             for (rule, d, b), (_rule, ud, ub) in self.moves(sub):
                 try:
                     new_sub, delta = rewrite(ctx, sub, rule, d, b, **gates)
                 except RuleError:
                     continue
-                new_variety = _variety(ctx, new_sub)
-                if new_variety is None:
-                    continue  # the whole term would be ill-formed too
                 found.append((rule, d, b, ud, ub, new_sub, delta,
-                              size(new_sub) - size(sub),
-                              variety is not None and new_variety == variety))
+                              size(new_sub) - size(sub)))
             rows = self._rows[key] = tuple(found)
         return rows
 
@@ -113,8 +95,7 @@ class MoveTable:
         opposite delta."""
         verdict = self._undoes.get((key, i))
         if verdict is None:
-            rule, _d, _b, ud, ub, new_sub, delta, _grow, _keeps = \
-                self._rows[key][i]
+            rule, _d, _b, ud, ub, new_sub, delta, _grow = self._rows[key][i]
             try:
                 back, back_delta = rewrite(self.ctx, new_sub, rule, ud, ub,
                                            **self.gates)
@@ -126,7 +107,7 @@ class MoveTable:
         return verdict
 
 
-def _successors(table, term, seen, forward=True, well_formed=True):
+def _successors(table, term, seen, forward=True):
     """Terms one offered move away, as ``(serialization, term, step)``.
     The step is the one the frontier records: going forward the move
     itself; going backward its undo, or None when the undo does not land
@@ -137,20 +118,17 @@ def _successors(table, term, seen, forward=True, well_formed=True):
     for path, sub in subterms(core):
         key = serialize(sub)
         for i, row in enumerate(table.rows(sub, key)):
-            rule, d, b, ud, ub, new_sub, delta, grow, keeps = row
+            rule, d, b, ud, ub, new_sub, delta, grow = row
             shift = k + delta
             if n + grow + (shift != 0) > _SIZE_CAP:
                 continue
             nt = with_shift(replace(core, path, new_sub), shift)
-            if path and not (well_formed and keeps) \
-                    and _variety(table.ctx, nt) is None:
-                continue
             nk = serialize(nt)
             if nk in seen:
                 yield nk, nt, None
             elif forward:
                 yield nk, nt, ProofStep(rule, d, path, b)
-            elif well_formed and table.undoes(key, i):
+            elif table.undoes(key, i):
                 yield nk, nt, ProofStep(rule, ud, path, ub)
             else:
                 yield nk, nt, None
@@ -166,6 +144,11 @@ def _path(parents, key):
 
 
 def _mitm(table, lhs, rhs, max_depth):
+    try:
+        variety_of(table.ctx, lhs)
+        variety_of(table.ctx, rhs)
+    except TermError:
+        return None, 0  # no step applies to an ill-formed term
     left = canonical_shift(lhs)
     right = canonical_shift(rhs)
     lkey, rkey = serialize(left), serialize(right)
@@ -173,9 +156,6 @@ def _mitm(table, lhs, rhs, max_depth):
     bpar = {rkey: None}
     if lkey == rkey:
         return [], 0
-    # successors are well-formed; only a goal side may not be
-    ill_formed = {key for key, t in ((lkey, left), (rkey, right))
-                  if _variety(table.ctx, t) is None}
     flevel = {lkey: left}
     blevel = {rkey: right}
     fd = bd = 0
@@ -191,9 +171,7 @@ def _mitm(table, lhs, rhs, max_depth):
         other = bpar if forward else fpar
         nxt = {}
         for key, term in src.items():
-            well_formed = key not in ill_formed
-            for nk, nt, step in _successors(table, term, parents, forward,
-                                            well_formed):
+            for nk, nt, step in _successors(table, term, parents, forward):
                 expanded += 1
                 if step is None:
                     continue

@@ -6,6 +6,7 @@ import pytest
 
 from dworklab.certificates import (
     Closure,
+    Lemma,
     ProofCertificate,
     ProofStep,
     builtin_suite,
@@ -131,6 +132,18 @@ def test_ill_formed_goals_are_invalid(dwork):
     assert rep.status == "invalid"
 
 
+def test_a_lemma_across_two_varieties_proves_nothing(dwork):
+    # each side is well-formed, but citing the lemma would swap O[X] for
+    # O[V], a replacement on another variety
+    cert = ProofCertificate(
+        name="bad", title="across", goal_lhs=Struct("X"), goal_rhs=Struct("V"),
+        steps=(ProofStep("lemma:across"),),
+        lemmas=(Lemma("across", Struct("X"), Struct("V")),))
+    rep = check_certificate(dwork, cert)
+    assert rep.status == "invalid"
+    assert "lives on V, not on X" in rep.reason
+
+
 def test_closure_must_be_a_closed_wrapping(dwork):
     lhs = Struct("X")
     rhs = Struct("X")
@@ -187,9 +200,13 @@ def test_verify_paper_strict_only_breaks_c5():
 
 
 def test_verify_paper_names_the_rules_above_a_strata_bound():
+    # C2 and C8 also base-change over squares whose transverse leg (pi,
+    # tf) is not an embedding, and such an R5 step needs stratum 1
     rep = verify_paper(allowed_strata=0)
-    assert rep.stratum_needs == {"C1": ["R4"], "C2": ["R4"], "C8": ["R4"],
-                                 "C9": ["R14"]}
+    assert rep.stratum_needs == {"C1": ["R4"], "C2": ["R4", "R5"],
+                                 "C8": ["R4", "R5"], "C9": ["R14"]}
+    by_name = {r.certificate: r for r in rep.reports}
+    assert "step 1 failed: R5" in by_name["C8"].reason
     assert verify_paper(allowed_strata=1).stratum_needs == {}
 
 

@@ -65,7 +65,8 @@ def test_verify_paper_strata_notes(capsys):
     assert main(["verify-paper", "--strata", "0", "--output", "machine"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["stratum_needs"]["C9"] == ["R14"]
-    assert data["stratum_needs"]["C2"] == ["R4"]
+    assert data["stratum_needs"]["C2"] == ["R4", "R5"]
+    assert data["stratum_needs"]["C8"] == ["R4", "R5"]
 
 
 def test_prove_bundled_script(bundled, capsys):
@@ -109,6 +110,48 @@ def test_prove_parse_error_span(tmp_path, capsys):
     assert main(["prove", str(bad)]) == 2
     err = capsys.readouterr().err
     assert f"{bad}:2:" in err
+
+
+TRANSFORM = """\
+variety X dim 1;
+bundle Vb on X rank 1 proj pv sect iv;
+bundle Vd on X rank 1 proj pvd sect ivd;
+bundle Wb on X rank 1 proj qw sect iw;
+bundle Wd on X rank 1 proj qwd sect iwd;
+fourierpair Vb Vd product VVd proj pv1 pv2 pairing gammaV line A1X coord t;
+fourierpair Wb Wd product WWd proj qw1 qw2 pairing gammaW line A1X coord t;
+{maps}
+object N on Vb;
+goal exchange : Fourier[Wb](Oim[f](N)) ~ Opb[tf](Fourier[Vb](N));
+step R14 fwd at /;
+"""
+MAP_F = "morphism f : Vb -> Wb bundlemap;"
+MAP_TF = "morphism tf : Wd -> Vd bundlemap transpose f;"
+
+
+@pytest.mark.parametrize("maps", [[MAP_F, MAP_TF], [MAP_TF, MAP_F]],
+                         ids=["f first", "tf first"])
+def test_a_transpose_declared_in_either_order_pairs_both_maps(
+        maps, tmp_path, capsys):
+    script = tmp_path / "transform.dwk"
+    script.write_text(TRANSFORM.format(maps="\n".join(maps)),
+                      encoding="utf-8")
+    assert main(["prove", str(script)]) == 0
+    assert "verified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fact", ["cap A B", "preimage f A", "preimage g B"])
+def test_ill_typed_subvariety_facts_are_input_errors(fact, tmp_path, capsys):
+    # A lies in X, B and C in Y; the cap spans two ambients, f lands in X
+    # while C lies in Y, and g lands in Y but B does not lie in its source X
+    src = ("variety X dim 1;\nvariety Y dim 1;\n"
+           "morphism f : Y -> X;\nmorphism g : X -> Y;\n"
+           "subvariety A in X codim 1;\nsubvariety B in Y codim 1;\n"
+           f"subvariety C in Y codim 1 {fact};\n")
+    bad = tmp_path / "facts.dwk"
+    bad.write_text(src, encoding="utf-8")
+    assert main(["prove", str(bad)]) == 2
+    assert f"{bad}:7:1: " in capsys.readouterr().err
 
 
 def test_prove_missing_file(tmp_path, capsys):

@@ -6,7 +6,10 @@ the engine:
 * Twisted side.  F = sum_i x_i^{a_i} is weighted homogeneous with an
   isolated critical point at 0, so its twisted de Rham cohomology is its
   Milnor number prod_i (a_i - 1) in degree n and zero elsewhere
-  (Kouchnirenko 1976; Adolphson–Sperber, Ann. Math. 1989).
+  (Kouchnirenko 1976; Adolphson–Sperber, Ann. Math. 1989).  The same
+  holds for any weighted-homogeneous F with an isolated critical point,
+  where by Milnor–Orlik (1970) the Milnor number is prod_i (1/w_i - 1)
+  for the weights w_i that give every monomial weighted degree 1.
 * Both sides.  For f = x^a + y^b the Milnor fibre is a connected curve
   whose monodromy has the eigenvalues exp(2 pi i (k1/a + k2/b)),
   1 <= k1 < a, 1 <= k2 < b (Brieskorn 1966; Milnor 1968).  The
@@ -50,6 +53,28 @@ def test_twisted_table_is_the_milnor_number():
         want = {k: 0 for k in range(n)}
         want[n] = prod(a - 1 for a in exponents)
         assert res.dims == want, exponents
+
+
+# weighted-homogeneous, not diagonal, each with an isolated critical point
+# at 0: (polynomial, weights of x, y[, z])
+WEIGHTED = [
+    ("x^3+x*y^3", (Fraction(1, 3), Fraction(2, 9))),
+    ("x^2*y+y^3", (Fraction(1, 3), Fraction(1, 3))),
+    ("x^3*y+y^2", (Fraction(1, 6), Fraction(1, 2))),
+    ("x^2+y^2*z+z^3", (Fraction(1, 2), Fraction(1, 3), Fraction(1, 3))),
+    ("x^2*y+y^4+z^3", (Fraction(3, 8), Fraction(1, 4), Fraction(1, 3))),
+]
+
+
+def test_twisted_table_of_a_weighted_homogeneous_twist():
+    for text, weights in WEIGHTED:
+        n = len(weights)
+        F = parse_poly(text, NAMES[:n])
+        for mono in F.terms:
+            assert sum(w * e for w, e in zip(weights, mono)) == 1, text
+        want = {k: 0 for k in range(n)}
+        want[n] = prod(1 / w - 1 for w in weights)
+        assert twisted_cohomology(F).dims == want, text
 
 
 def test_supported_table_counts_invariant_eigenvalues():

@@ -95,6 +95,31 @@ def test_transpose_lookup(transform_ctx):
     assert back.atoms == ("f",)
 
 
+def test_transpose_lookup_in_either_declaration_order():
+    for first_f in (True, False):
+        ctx = GeometryContext()
+        for name in ("X", "V", "W"):
+            ctx.variety(name, 1)
+        maps = [("f", "V", "W", ""), ("tf", "W", "V", "f")]
+        for name, source, target, transpose in (maps if first_f
+                                                else maps[::-1]):
+            ctx.morphism(name, source, target, kind="bundle-map",
+                         transpose=transpose)
+        assert ctx.transpose_morphism(ctx.composite("f")).atoms == ("tf",)
+        assert ctx.transpose_morphism(ctx.composite("tf")).atoms == ("f",)
+
+
+def test_subvariety_facts_are_typed(dwork):
+    dwork.cap_fact("sX", "iotaX", "iotaS")
+    with pytest.raises(GeometryError, match="ambients"):
+        dwork.cap_fact("S", "sX", "iotaS")
+    dwork.pre_fact("s", "iotaS", "S")
+    with pytest.raises(GeometryError, match="does not land"):
+        dwork.pre_fact("j", "iotaS", "S")
+    with pytest.raises(GeometryError, match="source"):
+        dwork.pre_fact("s", "iotaX", "iotaS")
+
+
 def test_find_pmap(graph_ctx):
     ctx = graph_ctx
     assert ctx.find_pmap("id", "f", "XX", "XY") == "fpp"

@@ -3,8 +3,16 @@
 import pytest
 
 from dworklab.errors import RuleError
-from dworklab.geometry import FuncName, FuncPull, SubCap, SubName, SubPre, SubRed
-from dworklab.rules import Moves, apply_step
+from dworklab.geometry import (
+    FuncName,
+    FuncPull,
+    Morphism,
+    SubCap,
+    SubName,
+    SubPre,
+    SubRed,
+)
+from dworklab.rules import Moves, apply_step, step_stratum
 from dworklab.terms import (
     ETensor,
     Exp,
@@ -119,6 +127,21 @@ def test_r5_strict_mode_wants_smooth_corners(dwork):
     assert serialize(out) == serialize(
         Opb(dwork.composite("iotacheck"), Oim(dwork.composite("s"), Struct("X"))))
     assert delta == 0  # (dim X - dim Adual) - (dim S - dim X) = -1 + 1
+
+
+def test_r5_needs_stratum_1_unless_the_transverse_leg_is_an_embedding(dwork):
+    # sq1's transverse leg is the projection pi, sq2's the section iotacheck
+    assert step_stratum(dwork, "R5", {"square": "sq1"}) == 1
+    assert step_stratum(dwork, "R5", {"square": "sq2"}) == 0
+    assert step_stratum(dwork, "R4", {}) == 1
+    assert step_stratum(dwork, "R1", {}) == 0
+    m = Var("M", "X")
+    term = Oim(dwork.composite("stilde"), Opb(dwork.composite("pi"), m))
+    with pytest.raises(RuleError, match="stratum-1 rule, only 0 allowed"):
+        _step(dwork, term, "R5", "fwd", b={"square": "sq1"}, allowed_strata=0)
+    term = Oim(dwork.composite("j"), Opb(dwork.composite("j"), Struct("X")))
+    _step(dwork, term, "R5", "fwd", b={"square": "sq2"}, allowed_strata=0,
+          mode="allow-singular")
 
 
 # --- local sections -------------------------------------------------------------
@@ -395,6 +418,27 @@ def test_results_are_well_formed_or_rejected(dwork):
     with pytest.raises(RuleError):
         _step(dwork, term, "R7", "bwd",
               b={"left": SubName("S"), "right": SubName("S")})
+
+
+def test_cited_maps_off_the_subterms_variety_are_refused(dwork):
+    # R1, R11 and R19 backward cite maps whose endpoints their appliers do
+    # not check; rewrite refuses a replacement that is ill-formed or lives
+    # on another variety than the subterm
+    pi, iota = dwork.composite("pi"), dwork.composite("iota")
+    misplaced = Morphism(("stilde",), "X", "VA")  # stilde starts at V
+    psi = FuncPull(FuncName("t"), dwork.composite("gammaV"))
+    cases = [
+        (Struct("V"), "R1", {"f": iota, "g": pi}, "result ill-formed"),
+        (Exp("V", FuncName("F")), "R11", {"f": misplaced, "psi": psi},
+         "lives on X, not on V"),
+        (Struct("X"), "R19", {"law": "opb_id", "f": dwork.identity("V")},
+         "result ill-formed"),
+        (Struct("X"), "R19", {"law": "struct_pullback", "f": pi},
+         "lives on V, not on X"),
+    ]
+    for term, rule, b, why in cases:
+        with pytest.raises(RuleError, match=why):
+            _step(dwork, term, rule, "bwd", b=b)
 
 
 # --- moves offered to the search ----------------------------------------------

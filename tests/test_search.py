@@ -148,35 +148,32 @@ def _reference_successors(ctx, moves, term, gates):
             yield ProofStep(rule, d, path, b), serialize(nt), undo
 
 
-def _table_successors(table, term, well_formed=True):
+def _table_successors(table, term):
     """The same, read off the move table in both directions."""
-    forward = search._successors(table, term, {}, True, well_formed)
-    backward = search._successors(table, term, {}, False, well_formed)
+    forward = search._successors(table, term, {}, True)
+    backward = search._successors(table, term, {}, False)
     for (nk, _nt, step), (back_nk, _b, undo) in zip(forward, backward,
                                                      strict=True):
         assert back_nk == nk
         yield step, nk, undo
 
 
-def _assert_reference_successors(table, term, well_formed=None):
-    if well_formed is None:
-        well_formed = search._variety(table.ctx, term) is not None
+def _assert_reference_successors(table, term):
     want = list(_reference_successors(table.ctx, table.moves, term,
                                       table.gates))
-    assert list(_table_successors(table, term, well_formed)) == want, \
-        serialize(term)
+    assert list(_table_successors(table, term)) == want, serialize(term)
 
 
 @pytest.fixture(scope="module")
 def expanded(suite, collapse_text):
-    """(table, term, well-formed) for every term the searches of `_goals`
-    expand, in order."""
+    """(table, term) for every term the searches of `_goals` expand, in
+    order."""
     out = []
     real = search._successors
 
-    def recording(table, term, seen, forward=True, well_formed=True):
-        out.append((table, term, well_formed))
-        return real(table, term, seen, forward, well_formed)
+    def recording(table, term, seen, forward=True):
+        out.append((table, term))
+        return real(table, term, seen, forward)
 
     search._successors = recording
     try:
@@ -188,12 +185,9 @@ def expanded(suite, collapse_text):
 
 
 def test_move_table_gives_the_reference_successors(expanded):
-    # the wrapped goal sides of the closure retries are ill-formed here,
-    # so the whole-term fallback is exercised too
-    assert not all(wf for _t, _term, wf in expanded)
     assert len(expanded) > 800
-    for table, term, well_formed in expanded:
-        _assert_reference_successors(table, term, well_formed)
+    for table, term in expanded:
+        _assert_reference_successors(table, term)
 
 
 def _first_offers(moves, sub):
@@ -245,7 +239,7 @@ def test_r16_r17_offer_exactly_the_moves_they_accept(expanded):
     # drops refusals and no accepted move, in order
     seen = set()
     refused_before = refused_now = accepted = 0
-    for table, term, _wf in expanded:
+    for table, term in expanded:
         enabled = ({name for name, _enum in table.moves.rules}
                    & {"R14", "R16", "R17", "R20"})
         core, _k = split_shift(term)
@@ -319,7 +313,7 @@ def test_move_table_at_the_size_cap(dwork, monkeypatch):
         _assert_reference_successors(table, term)
 
 
-def _drop(ctx, sub, direction, b, mode, allowed):
+def _drop(ctx, sub, direction, b, mode):
     """Opb[f](A) <-> A: a replacement on another variety."""
     if direction == "bwd":
         return Opb(b["f"], sub), 0
@@ -333,7 +327,30 @@ def _drop_moves(moves, sub):
         yield ("fwd", {}), ("bwd", {"f": sub.morphism})
 
 
-def _leak(ctx, sub, direction, b, mode, allowed):
+def test_a_replacement_on_another_variety_is_refused_at_every_path(
+        dwork, monkeypatch):
+    # no built-in rule changes a subterm's variety, so a made-up rule
+    # does: rewrite refuses it at the root as below it, and the move table
+    # keeps no row for it
+    monkeypatch.setitem(rules.RULES, "R98", (0, _drop, _drop_moves))
+    pi = dwork.composite("pi")
+    m = Var("M", "X")
+    pulled = Opb(pi, m)
+    for term, path in ((pulled, ()), (Oim(pi, pulled), (0,)),
+                       (Shift(Oim(pi, pulled), 2), (0,))):
+        with pytest.raises(RuleError, match="lives on X, not on V"):
+            apply_step(dwork, term, "R98", "fwd", path)
+    with pytest.raises(RuleError, match="lives on V, not on X"):
+        apply_step(dwork, m, "R98", "bwd", (), {"f": pi})
+    table = _table(dwork)
+    for term in (pulled, Oim(pi, pulled)):
+        assert all(row[0] != "R98"
+                   for _path, sub in subterms(term)
+                   for row in table.rows(sub, serialize(sub)))
+        _assert_reference_successors(table, term)
+
+
+def _leak(ctx, sub, direction, b, mode):
     """M -> M (x) O, undone with a shift left over."""
     if direction == "fwd":
         if not isinstance(sub, Var):
@@ -349,25 +366,25 @@ def _leak_moves(moves, sub):
         yield ("fwd", {}), ("bwd", {})
 
 
-def test_move_table_falls_back_where_local_checks_are_unsound(dwork,
-                                                              monkeypatch):
-    # no built-in rule changes a subterm's variety or leaves a shift when
-    # undone, so two made-up rules do; the table must then agree with the
-    # whole-term checks: no Oim[pi](M) from Oim[pi](Opb[pi](M)), no backward
-    # edge back to the ill-formed Opb[pi](O[V]), and no backward edge whose
-    # undo leaves a shift
-    monkeypatch.setitem(rules.RULES, "R98", (0, _drop, _drop_moves))
+def test_an_undo_that_leaves_a_shift_is_no_backward_edge(dwork, monkeypatch):
+    # no built-in rule leaves a shift when undone, so a made-up rule does:
+    # its move is a forward edge, but never a backward one
     monkeypatch.setitem(rules.RULES, "R99", (0, _leak, _leak_moves))
     table = _table(dwork)
     pi = dwork.composite("pi")
     m = Var("M", "X")
-    terms = [Oim(pi, Opb(pi, m)), Opb(pi, Struct("V")),
-             Tensor(m, Struct("X")), Shift(Oim(pi, Opb(pi, m)), 2)]
-    for term in terms:
+    for term in (Tensor(m, Struct("X")), Oim(pi, Opb(pi, m)),
+                 Shift(Oim(pi, Opb(pi, m)), 2)):
         _assert_reference_successors(table, term)
-    # ...and both offered moves that applied
-    subs = [sub for term in terms
-            for _path, sub in subterms(split_shift(term)[0])]
-    applied = {row[0] for sub in subs
-               for row in table.rows(sub, serialize(sub))}
-    assert {"R98", "R99"} <= applied
+        leaks = [undo for step, _nk, undo in _table_successors(table, term)
+                 if step.rule == "R99"]
+        assert leaks and leaks == [None] * len(leaks)
+
+
+def test_search_from_an_ill_formed_side_expands_nothing(dwork):
+    # no step applies to an ill-formed term, so the search does not start,
+    # not even when both sides are the same ill-formed term
+    bad = Opb(dwork.composite("pi"), Struct("V"))
+    for lhs, rhs in ((bad, Struct("V")), (Struct("V"), bad), (bad, bad)):
+        res = prove(dwork, lhs, rhs, max_depth=4)
+        assert not res.found and res.steps == [] and res.expanded == 0
