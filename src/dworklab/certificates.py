@@ -37,10 +37,10 @@ from .terms import (
     Var,
     canonical_shift,
     equal_normal,
+    equation_variety,
     normalize,
     serialize,
     split_shift,
-    variety_of,
 )
 
 
@@ -137,11 +137,9 @@ def check_certificate(ctx, cert, mode=None, allowed_strata=None):
         if cert.closure is not None:
             lhs = _wrap_closure(ctx, cert.closure, lhs)
             rhs = _wrap_closure(ctx, cert.closure, rhs)
-        variety_of(ctx, lhs)
-        variety_of(ctx, rhs)
-        for _n, (ll, lr) in lemmas.items():
-            variety_of(ctx, ll)
-            variety_of(ctx, lr)
+        equation_variety(ctx, lhs, rhs)
+        for ll, lr in lemmas.values():
+            equation_variety(ctx, ll, lr)
     except (TermError, GeometryError) as e:
         rep.reason = f"goal ill-formed: {e}"
         return rep

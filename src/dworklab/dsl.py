@@ -853,8 +853,7 @@ def bind_script(doc):
                 if goal is not None and isinstance(st, GoalDecl):
                     raise GeometryError("a script carries a single goal")
                 eq = (st.name, bind_expr(ctx, st.lhs), bind_expr(ctx, st.rhs))
-                T.variety_of(ctx, eq[1])
-                T.variety_of(ctx, eq[2])
+                T.equation_variety(ctx, eq[1], eq[2])
                 if isinstance(st, GoalDecl):
                     goal = eq
                 else:
@@ -877,6 +876,12 @@ def bind_script(doc):
                 excluded = frozenset(st.rules)
         except (GeometryError, TermError) as e:
             raise ParseError(str(e), span=st.span) from None
+    for st in doc.statements:
+        if (isinstance(st, MorphismDecl) and st.transpose
+                and st.transpose not in ctx.atoms):
+            raise ParseError(
+                f"transpose {st.transpose!r} is not a declared map",
+                span=st.span)
     cert = None
     if goal is not None:
         cert = ProofCertificate(

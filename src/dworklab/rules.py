@@ -25,13 +25,17 @@ Matching tolerances, applied deterministically:
   form, with any shift difference transferred to the ledger;
 * metavariables bind raw subterms exactly.
 
-Next to each applier sits its enumerator: the moves the rule offers a
-search at one subterm, each with the step undoing it, read off the same
-subterm.  `rewrite` may still refuse a move, and an undo may land on a
-raw form other than the original; the search checks both.
+Each applier also names the step undoing it, read off the subterm it
+rewrote.  Each rule's `RULES` row says where a search tries it: per
+direction (and law), a node shape and candidate bindings.  `Moves` tries
+each candidate once through `rewrite` and yields the accepted moves.  An
+undo may land on a raw form other than the original; the search checks.
 """
 
 from __future__ import annotations
+
+from itertools import product
+from typing import Callable, NamedTuple
 
 from .errors import GeometryError, RuleError, TermError
 from .geometry import (
@@ -68,6 +72,19 @@ from .terms import (
 _ATOM_PAIR_CAP = 2500
 
 
+class Offer(NamedTuple):
+    """Where a rule is offered one way: at an `outer` node whose argument
+    is an `inner` node (None: any), once per candidate binding.  With a
+    `key`, the candidates bind it to each value `pick(moves, sub)` finds,
+    or else to each declared name (`Moves.names`); without one, they are
+    the bindings `pick` finds, or else none at all."""
+
+    outer: type
+    inner: type | None = None
+    key: str | None = None
+    pick: Callable | None = None
+
+
 class Fail(Exception):
     def __init__(self, reason):
         self.reason = reason
@@ -88,24 +105,13 @@ def _orderings(t):
     return ((t.left, t.right, False), (t.right, t.left, True))
 
 
-def _both_ways(direction, bindings):
-    """A move whose undo is the same rule the other way, same bindings
-    (one dict: steps never change their bindings)."""
-    undo = "bwd" if direction == "fwd" else "fwd"
-    return (direction, bindings), (undo, bindings)
-
-
-def _by_shape(fwd, bwd, key=None):
-    """Enumerator of a rule that runs forward at the (outer, inner) node
-    classes `fwd` and backward at `bwd` (inner None: any argument), each
-    undone the other way; with a binding `key`, once per declared name."""
-    def enumerate_moves(moves, sub):
-        for direction, (outer, inner) in (("fwd", fwd), ("bwd", bwd)):
-            if isinstance(sub, outer) and (
-                    inner is None or isinstance(sub.arg, inner)):
-                for name in moves.names[key] if key else (None,):
-                    yield _both_ways(direction, {key: name} if key else {})
-    return enumerate_moves
+def _other_way(apply):
+    """An applier whose step the same rule undoes the other way, with the
+    same bindings."""
+    def applier(ctx, sub, direction, b, mode):
+        new, delta = apply(ctx, sub, direction, b, mode)
+        return new, delta, ("bwd" if direction == "fwd" else "fwd", b)
+    return applier
 
 
 def _single_atom(ctx, m):
@@ -118,6 +124,13 @@ def _single_atom(ctx, m):
 # --- compose -----------------------------------------------------------------
 
 
+def _factors(sub, node):
+    """The cited factors f, g of a written nesting of two `node`s."""
+    outer, inner = sub.morphism, sub.arg.morphism
+    f, g = (outer, inner) if node is Opb else (inner, outer)
+    return {"f": f, "g": g}
+
+
 def _compose_apply(ctx, sub, direction, b, node):
     if direction == "fwd" and not b:
         if not (isinstance(sub, node) and isinstance(sub.arg, node)):
@@ -127,7 +140,7 @@ def _compose_apply(ctx, sub, direction, b, node):
             merged = ctx.compose(inner, outer)  # (g.f)-dagger = f-dagger g-dagger
         else:
             merged = ctx.compose(outer, inner)
-        return node(merged, sub.arg.arg), 0
+        return node(merged, sub.arg.arg), 0, ("bwd", _factors(sub, node))
 
     f = _get(b, "f", Morphism, "a map")
     g = _get(b, "g", Morphism, "a map")
@@ -149,9 +162,13 @@ def _compose_apply(ctx, sub, direction, b, node):
         sub = sub.arg
     elif not ctx.is_identity(gf):
         raise Fail("cited factors are not an identity")
+    if direction == "bwd":
+        core, undo = sub, ("fwd", {})
+    else:
+        core, undo = sub.arg.arg, ("fwd", _factors(sub, node))
     if node is Opb:
-        return Opb(f, Opb(g, sub if direction == "bwd" else sub.arg.arg)), 0
-    return Oim(g, Oim(f, sub if direction == "bwd" else sub.arg.arg)), 0
+        return Opb(f, Opb(g, core)), 0, undo
+    return Oim(g, Oim(f, core)), 0, undo
 
 
 def _r1(ctx, sub, direction, b, mode):
@@ -162,33 +179,10 @@ def _r2(ctx, sub, direction, b, mode):
     return _compose_apply(ctx, sub, direction, b, Oim)
 
 
-def _compose_moves(moves, sub, node):
-    """Merge a nested pair (undo: split at the written maps), or split the
-    map into declared atoms (undo: merge)."""
-    if not isinstance(sub, node):
-        return
-    if isinstance(sub.arg, node):
-        outer, inner = sub.morphism, sub.arg.morphism
-        f, g = (outer, inner) if node is Opb else (inner, outer)
-        yield ("fwd", {}), ("bwd", {"f": f, "g": g})
-    if moves.pairs:
-        m = moves.ctx.normalize_morphism(sub.morphism)
-        for f, g, gf in moves.pairs:
-            if gf == m:
-                yield ("bwd", {"f": f, "g": g}), ("fwd", {})
-
-
-def _r1_moves(moves, sub):
-    return _compose_moves(moves, sub, Opb)
-
-
-def _r2_moves(moves, sub):
-    return _compose_moves(moves, sub, Oim)
-
-
 # --- tensor interchange ------------------------------------------------------
 
 
+@_other_way
 def _r3(ctx, sub, direction, b, mode):
     if direction == "fwd":
         if not (isinstance(sub, Opb) and isinstance(sub.arg, Tensor)):
@@ -203,9 +197,7 @@ def _r3(ctx, sub, direction, b, mode):
     return Opb(sub.left.morphism, Tensor(sub.left.arg, sub.right.arg)), 0
 
 
-_r3_moves = _by_shape((Opb, Tensor), (Tensor, None))
-
-
+@_other_way
 def _r4(ctx, sub, direction, b, mode):
     if direction == "fwd":
         if not (isinstance(sub, Oim) and isinstance(sub.arg, Tensor)):
@@ -224,12 +216,10 @@ def _r4(ctx, sub, direction, b, mode):
     raise Fail("no pushed-forward factor")
 
 
-_r4_moves = _by_shape((Oim, Tensor), (Tensor, None))
-
-
 # --- base change -------------------------------------------------------------
 
 
+@_other_way
 def _r5(ctx, sub, direction, b, mode):
     name = _get(b, "square", str, "a declared square name")
     sq = ctx.squares.get(name)
@@ -269,12 +259,10 @@ def _r5_stratum(ctx, b):
     return int(sq is not None and not ctx.is_embedding(ctx.composite(sq.h)))
 
 
-_r5_moves = _by_shape((Oim, Opb), (Opb, Oim), "square")
-
-
 # --- supports ----------------------------------------------------------------
 
 
+@_other_way
 def _r6(ctx, sub, direction, b, mode):
     if direction == "fwd":
         if not isinstance(sub, RGamma):
@@ -289,14 +277,12 @@ def _r6(ctx, sub, direction, b, mode):
     raise Fail("no supported structure-sheaf factor")
 
 
-_r6_moves = _by_shape((RGamma, None), (Tensor, None))
-
-
 def _r7(ctx, sub, direction, b, mode):
     if direction == "fwd" and not b:
         if not (isinstance(sub, RGamma) and isinstance(sub.arg, RGamma)):
             raise Fail("need nested supports to merge")
-        return RGamma(SubCap((sub.sub, sub.arg.sub)), sub.arg.arg), 0
+        undo = ("bwd", {"left": sub.sub, "right": sub.arg.sub})
+        return RGamma(SubCap((sub.sub, sub.arg.sub)), sub.arg.arg), 0, undo
     left = _get(b, "left", None, "a subvariety")
     right = _get(b, "right", None, "a subvariety")
     if direction == "fwd":
@@ -305,29 +291,16 @@ def _r7(ctx, sub, direction, b, mode):
             raise Fail("need nested supports to rebracket")
         old = SubCap((sub.sub, sub.arg.sub))
         core = sub.arg.arg
+        undo = ("fwd", {"left": sub.sub, "right": sub.arg.sub})
     else:
         if not isinstance(sub, RGamma):
             raise Fail("need a supported term")
         old = sub.sub
         core = sub.arg
+        undo = ("fwd", {})
     if not ctx.subs_equal(SubCap((left, right)), old):
         raise Fail("cited supports do not intersect to the written one")
-    return RGamma(left, RGamma(right, core)), 0
-
-
-def _r7_moves(moves, sub):
-    """Merge nested supports, rebracket them, or split one along a declared
-    intersection."""
-    if not isinstance(sub, RGamma):
-        return
-    nested = isinstance(sub.arg, RGamma)
-    if nested:
-        yield ("fwd", {}), ("bwd", {"left": sub.sub, "right": sub.arg.sub})
-    for left, right in moves.cap_orders:
-        if nested:
-            yield (("fwd", {"left": left, "right": right}),
-                   ("fwd", {"left": sub.sub, "right": sub.arg.sub}))
-        yield ("bwd", {"left": left, "right": right}), ("fwd", {})
+    return RGamma(left, RGamma(right, core)), 0, undo
 
 
 def _r8(ctx, sub, direction, b, mode):
@@ -338,22 +311,14 @@ def _r8(ctx, sub, direction, b, mode):
         m = sub.morphism
         if not ctx.subs_equal(sub.arg.sub, SubPre(m, target)):
             raise Fail("written support is not the preimage of the cited one")
-        return RGamma(target, Oim(m, sub.arg.arg)), 0
+        return RGamma(target, Oim(m, sub.arg.arg)), 0, \
+            ("bwd", {"sub": sub.arg.sub})
     if not (isinstance(sub, RGamma) and isinstance(sub.arg, Oim)):
         raise Fail("need a supported pushforward")
     m = sub.arg.morphism
     if not ctx.subs_equal(target, SubPre(m, sub.sub)):
         raise Fail("cited support is not the preimage of the written one")
-    return Oim(m, RGamma(target, sub.arg.arg)), 0
-
-
-def _r8_moves(moves, sub):
-    if isinstance(sub, Oim) and isinstance(sub.arg, RGamma):
-        for z in moves.names["sub"]:
-            yield ("fwd", {"sub": z}), ("bwd", {"sub": sub.arg.sub})
-    elif isinstance(sub, RGamma) and isinstance(sub.arg, Oim):
-        for z in (SubPre(sub.arg.morphism, sub.sub), *moves.names["sub"]):
-            yield ("bwd", {"sub": z}), ("fwd", {"sub": sub.sub})
+    return Oim(m, RGamma(target, sub.arg.arg)), 0, ("fwd", {"sub": sub.sub})
 
 
 def _r10_center(ctx, mode, m):
@@ -373,6 +338,7 @@ def _r10_center(ctx, mode, m):
     return name, sv.codim
 
 
+@_other_way
 def _r10(ctx, sub, direction, b, mode):
     layers = b.get("layers", 1)
     if not isinstance(layers, int) or layers < 1:
@@ -412,38 +378,15 @@ def _r10(ctx, sub, direction, b, mode):
     return out, sum(d for _n, d in centers)
 
 
-def _r10_moves(moves, sub):
-    """Unfold the top k of the nested supports, or fold the top k push-pull
-    pairs, for every k the tower allows."""
-    layers, cur = 0, sub
-    if isinstance(sub, RGamma):
-        direction = "fwd"
-        while isinstance(cur, RGamma):
-            layers, cur = layers + 1, cur.arg
-    else:
-        direction = "bwd"
-        while isinstance(cur, Oim) and isinstance(cur.arg, Opb):
-            layers, cur = layers + 1, cur.arg.arg
-    for k in range(1, layers + 1):
-        yield _both_ways(direction, {"layers": k})
-
-
 def _r18(ctx, sub, direction, b, mode):
     if not isinstance(sub, RGamma):
         raise Fail("need a supported term")
     if direction == "fwd":
-        return RGamma(SubRed(sub.sub), sub.arg), 0
+        return RGamma(SubRed(sub.sub), sub.arg), 0, ("bwd", {"sub": sub.sub})
     z = _get(b, "sub", None, "a subvariety")
     if not ctx.subs_equal(SubRed(z), sub.sub):
         raise Fail("cited subvariety does not reduce to the written support")
-    return RGamma(z, sub.arg), 0
-
-
-def _r18_moves(moves, sub):
-    if isinstance(sub, RGamma):
-        yield ("fwd", {}), ("bwd", {"sub": sub.sub})
-        for z in moves.names["sub"]:
-            yield ("bwd", {"sub": z}), ("fwd", {})
+    return RGamma(z, sub.arg), 0, ("fwd", {})
 
 
 # --- exponentials and transforms ---------------------------------------------
@@ -454,21 +397,18 @@ def _r11(ctx, sub, direction, b, mode):
         if not (isinstance(sub, Opb) and isinstance(sub.arg, Exp)):
             raise Fail("need a pullback of an exponential")
         m = sub.morphism
-        return Exp(m.source, FuncPull(sub.arg.func, m)), 0
+        return Exp(m.source, FuncPull(sub.arg.func, m)), 0, \
+            ("bwd", {"f": m, "psi": sub.arg.func})
     if not isinstance(sub, Exp):
         raise Fail("need an exponential")
     f = _get(b, "f", Morphism, "a map")
     psi = _get(b, "psi", None, "a function")
     if not ctx.funcs_equal(sub.func, FuncPull(psi, f)):
         raise Fail("twist is not the pullback of the cited function")
-    return Opb(f, Exp(f.target, psi)), 0
+    return Opb(f, Exp(f.target, psi)), 0, ("fwd", {})
 
 
-def _r11_moves(moves, sub):
-    if isinstance(sub, Opb) and isinstance(sub.arg, Exp):
-        yield ("fwd", {}), ("bwd", {"f": sub.morphism, "psi": sub.arg.func})
-
-
+@_other_way
 def _r12(ctx, sub, direction, b, mode):
     bundle = _get(b, "bundle", str, "a bundle name")
     data = ctx.fourier.get(bundle)
@@ -494,14 +434,7 @@ def _r12(ctx, sub, direction, b, mode):
     raise Fail("factors do not match the transform kernel shape")
 
 
-def _r12_moves(moves, sub):
-    if isinstance(sub, Fourier):
-        yield _both_ways("fwd", {"bundle": sub.bundle})
-    elif isinstance(sub, Oim) and isinstance(sub.arg, Tensor):
-        for bundle in moves.names["bundle"]:
-            yield _both_ways("bwd", {"bundle": bundle})
-
-
+@_other_way
 def _r13(ctx, sub, direction, b, mode):
     bundle = _get(b, "bundle", str, "a bundle name")
     data = ctx.fourier.get(bundle)
@@ -522,14 +455,6 @@ def _r13(ctx, sub, direction, b, mode):
     return Fourier(data.dual, Fourier(bundle, sub.arg)), 0
 
 
-def _r13_moves(moves, sub):
-    if isinstance(sub, Fourier) and isinstance(sub.arg, Fourier):
-        yield _both_ways("fwd", {"bundle": sub.arg.bundle})
-    elif isinstance(sub, Opb):
-        for bundle in moves.negated:
-            yield _both_ways("bwd", {"bundle": bundle})
-
-
 def _transposable(ctx, m):
     try:
         return ctx.transpose_morphism(m)
@@ -537,6 +462,7 @@ def _transposable(ctx, m):
         raise Fail(str(e)) from None
 
 
+@_other_way
 def _r14(ctx, sub, direction, b, mode):
     if direction == "fwd":
         if not (isinstance(sub, Fourier) and isinstance(sub.arg, Oim)):
@@ -560,18 +486,7 @@ def _r14(ctx, sub, direction, b, mode):
     return Fourier(u.target, Oim(u, sub.arg.arg)), 0
 
 
-def _r14_moves(moves, sub):
-    """Forward at a transform of a pushforward that lands in the
-    transformed bundle from a paired one; backward at a pullback of a
-    transform."""
-    if isinstance(sub, Fourier) and isinstance(sub.arg, Oim):
-        u = sub.arg.morphism
-        if sub.bundle == u.target and u.source in moves.ctx.fourier:
-            yield _both_ways("fwd", {})
-    elif isinstance(sub, Opb) and isinstance(sub.arg, Fourier):
-        yield _both_ways("bwd", {})
-
-
+@_other_way
 def _r15(ctx, sub, direction, b, mode):
     if direction == "fwd":
         if not (isinstance(sub, Oim) and isinstance(sub.arg, Fourier)):
@@ -592,9 +507,7 @@ def _r15(ctx, sub, direction, b, mode):
     return Oim(_transposable(ctx, u), Fourier(u.target, sub.arg.arg)), 0
 
 
-_r15_moves = _by_shape((Oim, Fourier), (Fourier, Opb))
-
-
+@_other_way
 def _r16(ctx, sub, direction, b, mode):
     bundle = _get(b, "bundle", str, "a bundle name")
     data = ctx.fourier.get(bundle)
@@ -616,14 +529,7 @@ def _r16(ctx, sub, direction, b, mode):
     return Oim(sect, sub.arg.arg), 0
 
 
-def _r16_moves(moves, sub):
-    if isinstance(sub, Oim):
-        for bundle in moves.dual_section_of(sub.morphism):
-            yield _both_ways("fwd", {"bundle": bundle})
-    elif isinstance(sub, Fourier) and isinstance(sub.arg, Opb):
-        yield _both_ways("bwd", {"bundle": sub.bundle})
-
-
+@_other_way
 def _r17(ctx, sub, direction, b, mode):
     bundle = _get(b, "bundle", str, "a bundle name")
     data = ctx.fourier.get(bundle)
@@ -645,15 +551,6 @@ def _r17(ctx, sub, direction, b, mode):
     return Opb(sect, sub.arg.arg), 0
 
 
-def _r17_moves(moves, sub):
-    if isinstance(sub, Opb):
-        for bundle in moves.dual_section_of(sub.morphism):
-            yield _both_ways("fwd", {"bundle": bundle})
-    elif isinstance(sub, Oim) and isinstance(sub.arg, Fourier):
-        for bundle in moves.paired_with.get(sub.arg.bundle, ()):
-            yield _both_ways("bwd", {"bundle": bundle})
-
-
 # --- unit laws (R19) and exterior-tensor laws (R20) --------------------------
 
 
@@ -664,53 +561,34 @@ def _r19(ctx, sub, direction, b, mode):
         if direction == "fwd":
             if not (isinstance(sub, node) and ctx.is_identity(sub.morphism)):
                 raise Fail(f"need {node.__name__} along an identity")
-            return sub.arg, 0
+            return sub.arg, 0, ("bwd", {"law": law, "f": sub.morphism})
         f = _get(b, "f", Morphism, "a map")
         if not ctx.is_identity(f):
             raise Fail("cited map is not an identity")
-        return node(f, sub), 0
+        return node(f, sub), 0, ("fwd", {"law": law})
     if law == "tensor_unit":
         if direction == "fwd":
             if not isinstance(sub, Tensor):
                 raise Fail("need a tensor")
             for first, second, _sw in _orderings(sub):
                 if isinstance(second, Struct):
-                    return first, 0
+                    return first, 0, ("bwd", b)
             raise Fail("no unit factor")
-        return Tensor(sub, Struct(variety_of(ctx, sub))), 0
+        return Tensor(sub, Struct(variety_of(ctx, sub))), 0, ("fwd", b)
     if law == "struct_pullback":
         if direction == "fwd":
             if not (isinstance(sub, Opb) and isinstance(sub.arg, Struct)):
                 raise Fail("need a pulled-back structure sheaf")
-            return Struct(sub.morphism.source), 0
+            return Struct(sub.morphism.source), 0, \
+                ("bwd", {"law": law, "f": sub.morphism})
         if not isinstance(sub, Struct):
             raise Fail("need a structure sheaf")
         f = _get(b, "f", Morphism, "a map")
-        return Opb(f, Struct(f.target)), 0
+        return Opb(f, Struct(f.target)), 0, ("fwd", {"law": law})
     raise Fail(f"unknown law {law!r}")
 
 
-def _r19_moves(moves, sub):
-    """Drop an identity map, a unit factor or a pulled-back structure sheaf;
-    pull a structure sheaf back along each declared map out of it."""
-    if isinstance(sub, (Opb, Oim)):
-        if moves.ctx.is_identity(sub.morphism):
-            law = "opb_id" if isinstance(sub, Opb) else "oim_id"
-            yield ("fwd", {"law": law}), ("bwd", {"law": law, "f": sub.morphism})
-        if isinstance(sub, Opb) and isinstance(sub.arg, Struct):
-            yield (("fwd", {"law": "struct_pullback"}),
-                   ("bwd", {"law": "struct_pullback", "f": sub.morphism}))
-    elif isinstance(sub, Tensor):
-        if isinstance(sub.left, Struct) or isinstance(sub.right, Struct):
-            yield _both_ways("fwd", {"law": "tensor_unit"})
-    elif isinstance(sub, Struct):
-        for atom in moves.ctx.atoms.values():
-            if atom.source == sub.variety:
-                f = moves.ctx.composite(atom.name)
-                yield (("bwd", {"law": "struct_pullback", "f": f}),
-                       ("fwd", {"law": "struct_pullback"}))
-
-
+@_other_way
 def _r20(ctx, sub, direction, b, mode):
     law = _get(b, "law", str, "an exterior-tensor law name")
     if law == "etens_opb_proj2":
@@ -788,25 +666,6 @@ def _r20(ctx, sub, direction, b, mode):
     raise Fail(f"unknown law {law!r}")
 
 
-def _r20_moves(moves, sub):
-    if isinstance(sub, Opb):
-        direction = "fwd"
-        laws = ("etens_opb_proj2",)
-        if isinstance(sub.arg, ETensor):
-            laws = ("etens_opb_sndmap", "etens_opb_diag") + laws
-    elif isinstance(sub, Oim) and isinstance(sub.arg, ETensor):
-        direction, laws = "fwd", ("etens_oim_idmap", "etens_oim_fstmap")
-    elif isinstance(sub, Tensor) and moves.ctx.diagonals:
-        direction, laws = "bwd", ("etens_opb_diag",)
-    elif isinstance(sub, ETensor):
-        direction, laws = "bwd", ("etens_opb_proj2", "etens_oim_idmap",
-                                  "etens_opb_sndmap", "etens_oim_fstmap")
-    else:
-        return
-    for law in laws:
-        yield _both_ways(direction, {"law": law})
-
-
 # --- lemmas -------------------------------------------------------------------
 
 
@@ -821,47 +680,129 @@ def _lemma(ctx, sub, direction, name, lemmas):
     if serialize(normalize(ctx, sub)) != serialize(s_core):
         raise Fail(f"subterm does not match lemma {name}")
     raw_core, _raw_k = hoist_shifts(dst)
-    return raw_core, d_k - s_k
+    return raw_core, d_k - s_k, ("bwd" if direction == "fwd" else "fwd", {})
 
 
-# --- driver -------------------------------------------------------------------
+# --- where each rule is offered ----------------------------------------------
+# Each pick reads its candidates off the written subterm, or off an index
+# `Moves` gathers once per search.
 
-# name -> (least strata budget, applier, enumerator)
+
+def _splits(moves, sub):
+    """Each declared atom pair composing to the written map."""
+    return moves.splits and moves.splits.get(
+        moves.ctx.normalize_morphism(sub.morphism), ())
+
+
+def _preimages(moves, sub):
+    """The written support's preimage, then each declared subvariety."""
+    return ({"sub": z} for z in (SubPre(sub.arg.morphism, sub.sub),
+                                 *moves.names["sub"]))
+
+
+def _tower(moves, sub):
+    """1 up to the depth of the written tower of supports or of push-pull
+    pairs."""
+    k = 0
+    if isinstance(sub, RGamma):
+        while isinstance(sub, RGamma):
+            k, sub = k + 1, sub.arg
+    else:
+        while isinstance(sub, Oim) and isinstance(sub.arg, Opb):
+            k, sub = k + 1, sub.arg.arg
+    return range(1, k + 1)
+
+
+def _dual_section_of(moves, sub):
+    """The bundles, in name order, whose dual's zero section is the written
+    map (as `ctx.morphisms_equal` decides)."""
+    return moves.dual_sections.get(
+        moves.ctx.normalize_morphism(sub.morphism), ())
+
+
+# name -> (least strata budget, applier, where it is offered: each direction,
+# or (direction, law), the search tries it -> its Offer)
 RULES = {
-    "R1": (0, _r1, _r1_moves),
-    "R2": (0, _r2, _r2_moves),
-    "R3": (0, _r3, _r3_moves),
-    "R4": (1, _r4, _r4_moves),
-    "R5": (0, _r5, _r5_moves),
-    "R6": (0, _r6, _r6_moves),
-    "R7": (0, _r7, _r7_moves),
-    "R8": (0, _r8, _r8_moves),
-    "R10": (0, _r10, _r10_moves),
-    "R11": (0, _r11, _r11_moves),
-    "R12": (0, _r12, _r12_moves),
-    "R13": (0, _r13, _r13_moves),
-    "R14": (1, _r14, _r14_moves),
-    "R15": (1, _r15, _r15_moves),
-    "R16": (0, _r16, _r16_moves),
-    "R17": (0, _r17, _r17_moves),
-    "R18": (0, _r18, _r18_moves),
-    "R19": (0, _r19, _r19_moves),
-    "R20": (0, _r20, _r20_moves),
+    "R1": (0, _r1, {"fwd": Offer(Opb, Opb), "bwd": Offer(Opb, pick=_splits)}),
+    "R2": (0, _r2, {"fwd": Offer(Oim, Oim), "bwd": Offer(Oim, pick=_splits)}),
+    "R3": (0, _r3, {"fwd": Offer(Opb, Tensor), "bwd": Offer(Tensor)}),
+    "R4": (1, _r4, {"fwd": Offer(Oim, Tensor), "bwd": Offer(Tensor)}),
+    "R5": (0, _r5, {"fwd": Offer(Oim, Opb, "square"),
+                    "bwd": Offer(Opb, Oim, "square")}),
+    "R6": (0, _r6, {"fwd": Offer(RGamma), "bwd": Offer(Tensor)}),
+    # merge nested supports, or rebracket them along a declared intersection
+    "R7": (0, _r7, {"fwd": Offer(RGamma, RGamma,
+                                 pick=lambda m, s: ({}, *m.cap_orders)),
+                    "bwd": Offer(RGamma, pick=lambda m, s: m.cap_orders)}),
+    "R8": (0, _r8, {"fwd": Offer(Oim, RGamma, "sub"),
+                    "bwd": Offer(RGamma, Oim, pick=_preimages)}),
+    "R10": (0, _r10, {"fwd": Offer(RGamma, None, "layers", _tower),
+                      "bwd": Offer(Oim, Opb, "layers", _tower)}),
+    "R11": (0, _r11, {"fwd": Offer(Opb, Exp)}),
+    "R12": (0, _r12, {"fwd": Offer(Fourier, None, "bundle",
+                                   lambda m, s: (s.bundle,)),
+                      "bwd": Offer(Oim, Tensor, "bundle")}),
+    "R13": (0, _r13, {"fwd": Offer(Fourier, Fourier, "bundle",
+                                   lambda m, s: (s.arg.bundle,)),
+                      "bwd": Offer(Opb, None, "bundle",
+                                   lambda m, s: m.negated)}),
+    "R14": (1, _r14, {"fwd": Offer(Fourier, Oim), "bwd": Offer(Opb, Fourier)}),
+    "R15": (1, _r15, {"fwd": Offer(Oim, Fourier), "bwd": Offer(Fourier, Opb)}),
+    "R16": (0, _r16, {"fwd": Offer(Oim, None, "bundle", _dual_section_of),
+                      "bwd": Offer(Fourier, Opb, "bundle",
+                                   lambda m, s: (s.bundle,))}),
+    "R17": (0, _r17, {"fwd": Offer(Opb, None, "bundle", _dual_section_of),
+                      "bwd": Offer(Oim, Fourier, "bundle",
+                                   lambda m, s: m.paired_with.get(
+                                       s.arg.bundle, ()))}),
+    "R18": (0, _r18, {"fwd": Offer(RGamma), "bwd": Offer(RGamma, None, "sub")}),
+    "R19": (0, _r19, {
+        ("fwd", "opb_id"): Offer(Opb),
+        ("fwd", "oim_id"): Offer(Oim),
+        ("fwd", "struct_pullback"): Offer(Opb, Struct),
+        ("fwd", "tensor_unit"): Offer(Tensor),
+        ("bwd", "struct_pullback"): Offer(Struct, None, "f", lambda m, s: [
+            m.ctx.composite(a.name) for a in m.ctx.atoms.values()
+            if a.source == s.variety]),
+    }),
+    "R20": (0, _r20, {
+        ("fwd", "etens_opb_sndmap"): Offer(Opb, ETensor),
+        ("fwd", "etens_opb_diag"): Offer(Opb, ETensor),
+        ("fwd", "etens_opb_proj2"): Offer(Opb),
+        ("fwd", "etens_oim_idmap"): Offer(Oim, ETensor),
+        ("fwd", "etens_oim_fstmap"): Offer(Oim, ETensor),
+        ("bwd", "etens_opb_diag"): Offer(Tensor),
+        ("bwd", "etens_opb_proj2"): Offer(ETensor),
+        ("bwd", "etens_oim_idmap"): Offer(ETensor),
+        ("bwd", "etens_opb_sndmap"): Offer(ETensor),
+        ("bwd", "etens_oim_fstmap"): Offer(ETensor),
+    }),
 }
 
 
 class Moves:
     """The moves the rules offer one search, each with the step undoing it.
 
-    Called on a subterm, yields ``(move, undo)`` pairs of ``(rule,
-    direction, bindings)``.  Built once per search, so the declarations the
-    enumerators read are gathered once; rules that the strata budget or
-    the exclusions refuse are left out."""
+    Called on a subterm, tries every candidate of each `RULES` row offered
+    at its node, in rule order, once through `rewrite` under the search's
+    gates, and yields those accepted as ``(rule, direction, bindings, undo
+    direction, undo bindings, replacement, delta)``.  Built once per
+    search, so the indexes the picks read are gathered once; rules that
+    the strata budget or the exclusions refuse are left out."""
 
-    def __init__(self, ctx, allowed_strata=1, excluded=frozenset()):
+    def __init__(self, ctx, mode="strict-smooth", allowed_strata=1,
+                 excluded=frozenset()):
         self.ctx = ctx
-        self.rules = [(name, enum) for name, (stratum, _fn, enum) in RULES.items()
-                      if stratum <= allowed_strata and name not in excluded]
+        self.gates = {"mode": mode, "allowed_strata": allowed_strata,
+                      "excluded": excluded}
+        # node class -> (rule, direction, law, Offer) offered there
+        self.at = {}
+        for name, (stratum, _fn, where) in RULES.items():
+            if stratum <= allowed_strata and name not in excluded:
+                for way, offer in where.items():
+                    direction, law = (way, None) if isinstance(way, str) else way
+                    self.at.setdefault(offer.outer, []).append(
+                        (name, direction, law, offer))
         # the declared names each binding key can take
         self.names = {"bundle": sorted(ctx.fourier),
                       "square": sorted(ctx.squares),
@@ -869,40 +810,48 @@ class Moves:
         self.negated = [b for b in self.names["bundle"] if b in ctx.negations]
         # R16 and R17 run forward only along a dual's zero section and
         # backward only at a transform along the dual: each bundle by the
-        # endpoints and normal form of that section, and by its dual
+        # normal form of that section, and by its dual
         self.dual_sections = {}
         self.paired_with = {}
         for b in self.names["bundle"]:
             dual = ctx.fourier[b].dual
-            sect = ctx.composite(ctx.bundles[dual].sect)
-            self.dual_sections.setdefault((sect.source, sect.target), []) \
-                .append((ctx.normalize_morphism(sect).atoms, b))
+            sect = ctx.normalize_morphism(ctx.composite(ctx.bundles[dual].sect))
+            self.dual_sections.setdefault(sect, []).append(b)
             self.paired_with.setdefault(dual, []).append(b)
         # both orders of the two members of each declared intersection
-        self.cap_orders = []
+        orders = []
         for members in sorted(ctx.cap_facts, key=sorted):
             a, b = SubName(min(members)), SubName(max(members))
-            self.cap_orders += dict.fromkeys([(a, b), (b, a)])
-        # (f, g, normal form of g.f) for every composable pair of atoms
+            orders += dict.fromkeys([(a, b), (b, a)])
+        self.cap_orders = [{"left": a, "right": b} for a, b in orders]
+        # every composable pair of atoms f, g, by the normal form of g.f
         maps = [ctx.composite(name) for name in ctx.atoms]
         if len(maps) ** 2 > _ATOM_PAIR_CAP:
             maps = []
-        self.pairs = [(f, g, ctx.normalize_morphism(ctx.compose(g, f)))
-                      for f in maps for g in maps if f.target == g.source]
-
-    def dual_section_of(self, m):
-        """The bundles, in name order, whose dual's zero section is `m` (as
-        `ctx.morphisms_equal` decides)."""
-        found = self.dual_sections.get((m.source, m.target))
-        if not found:
-            return ()
-        atoms = self.ctx.normalize_morphism(m).atoms
-        return [b for sect, b in found if sect == atoms]
+        self.splits = {}
+        for f, g in product(maps, maps):
+            if f.target == g.source:
+                gf = ctx.normalize_morphism(ctx.compose(g, f))
+                self.splits.setdefault(gf, []).append({"f": f, "g": g})
 
     def __call__(self, sub):
-        for name, enumerate_moves in self.rules:
-            for (d, b), (ud, ub) in enumerate_moves(self, sub):
-                yield (name, d, b), (name, ud, ub)
+        for name, direction, law, (_o, inner, key, pick) in self.at.get(
+                type(sub), ()):
+            if inner is not None and not isinstance(sub.arg, inner):
+                continue
+            if key is None:
+                found = pick(self, sub) if pick else ({},)
+            else:
+                found = ({key: v} for v in (
+                    pick(self, sub) if pick else self.names[key]))
+            for b in found:
+                b = {"law": law, **b} if law else dict(b)
+                try:
+                    new, delta, (ud, ub) = rewrite(
+                        self.ctx, sub, name, direction, b, **self.gates)
+                except RuleError:
+                    continue
+                yield name, direction, b, ud, ub, new, delta
 
 
 def step_stratum(ctx, rule, bindings):
@@ -917,7 +866,7 @@ def rewrite(ctx, sub, rule, direction, bindings=None, *,
             mode="strict-smooth", allowed_strata=1, excluded=frozenset(),
             lemmas=None):
     """Apply one rewrite to a well-formed subterm, in place: (replacement,
-    delta).
+    delta, undo), the undo a (direction, bindings) of the same rule.
 
     Checks the gates (exclusions, the step's strata need), the rule itself
     and that the replacement is well-formed on the subterm's own variety;
@@ -927,8 +876,8 @@ def rewrite(ctx, sub, rule, direction, bindings=None, *,
     b = dict(bindings or {})
     try:
         if rule.startswith("lemma:"):
-            new, delta = _lemma(ctx, sub, direction, rule[len("lemma:"):],
-                                lemmas or {})
+            new, delta, undo = _lemma(ctx, sub, direction,
+                                      rule[len("lemma:"):], lemmas or {})
         else:
             entry = RULES.get(rule)
             if entry is None:
@@ -938,7 +887,7 @@ def rewrite(ctx, sub, rule, direction, bindings=None, *,
             need = step_stratum(ctx, rule, b)
             if need > allowed_strata:
                 raise Fail(f"stratum-{need} rule, only {allowed_strata} allowed")
-            new, delta = entry[1](ctx, sub, direction, b, mode)
+            new, delta, undo = entry[1](ctx, sub, direction, b, mode)
         try:
             there = variety_of(ctx, new)
         except TermError as e:
@@ -946,7 +895,7 @@ def rewrite(ctx, sub, rule, direction, bindings=None, *,
         here = variety_of(ctx, sub)
         if there != here:
             raise Fail(f"result lives on {there}, not on {here}")
-        return new, delta
+        return new, delta, undo
     except Fail as e:
         raise RuleError(rule, (), e.reason) from None
     except (GeometryError, TermError) as e:
@@ -965,9 +914,9 @@ def apply_step(ctx, term, rule, direction, path, bindings=None, *,
     except TermError as e:
         raise RuleError(rule, path, str(e)) from None
     try:
-        new_sub, delta = rewrite(ctx, sub, rule, direction, bindings, mode=mode,
-                                 allowed_strata=allowed_strata,
-                                 excluded=excluded, lemmas=lemmas)
+        new_sub, delta, _undo = rewrite(
+            ctx, sub, rule, direction, bindings, mode=mode,
+            allowed_strata=allowed_strata, excluded=excluded, lemmas=lemmas)
     except RuleError as e:
         raise RuleError(rule, path, e.reason) from None
     return with_shift(replace(core, path, new_sub), root_k + delta), delta

@@ -1,23 +1,25 @@
 """Bidirectional proof search over the rewrite rules.
 
 Frontiers grow from both goal sides and meet on exact raw serializations;
-a meeting point is reassembled into a forward step list.  The moves, and
-the step undoing each, come from the rules themselves (`rules.Moves`);
-this module only grows the frontiers.  A backward edge is recorded as its
-undo and kept only when that undo lands back exactly on the frontier
-state it came from.  When the direct search fails, the goal is retried
-inside a pushforward along each declared closed embedding.
+a meeting point is reassembled into a forward step list.  The accepted
+moves, and the step undoing each, come from the rules' own offer loop
+(`rules.Moves`); this module only grows the frontiers.  A backward edge
+is recorded as its undo and kept only when that undo lands back exactly
+on the frontier state it came from.  When the direct search fails, the
+goal is retried inside a pushforward along each declared closed
+embedding.
 
 The rules are matched once per distinct subterm, not once per place it
 occurs.  `prove` builds one `MoveTable` and shares it across the direct
 search and every closure retry.  The table is keyed by a subterm's
-serialization and holds one row per offered move that `rules.rewrite`
-accepts there: the move, its undo, the replacement, the shift delta and
-the size change.  A successor is the replacement spliced in at its path,
-with the delta folded into the root shift; nothing is re-applied to the
-whole term.  `rewrite` accepts only replacements that are well-formed on
-the subterm's own variety, so from well-formed goal sides every
-successor is well-formed; a goal with an ill-formed side is not searched.
+serialization and stores what `rules.Moves` yields there (the move, its
+undo, the replacement and the shift delta) plus the size change.  A
+successor is the replacement spliced in at its path, with the delta
+folded into the root shift; nothing is re-applied to the whole term.
+`rewrite` accepts only replacements that are well-formed on the
+subterm's own variety, so from well-formed goal sides every successor is
+well-formed; a goal with an ill-formed side, or with sides on two
+varieties, is not searched.
 Whether a move's undo lands back exactly on the subterm, with the
 opposite delta, is also decided once per (subterm, move), the first
 time a backward edge needs it.
@@ -35,12 +37,12 @@ from .rules import Moves, apply_step, rewrite  # noqa: F401
 from .terms import (
     Oim,
     canonical_shift,
+    equation_variety,
     replace,
     serialize,
     size,
     split_shift,
     subterms,
-    variety_of,
     with_shift,
 )
 
@@ -59,17 +61,15 @@ class SearchResult:
 
 
 class MoveTable:
-    """The offered moves that apply at each subterm one search has met.
+    """The accepted moves at each subterm one search has met.
 
     Rows are plain tuples ``(rule, direction, bindings, undo direction,
-    undo bindings, replacement, delta, size change)``; a move and its undo
-    are always the same rule.  A subterm where no move applies shares the
-    empty tuple."""
+    undo bindings, replacement, delta, size change)``, as `moves` yields
+    them plus the size change; a move and its undo are always the same
+    rule.  A subterm where no move applies shares the empty tuple."""
 
-    def __init__(self, ctx, moves, gates):
-        self.ctx = ctx
+    def __init__(self, moves):
         self.moves = moves
-        self.gates = gates
         self._rows = {}
         self._undoes = {}
 
@@ -77,16 +77,9 @@ class MoveTable:
         """The rows at `sub`, serialized as `key`; matched on first sight."""
         rows = self._rows.get(key)
         if rows is None:
-            ctx, gates = self.ctx, self.gates
-            found = []
-            for (rule, d, b), (_rule, ud, ub) in self.moves(sub):
-                try:
-                    new_sub, delta = rewrite(ctx, sub, rule, d, b, **gates)
-                except RuleError:
-                    continue
-                found.append((rule, d, b, ud, ub, new_sub, delta,
-                              size(new_sub) - size(sub)))
-            rows = self._rows[key] = tuple(found)
+            n = size(sub)
+            rows = self._rows[key] = tuple(
+                (*row, size(row[5]) - n) for row in self.moves(sub))
         return rows
 
     def undoes(self, key, i):
@@ -96,9 +89,10 @@ class MoveTable:
         verdict = self._undoes.get((key, i))
         if verdict is None:
             rule, _d, _b, ud, ub, new_sub, delta, _grow = self._rows[key][i]
+            moves = self.moves
             try:
-                back, back_delta = rewrite(self.ctx, new_sub, rule, ud, ub,
-                                           **self.gates)
+                back, back_delta, _undo = rewrite(moves.ctx, new_sub, rule,
+                                                  ud, ub, **moves.gates)
             except RuleError:
                 verdict = False
             else:
@@ -145,10 +139,9 @@ def _path(parents, key):
 
 def _mitm(table, lhs, rhs, max_depth):
     try:
-        variety_of(table.ctx, lhs)
-        variety_of(table.ctx, rhs)
+        equation_variety(table.moves.ctx, lhs, rhs)
     except TermError:
-        return None, 0  # no step applies to an ill-formed term
+        return None, 0  # no chain joins an ill-formed side, or two varieties
     left = canonical_shift(lhs)
     right = canonical_shift(rhs)
     lkey, rkey = serialize(left), serialize(right)
@@ -197,9 +190,7 @@ def prove(ctx, lhs, rhs, max_depth=6, mode="strict-smooth", allowed_strata=1,
     declared closed embedding's pushforward (returned as a closure on
     the result).  All passes read one move table.
     """
-    gates = {"mode": mode, "allowed_strata": allowed_strata,
-             "excluded": excluded}
-    table = MoveTable(ctx, Moves(ctx, allowed_strata, excluded), gates)
+    table = MoveTable(Moves(ctx, mode, allowed_strata, excluded))
     steps, total = _mitm(table, lhs, rhs, max_depth)
     if steps is not None:
         return SearchResult(True, steps, None, total, len(steps))

@@ -260,6 +260,15 @@ def variety_of(ctx: GeometryContext, t, path=()) -> str:
     raise bad(f"not a term: {t!r}")
 
 
+def equation_variety(ctx: GeometryContext, lhs, rhs) -> str:
+    """The one variety both sides of an equation live on; raises TermError
+    when a side is ill-formed or the two differ."""
+    a, b = variety_of(ctx, lhs), variety_of(ctx, rhs)
+    if a != b:
+        raise TermError(f"sides live on {a} and {b}")
+    return a
+
+
 # --- shift canonicalization and normal form ---------------------------------
 
 

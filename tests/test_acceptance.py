@@ -93,16 +93,13 @@ def test_shift_ledger_balance():
 
 
 def _accepted_moves(ctx, moves, term, gates):
-    """(path, undo, result) for each move offered in term that applies."""
+    """(path, undo, result) for each move the rules accept in term."""
     core, _k = split_shift(term)
     for path, sub in subterms(core):
-        for (rule, d, b), undo in moves(sub):
-            try:
-                after, _d = apply_step(ctx, term, rule, d, path, b, **gates)
-            except RuleError:
-                continue
+        for rule, d, b, ud, ub, _new, _delta in moves(sub):
+            after, _d = apply_step(ctx, term, rule, d, path, b, **gates)
             if size(after) <= 64:
-                yield path, undo, after
+                yield path, (rule, ud, ub), after
 
 
 def test_rule_round_trip_fuzz():
@@ -117,7 +114,7 @@ def test_rule_round_trip_fuzz():
         key, term = seeds[walk % len(seeds)]
         walk += 1
         ctx = contexts[key]
-        moves = Moves(ctx)
+        moves = Moves(ctx, **gates)
         for _ in range(40):
             succs = list(_accepted_moves(ctx, moves, term, gates))
             if not succs:

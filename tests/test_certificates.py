@@ -134,14 +134,29 @@ def test_ill_formed_goals_are_invalid(dwork):
 
 def test_a_lemma_across_two_varieties_proves_nothing(dwork):
     # each side is well-formed, but citing the lemma would swap O[X] for
-    # O[V], a replacement on another variety
+    # O[V], a replacement on another variety; the goal's sides are refused
+    # first, for the same reason
     cert = ProofCertificate(
         name="bad", title="across", goal_lhs=Struct("X"), goal_rhs=Struct("V"),
         steps=(ProofStep("lemma:across"),),
         lemmas=(Lemma("across", Struct("X"), Struct("V")),))
     rep = check_certificate(dwork, cert)
     assert rep.status == "invalid"
-    assert "lives on V, not on X" in rep.reason
+    assert rep.reason == "goal ill-formed: sides live on X and V"
+
+
+def test_sides_on_two_varieties_are_ill_formed(dwork):
+    # a goal, or a lemma it carries, whose sides live on two varieties is
+    # refused before any step replays, even one that cites nothing
+    goal = ProofCertificate(name="g", title="g", goal_lhs=Struct("X"),
+                            goal_rhs=Struct("V"), steps=())
+    uncited = dataclasses.replace(
+        goal, goal_rhs=Struct("X"),
+        lemmas=(Lemma("across", Struct("V"), Struct("X")),))
+    for cert, sides in ((goal, "X and V"), (uncited, "V and X")):
+        rep = check_certificate(dwork, cert)
+        assert rep.status == "invalid" and rep.steps == []
+        assert rep.reason == f"goal ill-formed: sides live on {sides}"
 
 
 def test_closure_must_be_a_closed_wrapping(dwork):

@@ -181,6 +181,49 @@ def test_negative_strata_is_an_input_error(tmp_path, capsys):
         f"error: {script}:2:1: strata must be at least 0, got -1\n")
 
 
+@pytest.mark.parametrize("bad", [
+    "goal g : O[X] ~ O[Y];",
+    "lemma l : O[X] ~ Opb[f](O[X]);",
+])
+def test_sides_on_two_varieties_are_input_errors(bad, tmp_path, capsys):
+    # each side is well-formed on its own, but no chain of steps, each on
+    # one variety, joins a term on X to a term on Y
+    text = ("variety X dim 1;\nvariety Y dim 1;\nmorphism f : Y -> X;\n"
+            + bad + "\ngoal h : O[Y] ~ O[Y];\n")
+    with pytest.raises(ParseError, match="sides live on X and Y") as exc:
+        dsl.load_script(text)
+    lo, hi = exc.value.span
+    assert text[lo:hi] == bad
+    script = tmp_path / "sides.dwk"
+    script.write_text(text, encoding="utf-8")
+    assert main(["prove", str(script)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {script}:4:1: sides live on X and Y\n")
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_a_transpose_naming_no_declared_map_is_an_input_error(
+        first, tmp_path, capsys):
+    # refused at the declaring statement whether the statement comes
+    # before or after the other declarations
+    bad = "morphism tf : Y -> X bundlemap transpose nosuch;"
+    rest = ["variety X dim 1;", "variety Y dim 1;",
+            "morphism f : X -> Y bundlemap transpose tf;"]
+    lines = rest[:2] + ([bad] + rest[2:] if first else rest[2:] + [bad])
+    text = "\n".join(lines + ["goal g : O[X] ~ O[X];", ""])
+    with pytest.raises(ParseError, match="transpose 'nosuch'") as exc:
+        dsl.load_script(text)
+    lo, hi = exc.value.span
+    assert text[lo:hi] == bad
+    script = tmp_path / "transpose.dwk"
+    script.write_text(text, encoding="utf-8")
+    assert main(["prove", str(script)]) == 2
+    line = 3 if first else 4
+    assert capsys.readouterr().err == (f"error: {script}:{line}:1: "
+                                       "transpose 'nosuch' is not a declared "
+                                       "map\n")
+
+
 def test_binder_single_goal_only():
     text = ("variety X dim 1;\n"
             "goal a : O[X] ~ O[X];\n"
@@ -230,7 +273,7 @@ def test_readme_script_example_loads():
 # every expression form, bound: goal and lemma sides, and step bindings
 EVERY_FORM = """object M on X;
 product XX = X x X proj q1 q2;
-lemma forms : Fourier[V](Exp[V](F)) ~ Tensor(O[X], M[-1]);
+lemma forms : Opb[s](Fourier[V](Exp[V](F))) ~ Tensor(O[X], M[-1]);
 lemma external : ETensor(O[X], M) ~ Opb[id(XX)](O[XX]);
 step R1 fwd at / with f=id(X), g=gammaV.stilde, map=pi,
   psi=pull(pull(t, gammaV), stilde), sub=red(pre(iotacheck, S)),
