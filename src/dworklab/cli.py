@@ -1,6 +1,7 @@
 """Command line front end: suite replay, script proving, concrete comparison.
 
-Exit codes: 0 success, 1 falsified/invalid, 2 input error, 3 inconclusive.
+Exit codes: 0 success, 1 falsified/invalid, 2 input error, 3 inconclusive,
+4 internal error (an exception no command maps; never a verdict).
 """
 
 from __future__ import annotations
@@ -186,11 +187,15 @@ def main(argv=None):
         if value is not None and value < low:
             return _fail_input(f"--{name.replace('_', '-')} must be at least "
                                f"{low}, got {value}")
-    if args.command == "verify-paper":
-        return cmd_verify_paper(args)
-    if args.command == "prove":
-        return cmd_prove(args)
-    return cmd_dwork_check(args)
+    try:
+        if args.command == "verify-paper":
+            return cmd_verify_paper(args)
+        if args.command == "prove":
+            return cmd_prove(args)
+        return cmd_dwork_check(args)
+    except Exception as e:  # a crash is never a verdict
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -303,6 +303,10 @@ _LEAVES = {"F": (FuncName, "a function name"),
            "S": (SubName, "a subvariety name"),
            "D": (DRef, "a term")}
 
+# the most forms and shift suffixes one expression may nest: binding and
+# walking a term recurse once per level, so deeper input is refused
+MAX_NESTING = 200
+
 # step binding key -> the slot its value fills
 _BINDING_SLOTS = {"f": "M", "g": "M", "map": "M", "psi": "F",
                   "sub": "S", "left": "S", "right": "S",
@@ -409,6 +413,8 @@ class _Parser:
         self.toks = tokenize(text)
         self.i = 0
         self.stmt_start = 0
+        self.depth = 0  # forms enclosing the expression being read
+        self.height = 0  # levels nested below the last expression read
 
     def peek(self):
         return self.toks[self.i]
@@ -456,12 +462,18 @@ class _Parser:
         return -int(tok.text) if neg else int(tok.text)
 
     def expr(self, sort):
-        """One expression of `sort`; a D term may carry shifts `[k]`."""
+        """One expression of `sort`; a D term may carry shifts `[k]`.
+        Forms and shifts may nest `MAX_NESTING` levels below it."""
+        if self.depth > MAX_NESTING:
+            self._err(f"expression nests deeper than {MAX_NESTING} levels")
+        self.height = 0
         row = _FORM_ROWS[sort].get(self.peek().text)
         if row is not None:
             self.take()
             cls, layout = row
+            self.depth += 1
             out = cls(*self.fill(layout))
+            self.depth -= 1
         elif sort == "M":
             out = MName(self._atom_chain())
         else:
@@ -472,20 +484,26 @@ class _Parser:
             k = self.integer("a shift")
             self.expect("]")
             out = T.Shift(out, k)
+            self.height += 1
+        if self.depth + self.height > MAX_NESTING:
+            self._err(f"expression nests deeper than {MAX_NESTING} levels")
         return out
 
     def fill(self, layout):
         """The values of the slots of a tokenized layout, in order."""
         args = []
+        height = 0
         for item in layout:
             if item in FORMS:
                 args.append(self.expr(item))
+                height = max(height, self.height + 1)
             elif item in _NAME_SLOTS:
                 args.append(self.name(_NAME_SLOTS[item]))
             elif item == "I":
                 args.append(self.integer())
             else:
                 self.expect(item)
+        self.height = height
         return args
 
     def path(self):

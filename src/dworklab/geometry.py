@@ -57,7 +57,6 @@ class Bundle:
     rank: int
     proj: str  # total -> base
     sect: str  # zero section, base -> total
-    dual: str = ""
 
 
 @dataclass(frozen=True)
@@ -271,6 +270,14 @@ class GeometryContext:
         except KeyError:
             raise GeometryError(f"unknown bundle {name!r}") from None
 
+    def pairing(self, name) -> FourierData:
+        """The pairing declared on bundle `name`; a GeometryError when
+        it has none."""
+        try:
+            return self.fourier[name]
+        except KeyError:
+            raise GeometryError(f"bundle {name!r} has no declared pairing") from None
+
     def fourier_pair(self, b1, b2, product, p1, p2, pairing, line, coord):
         """Pair two bundles over one base, with the product and pairing data.
 
@@ -283,7 +290,7 @@ class GeometryContext:
             raise GeometryError(f"{b1} and {b2} live over different bases")
         if v1.rank != v2.rank:
             raise GeometryError(f"{b1} and {b2} have different ranks")
-        if v1.dual or v2.dual:
+        if b1 in self.fourier or b2 in self.fourier:
             raise GeometryError("bundle already paired")
         base = self.varieties[v1.base]
         self.variety(product, base.dim + 2 * v1.rank, base.smooth)
@@ -295,8 +302,6 @@ class GeometryContext:
         elif coord not in self.functions or self.functions[coord][0] != line:
             raise GeometryError(f"line {line!r} exists but {coord!r} is not its coordinate")
         self.morphism(pairing, product, line, kind="pairing")
-        self.bundles[b1] = Bundle(b1, v1.base, v1.rank, v1.proj, v1.sect, b2)
-        self.bundles[b2] = Bundle(b2, v2.base, v2.rank, v2.proj, v2.sect, b1)
         self.fourier[b1] = FourierData(b1, b2, product, p1, p2, pairing, line, coord)
         self.fourier[b2] = FourierData(b2, b1, product, p2, p1, pairing, line, coord)
         self.product_factors[product] = (b1, b2)

@@ -28,8 +28,9 @@ Matching tolerances, applied deterministically:
 Each applier also names the step undoing it, read off the subterm it
 rewrote.  Each rule's `RULES` row says where a search tries it: per
 direction (and law), a node shape and candidate bindings.  `Moves` tries
-each candidate once through `rewrite` and yields the accepted moves.  An
-undo may land on a raw form other than the original; the search checks.
+each candidate once through `rewrite` and keeps the accepted moves per
+subterm for one search.  An undo may land on a raw form other than the
+original; `Moves` checks, once per move.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .terms import (
     normalize,
     replace,
     serialize,
+    size,
     split_shift,
     variety_of,
     with_shift,
@@ -411,9 +413,7 @@ def _r11(ctx, sub, direction, b, mode):
 @_other_way
 def _r12(ctx, sub, direction, b, mode):
     bundle = _get(b, "bundle", str, "a bundle name")
-    data = ctx.fourier.get(bundle)
-    if data is None:
-        raise Fail(f"bundle {bundle!r} has no declared pairing")
+    data = ctx.pairing(bundle)
     kernel = Opb(ctx.composite(data.pairing), Exp(data.line, FuncName(data.coord)))
     p_self = ctx.composite(data.proj_self)
     p_dual = ctx.composite(data.proj_dual)
@@ -437,9 +437,7 @@ def _r12(ctx, sub, direction, b, mode):
 @_other_way
 def _r13(ctx, sub, direction, b, mode):
     bundle = _get(b, "bundle", str, "a bundle name")
-    data = ctx.fourier.get(bundle)
-    if data is None:
-        raise Fail(f"bundle {bundle!r} has no declared pairing")
+    data = ctx.pairing(bundle)
     neg = ctx.negations.get(bundle)
     if neg is None:
         raise Fail(f"no negation declared on {bundle}")
@@ -473,16 +471,14 @@ def _r14(ctx, sub, direction, b, mode):
         want = b.get("map")
         if want is not None and not ctx.morphisms_equal(want, u):
             raise Fail("cited map differs from the written one")
-        if u.source not in ctx.fourier:
-            raise Fail(f"bundle {u.source!r} has no declared pairing")
+        ctx.pairing(u.source)
         return Opb(_transposable(ctx, u), Fourier(u.source, sub.arg.arg)), 0
     if not (isinstance(sub, Opb) and isinstance(sub.arg, Fourier)):
         raise Fail("need a pullback of a transform")
     u = _transposable(ctx, sub.morphism)
     if sub.arg.bundle != u.source:
         raise Fail("transform bundle is not the source of the transposed map")
-    if u.target not in ctx.fourier:
-        raise Fail(f"bundle {u.target!r} has no declared pairing")
+    ctx.pairing(u.target)
     return Fourier(u.target, Oim(u, sub.arg.arg)), 0
 
 
@@ -494,25 +490,21 @@ def _r15(ctx, sub, direction, b, mode):
         u = _transposable(ctx, sub.morphism)
         if sub.arg.bundle != u.target:
             raise Fail("transform bundle is not the target of the transposed map")
-        if u.source not in ctx.fourier:
-            raise Fail(f"bundle {u.source!r} has no declared pairing")
+        ctx.pairing(u.source)
         return Fourier(u.source, Opb(u, sub.arg.arg)), 0
     if not (isinstance(sub, Fourier) and isinstance(sub.arg, Opb)):
         raise Fail("need a transform of a pullback")
     u = sub.arg.morphism
     if sub.bundle != u.source:
         raise Fail("pullback does not start at the transformed bundle")
-    if u.target not in ctx.fourier:
-        raise Fail(f"bundle {u.target!r} has no declared pairing")
+    ctx.pairing(u.target)
     return Oim(_transposable(ctx, u), Fourier(u.target, sub.arg.arg)), 0
 
 
 @_other_way
 def _r16(ctx, sub, direction, b, mode):
     bundle = _get(b, "bundle", str, "a bundle name")
-    data = ctx.fourier.get(bundle)
-    if data is None:
-        raise Fail(f"bundle {bundle!r} has no declared pairing")
+    data = ctx.pairing(bundle)
     sect = ctx.composite(ctx.bundles[data.dual].sect)
     proj = ctx.composite(ctx.bundles[bundle].proj)
     if direction == "fwd":
@@ -532,9 +524,7 @@ def _r16(ctx, sub, direction, b, mode):
 @_other_way
 def _r17(ctx, sub, direction, b, mode):
     bundle = _get(b, "bundle", str, "a bundle name")
-    data = ctx.fourier.get(bundle)
-    if data is None:
-        raise Fail(f"bundle {bundle!r} has no declared pairing")
+    data = ctx.pairing(bundle)
     sect = ctx.composite(ctx.bundles[data.dual].sect)
     proj = ctx.composite(ctx.bundles[bundle].proj)
     if direction == "fwd":
@@ -781,14 +771,18 @@ RULES = {
 
 
 class Moves:
-    """The moves the rules offer one search, each with the step undoing it.
+    """One search's move table: the moves the rules offer at each subterm
+    it meets, each with the step undoing it.
 
     Called on a subterm, tries every candidate of each `RULES` row offered
     at its node, in rule order, once through `rewrite` under the search's
     gates, and yields those accepted as ``(rule, direction, bindings, undo
-    direction, undo bindings, replacement, delta)``.  Built once per
-    search, so the indexes the picks read are gathered once; rules that
-    the strata budget or the exclusions refuse are left out."""
+    direction, undo bindings, replacement, delta)``; a move and its undo
+    are always the same rule.  `rows` keeps them per serialized subterm,
+    each with its size change, and `undoes` decides once per row whether
+    its undo is exact.  Built once per search, so the indexes the picks
+    read are gathered once; rules that the strata budget or the
+    exclusions refuse are left out."""
 
     def __init__(self, ctx, mode="strict-smooth", allowed_strata=1,
                  excluded=frozenset()):
@@ -833,6 +827,8 @@ class Moves:
             if f.target == g.source:
                 gf = ctx.normalize_morphism(ctx.compose(g, f))
                 self.splits.setdefault(gf, []).append({"f": f, "g": g})
+        self._rows = {}
+        self._undoes = {}
 
     def __call__(self, sub):
         for name, direction, law, (_o, inner, key, pick) in self.at.get(
@@ -852,6 +848,34 @@ class Moves:
                 except RuleError:
                     continue
                 yield name, direction, b, ud, ub, new, delta
+
+    def rows(self, sub, key):
+        """The moves at `sub`, serialized as `key`, each with its size
+        change appended; matched on first sight.  A subterm where no move
+        applies gets the empty tuple."""
+        rows = self._rows.get(key)
+        if rows is None:
+            n = size(sub)
+            rows = self._rows[key] = tuple(
+                (*row, size(row[5]) - n) for row in self(sub))
+        return rows
+
+    def undoes(self, key, i):
+        """Whether row `i` at `key` is undone exactly: its undo turns the
+        replacement back into a subterm serialized as `key`, with the
+        opposite delta."""
+        verdict = self._undoes.get((key, i))
+        if verdict is None:
+            rule, _d, _b, ud, ub, new, delta, _grow = self._rows[key][i]
+            try:
+                back, back_delta, _undo = rewrite(self.ctx, new, rule, ud, ub,
+                                                  **self.gates)
+            except RuleError:
+                verdict = False
+            else:
+                verdict = back_delta == -delta and serialize(back) == key
+            self._undoes[(key, i)] = verdict
+        return verdict
 
 
 def step_stratum(ctx, rule, bindings):

@@ -1,27 +1,26 @@
 """Bidirectional proof search over the rewrite rules.
 
 Frontiers grow from both goal sides and meet on exact raw serializations;
-a meeting point is reassembled into a forward step list.  The accepted
-moves, and the step undoing each, come from the rules' own offer loop
-(`rules.Moves`); this module only grows the frontiers.  A backward edge
-is recorded as its undo and kept only when that undo lands back exactly
-on the frontier state it came from.  When the direct search fails, the
-goal is retried inside a pushforward along each declared closed
-embedding.
+a meeting point is reassembled into a forward step list.  This module
+only grows the frontiers: the moves, the step undoing each and whether
+that undo is exact all come from `rules.Moves`, the per-search move
+table.  A backward edge is recorded as its undo and kept only when that
+undo lands back exactly on the frontier state it came from.  When the
+direct search fails, the goal is retried inside a pushforward along each
+declared closed embedding.
 
 The rules are matched once per distinct subterm, not once per place it
-occurs.  `prove` builds one `MoveTable` and shares it across the direct
-search and every closure retry.  The table is keyed by a subterm's
-serialization and stores what `rules.Moves` yields there (the move, its
-undo, the replacement and the shift delta) plus the size change.  A
-successor is the replacement spliced in at its path, with the delta
-folded into the root shift; nothing is re-applied to the whole term.
-`rewrite` accepts only replacements that are well-formed on the
-subterm's own variety, so from well-formed goal sides every successor is
-well-formed; a goal with an ill-formed side, or with sides on two
-varieties, is not searched.
-Whether a move's undo lands back exactly on the subterm, with the
-opposite delta, is also decided once per (subterm, move), the first
+occurs.  `prove` builds one `Moves` and shares it across the direct
+search and every closure retry.  `Moves.rows` is keyed by a subterm's
+serialization and keeps the move, its undo, the replacement, the shift
+delta and the size change.  A successor is the replacement spliced in
+at its path, with the delta folded into the root shift; nothing is
+re-applied to the whole term.  `rules.rewrite` accepts only
+replacements that are well-formed on the subterm's own variety, so from
+well-formed goal sides every successor is well-formed; a goal with an
+ill-formed side, or with sides on two varieties, is not searched.
+`Moves.undoes` decides whether a move's undo lands back exactly on the
+subterm, with the opposite delta, once per (subterm, move), the first
 time a backward edge needs it.
 """
 
@@ -30,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .certificates import Closure, ProofStep
-from .errors import RuleError, TermError
+from .errors import TermError
 from .geometry import CLOSED_EMBEDDING_KINDS
 # `apply_step` is not called here; tracing tools look it up on this module
-from .rules import Moves, apply_step, rewrite  # noqa: F401
+from .rules import Moves, apply_step  # noqa: F401
 from .terms import (
     Oim,
     canonical_shift,
@@ -60,48 +59,7 @@ class SearchResult:
     depth: int = 0
 
 
-class MoveTable:
-    """The accepted moves at each subterm one search has met.
-
-    Rows are plain tuples ``(rule, direction, bindings, undo direction,
-    undo bindings, replacement, delta, size change)``, as `moves` yields
-    them plus the size change; a move and its undo are always the same
-    rule.  A subterm where no move applies shares the empty tuple."""
-
-    def __init__(self, moves):
-        self.moves = moves
-        self._rows = {}
-        self._undoes = {}
-
-    def rows(self, sub, key):
-        """The rows at `sub`, serialized as `key`; matched on first sight."""
-        rows = self._rows.get(key)
-        if rows is None:
-            n = size(sub)
-            rows = self._rows[key] = tuple(
-                (*row, size(row[5]) - n) for row in self.moves(sub))
-        return rows
-
-    def undoes(self, key, i):
-        """Whether row `i` at `key` is undone exactly: its undo turns the
-        replacement back into a subterm serialized as `key`, with the
-        opposite delta."""
-        verdict = self._undoes.get((key, i))
-        if verdict is None:
-            rule, _d, _b, ud, ub, new_sub, delta, _grow = self._rows[key][i]
-            moves = self.moves
-            try:
-                back, back_delta, _undo = rewrite(moves.ctx, new_sub, rule,
-                                                  ud, ub, **moves.gates)
-            except RuleError:
-                verdict = False
-            else:
-                verdict = back_delta == -delta and serialize(back) == key
-            self._undoes[(key, i)] = verdict
-        return verdict
-
-
-def _successors(table, term, seen, forward=True):
+def _successors(moves, term, seen, forward=True):
     """Terms one offered move away, as ``(serialization, term, step)``.
     The step is the one the frontier records: going forward the move
     itself; going backward its undo, or None when the undo does not land
@@ -111,7 +69,7 @@ def _successors(table, term, seen, forward=True):
     n = size(core)
     for path, sub in subterms(core):
         key = serialize(sub)
-        for i, row in enumerate(table.rows(sub, key)):
+        for i, row in enumerate(moves.rows(sub, key)):
             rule, d, b, ud, ub, new_sub, delta, grow = row
             shift = k + delta
             if n + grow + (shift != 0) > _SIZE_CAP:
@@ -122,7 +80,7 @@ def _successors(table, term, seen, forward=True):
                 yield nk, nt, None
             elif forward:
                 yield nk, nt, ProofStep(rule, d, path, b)
-            elif table.undoes(key, i):
+            elif moves.undoes(key, i):
                 yield nk, nt, ProofStep(rule, ud, path, ub)
             else:
                 yield nk, nt, None
@@ -137,9 +95,9 @@ def _path(parents, key):
     return steps
 
 
-def _mitm(table, lhs, rhs, max_depth):
+def _mitm(moves, lhs, rhs, max_depth):
     try:
-        equation_variety(table.moves.ctx, lhs, rhs)
+        equation_variety(moves.ctx, lhs, rhs)
     except TermError:
         return None, 0  # no chain joins an ill-formed side, or two varieties
     left = canonical_shift(lhs)
@@ -164,7 +122,7 @@ def _mitm(table, lhs, rhs, max_depth):
         other = bpar if forward else fpar
         nxt = {}
         for key, term in src.items():
-            for nk, nt, step in _successors(table, term, parents, forward):
+            for nk, nt, step in _successors(moves, term, parents, forward):
                 expanded += 1
                 if step is None:
                     continue
@@ -190,15 +148,15 @@ def prove(ctx, lhs, rhs, max_depth=6, mode="strict-smooth", allowed_strata=1,
     declared closed embedding's pushforward (returned as a closure on
     the result).  All passes read one move table.
     """
-    table = MoveTable(Moves(ctx, mode, allowed_strata, excluded))
-    steps, total = _mitm(table, lhs, rhs, max_depth)
+    moves = Moves(ctx, mode, allowed_strata, excluded)
+    steps, total = _mitm(moves, lhs, rhs, max_depth)
     if steps is not None:
         return SearchResult(True, steps, None, total, len(steps))
     wrappers = [a.name for a in ctx.atoms.values()
                 if a.kind in CLOSED_EMBEDDING_KINDS][:8]
     for name in wrappers:
         j = ctx.composite(name)
-        steps, n = _mitm(table, Oim(j, lhs), Oim(j, rhs), max_depth)
+        steps, n = _mitm(moves, Oim(j, lhs), Oim(j, rhs), max_depth)
         total += n
         if steps is not None:
             return SearchResult(True, steps, Closure("kashiwara", name),

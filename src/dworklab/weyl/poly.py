@@ -182,10 +182,15 @@ def _tokenize(text):
     return out
 
 
+# the most parentheses one polynomial may nest; the parser recurses per level
+MAX_PARENS = 100
+
+
 class _PolyParser:
     def __init__(self, tokens, names):
         self.toks = tokens
         self.i = 0
+        self.depth = 0  # parentheses open around the current token
         self.names = list(names)
         self.nvars = len(self.names)
 
@@ -219,13 +224,11 @@ class _PolyParser:
         return t
 
     def unary(self):
-        if self.peek() == "-":
-            self.take()
-            return -self.unary()
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.power()
+        negate = False
+        while self.peek() in ("-", "+"):
+            negate ^= self.take() == "-"
+        t = self.power()
+        return -t if negate else t
 
     def power(self):
         base = self.atom()
@@ -240,9 +243,14 @@ class _PolyParser:
     def atom(self):
         tok = self.take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_PARENS:
+                raise ParseError(f"parentheses nest deeper than {MAX_PARENS} "
+                                 "levels in polynomial")
             inner = self.expr()
             if self.take() != ")":
                 raise ParseError("unbalanced parenthesis in polynomial")
+            self.depth -= 1
             return inner
         if tok is None:
             raise ParseError("polynomial ended unexpectedly")

@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+import time
 
 import pytest
 
+from dworklab import cli
 from dworklab.cli import main
 from dworklab.dsl import GoalDecl, StepDecl, parse_script, render_statement
 from dworklab.weyl import cech, twisted
@@ -300,3 +302,77 @@ def test_unknown_flags_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# --- bounded nesting and internal errors ----------------------------------------
+
+
+@pytest.mark.parametrize("goal", [
+    "RGamma[S](" * 400 + "O[X]" + ")" * 400,
+    "O[X]" + "[1]" * 400,
+], ids=["forms", "shifts"])
+def test_deep_script_nesting_is_an_input_error(goal, tmp_path, capsys):
+    decls = _declarations(BUNDLED.read_text(encoding="utf-8"))
+    script = tmp_path / "deep.dwk"
+    script.write_text(decls + f"goal deep : {goal} ~ O[X];\n",
+                      encoding="utf-8")
+    t0 = time.perf_counter()
+    assert main(["prove", str(script), "--search", "1"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    line = decls.count("\n") + 1
+    assert capsys.readouterr().err == (
+        f"error: {script}:{line}:1: expression nests deeper than 200 "
+        "levels\n")
+
+
+def test_script_nesting_at_the_cap_binds(tmp_path, capsys):
+    # 100 supports, each shifted: 200 levels below the goal side
+    script = tmp_path / "deep.dwk"
+    script.write_text(_declarations(BUNDLED.read_text(encoding="utf-8"))
+                      + "goal deep : " + "RGamma[S](" * 100 + "O[X]"
+                      + ")[1]" * 100 + " ~ O[X];\n", encoding="utf-8")
+    assert main(["prove", str(script)]) == 3
+    assert "--search" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("depth", [101, 3000])
+def test_deep_polynomial_parentheses_are_an_input_error(depth, capsys):
+    text = "(" * depth + "x" + ")" * depth + "^2-1"
+    t0 = time.perf_counter()
+    assert main(["dwork-check", "--f", text]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        "error: parentheses nest deeper than 100 levels in polynomial\n")
+
+
+def test_a_run_of_unary_signs_gives_the_verdict_of_its_sign(capsys):
+    def verdict(text):
+        assert main(["dwork-check", "--f", text, "--output", "machine"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data.pop("f") == [text]
+        return data
+
+    t0 = time.perf_counter()
+    assert verdict("x^2+" + "-" * 5000 + "1") == verdict("x^2+1")
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_an_unmapped_exception_is_an_internal_error(monkeypatch, capsys):
+    def crash(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_dwork_check", crash)
+    assert main(["dwork-check", "--f", "x"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: RecursionError: maximum "
+                            "recursion depth exceeded\n")
+
+    # an interrupt or an exit request is no crash: it passes through
+    for stop in (KeyboardInterrupt, SystemExit):
+        def stopping(args, stop=stop):
+            raise stop
+
+        monkeypatch.setattr(cli, "cmd_dwork_check", stopping)
+        with pytest.raises(stop):
+            main(["dwork-check", "--f", "x"])

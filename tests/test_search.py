@@ -183,7 +183,7 @@ def _table_successors(table, term):
 
 
 def _assert_reference_successors(table, term):
-    want = list(_reference_successors(table.moves, term))
+    want = list(_reference_successors(table, term))
     assert list(_table_successors(table, term)) == want, serialize(term)
 
 
@@ -223,7 +223,7 @@ def test_narrowed_candidates_lose_no_move(expanded, monkeypatch):
     # transform, the bundles whose dual zero section is the written map,
     # the negated or paired bundles), trying every declared name instead
     # accepts the same moves, in order
-    names = set(expanded[0][0].moves.names)
+    names = set(expanded[0][0].names)
     narrowed = {name: (stratum, fn, {
         way: offer._replace(pick=None)
         if offer.key in names and offer.pick else offer
@@ -233,8 +233,7 @@ def test_narrowed_candidates_lose_no_move(expanded, monkeypatch):
     full = {}
     seen = set()
     rows = 0
-    for table, term in expanded:
-        moves = table.moves
+    for moves, term in expanded:
         if id(moves) not in full:
             with monkeypatch.context() as m:
                 m.setattr(rules, "RULES", narrowed)
@@ -263,7 +262,7 @@ def test_one_move_table_per_prove(monkeypatch):
     tables = []
     calls = 0
 
-    class CountingTable(search.MoveTable):
+    class CountingTable(Moves):
         def __init__(self, *args):
             super().__init__(*args)
             tables.append(self)
@@ -275,8 +274,7 @@ def test_one_move_table_per_prove(monkeypatch):
         calls += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(search, "MoveTable", CountingTable)
-    monkeypatch.setattr(search, "rewrite", counting)
+    monkeypatch.setattr(search, "Moves", CountingTable)
     monkeypatch.setattr(rules, "rewrite", counting)
     res = _search(ctx, cert.goal_lhs, cert.goal_rhs, 7, cert)
     # not found: the direct search and every closure retry ran on one table
@@ -289,7 +287,7 @@ def test_one_move_table_per_prove(monkeypatch):
 
 
 def _table(ctx, mode="strict-smooth"):
-    return search.MoveTable(Moves(ctx, mode))
+    return Moves(ctx, mode)
 
 
 def test_move_table_at_the_size_cap(dwork, monkeypatch):

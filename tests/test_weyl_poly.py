@@ -39,6 +39,17 @@ def test_parse_errors():
         parse_poly("x ^ y", XY)
 
 
+def test_nesting_is_bounded_and_sign_runs_are_read_in_a_loop():
+    x = parse_poly("x", XY)
+    assert parse_poly("(" * 100 + "x" + ")" * 100, XY) == x
+    with pytest.raises(ParseError, match="deeper than 100 levels"):
+        parse_poly("(" * 101 + "x" + ")" * 101, XY)
+    assert parse_poly("-" * 5000 + "x", XY) == x
+    assert parse_poly("-" * 5001 + "x", XY) == -x
+    assert parse_poly("-+" * 3000 + "x^2", XY) == parse_poly("x^2", XY)
+    assert parse_poly("--x^2", XY) == parse_poly("x^2", XY)
+
+
 def test_arithmetic():
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
