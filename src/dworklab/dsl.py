@@ -9,21 +9,27 @@ the byte span of the offending statement.
 Expressions come in four sorts: M maps, F functions, S subvarieties and
 D terms.  Each keyword-led form is one row of `FORMS`: its keyword, its
 class and its layout, for example `"Opb": (terms.Opb, "[M](D)")`.  Each
-statement of one fixed layout is a row of `STATEMENTS`, shaped the same
-way, for example `"object": (ObjectDecl, "N on V")`.  One walker
-(`_Parser.fill`) parses the layouts of both tables and one speller
-(`_speller`) spells them.  The parser builds the term and geometry
-classes themselves, so a parsed expression is already its bound value
-except at four syntax-only leaves: a dotted map chain `MName`, an
-identity map `MId`, a binary `SCap` (a bound `SubCap` holds a tuple)
-and an object name `DRef`, whose variety the context supplies.
-`bind_expr` binds a form by rebuilding it from its bound fields, and
-`render_expr` spells parsed and bound expressions alike, so the reports
-spell a search's step bindings in script syntax.  Step binding keys map
-to the slot of their value in `_BINDING_SLOTS`.  A declaration whose
-fields are the arguments of a `GeometryContext` method binds through
-`_DECLARE`.  The other statements, with flags, options in any order or
-lists, are parsed, rendered and bound by hand, one case each.
+statement with a fixed head is a row of `STATEMENTS`, shaped the same
+way, for example `"object": (ObjectDecl, "N on V")`; a row may go on with
+how many options one statement takes and its options, each a keyword
+that sets one field, such as `singular` or `codim I` after
+`subvariety S in X`.  One walker (`_Parser.fill`) parses the layouts of
+both tables, `_Parser.options` reads the options, and one speller
+(`_speller`) spells the layouts.  The parser builds the term and
+geometry classes themselves, so a parsed expression is already its bound
+value except at four syntax-only leaves: a dotted map chain `MName`, an
+identity map `MId`, a binary `SCap` (a bound `SubCap` holds a tuple) and
+an object name `DRef`, whose variety the context supplies.  `bind_expr`
+binds a form by rebuilding it from its bound fields, and `render_expr`
+spells parsed and bound expressions alike, so the reports spell a
+search's step bindings in script syntax.  Step binding keys map to the
+slot of their value in `_BINDING_SLOTS`.  A declaration whose fields,
+each bound by `bind_expr`, are the arguments of a `GeometryContext`
+method binds through `_DECLARE`.  Six statements are parsed and rendered
+by hand, one case each: `morphism`, whose kinds take arguments of their
+own; `product` and `fiberproduct`, whose keyword picks the spelling of
+one class; `step`, whose bindings have separators; `mode`, a dashed
+word; and `exclude`, a list of names.
 """
 
 from __future__ import annotations
@@ -283,13 +289,32 @@ FORMS = {
           "RGamma": (T.RGamma, "[S](D)"),
           "Fourier": (T.Fourier, "[B](D)")},
 }
-# Every statement of one fixed layout, as the rows of `FORMS`; a statement
-# is spelled `keyword layout;`.  The others, with flags, options in any
-# order or lists, are parsed by `_Parser._stmt_<keyword>`.
+# Every statement but six, as the rows of `FORMS`; a statement is
+# spelled `keyword layout;`.  A row may go on with how many options one
+# statement takes (None: any number, in any order) and its options, each
+# keyword -> (field, layout, value): a flag (empty layout) sets its field
+# to its value, a one-slot option to its slot, and a multi-slot option
+# appends the tuple of its slots.  The speller writes the head, then, in
+# table order, each option whose field is not its default.  The six others
+# (`morphism`, `product`, `fiberproduct`, `step`, `mode`, `exclude`; the
+# module docstring says why) are parsed by `_Parser._stmt_<keyword>`.
 STATEMENTS = {
+    "variety": (VarietyDecl, "N dim I", 1,
+                {"singular": ("smooth", "", False),
+                 "smooth": ("smooth", "", True)}),
     "bundle": (BundleDecl, "N on V rank I proj N sect N"),
     "fourierpair": (FourierDecl,
                     "N N product N proj N N pairing N line N coord N"),
+    "function": (FunctionDecl, "N on V", 1,
+                 {"=": ("definition", "F", None)}),
+    "subvariety": (SubvarietyDecl, "N in V", None,
+                   {"codim": ("codim", "I", None),
+                    "singular": ("smooth", "", False),
+                    "smooth": ("smooth", "", True),
+                    "nonreduced": ("reduced", "", False),
+                    "image": ("image", "N", None),
+                    "cap": ("caps", "N N", None),
+                    "preimage": ("preimages", "N N", None)}),
     "cartesian": (CartesianDecl, "N = (N, N, N, N)"),
     "object": (ObjectDecl, "N on V"),
     "goal": (GoalDecl, "N : D ~ D"),
@@ -373,7 +398,7 @@ def _speller(fmt, cls, slots):
     # a name or an integer is spelled by `str` (or by `format` itself), an
     # expression by `render_expr`; reading a statement's names with one
     # `attrgetter` and spelling out a form's one or two slots keep this fast
-    names = _positional(cls)
+    names = _positional(cls)[:len(slots)]
     if len(names) > 1 and not FORMS.keys() & slots:
         get = attrgetter(*names)
         return lambda x: fmt.format(*get(x))
@@ -388,13 +413,48 @@ def _speller(fmt, cls, slots):
     return lambda x: fmt.format(*[spell(get(x)) for get, spell in parts])
 
 
+def _option_speller(head, tail, cls, options):
+    # spells the head, then the options as `STATEMENTS` says
+    field_default = {f.name: f.default for f in fields(cls)}
+    spells = [(attrgetter(name), field_default[name],
+               re.sub("[A-Z]", "{}", f" {kw} {layout}".rstrip()),
+               len(re.findall("[A-Z]", layout)), value)
+              for kw, (name, layout, value) in options.items()]
+
+    def spell(x):
+        out = head(x)
+        for get, default, opt, slots, value in spells:
+            v = get(x)
+            if v == default:
+                continue
+            if slots == 1:
+                out += opt.format(render_expr(v))
+            elif slots:
+                out += "".join([opt.format(*map(render_expr, t)) for t in v])
+            elif v == value:
+                out += opt
+        return out + tail
+    return spell
+
+
+def _tokens(layout):
+    return tuple(tok.text for tok in tokenize(layout)[:-1])
+
+
 def _compile(rows, head, tail):
-    """Tokenize each row's layout and register its class's speller."""
+    """Tokenize each row's layout and options and register its class's
+    speller; each row compiles to (class, layout, most, options)."""
     out = {}
-    for kw, (cls, layout) in rows.items():
-        out[kw] = cls, tuple(tok.text for tok in tokenize(layout)[:-1])
-        _SPELL[cls] = _speller(kw + head + re.sub("[A-Z]", "{}", layout)
-                               + tail, cls, re.findall("[A-Z]", layout))
+    for kw, (cls, layout, *more) in rows.items():
+        most, options = more or (0, {})
+        fmt = kw + head + re.sub("[A-Z]", "{}", layout)
+        slots = re.findall("[A-Z]", layout)
+        _SPELL[cls] = (_option_speller(_speller(fmt, cls, slots), tail, cls,
+                                       options) if options
+                       else _speller(fmt + tail, cls, slots))
+        out[kw] = cls, _tokens(layout), most, {
+            okw: (name, _tokens(olayout), value)
+            for okw, (name, olayout, value) in options.items()}
     return out
 
 
@@ -470,7 +530,7 @@ class _Parser:
         row = _FORM_ROWS[sort].get(self.peek().text)
         if row is not None:
             self.take()
-            cls, layout = row
+            cls, layout, _most, _options = row
             self.depth += 1
             out = cls(*self.fill(layout))
             self.depth -= 1
@@ -506,6 +566,21 @@ class _Parser:
         self.height = height
         return args
 
+    def options(self, most, options):
+        """The fields set by up to `most` options (None: any number), read
+        as `STATEMENTS` says."""
+        out = {}
+        n = 0
+        while n != most and self.peek().text in options:
+            name, layout, value = options[self.take().text]
+            args = self.fill(layout)
+            if len(args) > 1:
+                out[name] = out.get(name, ()) + (tuple(args),)
+            else:
+                out[name] = args[0] if args else value
+            n += 1
+        return out
+
     def path(self):
         self.expect("/")
         out = []
@@ -531,8 +606,8 @@ class _Parser:
         kw = self.name("a statement keyword")
         row = _STATEMENT_ROWS.get(kw)
         if row is not None:
-            cls, layout = row
-            node = cls(*self.fill(layout))
+            cls, layout, most, options = row
+            node = cls(*self.fill(layout), **self.options(most, options))
         else:
             fn = getattr(self, f"_stmt_{kw}", None)
             if fn is None:
@@ -541,18 +616,6 @@ class _Parser:
         end = self.expect(";").end
         object.__setattr__(node, "span", (self.stmt_start, end))
         return node
-
-    def _stmt_variety(self):
-        name = self.name("a variety name")
-        self.expect("dim")
-        dim = self.integer("a dimension")
-        smooth = True
-        if self.peek().text == "singular":
-            self.take()
-            smooth = False
-        elif self.peek().text == "smooth":
-            self.take()
-        return VarietyDecl(name, dim, smooth)
 
     def _stmt_morphism(self):
         name = self.name("a map name")
@@ -634,55 +697,6 @@ class _Parser:
     def _stmt_fiberproduct(self):
         return self._stmt_product(fiber=True)
 
-    def _stmt_function(self):
-        name = self.name("a function name")
-        self.expect("on")
-        variety = self.name("a variety")
-        definition = None
-        if self.peek().text == "=":
-            self.take()
-            definition = self.expr("F")
-        return FunctionDecl(name, variety, definition)
-
-    def _stmt_subvariety(self):
-        name = self.name("a subvariety name")
-        self.expect("in")
-        ambient = self.name("the ambient variety")
-        codim = None
-        smooth = None
-        reduced = True
-        image = ""
-        caps = []
-        pres = []
-        while True:
-            tok = self.peek().text
-            if tok == "codim":
-                self.take()
-                codim = self.integer("a codimension")
-            elif tok == "singular":
-                self.take()
-                smooth = False
-            elif tok == "smooth":
-                self.take()
-                smooth = True
-            elif tok == "nonreduced":
-                self.take()
-                reduced = False
-            elif tok == "image":
-                self.take()
-                image = self.name("an embedding name")
-            elif tok == "cap":
-                self.take()
-                caps.append((self.name("a subvariety"),
-                             self.name("a subvariety")))
-            elif tok == "preimage":
-                self.take()
-                pres.append((self.name("a map"), self.name("a subvariety")))
-            else:
-                break
-        return SubvarietyDecl(name, ambient, codim, smooth, reduced, image,
-                              tuple(caps), tuple(pres))
-
     def _stmt_step(self):
         rule = self.name("a rule name")
         if rule == "lemma" and self.peek().text == ":":
@@ -738,9 +752,6 @@ def render_statement(st):
     spell = _SPELL.get(st.__class__)
     if spell is not None:
         return spell(st)
-    if isinstance(st, VarietyDecl):
-        tail = "" if st.smooth else " singular"
-        return f"variety {st.name} dim {st.dim}{tail};"
     if isinstance(st, MorphismDecl):
         bits = [f"morphism {st.name} : {st.source} -> {st.target}"]
         if st.kind == "closed":
@@ -770,26 +781,6 @@ def render_statement(st):
         over = f" over {st.base}" if st.base else ""
         return (f"{kw} {st.name} = {st.x} x {st.y}{over} "
                 f"proj {st.q1} {st.q2};")
-    if isinstance(st, FunctionDecl):
-        tail = f" = {render_expr(st.definition)}" if st.definition is not None else ""
-        return f"function {st.name} on {st.variety}{tail};"
-    if isinstance(st, SubvarietyDecl):
-        bits = [f"subvariety {st.name} in {st.ambient}"]
-        if st.codim is not None:
-            bits.append(f"codim {st.codim}")
-        if st.smooth is True:
-            bits.append("smooth")
-        elif st.smooth is False:
-            bits.append("singular")
-        if not st.reduced:
-            bits.append("nonreduced")
-        if st.image:
-            bits.append(f"image {st.image}")
-        for a, b in st.caps:
-            bits.append(f"cap {a} {b}")
-        for m, z in st.preimages:
-            bits.append(f"preimage {m} {z}")
-        return " ".join(bits) + ";"
     if isinstance(st, StepDecl):
         out = f"step {st.rule} {st.direction} at {render_path(st.path)}"
         if st.bindings:
@@ -823,6 +814,7 @@ _DECLARE = {cls: (method, attrgetter(*_positional(cls))) for cls, method in (
     (VarietyDecl, GeometryContext.variety),
     (BundleDecl, GeometryContext.bundle),
     (FourierDecl, GeometryContext.fourier_pair),
+    (FunctionDecl, GeometryContext.function),
     (CartesianDecl, GeometryContext.square),
     (ObjectDecl, GeometryContext.object_),
 )}
@@ -842,7 +834,7 @@ def bind_script(doc):
         try:
             if st.__class__ in _DECLARE:
                 method, args = _DECLARE[st.__class__]
-                method(ctx, *args(st))
+                method(ctx, *[bind_expr(ctx, a) for a in args(st)])
             elif isinstance(st, MorphismDecl):
                 ctx.morphism(st.name, st.source, st.target, kind=st.kind,
                              codim=st.codim, factor=st.factor,
@@ -855,10 +847,6 @@ def bind_script(doc):
                                       st.q1, st.q2)
                 else:
                     ctx.product(st.name, st.x, st.y, st.q1, st.q2)
-            elif isinstance(st, FunctionDecl):
-                defn = (None if st.definition is None
-                        else bind_expr(ctx, st.definition))
-                ctx.function(st.name, st.variety, definition=defn)
             elif isinstance(st, SubvarietyDecl):
                 ctx.subvariety(st.name, st.ambient, codim=st.codim,
                                smooth=st.smooth, reduced=st.reduced,

@@ -589,6 +589,11 @@ class GeometryContext:
                 raise GeometryError(f"unknown function {f.name!r}")
             return self.functions[f.name][0]
         if isinstance(f, FuncPull):
+            inner = self.func_variety(f.arg)
+            if inner != f.morphism.target:
+                raise GeometryError(
+                    f"pullback of a function on {inner} along a map into "
+                    f"{f.morphism.target}")
             return f.morphism.source
         raise GeometryError(f"not a function expression: {f!r}")
 

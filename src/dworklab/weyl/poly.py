@@ -184,6 +184,15 @@ def _tokenize(text):
 
 # the most parentheses one polynomial may nest; the parser recurses per level
 MAX_PARENS = 100
+# the highest degree a power or product may reach; the parser checks the
+# degree from its factors' degrees before it expands anything
+MAX_DEGREE = 64
+
+
+def _check_degree(degree):
+    if degree > MAX_DEGREE:
+        raise ParseError(f"polynomial degree {degree} is above the cap of "
+                         f"{MAX_DEGREE}")
 
 
 class _PolyParser:
@@ -216,6 +225,7 @@ class _PolyParser:
             op = self.take()
             rhs = self.unary()
             if op == "*":
+                _check_degree(t.degree() + rhs.degree())
                 t = t * rhs
             else:
                 if rhs.degree() > 0 or rhs.is_zero():
@@ -237,6 +247,7 @@ class _PolyParser:
             e = self.take()
             if e is None or not e.isdigit():
                 raise ParseError("exponent must be a nonnegative integer")
+            _check_degree(base.degree() * int(e))
             base = base ** int(e)
         return base
 

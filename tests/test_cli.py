@@ -345,6 +345,27 @@ def test_deep_polynomial_parentheses_are_an_input_error(depth, capsys):
         "error: parentheses nest deeper than 100 levels in polynomial\n")
 
 
+@pytest.mark.parametrize("text, degree", [
+    ("(x+y+1)^120", 120),
+    ("(x+y+z+1)^150", 150),
+    ("(x+1)^40*(y+1)^40", 80),
+])
+def test_an_oversized_power_is_refused_before_it_expands(text, degree,
+                                                         capsys):
+    t0 = time.perf_counter()
+    assert main(["dwork-check", "--f", text]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        f"error: polynomial degree {degree} is above the cap of 64\n")
+
+
+def test_a_power_at_the_degree_cap_parses(capsys):
+    # x^64 parses; its first twisted cutoff is then above the cap of 30
+    assert main(["dwork-check", "--f", "x^64"]) == 2
+    assert capsys.readouterr().err == (
+        "error: largest window cutoff 30 is below the first cutoff 66\n")
+
+
 def test_a_run_of_unary_signs_gives_the_verdict_of_its_sign(capsys):
     def verdict(text):
         assert main(["dwork-check", "--f", text, "--output", "machine"]) == 0

@@ -144,6 +144,21 @@ def test_binder_rejects_out_of_range_declarations(bad, tmp_path, capsys):
     assert f"{script}:3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, why", [
+    ("coord t;", "coord u;", "unknown function 't'"),
+    ("pull(t, gammaV.stilde)", "pull(t, stilde)",
+     "pullback of a function on A1X along a map into VA"),
+])
+def test_a_definition_that_pulls_back_no_function_is_an_input_error(
+        old, new, why, bundled_text, tmp_path, capsys):
+    # the definition binds at its statement; it used to bind, and the
+    # replay then crashed on it (exit 4)
+    script = tmp_path / "definition.dwk"
+    script.write_text(bundled_text.replace(old, new), encoding="utf-8")
+    assert main(["prove", str(script)]) == 2
+    assert capsys.readouterr().err == f"error: {script}:10:1: {why}\n"
+
+
 @pytest.mark.parametrize("bad", [
     "product P = X x Y over B proj a b;",
     "fiberproduct P = X x Y proj a b;",
@@ -314,14 +329,20 @@ def test_docgen_never_draws_a_keyword_as_a_name():
     stmts = {name[len("_stmt_"):] for name in vars(dsl._Parser)
              if name.startswith("_stmt_")} | set(dsl.STATEMENTS)
     forms = {kw for rows in dsl.FORMS.values() for kw in rows}
-    words = {word for rows in [dsl.STATEMENTS, *dsl.FORMS.values()]
-             for _cls, layout in rows.values()
-             for word in re.findall("[a-z]+", layout)}
+    rows = [row for table in [dsl.STATEMENTS, *dsl.FORMS.values()]
+            for row in table.values()]
+    # a row's layout, and each option's keyword and layout
+    texts = [row[1] for row in rows] + [
+        f"{kw} {layout}" for row in rows if len(row) > 2
+        for kw, (_field, layout, _value) in row[3].items()]
+    words = {word for text in texts for word in re.findall("[a-z]+", text)}
     keywords = stmts | forms | words | set(dsl._BINDING_SLOTS)
     assert {"variety", "goal", "strata"} <= stmts
     assert forms
     assert {"on", "rank", "proj", "sect", "product", "pairing", "line",
-            "coord"} <= words
+            "coord", "dim", "in"} <= words
+    assert {"singular", "smooth", "codim", "nonreduced", "image", "cap",
+            "preimage"} <= words
     assert keywords <= docgen._KEYWORDS, sorted(keywords - docgen._KEYWORDS)
 
 
@@ -370,3 +391,69 @@ def test_every_bound_form_round_trips_through_text(collapse_text):
                 x = dsl.bind_expr(ctx, v)
                 assert dsl.bind_expr(ctx, _reparsed(dsl.render_expr(x), k)) \
                     == x, k
+
+
+# --- statements with options -------------------------------------------------
+
+
+def test_an_explicit_smooth_flag_is_the_default():
+    doc = dsl.parse_script("variety X dim 1 smooth;")
+    assert doc.statements == (dsl.VarietyDecl("X", 1, smooth=True),)
+    assert dsl.render_script(doc) == "variety X dim 1;\n"
+
+
+@pytest.mark.parametrize("bad, found", [
+    ("variety Y dim 1 singular smooth;", "smooth"),
+    ("function F on X = t = t;", "="),
+])
+def test_a_statement_takes_at_most_its_options(bad, found, tmp_path, capsys):
+    text = "variety X dim 1;\n" + bad + "\n"
+    with pytest.raises(ParseError) as exc:
+        dsl.parse_script(text)
+    assert exc.value.message == f"expected ';', found {found!r}"
+    lo, hi = exc.value.span
+    assert text[lo:hi] == bad
+    script = tmp_path / "options.dwk"
+    script.write_text(text, encoding="utf-8")
+    assert main(["prove", str(script)]) == 2
+    assert f"{script}:2:" in capsys.readouterr().err
+
+
+def test_subvariety_options_come_in_any_order():
+    text = ("subvariety Z in X cap A B codim 1 preimage f C nonreduced "
+            "cap D E codim 2 singular preimage g F smooth image j;")
+    st, = dsl.parse_script(text).statements
+    assert st == dsl.SubvarietyDecl(
+        "Z", "X", codim=2, smooth=True, reduced=False, image="j",
+        caps=(("A", "B"), ("D", "E")), preimages=(("f", "C"), ("g", "F")))
+    assert dsl.render_statement(st) == (
+        "subvariety Z in X codim 2 smooth nonreduced image j cap A B "
+        "cap D E preimage f C preimage g F;")
+
+
+_SAMPLES = {"I": "3", "F": "pull(t, m)"}
+
+
+def _filled(layout):
+    """A layout with each slot filled: a name, an integer or a function."""
+    return " ".join(_SAMPLES.get(word, f"n{i}") if word.isupper() else word
+                    for i, word in enumerate(layout.split()))
+
+
+def test_every_option_round_trips():
+    # each option of each row alone, then all of them where a statement
+    # takes any number
+    rows = 0
+    for kw, row in dsl.STATEMENTS.items():
+        if len(row) == 2:
+            continue
+        _cls, layout, most, options = row
+        tails = [f"{okw} {_filled(olayout)}".rstrip()
+                 for okw, (_field, olayout, _value) in options.items()]
+        if most is None:
+            tails.append(" ".join(tails))
+        for tail in tails:
+            doc = dsl.parse_script(f"{kw} {_filled(layout)} {tail};")
+            assert dsl.parse_script(dsl.render_script(doc)) == doc, tail
+        rows += 1
+    assert rows == 3

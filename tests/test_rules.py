@@ -2,6 +2,7 @@
 
 import pytest
 
+from dworklab.certificates import ProofCertificate, ProofStep, check_certificate
 from dworklab.errors import RuleError
 from dworklab.geometry import (
     FuncName,
@@ -439,6 +440,110 @@ def test_cited_maps_off_the_subterms_variety_are_refused(dwork):
     for term, rule, b, why in cases:
         with pytest.raises(RuleError, match=why):
             _step(dwork, term, rule, "bwd", b=b)
+
+
+# --- shape refusals ---------------------------------------------------------
+
+# (context fixture, rule, direction, bindings, reason): each guard on the shape of
+# the node a rule is applied at, with valid bindings; "f" and "g" name maps
+S, SX = SubName("S"), SubName("sX")
+SHAPE_REFUSALS = [
+    ("dwork", "R1", "fwd", {}, "need nested Opb to merge"),
+    ("dwork", "R1", "fwd", {"f": "s", "g": "picheck"},
+     "need nested Opb to rebracket"),
+    ("dwork", "R2", "fwd", {}, "need nested Oim to merge"),
+    ("dwork", "R2", "fwd", {"f": "s", "g": "picheck"},
+     "need nested Oim to rebracket"),
+    ("dwork", "R3", "fwd", {}, "need a pullback of a tensor"),
+    ("dwork", "R3", "bwd", {}, "need a tensor of two pullbacks"),
+    ("dwork", "R4", "fwd", {}, "need a pushforward of a tensor"),
+    ("dwork", "R4", "bwd", {}, "need a tensor"),
+    ("dwork", "R5", "fwd", {"square": "sq1"},
+     "need a pushforward of a pullback"),
+    ("dwork", "R5", "bwd", {"square": "sq1"},
+     "need a pullback of a pushforward"),
+    ("dwork", "R6", "fwd", {}, "need a supported term"),
+    ("dwork", "R6", "bwd", {}, "need a tensor"),
+    ("dwork", "R7", "fwd", {}, "need nested supports to merge"),
+    ("dwork", "R7", "fwd", {"left": S, "right": SX},
+     "need nested supports to rebracket"),
+    ("dwork", "R7", "bwd", {"left": S, "right": SX}, "need a supported term"),
+    ("dwork", "R8", "fwd", {"sub": S},
+     "need a pushforward of a supported term"),
+    ("dwork", "R8", "bwd", {"sub": S}, "need a supported pushforward"),
+    ("dwork", "R10", "fwd", {"layers": 2}, "need 2 nested supports"),
+    ("dwork", "R10", "bwd", {"layers": 2}, "need 2 nested push-pull pairs"),
+    ("dwork", "R18", "fwd", {}, "need a supported term"),
+    ("dwork", "R18", "bwd", {"sub": S}, "need a supported term"),
+    ("dwork", "R11", "fwd", {}, "need a pullback of an exponential"),
+    ("dwork", "R11", "bwd", {"f": "gammaV", "psi": FuncName("t")},
+     "need an exponential"),
+    ("transform_ctx", "R12", "fwd", {"bundle": "Vb"}, "need a transform along Vb"),
+    ("transform_ctx", "R12", "bwd", {"bundle": "Vb"},
+     "need a pushforward of a tensor"),
+    ("transform_ctx", "R13", "fwd", {"bundle": "Vb"},
+     "need a double transform through Vb"),
+    ("transform_ctx", "R13", "bwd", {"bundle": "Vb"},
+     "need a pullback along the negation"),
+    ("transform_ctx", "R14", "fwd", {}, "need a transform of a pushforward"),
+    ("transform_ctx", "R14", "bwd", {}, "need a pullback of a transform"),
+    ("transform_ctx", "R15", "fwd", {}, "need a pushforward of a transform"),
+    ("transform_ctx", "R15", "bwd", {}, "need a transform of a pullback"),
+    ("transform_ctx", "R16", "fwd", {"bundle": "Vb"}, "need a pushforward"),
+    ("transform_ctx", "R16", "bwd", {"bundle": "Vb"},
+     "need a transform along Vb of a pullback"),
+    ("transform_ctx", "R17", "fwd", {"bundle": "Vb"}, "need a pullback"),
+    ("transform_ctx", "R17", "bwd", {"bundle": "Vb"},
+     "need a pushforward of a transform along Vd"),
+    ("dwork", "R19", "fwd", {"law": "opb_id"}, "need Opb along an identity"),
+    ("dwork", "R19", "fwd", {"law": "oim_id"}, "need Oim along an identity"),
+    ("dwork", "R19", "fwd", {"law": "tensor_unit"}, "need a tensor"),
+    ("dwork", "R19", "fwd", {"law": "struct_pullback"},
+     "need a pulled-back structure sheaf"),
+    ("dwork", "R19", "bwd", {"law": "struct_pullback", "f": "s"},
+     "need a structure sheaf"),
+    ("product_ctx", "R20", "fwd", {"law": "etens_opb_proj2"}, "need a pullback"),
+    ("product_ctx", "R20", "bwd", {"law": "etens_opb_proj2"},
+     "need an exterior tensor with a structure-sheaf first factor"),
+    ("product_ctx", "R20", "fwd", {"law": "etens_oim_idmap"},
+     "need Oim of an exterior tensor"),
+    ("product_ctx", "R20", "bwd", {"law": "etens_oim_idmap"},
+     "need an exterior tensor with Oim second factor"),
+    ("product_ctx", "R20", "fwd", {"law": "etens_opb_sndmap"},
+     "need Opb of an exterior tensor"),
+    ("product_ctx", "R20", "bwd", {"law": "etens_opb_sndmap"},
+     "need an exterior tensor with Opb second factor"),
+    ("product_ctx", "R20", "fwd", {"law": "etens_oim_fstmap"},
+     "need a pushforward of an exterior tensor"),
+    ("product_ctx", "R20", "bwd", {"law": "etens_oim_fstmap"},
+     "need an exterior tensor with a pushed first factor"),
+    ("graph_ctx", "R20", "fwd", {"law": "etens_opb_diag"},
+     "need a pullback of an exterior tensor"),
+    ("graph_ctx", "R20", "bwd", {"law": "etens_opb_diag"}, "need a tensor"),
+]
+
+
+@pytest.mark.parametrize("context, rule, direction, b, reason",
+                         SHAPE_REFUSALS)
+def test_every_shape_guard_refuses_a_node_of_the_wrong_shape(
+        context, rule, direction, b, reason, request):
+    ctx = request.getfixturevalue(context)
+    b = {k: ctx.composite(v) if k in ("f", "g") else v for k, v in b.items()}
+    # a structure sheaf has the shape of no guard but one, which a tensor
+    # of two structure sheaves lacks
+    node = Struct(next(iter(ctx.varieties)))
+    if reason == "need a structure sheaf":
+        node = Tensor(node, node)
+    with pytest.raises(RuleError) as exc:
+        _step(ctx, node, rule, direction, b=b)
+    assert exc.value.reason == reason
+    # the checker reports the same refusal as an invalid first step
+    cert = ProofCertificate(name="shape", title="shape", goal_lhs=node,
+                            goal_rhs=node,
+                            steps=(ProofStep(rule, direction, (), b),))
+    rep = check_certificate(ctx, cert)
+    assert rep.status == "invalid"
+    assert rep.reason == f"step 1 failed: {rule} at /: {reason}"
 
 
 # --- moves offered to the search ----------------------------------------------

@@ -50,6 +50,16 @@ def test_nesting_is_bounded_and_sign_runs_are_read_in_a_loop():
     assert parse_poly("--x^2", XY) == parse_poly("x^2", XY)
 
 
+def test_degree_is_capped_before_expanding():
+    assert parse_poly("x^64", XY).degree() == 64
+    assert parse_poly("x^32*y^32", XY).degree() == 64
+    assert parse_poly("(x*y)^32", XY).degree() == 64
+    assert parse_poly("(x-x)^100 + 1^100", XY) == MultiPoly.constant(2, 1)
+    for text in ("x^65", "(x^2)^33", "x^64*y", "x^8^9", "(x+y)^40*x^25"):
+        with pytest.raises(ParseError, match="above the cap of 64"):
+            parse_poly(text, XY)
+
+
 def test_arithmetic():
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
