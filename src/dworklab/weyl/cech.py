@@ -38,6 +38,27 @@ rows left fed span what all the rows span, both for the prefix and for
 the whole of U, and an echelon whose leads are largest columns has a
 lead set fixed by its span: every snapshot, rank and rung is unchanged.
 
+Only the weight-0 block is eliminated.  `weights` holds integer rows w
+spanning the rational kernel of the exponent differences inside each f_i
+(`linalg.kernel_lattice`), so each Euler field E = sum_j w_j x_j d/dx_j
+has E f_i = d_i·f_i, d_i being w·m for any exponent m of f_i.  E acts on
+x^mono dx_mask / g_I^P by λ = w·(mono + mask) − P·sum_{i in I} d_i.  The
+de Rham differential, the Čech maps and the g_I² embedding all keep λ,
+so every rung splits into blocks by the weight vector.  Cartan's formula
+L_E = dι_E + ι_E d (ι_E commutes with the Čech maps up to the same signs
+as d) makes a closed ω of weight λ ≠ 0 equal to d(ι_E ω)/λ for the row w
+it is taken from.  Written at pole P + 1, ι_E ω has numerator degree at
+most (P + 1)·deg g_I + D + 1, inside the U domain window since
+D_img = D + maxdeg + 1.  So every closed window element of weight λ ≠ 0
+lies in U ∩ W, and its block adds 0 to every rung, not only in the
+limit.  `_window` therefore returns the weight-0 block of each (I, mask):
+the monomials of each numerator degree bound are grouped by weight once,
+in graded order, and a block is one lookup.  Blocks stay graded, so the
+U prefix the carry reads is each block's part of degree <= the next
+window's bound, the d² = 0 skip stays inside one block, and the embedded
+W rows take their codes from the pole-P block itself.  A kernel of
+dimension 0 gives one block holding every element.
+
 Each f_i is first multiplied by the lcm of its coefficient denominators.
 That changes no window and no image subspace, and it makes every row
 integer.
@@ -65,13 +86,15 @@ of g_I², formed once per complex, the same way.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations
 
-from .forms import add_into, masks_of_degree, wedge_sign
+from .forms import (add_into, group_by_weight, mask_weight, masks_of_degree,
+                    wedge_sign, weight)
 from .ladder import ladder
 # `rank` stays importable here: bench/spans.py traces it under this name.
-from .linalg import Echelon, GradedCodes, rank  # noqa: F401
-from .poly import MultiPoly, count_monomials, graded_monomials
+from .linalg import Echelon, GradedCodes, kernel_lattice, rank  # noqa: F401
+from .poly import MultiPoly, graded_monomials
 
 
 def _int_terms(p):
@@ -108,6 +131,17 @@ class CechDeRham:
             self.dg[I] = [_int_terms(gI.diff(j)) for j in range(self.n)]
             squares[I] = _int_terms(gI * gI)
         self.maxdeg = max(f.degree() for f in self.fs)
+        # one Euler field E with E f_i = d_i·f_i per row; see the module
+        # docstring.  _dsum[I] is sum_{i in I} d_i, one entry per row.
+        leads = [next(iter(f.terms)) for f in self.fs]
+        self.weights = kernel_lattice(
+            [tuple(a - b for a, b in zip(m, m0))
+             for f, m0 in zip(self.fs, leads) for m in f.terms], self.n)
+        degs = [weight(self.weights, m0) for m0 in leads]
+        self._dsum = {I: tuple(map(sum, zip(*(degs[i] for i in I))))
+                      for I in self.pieces}
+        self._mask_weights = [mask_weight(self.weights, self.n, mask)
+                              for mask in range(1 << self.n)]
         self._gdeg = max(g.degree() for g in self.g.values())
         self._pole_cache = {}
         self._codes = GradedCodes(
@@ -205,21 +239,36 @@ class CechDeRham:
         return row
 
     def _window(self, pole, D):
-        """The window (pole, D) by total grade, as (I, mask, monos) groups;
-        the groups of one piece share its graded_monomials list."""
+        """The weight-0 block of the window (pole, D) by total grade, as
+        (I, mask, block) groups; a block lists (mono, code(mono)) in
+        graded order.  x^mono dx_mask / g_I^pole has weight 0 when mono's
+        weight is pole·_dsum[I] minus the mask's, so the monomials of each
+        numerator degree bound are grouped by weight once and each block
+        is one lookup."""
+        n = self.n
+        keys = {(I, mask): tuple(pole * d - v for d, v in
+                                 zip(self._dsum[I], self._mask_weights[mask]))
+                for I in self.pieces for mask in range(1 << n)}
+        wanted = set(keys.values())
+        by_bound = {}
         grades = {}
         for I in self.pieces:
-            monos = graded_monomials(self.n, pole * self.g[I].degree() + D)
-            for k in range(self.n + 1):
-                for mask in masks_of_degree(self.n, k):
+            top = pole * self.g[I].degree() + D
+            groups = by_bound.get(top)
+            if groups is None:
+                groups = by_bound[top] = group_by_weight(
+                    self.weights, graded_monomials(n, top), self._codes.mono,
+                    wanted)
+            for k in range(n + 1):
+                for mask in masks_of_degree(n, k):
                     grades.setdefault(len(I) - 1 + k, []).append(
-                        (I, mask, monos))
+                        (I, mask, groups.get(keys[I, mask], [])))
         return grades
 
     def window_basis(self, pole, D):
-        """Every (I, mono, mask) of the window (pole, D)."""
+        """Every weight-0 (I, mono, mask) of the window (pole, D)."""
         return [(I, mono, mask) for groups in self._window(pole, D).values()
-                for I, mask, monos in groups for mono in monos]
+                for I, mask, block in groups for mono, _code in block]
 
     def schedule(self, t):
         """(P, D_t) at rung t, as in the module docstring."""
@@ -243,24 +292,20 @@ class CechDeRham:
         kernels[self.n + self.r - 1] = 0, set()
         window = self._window(P, D)
         image = self._window(P + 1, D_img)
-        # monomial codes per piece; each window list is a prefix of the
-        # image list, since both are graded_monomials lists
-        image_monos = {I: monos for groups in image.values()
-                       for I, _mask, monos in groups}
-        bases = {I: list(map(codes.mono, monos))
-                 for I, monos in image_monos.items()}
-        # the U monomials of piece I inside rung t + 1's kernel window
-        cut = {I: count_monomials(n, (P + 1) * self.g[I].degree()
-                                  + min(D_next, D_img)) for I in self.pieces}
+        # the U rows inside rung t + 1's kernel window: in each (I, mask)
+        # block the prefix of degree <= cut[I], since blocks are graded
+        cut = {I: (P + 1) * self.g[I].degree() + min(D_next, D_img)
+               for I in self.pieces}
+        shift = codes.shift  # code >> shift is the degree
         embed = self._embed
         dims, ahead = {}, {}
         for q in range(self.n + self.r):
             basis = window[q]
-            size = sum(len(monos) for _I, _mask, monos in basis)
+            size = sum(len(block) for _I, _mask, block in basis)
             if q not in kernels:
                 ech = Echelon()
-                for I, mask, monos in basis:
-                    for mono in monos:
+                for I, mask, block in basis:
+                    for mono, _base in block:
                         ech.add(self.diff_row(I, mono, mask, P))
                 kernels[q] = len(ech), set(ech.pivots)
             ker = size - kernels[q][0]
@@ -272,18 +317,19 @@ class CechDeRham:
             skip = kernels[q - 2][1] if q > 1 else ()
             ech = Echelon()
             for prefix in (True, False):
-                for I, mask, monos in image[q - 1]:
+                for I, mask, block in image[q - 1]:
                     fields = index[I] << n | mask
-                    part = slice(cut[I]) if prefix else slice(cut[I], None)
-                    for mono, base in zip(monos[part], bases[I][part]):
+                    end = bisect_right(block, cut[I],
+                                       key=lambda mc: mc[1] >> shift)
+                    for mono, base in block[:end] if prefix else block[end:]:
                         if base | fields not in skip:
                             ech.add(self.diff_row(I, mono, mask, P + 1))
                 if prefix:
                     ahead[q - 1] = len(ech), set(ech.pivots)
             rank_u = len(ech)
-            for I, mask, monos in basis:
+            for I, mask, block in basis:
                 fields = index[I] << n | mask
-                for base in bases[I][:len(monos)]:
+                for _mono, base in block:
                     base |= fields
                     ech.add({base + off: c for off, c in embed[I]})
             dims[q] = ker - (rank_u + size - len(ech))

@@ -2,6 +2,11 @@
 
 A k-form basis element is (monomial, mask) with popcount(mask) = k; the
 mask's set bits are the wedged coordinate directions in increasing order.
+
+A weight lattice is a list of integer rows w, one Euler field
+E = sum_j w_j x_j d/dx_j each.  E scales x^mono dx_mask by w·(mono + mask),
+with the mask read as its 0/1 vector; `weight` is the tuple of these
+numbers over the rows, () for an empty lattice.
 """
 
 from __future__ import annotations
@@ -35,3 +40,24 @@ def add_into(row, col, val):
         row[col] = s
     else:
         row.pop(col, None)
+
+
+def weight(lattice, vec):
+    """(w·vec for each row w of the lattice)."""
+    return tuple(sum(a * b for a, b in zip(w, vec)) for w in lattice)
+
+
+def mask_weight(lattice, nvars, mask):
+    """The weight dx_mask adds to a basis element."""
+    return weight(lattice, [mask >> j & 1 for j in range(nvars)])
+
+
+def group_by_weight(lattice, monos, code, keys):
+    """{weight: [(mono, code(mono)), ...]} over the monomials whose weight
+    is in `keys`, each list in the order `monos` gives."""
+    groups = {}
+    for m in monos:
+        key = weight(lattice, m)
+        if key in keys:
+            groups.setdefault(key, []).append((m, code(m)))
+    return groups

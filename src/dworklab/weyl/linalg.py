@@ -17,7 +17,8 @@ dimension equal to the number of pivots of degree <= D.
 never replaces a pivot, so the pivots present after any prefix of the
 rows are an echelon basis of that prefix's span: a caller that feeds
 rows in stages can read the rank of every stage off the pivot count it
-had then, without eliminating again.  `rank` is its one-shot form.
+had then, without eliminating again.  `rank` is its one-shot form, and
+`kernel_lattice` reads an integer kernel basis off one echelon.
 
 `GradedCodes` is the column code both de Rham complexes use:
 
@@ -89,6 +90,25 @@ def rank(rows):
     for row in rows:
         ech.add(row)
     return len(ech)
+
+
+def kernel_lattice(vectors, n):
+    """Integer rows spanning {w in Q^n : w·v = 0 for every v}, as tuples.
+
+    Row j of the matrix [identity | vectors as columns] is fed as
+    {j: 1} ∪ {n + i: v_i[j]}.  Echelon leads are largest columns, so a
+    pivot whose lead is below n has no entry in the vector part: it is a
+    combination w of the unit rows with w·v_i = 0 for all i, and these
+    pivots are as many as the kernel's dimension."""
+    ech = Echelon()
+    for j in range(n):
+        row = {j: 1}
+        for i, v in enumerate(vectors):
+            if v[j]:
+                row[n + i] = v[j]
+        ech.add(row)
+    return [tuple(p.get(j, 0) for j in range(n))
+            for lead, p in sorted(ech.pivots.items()) if lead < n]
 
 
 class GradedCodes:

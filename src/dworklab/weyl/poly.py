@@ -184,15 +184,38 @@ def _tokenize(text):
 
 # the most parentheses one polynomial may nest; the parser recurses per level
 MAX_PARENS = 100
-# the highest degree a power or product may reach; the parser checks the
-# degree from its factors' degrees before it expands anything
+# Caps on what one power or product may build, each checked from its
+# factors before anything is expanded:
+# - the highest degree it may reach;
 MAX_DEGREE = 64
+# - the most terms it may have, predicted as min(C(d + n, n), t1·t2) for a
+#   product of degree d whose factors use n variables and
+#   min(C(d + n, n), C(t + k - 1, k)) for the k-th power of t terms.  The
+#   work of an expansion grows with its terms, not only its degree:
+#   (x+y+z+1)^30 (5 456 terms) takes seconds, and at this cap
+#   (x+y+z+1)^16 (969 terms) parses in about 0.2 s while ^17 is refused;
+MAX_TERMS = 1000
+# - the most bits a constant power's coefficient may have, predicted as
+#   k·log2 of the base's numerator or denominator, whichever is larger.
+MAX_COEFF_BITS = 4096
 
 
 def _check_degree(degree):
     if degree > MAX_DEGREE:
         raise ParseError(f"polynomial degree {degree} is above the cap of "
                          f"{MAX_DEGREE}")
+
+
+def _check_terms(degree, bound, *factors):
+    """Refuse a product or power of `factors` whose predicted terms pass
+    the cap: at most `bound`, and at most the monomials of its degree in
+    the variables the factors use."""
+    used = sum(1 for j in range(factors[0].nvars)
+               if any(m[j] for f in factors for m in f.terms))
+    terms = min(count_monomials(used, degree), bound)
+    if terms > MAX_TERMS:
+        raise ParseError(f"polynomial of up to {terms} terms is above the "
+                         f"cap of {MAX_TERMS}")
 
 
 class _PolyParser:
@@ -225,7 +248,9 @@ class _PolyParser:
             op = self.take()
             rhs = self.unary()
             if op == "*":
-                _check_degree(t.degree() + rhs.degree())
+                degree = t.degree() + rhs.degree()
+                _check_degree(degree)
+                _check_terms(degree, len(t.terms) * len(rhs.terms), t, rhs)
                 t = t * rhs
             else:
                 if rhs.degree() > 0 or rhs.is_zero():
@@ -247,8 +272,21 @@ class _PolyParser:
             e = self.take()
             if e is None or not e.isdigit():
                 raise ParseError("exponent must be a nonnegative integer")
-            _check_degree(base.degree() * int(e))
-            base = base ** int(e)
+            k = int(e)
+            degree = base.degree() * k
+            _check_degree(degree)
+            # C(t + k - 1, k) multisets of k terms; the 0th power is 1
+            _check_terms(degree,
+                         math.comb(len(base.terms) + k - 1, k) if k else 1,
+                         base)
+            if base.degree() == 0:
+                c = base.terms[(0,) * self.nvars]
+                bits = k * math.log2(max(abs(c.numerator), c.denominator))
+                if bits > MAX_COEFF_BITS:
+                    raise ParseError(f"constant power of {math.ceil(bits)} "
+                                     f"bits is above the cap of "
+                                     f"{MAX_COEFF_BITS}")
+            base = base ** k
         return base
 
     def atom(self):

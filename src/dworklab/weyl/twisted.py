@@ -26,7 +26,9 @@ the row's largest graded column.  Pivots are never replaced, so a rung
 at any cutoff D <= d_max, rising or falling, eliminates nothing new
 beyond the degrees it is the first to need; it reads two counts:
 
-* the kernel in grade k is dom - #{grade-k pivots of stage <= D};
+* the kernel in grade k is the number of grade-k basis elements of
+  degree <= D (of the weight-0 block below) - #{grade-k pivots of
+  stage <= D};
 * dim(image ∩ window) in grade k is #{grade-(k-1) pivots of stage
   <= D + slack and lead degree <= D}, because an echelon basis whose
   leads are largest columns is compatible with the degree filtration.
@@ -40,16 +42,34 @@ The rows fed through each stage therefore span what all its rows span,
 and since an echelon with largest-column leads has a lead set fixed by
 its span, every record and every count above is unchanged.
 
+Only the weight-0 block is eliminated.  `weights` holds integer rows w
+spanning the rational kernel of F's exponent vectors
+(`linalg.kernel_lattice`), so each Euler field E = sum_j w_j x_j d/dx_j
+has E F = 0.  E scales x^mono dx_mask by w·(mono + mask), the mask read
+as its 0/1 vector, and d + dF∧ keeps that weight: d trades an exponent
+of x_j for dx_j, and dF∧ multiplies by (x^m / x_j) dx_j for exponents m
+of F, whose weight is 0.  So every row, window, image and count splits
+into blocks by the weight vector λ.  Cartan's formula with E F = 0 gives
+(d + dF∧)ι_E + ι_E(d + dF∧) = L_E, which is λ on a block for the row w
+it is taken from.  A closed ω of weight λ ≠ 0 in the window of cutoff D
+is then (d + dF∧)(ι_E ω)/λ, and ι_E ω has degree <= D + 1 <= D + slack,
+so ω is in the image of the slacked domain: the block adds 0 to every
+rung, not only in the limit.  `rows` and `block_size` therefore see only
+weight-0 elements.  The monomials of each degree are grouped by weight
+once, in graded order, and x^mono dx_mask has weight 0 when mono's weight
+is minus the mask's, so a mask's block is one lookup.  An F with no such
+field (kernel dimension 0) has one block holding every element.
+
 Rungs are laddered (step 2) until three in a row agree.
 """
 
 from __future__ import annotations
 
-from .forms import masks_of_degree, wedge_sign
+from .forms import group_by_weight, mask_weight, masks_of_degree, wedge_sign
 from .ladder import ladder
 # `rank` stays importable here: bench/spans.py traces it under this name.
-from .linalg import Echelon, GradedCodes, rank  # noqa: F401
-from .poly import binom, count_monomials, monomials_of_degree
+from .linalg import Echelon, GradedCodes, kernel_lattice, rank  # noqa: F401
+from .poly import monomials_of_degree
 
 
 def _row(base, mono, template):
@@ -78,6 +98,13 @@ class TwistedComplex:
         self._codes = GradedCodes(self.n, self.n,
                                   d_max + self.slack + self._rise)
         self._templates = {}
+        # one Euler field E with E F = 0 per row; see the module docstring
+        self.weights = kernel_lattice(list(F.terms), self.n)
+        # x^mono dx_mask has weight 0 when mono's weight is its mask's key
+        self._keys = {mask: tuple(-v for v in mask_weight(self.weights,
+                                                          self.n, mask))
+                      for mask in range(1 << self.n)}
+        self._blocks = {}  # degree -> {key: [(mono, code)]}
         # top forms are closed, so grade n has no rows and no echelon
         self._echelons = [Echelon() for _ in range(self.n)]
         self._leads = [[] for _ in range(self.n + 1)]  # (stage, lead degree)
@@ -115,6 +142,22 @@ class TwistedComplex:
             tpl = self._templates[mask] = (dF_terms, d_terms)
         return tpl
 
+    def _block(self, e, mask):
+        """(mono, code(mono)) of the weight-0 basis elements x^mono dx_mask
+        of degree e, in graded order."""
+        groups = self._blocks.get(e)
+        if groups is None:
+            groups = self._blocks[e] = group_by_weight(
+                self.weights, monomials_of_degree(self.n, e),
+                self._codes.mono, set(self._keys.values()))
+        return groups.get(self._keys[mask], ())
+
+    def block_size(self, k, D):
+        """Number of weight-0 grade-k basis elements of degree <= D."""
+        self._check(D)
+        return sum(len(self._block(e, mask)) for e in range(D + 1)
+                   for mask in masks_of_degree(self.n, k))
+
     def apply(self, mono, mask):
         """L times the differential on the basis element x^mono dx_mask,
         keyed by column code."""
@@ -122,17 +165,16 @@ class TwistedComplex:
         return _row(self._codes.mono(mono), mono, self._template(mask))
 
     def rows(self, k, hi, lo=0, *, exclude=()):
-        """Nonzero grade-k rows of basis degrees lo..hi, in degree order,
-        leaving out the basis elements whose codes are in `exclude`."""
+        """Nonzero rows of the weight-0 grade-k basis elements of degrees
+        lo..hi, in degree order, leaving out those whose codes are in
+        `exclude`."""
         self._check(hi)
         masks = masks_of_degree(self.n, k)
-        mono_code = self._codes.mono
         out = []
         for e in range(lo, hi + 1):
-            monos = [(m, mono_code(m)) for m in monomials_of_degree(self.n, e)]
             for mask in masks:
                 tpl = self._template(mask)
-                for mono, base in monos:
+                for mono, base in self._block(e, mask):
                     if base | mask in exclude:
                         continue
                     if row := _row(base, mono, tpl):
@@ -170,8 +212,8 @@ class TwistedComplex:
         self._feed(top)
         dims = {}
         for k in range(self.n + 1):
-            dom = count_monomials(self.n, D) * binom(self.n, k)
-            ker = dom - sum(1 for e, _deg in self._leads[k] if e <= D)
+            ker = self.block_size(k, D) - sum(
+                1 for e, _deg in self._leads[k] if e <= D)
             inside = sum(1 for e, deg in self._leads[k - 1]
                          if e <= top and deg <= D) if k else 0
             dims[k] = ker - inside

@@ -359,6 +359,19 @@ def test_an_oversized_power_is_refused_before_it_expands(text, degree,
         f"error: polynomial degree {degree} is above the cap of 64\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(x+y+z+1)^64", "polynomial of up to 47905 terms is above the cap of "
+                     "1000"),
+    ("2^64^64^64^64*x", "constant power of 262144 bits is above the cap of "
+                        "4096"),
+])
+def test_a_power_too_large_to_expand_is_refused(text, message, capsys):
+    t0 = time.perf_counter()
+    assert main(["dwork-check", "--f", text]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_a_power_at_the_degree_cap_parses(capsys):
     # x^64 parses; its first twisted cutoff is then above the cap of 30
     assert main(["dwork-check", "--f", "x^64"]) == 2

@@ -16,10 +16,25 @@ the engine:
   complement of V(f) fibres over C* with that fibre, so with I the
   number of eigenvalues equal to 1 the supported table is
   {2: 1 + I, 3: I}, zero entries dropped.
+* Both sides, three variables.  For f = x^a + y^b + z^c the complement
+  U of V(f) fibres over C* by f, with Milnor fibre M a bouquet of
+  mu = (a-1)(b-1)(c-1) two-spheres: H^0(M) = C, H^1(M) = 0 and H^2(M)
+  has the monodromy h with eigenvalues exp(2 pi i (k1/a + k2/b + k3/c)),
+  1 <= k_i < a_i (Brieskorn 1966; Milnor 1968).  The Wang sequence
+  ... -> H^{k-1}(M) -(h-1)-> H^{k-1}(M) -> H^k(U) -> H^k(M) -(h-1)-> ...
+  gives h^k(U) = dim coker(h - 1 on H^{k-1}) + dim ker(h - 1 on H^k).
+  h has finite order, so ker and coker of h - 1 on H^2 both have
+  dimension I, the number of eigenvalues equal to 1, and h = 1 on H^0:
+  h^0(U) = 1, h^1(U) = 1, h^2(U) = I, h^3(U) = I.  Read through the
+  supported sequence (h^1_Z = h^0(U) - 1, h^{k+1}_Z = h^k(U)), the
+  supported table is {2: 1, 3: I, 4: I}, zero entries dropped.  The
+  n = 2 case is the same sequence with H^1(M) carrying the monodromy:
+  h^1(U) = 1 + I, h^2(U) = I.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 from dworklab import dwork_compare, parse_poly, twisted_cohomology
@@ -37,10 +52,10 @@ def _brieskorn(exponents):
     return parse_poly(text, names)
 
 
-def _invariant_count(a, b):
-    """#{(k1, k2) : 1 <= k1 < a, 1 <= k2 < b, k1/a + k2/b an integer}."""
-    return sum(1 for k1 in range(1, a) for k2 in range(1, b)
-               if (Fraction(k1, a) + Fraction(k2, b)).denominator == 1)
+def _invariant_count(exponents):
+    """#{(k_1, ..., k_n) : 1 <= k_i < a_i, sum k_i/a_i an integer}."""
+    return sum(1 for ks in product(*(range(1, a) for a in exponents))
+               if sum(map(Fraction, ks, exponents)).denominator == 1)
 
 
 def test_twisted_table_is_the_milnor_number():
@@ -81,11 +96,26 @@ def test_supported_table_counts_invariant_eigenvalues():
     rng = random.Random(1966)
     cases = [(rng.randint(2, 5), rng.randint(2, 5)) for _ in range(6)]
     # the draw must reach both shapes of the table
-    assert {_invariant_count(a, b) > 0 for a, b in cases} == {False, True}
+    assert {_invariant_count(c) > 0 for c in cases} == {False, True}
     for a, b in cases:
-        inv = _invariant_count(a, b)
+        inv = _invariant_count((a, b))
         want = _nonzero({2: 1 + inv, 3: inv})
         cmp = dwork_compare([_brieskorn((a, b))])
         assert not cmp.inconclusive and cmp.match, (a, b)
         assert _nonzero(cmp.supports.dims) == want, (a, b)
         assert _nonzero(cmp.twisted.dims) == want, (a, b)
+
+
+def test_supported_table_of_three_variables_counts_invariant_eigenvalues():
+    rng = random.Random(1968)
+    cases = ([tuple(rng.randint(2, 4) for _ in range(3)) for _ in range(5)]
+             + [(2, 3, 6)])
+    # the draw must reach both shapes of the table
+    assert {_invariant_count(c) > 0 for c in cases} == {False, True}
+    for exponents in cases:
+        inv = _invariant_count(exponents)
+        want = _nonzero({2: 1, 3: inv, 4: inv})
+        cmp = dwork_compare([_brieskorn(exponents)])
+        assert not cmp.inconclusive and cmp.match, exponents
+        assert _nonzero(cmp.supports.dims) == want, exponents
+        assert _nonzero(cmp.twisted.dims) == want, exponents

@@ -7,7 +7,7 @@ import pytest
 from dworklab import complement_cohomology, parse_poly
 from dworklab.weyl.cech import CechDeRham, complement_rung
 from dworklab.weyl.linalg import Echelon
-from dworklab.weyl.poly import MultiPoly
+from dworklab.weyl.poly import MultiPoly, graded_monomials
 
 import oracles
 
@@ -46,6 +46,9 @@ def test_frozen_dimensions(texts, names, expected):
     (["x^2-1/3"], X, (0, 1, 2)),
     (["x*y"], XY, (0, 1)),
     (["x^2*(x-1)"], X, (0, 1, 2)),
+    # mixed weight (1, -1): the engine eliminates one weight-0 block, the
+    # oracle every row
+    (["x*y-1/2"], XY, (0, 1, 2)),
 ])
 def test_rungs_match_reference(texts, names, ts):
     fs = _polys(texts, names)
@@ -180,6 +183,63 @@ def test_total_differential_squares_to_zero(texts, names):
                     else:
                         out.pop(col, None)
             assert out == {}
+
+
+def _block_rung(cx, lam, t):
+    """(windowed dims, kernel dims) of the weight-`lam` block at rung t,
+    every row built by `diff_row` over the block's basis, the embedded
+    window rows by MultiPoly products, and every rank the oracle's."""
+    P, D = cx.schedule(t)
+    # d_i for each lattice row: the weight of any exponent of f_i
+    degs = [[sum(a * b for a, b in zip(w, next(iter(f.terms))))
+             for f in cx.fs] for w in cx.weights]
+
+    def weight(I, mono, mask, pole):
+        return tuple(sum(w[j] * (mono[j] + (mask >> j & 1))
+                         for j in range(cx.n))
+                     - pole * sum(d[i] for i in I)
+                     for w, d in zip(cx.weights, degs))
+
+    def basis(q, pole, bound):
+        return [(I, mono, mask) for I in cx.pieces
+                for mask in range(1 << cx.n) if _grade(I, mask) == q
+                for mono in graded_monomials(
+                    cx.n, pole * cx.g[I].degree() + bound)
+                if weight(I, mono, mask, pole) == lam]
+
+    dims, kers = {}, {}
+    for q in range(cx.n + cx.r):
+        window = basis(q, P, D)
+        kers[q] = len(window) - oracles.rank(
+            [_decoded(cx, cx.diff_row(I, m, mask, P))
+             for I, m, mask in window])
+        image = [_decoded(cx, cx.diff_row(I, m, mask, P + 1))
+                 for I, m, mask in basis(q - 1, P + 1, D + cx.maxdeg + 1)
+                 ] if q else []
+        embedded = [
+            {(I, mm, mask): c for mm, c in
+             (MultiPoly(cx.n, {m: 1}) * cx.g[I] * cx.g[I]).terms.items()}
+            for I, m, mask in window]
+        inside = (oracles.rank(image) + len(window)
+                  - oracles.rank(image + embedded))
+        dims[q] = kers[q] - inside
+    return dims, kers
+
+
+def test_a_nonzero_weight_block_adds_nothing_at_any_rung():
+    """x*y - 1/2 has the Euler field x d/dx - y d/dy, with d = 0.  Its
+    weight-0 block gives every rung of the ladder, and blocks of weight
+    1 and -2, closed forms included, add 0 at every rung."""
+    fs = _polys(["x*y-1/2"], XY)
+    rungs = complement_cohomology(fs).rungs
+    cx = CechDeRham(fs, rungs[-1][0])
+    assert cx.weights == [(1, -1)]
+    for t, dims in rungs:
+        assert _block_rung(cx, (0,), t)[0] == dims
+        for lam in ((1,), (-2,)):
+            block, kers = _block_rung(cx, lam, t)
+            assert any(kers.values())
+            assert block == dict.fromkeys(dims, 0)
 
 
 def test_connected_cover_has_one_unit_class_per_rung():

@@ -1,5 +1,6 @@
 """Supported cohomology and the twisted-vs-supports dimension comparison."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,8 +13,12 @@ from dworklab import (
     supports_cohomology,
     twisted_cohomology,
 )
+from dworklab.weyl.cech import CechDeRham
 from dworklab.weyl.compare import _nonzero, dwork_twist
-from dworklab.weyl.poly import MultiPoly
+from dworklab.weyl.forms import masks_of_degree
+from dworklab.weyl.linalg import Echelon
+from dworklab.weyl.poly import MultiPoly, graded_monomials, monomials_of_degree
+from dworklab.weyl.twisted import TwistedComplex
 
 X = ("x",)
 XY = ("x", "y")
@@ -143,3 +148,49 @@ def test_seeded_random_comparisons_never_mismatch():
         verdicts.append(cmp.match)
     # a generator that only produced inconclusive runs would test nothing
     assert sum(verdicts) >= len(verdicts) // 2
+
+
+# (Echelon.add calls, sha256 of their repr) of each ladder of x^3 - x,
+# recorded before the complexes split into weight blocks
+UNBLOCKED_FEEDS = {
+    "TwistedComplex": (282, "7bc3ce8c6efe2eeeb5fa75b8c4de3caf"
+                            "6f5adca08e6cc085f322c14f8f808bde"),
+    "CechDeRham": (120, "2a58c13fb5a27974a170573d080c10ed"
+                        "1bf75334e3d5922b9b26bd0ec52dd164"),
+}
+
+
+def test_an_input_without_a_torus_is_one_block(monkeypatch):
+    """x^3 - x has no Euler field on either side: each complex has one
+    block holding every basis element, and its ladder feeds
+    `Echelon.add` the same rows, in the same order, as before blocks."""
+    fs = _polys(["x^3-x"], X)
+    F = dwork_twist(fs)
+    tw = TwistedComplex(F, 30)
+    ce = CechDeRham(fs, 9)
+    assert tw.weights == ce.weights == []
+    for k in range(tw.n + 1):
+        every = [row for e in range(9) for mask in masks_of_degree(tw.n, k)
+                 for mono in monomials_of_degree(tw.n, e)
+                 if (row := tw.apply(mono, mask))]
+        assert tw.rows(k, 8) == every
+    P, D = ce.schedule(0)
+    assert sorted(ce.window_basis(P, D)) == sorted(
+        (I, mono, mask) for I in ce.pieces for mask in range(1 << ce.n)
+        for mono in graded_monomials(ce.n, P * ce.g[I].degree() + D))
+    for cx, rungs in ((tw, twisted_cohomology(F).rungs),
+                      (ce, complement_cohomology(fs).rungs)):
+        added = []
+        add = Echelon.add
+
+        def counted(ech, row, add=add):
+            added.append(row)
+            return add(ech, row)
+
+        monkeypatch.setattr(Echelon, "add", counted)
+        for cut, dims in rungs:
+            assert cx.rung(cut) == dims
+        monkeypatch.undo()
+        count, digest = UNBLOCKED_FEEDS[type(cx).__name__]
+        assert len(added) == count
+        assert hashlib.sha256(repr(added).encode()).hexdigest() == digest

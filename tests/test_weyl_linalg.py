@@ -1,12 +1,13 @@
 """The echelon and the integer column codes of both de Rham complexes."""
 
+import itertools
 import random
 
 import pytest
 
 from dworklab import parse_poly
 from dworklab.weyl.cech import CechDeRham, complement_rung
-from dworklab.weyl.linalg import Echelon
+from dworklab.weyl.linalg import Echelon, kernel_lattice
 from dworklab.weyl.twisted import TwistedComplex, twisted_rung
 
 import oracles
@@ -147,3 +148,38 @@ def test_cech_widening_keeps_every_rung():
         cx.rung(9)
     assert cx._codes is codes
     assert cx.rung(8) == complement_rung(fs, 8)
+
+
+def _dot(w, v):
+    return sum(a * b for a, b in zip(w, v))
+
+
+def _rows(vectors):
+    return [{j: c for j, c in enumerate(v) if c} for v in vectors]
+
+
+@pytest.mark.parametrize("vectors,n,want", [
+    # the twist of x*y: kernel dimension 2
+    ([(1, 1, 1)], 3, [(-1, 1, 0), (-1, 0, 1)]),
+    # the twist of x^2+y^3
+    ([(2, 0, 1), (0, 3, 1)], 3, [(-3, -2, 6)]),
+    # the twist of x^3-x: kernel dimension 0
+    ([(3, 1), (1, 1)], 2, []),
+    # no vectors at all: every unit row
+    ([], 2, [(1, 0), (0, 1)]),
+    ([(1, -1, 0, 2), (0, 2, -2, 1)], 4, None),
+])
+def test_kernel_lattice_spans_the_brute_force_kernel(vectors, n, want):
+    """Every integer vector with entries in -6..6 orthogonal to the
+    inputs lies in the span of the returned rows, which are themselves
+    orthogonal to the inputs and independent."""
+    got = kernel_lattice(vectors, n)
+    if want is not None:
+        assert got == want
+    assert all(_dot(w, v) == 0 for w in got for v in vectors)
+    brute = [w for w in itertools.product(range(-6, 7), repeat=n)
+             if all(_dot(w, v) == 0 for v in vectors)]
+    dim = n - oracles.rank(_rows(vectors))
+    assert len(got) == oracles.rank(_rows(got)) == dim
+    assert oracles.rank(_rows(brute)) == dim
+    assert oracles.rank(_rows(got + brute)) == dim

@@ -1,17 +1,22 @@
 """Exact multivariate polynomials and the infix parser."""
 
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from dworklab import MultiPoly, ParseError, parse_poly, poly_to_str
 from dworklab.weyl.poly import (
+    MAX_COEFF_BITS,
+    MAX_TERMS,
     count_monomials,
     default_names,
     graded_monomials,
 )
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def test_parse_basic():
@@ -57,6 +62,45 @@ def test_degree_is_capped_before_expanding():
     assert parse_poly("(x-x)^100 + 1^100", XY) == MultiPoly.constant(2, 1)
     for text in ("x^65", "(x^2)^33", "x^64*y", "x^8^9", "(x+y)^40*x^25"):
         with pytest.raises(ParseError, match="above the cap of 64"):
+            parse_poly(text, XY)
+
+
+def test_every_dense_power_parses_in_time_or_is_refused():
+    """(x+y+z+1)^k has C(k + 3, 3) terms: up to the term cap it parses,
+    each in under 1 s, and past it it is refused before expanding."""
+    for k in range(65):
+        terms = comb(k + 3, 3)
+        t0 = time.perf_counter()
+        if terms > MAX_TERMS:
+            with pytest.raises(ParseError, match=(
+                    f"^polynomial of up to {terms} terms is above the cap "
+                    f"of {MAX_TERMS}$")):
+                parse_poly(f"(x+y+z+1)^{k}", XYZ)
+        else:
+            assert len(parse_poly(f"(x+y+z+1)^{k}", XYZ).terms) == terms
+        assert time.perf_counter() - t0 < 1.0, k
+
+
+def test_product_terms_and_constant_powers_are_capped_before_expanding():
+    # a product predicts min(C(d + n, n), t1·t2) terms: 1771 here
+    with pytest.raises(ParseError, match="up to 1771 terms"):
+        parse_poly("(x+y+z+1)^10*(x+y+z+1)^10", XYZ)
+    assert parse_poly("(x+y+1)^20*(x-y)", XY).degree() == 21
+    # only the variables the factors use count: 43 terms, not C(45, 3)
+    assert len(parse_poly("((y-2)^6)^7", XYZ).terms) == 43
+    assert parse_poly("2^64^64", XY) == MultiPoly.constant(2, 2 ** 4096)
+    assert parse_poly("(1/3)^2000", XY) == MultiPoly.constant(
+        2, Fraction(1, 3 ** 2000))
+    # a unit or zero base grows no bits, whatever the exponent
+    assert parse_poly("(-1)^99999999999 + 0^7", XY) == MultiPoly.constant(
+        2, -1)
+    assert parse_poly("(x+y)^0 + x^0 + (x-x)^0 + 0^0", XY) == (
+        MultiPoly.constant(2, 4))
+    for text, bits in (("2^64^65", 4160), ("2^64^64^64^64*x", 262144),
+                       ("(2^4096)^2", 8192)):
+        with pytest.raises(ParseError, match=(
+                f"^constant power of {bits} bits is above the cap of "
+                f"{MAX_COEFF_BITS}$")):
             parse_poly(text, XY)
 
 

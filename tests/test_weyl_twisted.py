@@ -4,9 +4,10 @@ import pytest
 
 from dworklab import parse_poly, twisted_cohomology
 from dworklab.weyl import twisted
+from dworklab.weyl.compare import dwork_twist
 from dworklab.weyl.forms import masks_of_degree
 from dworklab.weyl.linalg import Echelon, rank
-from dworklab.weyl.poly import binom, count_monomials, graded_monomials
+from dworklab.weyl.poly import graded_monomials
 from dworklab.weyl.twisted import TwistedComplex, twisted_rung
 
 import oracles
@@ -46,8 +47,12 @@ def test_frozen_dimensions(text, names, expected):
     assert [dims for _cut, dims in res.rungs[-3:]] == [expected] * 3
 
 
-@pytest.mark.parametrize("text,names", [("x", X), ("x*y", XY), ("y*x^2", XY),
-                                        ("y*(x^2-1/3)", XY)])
+@pytest.mark.parametrize("text,names", [
+    ("x", X), ("x*y", XY), ("y*x^2", XY), ("y*(x^2-1/3)", XY),
+    # the twist of x*y - 1/2: the engine eliminates one weight-0 block of
+    # the mixed weight (1, -1), the oracle every row
+    ("w*(x*y-1/2)", ("x", "y", "w")),
+])
 def test_rungs_match_reference(text, names):
     F = parse_poly(text, names)
     d0 = F.degree() + 1
@@ -95,6 +100,8 @@ def test_ladder_skips_rows_known_dependent(text, names, _expected,
     whose basis element leads a grade-(k-1) pivot are never added."""
     F = parse_poly(text, names)
     cutoffs = [D for D, _dims in twisted_cohomology(F).rungs]
+    # built first: its weight lattice takes Echelon feeds of its own
+    cx = TwistedComplex(F, cutoffs[-1])
     added = []
     add = Echelon.add
 
@@ -103,7 +110,6 @@ def test_ladder_skips_rows_known_dependent(text, names, _expected,
         return add(ech, row)
 
     monkeypatch.setattr(Echelon, "add", counted)
-    cx = TwistedComplex(F, cutoffs[-1])
     for D in cutoffs:
         cx.rung(D)
     monkeypatch.undo()
@@ -178,7 +184,8 @@ def test_differential_squares_to_zero(text, names, _expected):
 @pytest.mark.parametrize("text,names", [("x*y", XY), ("y*(x^2-1)", XY)])
 def test_rank_nullity_consistency(text, names):
     """Both eliminations agree grade by grade, and the window dimension
-    splits as kernel + rank everywhere (alternating-sum form included)."""
+    of the weight-0 block that `rows` covers splits as kernel + rank
+    everywhere (alternating-sum form included)."""
     F = parse_poly(text, names)
     D = F.degree() + 3
     cx = TwistedComplex(F, D)
@@ -188,7 +195,7 @@ def test_rank_nullity_consistency(text, names):
         r_sparse = rank(rows)
         r_dense = oracles.rank([_decoded(cx, r) for r in rows])
         assert r_sparse == r_dense
-        dom = count_monomials(cx.n, D) * binom(cx.n, k)
+        dom = cx.block_size(k, D)
         doms.append(dom)
         ranks.append(r_sparse)
         kers.append(dom - r_dense)
@@ -198,6 +205,51 @@ def test_rank_nullity_consistency(text, names):
     # reported window dims never exceed the kernel they are cut from
     dims = cx.rung(D)
     assert all(0 <= dims[k] <= kers[k] for k in range(cx.n + 1))
+
+
+def _weight(cx, mono, mask):
+    """The weight vector of x^mono dx_mask, from the complex's lattice."""
+    return tuple(sum(w[j] * (mono[j] + (mask >> j & 1)) for j in range(cx.n))
+                 for w in cx.weights)
+
+
+def _block_rung(cx, lam, D):
+    """(windowed dims, kernel dims) of the weight-`lam` block at cutoff D,
+    every row built by `apply` over the block's basis and every rank the
+    oracle's."""
+    def basis(k, hi):
+        return [(mono, mask) for mask in masks_of_degree(cx.n, k)
+                for mono in graded_monomials(cx.n, hi)
+                if _weight(cx, mono, mask) == lam]
+
+    dims, kers = {}, {}
+    for k in range(cx.n + 1):
+        window = basis(k, D)
+        kers[k] = len(window) - oracles.rank(
+            [_decoded(cx, cx.apply(*b)) for b in window])
+        image = [_decoded(cx, cx.apply(*b))
+                 for b in basis(k - 1, D + cx.slack)] if k else []
+        units = [{b: 1} for b in window]
+        inside = (oracles.rank(image) + len(units)
+                  - oracles.rank(image + units))
+        dims[k] = kers[k] - inside
+    return dims, kers
+
+
+def test_a_nonzero_weight_block_adds_nothing_at_any_rung():
+    """The twist of x*y - 1/2 has the Euler field -x d/dx + y d/dy.  Its
+    weight-0 block gives every rung of the ladder, and blocks of weight
+    1 and -2, closed forms included, add 0 at every rung."""
+    F = dwork_twist([parse_poly("x*y-1/2", XY)])
+    rungs = twisted_cohomology(F).rungs
+    cx = TwistedComplex(F, rungs[-1][0])
+    assert cx.weights == [(-1, 1, 0)]
+    for D, dims in rungs:
+        assert _block_rung(cx, (0,), D)[0] == dims
+        for lam in ((1,), (-2,)):
+            block, kers = _block_rung(cx, lam, D)
+            assert any(kers.values())
+            assert block == dict.fromkeys(dims, 0)
 
 
 def test_rung_dims_nonnegative_everywhere():
