@@ -266,9 +266,12 @@ class CechDeRham:
         return grades
 
     def window_basis(self, pole, D):
-        """Every weight-0 (I, mono, mask) of the window (pole, D)."""
-        return [(I, mono, mask) for groups in self._window(pole, D).values()
-                for I, mask, block in groups for mono, _code in block]
+        """Every (I, mono, mask) of the window (pole, D), every weight
+        block included; `rung` eliminates only the weight-0 one."""
+        return [(I, mono, mask) for I in self.pieces
+                for mono in graded_monomials(self.n,
+                                             pole * self.g[I].degree() + D)
+                for mask in range(1 << self.n)]
 
     def schedule(self, t):
         """(P, D_t) at rung t, as in the module docstring."""

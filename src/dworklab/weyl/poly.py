@@ -195,8 +195,9 @@ MAX_DEGREE = 64
 #   (x+y+z+1)^30 (5 456 terms) takes seconds, and at this cap
 #   (x+y+z+1)^16 (969 terms) parses in about 0.2 s while ^17 is refused;
 MAX_TERMS = 1000
-# - the most bits a constant power's coefficient may have, predicted as
-#   k·log2 of the base's numerator or denominator, whichever is larger.
+# - the most bits a power's coefficients may take from its base's, predicted
+#   as k·log2 of the largest numerator or denominator among the base's
+#   coefficients.
 MAX_COEFF_BITS = 4096
 
 
@@ -279,13 +280,13 @@ class _PolyParser:
             _check_terms(degree,
                          math.comb(len(base.terms) + k - 1, k) if k else 1,
                          base)
-            if base.degree() == 0:
-                c = base.terms[(0,) * self.nvars]
-                bits = k * math.log2(max(abs(c.numerator), c.denominator))
-                if bits > MAX_COEFF_BITS:
-                    raise ParseError(f"constant power of {math.ceil(bits)} "
-                                     f"bits is above the cap of "
-                                     f"{MAX_COEFF_BITS}")
+            bits = k * math.log2(max((max(abs(c.numerator), c.denominator)
+                                      for c in base.terms.values()),
+                                     default=1))
+            if bits > MAX_COEFF_BITS:
+                raise ParseError(f"power with coefficients of "
+                                 f"{math.ceil(bits)} bits is above the cap "
+                                 f"of {MAX_COEFF_BITS}")
             base = base ** k
         return base
 

@@ -362,8 +362,8 @@ def test_an_oversized_power_is_refused_before_it_expands(text, degree,
 @pytest.mark.parametrize("text, message", [
     ("(x+y+z+1)^64", "polynomial of up to 47905 terms is above the cap of "
                      "1000"),
-    ("2^64^64^64^64*x", "constant power of 262144 bits is above the cap of "
-                        "4096"),
+    ("2^64^64^64^64*x", "power with coefficients of 262144 bits is above "
+                        "the cap of 4096"),
 ])
 def test_a_power_too_large_to_expand_is_refused(text, message, capsys):
     t0 = time.perf_counter()

@@ -114,11 +114,12 @@ def test_ladder_carries_kernels_and_skips_dependent_rows(monkeypatch):
     top = cx.n + cx.r - 1
     assert not [pole for _I, _mask, pole in built if pole == P]
     fed_u = sum(1 for _I, _mask, pole in built if pole == P + 1)
-    size_u = sum(1 for I, _mono, mask in
-                 cx.window_basis(P + 1, D + cx.maxdeg + 1)
-                 if _grade(I, mask) < top)
-    size_w = sum(1 for I, _mono, mask in cx.window_basis(P, D)
-                 if _grade(I, mask) > 0)
+    # the rung eliminates only the weight-0 block of each window
+    size_u = sum(len(block) for q, groups in
+                 cx._window(P + 1, D + cx.maxdeg + 1).items() if q < top
+                 for _I, _mask, block in groups)
+    size_w = sum(len(block) for q, groups in cx._window(P, D).items()
+                 if q > 0 for _I, _mask, block in groups)
     # each built row is added once, and so is each embedded W row
     assert len(added) == fed_u + size_w
     assert fed_u < size_u

@@ -175,7 +175,9 @@ def test_an_input_without_a_torus_is_one_block(monkeypatch):
                  if (row := tw.apply(mono, mask))]
         assert tw.rows(k, 8) == every
     P, D = ce.schedule(0)
-    assert sorted(ce.window_basis(P, D)) == sorted(
+    assert sorted((I, mono, mask) for groups in ce._window(P, D).values()
+                  for I, mask, block in groups
+                  for mono, _code in block) == sorted(
         (I, mono, mask) for I in ce.pieces for mask in range(1 << ce.n)
         for mono in graded_monomials(ce.n, P * ce.g[I].degree() + D))
     for cx, rungs in ((tw, twisted_cohomology(F).rungs),

@@ -81,7 +81,7 @@ def test_every_dense_power_parses_in_time_or_is_refused():
         assert time.perf_counter() - t0 < 1.0, k
 
 
-def test_product_terms_and_constant_powers_are_capped_before_expanding():
+def test_product_terms_and_power_coefficients_are_capped_before_expanding():
     # a product predicts min(C(d + n, n), t1·t2) terms: 1771 here
     with pytest.raises(ParseError, match="up to 1771 terms"):
         parse_poly("(x+y+z+1)^10*(x+y+z+1)^10", XYZ)
@@ -96,11 +96,14 @@ def test_product_terms_and_constant_powers_are_capped_before_expanding():
         2, -1)
     assert parse_poly("(x+y)^0 + x^0 + (x-x)^0 + 0^0", XY) == (
         MultiPoly.constant(2, 4))
+    # a non-constant base is bounded by its largest coefficient
+    assert parse_poly("(2^64^64*x + 1)^1", XY).terms[(1, 0)] == 2 ** 4096
     for text, bits in (("2^64^65", 4160), ("2^64^64^64^64*x", 262144),
-                       ("(2^4096)^2", 8192)):
+                       ("(2^4096)^2", 8192), ("(2^64^64*x)^64", 262144),
+                       ("(x + 1/2^64^64)^2", 8192)):
         with pytest.raises(ParseError, match=(
-                f"^constant power of {bits} bits is above the cap of "
-                f"{MAX_COEFF_BITS}$")):
+                f"^power with coefficients of {bits} bits is above the cap "
+                f"of {MAX_COEFF_BITS}$")):
             parse_poly(text, XY)
 
 
