@@ -51,13 +51,15 @@ it is taken from.  Written at pole P + 1, ι_E ω has numerator degree at
 most (P + 1)·deg g_I + D + 1, inside the U domain window since
 D_img = D + maxdeg + 1.  So every closed window element of weight λ ≠ 0
 lies in U ∩ W, and its block adds 0 to every rung, not only in the
-limit.  `_window` therefore returns the weight-0 block of each (I, mask):
-the monomials of each numerator degree bound are grouped by weight once,
-in graded order, and a block is one lookup.  Blocks stay graded, so the
-U prefix the carry reads is each block's part of degree <= the next
-window's bound, the d² = 0 skip stays inside one block, and the embedded
-W rows take their codes from the pole-P block itself.  A kernel of
-dimension 0 gives one block holding every element.
+limit.  `_window` therefore returns the weight-0 block of each (I, mask),
+degree by degree.  The complex keeps one `forms.WeightBlocks` index: the
+monomials of a degree are weighed once, the first time a window asks for
+that degree, and only the weights some (I, mask, pole) of a rung up to
+t_max can ask for are kept, so a block's part of one degree is one
+lookup.  The U prefix the carry reads is each block's degrees <= the
+next window's bound, the d² = 0 skip stays inside one block, and the
+embedded W rows take their codes from the pole-P block itself.  A kernel
+of dimension 0 gives one block holding every element.
 
 Each f_i is first multiplied by the lcm of its coefficient denominators.
 That changes no window and no image subspace, and it makes every row
@@ -86,10 +88,9 @@ of g_I², formed once per complex, the same way.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import combinations
+from itertools import chain, combinations
 
-from .forms import (add_into, group_by_weight, mask_weight, masks_of_degree,
+from .forms import (WeightBlocks, add_into, mask_weight, masks_of_degree,
                     wedge_sign, weight)
 from .ladder import ladder
 # `rank` stays importable here: bench/spans.py traces it under this name.
@@ -132,21 +133,31 @@ class CechDeRham:
             squares[I] = _int_terms(gI * gI)
         self.maxdeg = max(f.degree() for f in self.fs)
         # one Euler field E with E f_i = d_i·f_i per row; see the module
-        # docstring.  _dsum[I] is sum_{i in I} d_i, one entry per row.
+        # docstring
         leads = [next(iter(f.terms)) for f in self.fs]
         self.weights = kernel_lattice(
             [tuple(a - b for a, b in zip(m, m0))
              for f, m0 in zip(self.fs, leads) for m in f.terms], self.n)
         degs = [weight(self.weights, m0) for m0 in leads]
-        self._dsum = {I: tuple(map(sum, zip(*(degs[i] for i in I))))
-                      for I in self.pieces}
-        self._mask_weights = [mask_weight(self.weights, self.n, mask)
-                              for mask in range(1 << self.n)]
+        masks = [mask_weight(self.weights, self.n, mask)
+                 for mask in range(1 << self.n)]
+        # x^mono dx_mask / g_I^pole has weight 0 when mono's weight is
+        # pole·sum_{i in I} d_i minus the mask's, its key; rung t <= t_max
+        # asks for poles up to t_max + 2
+        self._keys = {}
+        for I in self.pieces:
+            dsum = tuple(map(sum, zip(*(degs[i] for i in I))))
+            for mask, mw in enumerate(masks):
+                for pole in range(1, t_max + 3):
+                    self._keys[I, mask, pole] = tuple(
+                        pole * d - v for d, v in zip(dsum, mw))
         self._gdeg = max(g.degree() for g in self.g.values())
         self._pole_cache = {}
         self._codes = GradedCodes(
             self.n, self.n + (len(self.pieces) - 1).bit_length(),
             self._rung_reach(t_max))
+        self._index = WeightBlocks(self.weights, self.n, self._codes.mono,
+                                   set(self._keys.values()))
         self._templates = {}
         # g_I² as (code offset, coefficient) pairs, for the embedded rows
         self._embed = {I: [(self._codes.mono(m), c) for m, c in sq.items()]
@@ -240,29 +251,19 @@ class CechDeRham:
 
     def _window(self, pole, D):
         """The weight-0 block of the window (pole, D) by total grade, as
-        (I, mask, block) groups; a block lists (mono, code(mono)) in
-        graded order.  x^mono dx_mask / g_I^pole has weight 0 when mono's
-        weight is pole·_dsum[I] minus the mask's, so the monomials of each
-        numerator degree bound are grouped by weight once and each block
-        is one lookup."""
-        n = self.n
-        keys = {(I, mask): tuple(pole * d - v for d, v in
-                                 zip(self._dsum[I], self._mask_weights[mask]))
-                for I in self.pieces for mask in range(1 << n)}
-        wanted = set(keys.values())
-        by_bound = {}
+        (I, mask, blocks) groups: blocks[e] lists (mono, code(mono)) of
+        the block's elements of degree e in graded order, for every e up
+        to the numerator bound pole·deg g_I + D, each one lookup in the
+        complex's weight index."""
         grades = {}
         for I in self.pieces:
-            top = pole * self.g[I].degree() + D
-            groups = by_bound.get(top)
-            if groups is None:
-                groups = by_bound[top] = group_by_weight(
-                    self.weights, graded_monomials(n, top), self._codes.mono,
-                    wanted)
-            for k in range(n + 1):
-                for mask in masks_of_degree(n, k):
+            degrees = range(pole * self.g[I].degree() + D + 1)
+            for k in range(self.n + 1):
+                for mask in masks_of_degree(self.n, k):
+                    key = self._keys[I, mask, pole]
                     grades.setdefault(len(I) - 1 + k, []).append(
-                        (I, mask, groups.get(keys[I, mask], [])))
+                        (I, mask, [self._index[e].get(key, ())
+                                   for e in degrees]))
         return grades
 
     def window_basis(self, pole, D):
@@ -287,7 +288,7 @@ class CechDeRham:
         D_next = self.schedule(t + 1)[1]
         carries = D_next <= D_img
         self._check(self._rung_reach(t))
-        codes, n, index = self._codes, self.n, self.piece_index
+        n, index = self.n, self.piece_index
         carry = self._carry
         # grade -> (kernel rank, kernel pivot leads) at this rung
         kernels = carry[1] if carry and carry[0] == t else {}
@@ -296,19 +297,19 @@ class CechDeRham:
         window = self._window(P, D)
         image = self._window(P + 1, D_img)
         # the U rows inside rung t + 1's kernel window: in each (I, mask)
-        # block the prefix of degree <= cut[I], since blocks are graded
+        # block those of degree <= cut[I]
         cut = {I: (P + 1) * self.g[I].degree() + min(D_next, D_img)
                for I in self.pieces}
-        shift = codes.shift  # code >> shift is the degree
         embed = self._embed
         dims, ahead = {}, {}
         for q in range(self.n + self.r):
             basis = window[q]
-            size = sum(len(block) for _I, _mask, block in basis)
+            size = sum(len(block) for _I, _mask, blocks in basis
+                       for block in blocks)
             if q not in kernels:
                 ech = Echelon()
-                for I, mask, block in basis:
-                    for mono, _base in block:
+                for I, mask, blocks in basis:
+                    for mono, _base in chain.from_iterable(blocks):
                         ech.add(self.diff_row(I, mono, mask, P))
                 kernels[q] = len(ech), set(ech.pivots)
             ker = size - kernels[q][0]
@@ -320,19 +321,19 @@ class CechDeRham:
             skip = kernels[q - 2][1] if q > 1 else ()
             ech = Echelon()
             for prefix in (True, False):
-                for I, mask, block in image[q - 1]:
+                for I, mask, blocks in image[q - 1]:
                     fields = index[I] << n | mask
-                    end = bisect_right(block, cut[I],
-                                       key=lambda mc: mc[1] >> shift)
-                    for mono, base in block[:end] if prefix else block[end:]:
+                    part = (blocks[:cut[I] + 1] if prefix
+                            else blocks[cut[I] + 1:])
+                    for mono, base in chain.from_iterable(part):
                         if base | fields not in skip:
                             ech.add(self.diff_row(I, mono, mask, P + 1))
                 if prefix:
                     ahead[q - 1] = len(ech), set(ech.pivots)
             rank_u = len(ech)
-            for I, mask, block in basis:
+            for I, mask, blocks in basis:
                 fields = index[I] << n | mask
-                for _mono, base in block:
+                for _mono, base in chain.from_iterable(blocks):
                     base |= fields
                     ech.add({base + off: c for off, c in embed[I]})
             dims[q] = ker - (rank_u + size - len(ech))

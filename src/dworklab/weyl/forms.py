@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .poly import monomials_of_degree
+
 
 def masks_of_degree(nvars, k):
     out = []
@@ -52,12 +54,21 @@ def mask_weight(lattice, nvars, mask):
     return weight(lattice, [mask >> j & 1 for j in range(nvars)])
 
 
-def group_by_weight(lattice, monos, code, keys):
-    """{weight: [(mono, code(mono)), ...]} over the monomials whose weight
-    is in `keys`, each list in the order `monos` gives."""
-    groups = {}
-    for m in monos:
-        key = weight(lattice, m)
-        if key in keys:
-            groups.setdefault(key, []).append((m, code(m)))
-    return groups
+class WeightBlocks(dict):
+    """degree e -> {weight: [(mono, code(mono)), ...]}: the monomials of
+    degree e whose weight is in `keys`, each list in graded order.  A
+    degree is enumerated and weighed the first time it is asked for, so
+    each monomial is weighed once for the life of the index."""
+
+    def __init__(self, lattice, nvars, code, keys):
+        super().__init__()
+        self.lattice, self.nvars = lattice, nvars
+        self.code, self.keys = code, keys
+
+    def __missing__(self, e):
+        groups = self[e] = {}
+        for m in monomials_of_degree(self.nvars, e):
+            key = weight(self.lattice, m)
+            if key in self.keys:
+                groups.setdefault(key, []).append((m, self.code(m)))
+        return groups

@@ -132,10 +132,6 @@ def default_names(nvars):
     return tuple(f"x{i + 1}" for i in range(nvars))
 
 
-def binom(n, k):
-    return math.comb(n, k)
-
-
 def count_monomials(nvars, d):
     return math.comb(d + nvars, nvars) if d >= 0 else 0
 

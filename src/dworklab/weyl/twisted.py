@@ -55,21 +55,21 @@ it is taken from.  A closed ω of weight λ ≠ 0 in the window of cutoff D
 is then (d + dF∧)(ι_E ω)/λ, and ι_E ω has degree <= D + 1 <= D + slack,
 so ω is in the image of the slacked domain: the block adds 0 to every
 rung, not only in the limit.  `rows` and `block_size` therefore see only
-weight-0 elements.  The monomials of each degree are grouped by weight
-once, in graded order, and x^mono dx_mask has weight 0 when mono's weight
-is minus the mask's, so a mask's block is one lookup.  An F with no such
-field (kernel dimension 0) has one block holding every element.
+weight-0 elements.  x^mono dx_mask has weight 0 when mono's weight is
+minus the mask's, and one `forms.WeightBlocks` index weighs each degree's
+monomials once, in graded order, keeping only those keys: a mask's block
+of one degree is one lookup.  An F with no such field (kernel dimension
+0) has one block holding every element.
 
 Rungs are laddered (step 2) until three in a row agree.
 """
 
 from __future__ import annotations
 
-from .forms import group_by_weight, mask_weight, masks_of_degree, wedge_sign
+from .forms import WeightBlocks, mask_weight, masks_of_degree, wedge_sign
 from .ladder import ladder
 # `rank` stays importable here: bench/spans.py traces it under this name.
 from .linalg import Echelon, GradedCodes, kernel_lattice, rank  # noqa: F401
-from .poly import monomials_of_degree
 
 
 def _row(base, mono, template):
@@ -104,7 +104,8 @@ class TwistedComplex:
         self._keys = {mask: tuple(-v for v in mask_weight(self.weights,
                                                           self.n, mask))
                       for mask in range(1 << self.n)}
-        self._blocks = {}  # degree -> {key: [(mono, code)]}
+        self._index = WeightBlocks(self.weights, self.n, self._codes.mono,
+                                   set(self._keys.values()))
         # top forms are closed, so grade n has no rows and no echelon
         self._echelons = [Echelon() for _ in range(self.n)]
         self._leads = [[] for _ in range(self.n + 1)]  # (stage, lead degree)
@@ -145,12 +146,7 @@ class TwistedComplex:
     def _block(self, e, mask):
         """(mono, code(mono)) of the weight-0 basis elements x^mono dx_mask
         of degree e, in graded order."""
-        groups = self._blocks.get(e)
-        if groups is None:
-            groups = self._blocks[e] = group_by_weight(
-                self.weights, monomials_of_degree(self.n, e),
-                self._codes.mono, set(self._keys.values()))
-        return groups.get(self._keys[mask], ())
+        return self._index[e].get(self._keys[mask], ())
 
     def block_size(self, k, D):
         """Number of weight-0 grade-k basis elements of degree <= D."""

@@ -30,6 +30,21 @@ the engine:
   supported table is {2: 1, 3: I, 4: I}, zero entries dropped.  The
   n = 2 case is the same sequence with H^1(M) carrying the monodromy:
   h^1(U) = 1 + I, h^2(U) = I.
+* Twisted side, Newton polytope.  Call F convenient when it has a pure
+  power of every variable, and let Δ be its Newton polytope at infinity,
+  the hull of 0 and F's exponents.  For convenient F nondegenerate on
+  every face of Δ not through 0, the number of critical points counted
+  with multiplicity, dim C[x]/(dF), is the Newton number
+  ν = sum_k (-1)^(n-k) k! V_k, where V_k is the total k-volume of Δ cut
+  with the coordinate k-planes and V_0 = 1 (Kouchnirenko, Invent. Math.
+  1976, Thm. I).  Such an F is tame (Broughton, Invent. Math. 1988), and
+  the twisted de Rham cohomology of a tame F is Ω^n / (d + dF∧)Ω^(n-1),
+  of dimension dim C[x]/(dF), in degree n and zero elsewhere.  For n = 2
+  that reads ν = 2·V_2 - V_1 + 1: V_2 is the area of Δ and V_1 the sum
+  of its two axis intercepts, the largest pure powers of x and of y.  The inputs
+  below are not weighted homogeneous, and their exponents span Q^2, so
+  no Euler field has E F = 0: each twist is one weight block holding
+  every element.
 """
 
 import random
@@ -38,6 +53,7 @@ from itertools import product
 from math import prod
 
 from dworklab import dwork_compare, parse_poly, twisted_cohomology
+from dworklab.weyl.twisted import TwistedComplex
 
 NAMES = ("x", "y", "z")
 
@@ -90,6 +106,51 @@ def test_twisted_table_of_a_weighted_homogeneous_twist():
         want = {k: 0 for k in range(n)}
         want[n] = prod(1 / w - 1 for w in weights)
         assert twisted_cohomology(F).dims == want, text
+
+
+def _turn(a, b, c):
+    """Twice the signed area of the triangle a, b, c."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _newton_number(F):
+    """2·V_2 - V_1 + 1 for a convenient F in x, y: the area of the hull
+    of 0 and F's exponents by the shoelace formula over its monotone-chain
+    hull, and the two axis intercepts."""
+    points = sorted(set(F.terms) | {(0, 0)})
+
+    def half(pts):
+        out = []
+        for p in pts:
+            while len(out) > 1 and _turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = half(points) + half(points[::-1])
+    twice_area = sum(_turn((0, 0), a, b)
+                     for a, b in zip(hull, hull[1:] + hull[:1]))
+    intercepts = (max(a for a, b in F.terms if b == 0)
+                  + max(b for a, b in F.terms if a == 0))
+    return twice_area - intercepts + 1
+
+
+# convenient, nondegenerate at infinity, not weighted homogeneous: (F, ν)
+NEWTON = [
+    ("x^4+y^3+x^2*y^2", 8),
+    ("x^3+y^3+x", 4),
+    ("x^3+y^2+x*y", 2),
+    ("x^5+y^2+x^2*y", 4),
+    ("x^4+y^4+x*y", 9),
+]
+
+
+def test_twisted_table_is_the_newton_number():
+    for text, nu in NEWTON:
+        F = parse_poly(text, NAMES[:2])
+        assert _newton_number(F) == nu, text
+        assert TwistedComplex(F, F.degree() + 1).weights == [], text
+        assert twisted_cohomology(F).dims == {0: 0, 1: 0, 2: nu}, text
 
 
 def test_supported_table_counts_invariant_eigenvalues():

@@ -21,8 +21,8 @@ and `closure` lines, plus the support-collapse goal (the `collapse_text`
 fixture).
 
 The CI workflow also compares `x*y*z` (dwork-check-xyz.json), `x, y, x+y`,
-`x^2+y^3+z^6` (under a 10 s timeout), `verify-paper` and the
-machine-output search from the shell.
+`x^2+y^3+z^6` and `x^3+y^3+z^3` (each under a 10 s timeout),
+`verify-paper` and the machine-output search from the shell.
 """
 
 import pathlib

@@ -117,9 +117,9 @@ def test_ladder_carries_kernels_and_skips_dependent_rows(monkeypatch):
     # the rung eliminates only the weight-0 block of each window
     size_u = sum(len(block) for q, groups in
                  cx._window(P + 1, D + cx.maxdeg + 1).items() if q < top
-                 for _I, _mask, block in groups)
+                 for _I, _mask, blocks in groups for block in blocks)
     size_w = sum(len(block) for q, groups in cx._window(P, D).items()
-                 if q > 0 for _I, _mask, block in groups)
+                 if q > 0 for _I, _mask, blocks in groups for block in blocks)
     # each built row is added once, and so is each embedded W row
     assert len(added) == fed_u + size_w
     assert fed_u < size_u

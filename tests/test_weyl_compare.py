@@ -13,6 +13,7 @@ from dworklab import (
     supports_cohomology,
     twisted_cohomology,
 )
+from dworklab.weyl import forms
 from dworklab.weyl.cech import CechDeRham
 from dworklab.weyl.compare import _nonzero, dwork_twist
 from dworklab.weyl.forms import masks_of_degree
@@ -175,9 +176,11 @@ def test_an_input_without_a_torus_is_one_block(monkeypatch):
                  if (row := tw.apply(mono, mask))]
         assert tw.rows(k, 8) == every
     P, D = ce.schedule(0)
+    # blocks[e] holds the block's elements of degree e
     assert sorted((I, mono, mask) for groups in ce._window(P, D).values()
-                  for I, mask, block in groups
-                  for mono, _code in block) == sorted(
+                  for I, mask, blocks in groups
+                  for e, block in enumerate(blocks)
+                  for mono, _code in block if sum(mono) == e) == sorted(
         (I, mono, mask) for I in ce.pieces for mask in range(1 << ce.n)
         for mono in graded_monomials(ce.n, P * ce.g[I].degree() + D))
     for cx, rungs in ((tw, twisted_cohomology(F).rungs),
@@ -196,3 +199,26 @@ def test_an_input_without_a_torus_is_one_block(monkeypatch):
         count, digest = UNBLOCKED_FEEDS[type(cx).__name__]
         assert len(added) == count
         assert hashlib.sha256(repr(added).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("texts,names", [(["x", "y"], XY), (["x^2+y^3"], XY)])
+def test_each_monomial_is_weighed_once(monkeypatch, texts, names):
+    """A whole ladder of either complex weighs no monomial twice: one
+    weight index per complex serves every rung and window."""
+    fs = _polys(texts, names)
+    F = dwork_twist(fs)
+    for cx, rungs in ((TwistedComplex(F, 30), twisted_cohomology(F).rungs),
+                      (CechDeRham(fs, 9), complement_cohomology(fs).rungs)):
+        weighed = []
+        weigh = forms.weight
+
+        def counted(lattice, vec, weigh=weigh):
+            weighed.append(vec)
+            return weigh(lattice, vec)
+
+        monkeypatch.setattr(forms, "weight", counted)
+        for cut, dims in rungs:
+            assert cx.rung(cut) == dims
+        monkeypatch.undo()
+        assert weighed
+        assert len(weighed) == len(set(weighed)), type(cx).__name__
