@@ -254,7 +254,7 @@ def build_transform_context():
     ctx.fourier_pair("Wb", "Wd", "WWd", "qw1", "qw2", "gammaW", "A1X", "t")
     ctx.morphism("f", "Vb", "Wb", kind="bundle-map")
     ctx.morphism("tf", "Wd", "Vd", kind="bundle-map", transpose="f")
-    ctx.fiber_product("VWd", "Vb", "Wd", "X", "r1", "r2")
+    ctx.product("VWd", "Vb", "Wd", "r1", "r2", base="X")
     ctx.morphism("alpha", "VWd", "VVd", kind="pmap", parts=("id", "tf"))
     ctx.morphism("beta", "VWd", "WWd", kind="pmap", parts=("f", "id"))
     ctx.declare_identity(("pv1", "alpha"), ("r1",))

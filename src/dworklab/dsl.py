@@ -23,13 +23,15 @@ an object name `DRef`, whose variety the context supplies.  `bind_expr`
 binds a form by rebuilding it from its bound fields, and `render_expr`
 spells parsed and bound expressions alike, so the reports spell a
 search's step bindings in script syntax.  Step binding keys map to the
-slot of their value in `_BINDING_SLOTS`.  A declaration whose fields,
-each bound by `bind_expr`, are the arguments of a `GeometryContext`
-method binds through `_DECLARE`.  Six statements are parsed and rendered
-by hand, one case each: `morphism`, whose kinds take arguments of their
-own; `product` and `fiberproduct`, whose keyword picks the spelling of
-one class; `step`, whose bindings have separators; `mode`, a dashed
-word; and `exclude`, a list of names.
+slot of their value in `_BINDING_SLOTS`.  Every geometry declaration
+binds through `_DECLARE`: its fields, each bound by `bind_expr`, are the
+arguments of one `GeometryContext` method, and only the certificate
+statements bind by hand.  Six statements have a case of their own in
+the parser and the renderer, which still reads their fixed parts with
+`fill`: `morphism`, whose kind keywords and their arguments come from
+`_MORPHISM_KINDS`; `product` and `fiberproduct`, whose keyword picks the
+spelling of one class; `step`, whose bindings have separators; `mode`, a
+dashed word; and `exclude`, a list of names.
 """
 
 from __future__ import annotations
@@ -322,6 +324,22 @@ STATEMENTS = {
     "closure": (ClosureDecl, "N N"),
     "strata": (StrataDecl, "I"),
 }
+# Every kind keyword of `morphism`, once: keyword -> (kind, the layout of
+# its arguments, the field they fill, whether they may be left out).  The
+# kind and its arguments follow the head `N : V -> V`; a field whose
+# default is a tuple takes the tuple of the slots, any other the one slot.
+_MORPHISM_KINDS = {
+    "closed": ("closed", "codim I", "codim", False),
+    "open": ("open", "", "", False),
+    "section": ("section", "", "", False),
+    "zerosection": ("zero-section", "", "", False),
+    "negation": ("negation", "", "", False),
+    "diagonal": ("diagonal", "", "", False),
+    "bundlemap": ("bundle-map", "transpose N", "transpose", True),
+    "graph": ("graph", "N", "parts", False),
+    "pmap": ("pmap", "N N", "parts", False),
+    "projection": ("projection", "I", "factor", False),
+}
 _NAME_SLOTS = {"N": "a name", "V": "a variety", "B": "a bundle"}
 # the bare-name leaf of each sort but M (a dotted chain of map names)
 _LEAVES = {"F": (FuncName, "a function name"),
@@ -460,6 +478,22 @@ def _compile(rows, head, tail):
 
 _FORM_ROWS = {sort: _compile(rows, "", "") for sort, rows in FORMS.items()}
 _STATEMENT_ROWS = _compile(STATEMENTS, " ", ";")
+# the fixed parts of `morphism`, `product` and `fiberproduct`
+_HEADS = {kw: _tokens(layout) for kw, layout in (
+    ("morphism", "N : V -> V"), ("product", "N = V x V"),
+    ("over", "over V"), ("proj", "proj N N"))}
+# kind keyword -> (kind, layout, field, whether the field takes a tuple,
+# whether the arguments may be left out), for the parser
+_KIND_ROWS = {kw: (kind, _tokens(layout), name,
+                   isinstance(getattr(MorphismDecl, name, None), tuple),
+                   optional)
+              for kw, (kind, layout, name, optional) in _MORPHISM_KINDS.items()}
+# kind -> (keyword, format of the arguments, field, whether they may be
+# left out), for the renderer; a kind of no keyword is spelled as itself
+_KIND_SPELL = {kind: (f" {kw}", re.sub("[A-Z]", "{}", f" {layout}".rstrip()),
+                      name, optional)
+               for kw, (kind, layout, name, optional) in _MORPHISM_KINDS.items()}
+_KIND_SPELL["plain"] = ("", "", "", False)
 for _forms in FORMS.values():
     for _cls, _layout in _forms.values():
         _BIND.setdefault(_cls, _rebind(_cls))
@@ -618,42 +652,15 @@ class _Parser:
         return node
 
     def _stmt_morphism(self):
-        name = self.name("a map name")
-        self.expect(":")
-        source = self.name("the source variety")
-        self.expect("->")
-        target = self.name("the target variety")
-        kind, codim, factor, parts, transpose = "plain", 0, 0, (), ""
-        tok = self.peek().text
-        if tok == "closed":
+        head = self.fill(_HEADS["morphism"])
+        args = {}
+        row = _KIND_ROWS.get(self.peek().text)
+        if row is not None:
             self.take()
-            kind = "closed"
-            self.expect("codim")
-            codim = self.integer("a codimension")
-        elif tok in ("open", "section", "negation", "diagonal"):
-            kind = self.take().text
-        elif tok == "zerosection":
-            self.take()
-            kind = "zero-section"
-        elif tok == "bundlemap":
-            self.take()
-            kind = "bundle-map"
-            if self.peek().text == "transpose":
-                self.take()
-                transpose = self.name("the transposed map")
-        elif tok == "graph":
-            self.take()
-            kind = "graph"
-            parts = (self.name("the graphed map"),)
-        elif tok == "pmap":
-            self.take()
-            kind = "pmap"
-            parts = (self.name("the first component"),
-                     self.name("the second component"))
-        elif tok == "projection":
-            self.take()
-            kind = "projection"
-            factor = self.integer("a factor index")
+            args["kind"], layout, name, several, optional = row
+            if layout and not (optional and self.peek().text != layout[0]):
+                slots = self.fill(layout)
+                args[name] = tuple(slots) if several else slots[0]
         identities = []
         if self.peek().text == "with":
             self.take()
@@ -669,8 +676,7 @@ class _Parser:
                 if self.peek().text != ",":
                     break
                 self.take()
-        return MorphismDecl(name, source, target, kind, codim, factor,
-                            parts, transpose, tuple(identities))
+        return MorphismDecl(*head, **args, identities=tuple(identities))
 
     def _atom_chain(self):
         parts = [self.name("a map name")]
@@ -679,23 +685,13 @@ class _Parser:
             parts.append(self.name("a map name"))
         return tuple(parts)
 
-    def _stmt_product(self, fiber=False):
-        name = self.name("a product name")
-        self.expect("=")
-        x = self.name("the first factor")
-        self.expect("x")
-        y = self.name("the second factor")
-        base = ""
-        if fiber:
-            self.expect("over")
-            base = self.name("the base")
-        self.expect("proj")
-        q1 = self.name("first projection")
-        q2 = self.name("second projection")
-        return ProductDecl(name, x, y, q1, q2, base)
+    def _stmt_product(self, over=False):
+        name, x, y = self.fill(_HEADS["product"])
+        base = self.fill(_HEADS["over"])[0] if over else ""
+        return ProductDecl(name, x, y, *self.fill(_HEADS["proj"]), base)
 
     def _stmt_fiberproduct(self):
-        return self._stmt_product(fiber=True)
+        return self._stmt_product(over=True)
 
     def _stmt_step(self):
         rule = self.name("a rule name")
@@ -753,29 +749,19 @@ def render_statement(st):
     if spell is not None:
         return spell(st)
     if isinstance(st, MorphismDecl):
-        bits = [f"morphism {st.name} : {st.source} -> {st.target}"]
-        if st.kind == "closed":
-            bits.append(f"closed codim {st.codim}")
-        elif st.kind == "zero-section":
-            bits.append("zerosection")
-        elif st.kind == "bundle-map":
-            bits.append("bundlemap")
-            if st.transpose:
-                bits.append(f"transpose {st.transpose}")
-        elif st.kind == "graph":
-            bits.append(f"graph {st.parts[0]}")
-        elif st.kind == "pmap":
-            bits.append(f"pmap {st.parts[0]} {st.parts[1]}")
-        elif st.kind == "projection":
-            bits.append(f"projection {st.factor}")
-        elif st.kind != "plain":
-            bits.append(st.kind)
+        kw, fmt, name, optional = (_KIND_SPELL.get(st.kind)
+                                   or (f" {st.kind}", "", "", False))
+        out = f"morphism {st.name} : {st.source} -> {st.target}{kw}"
+        if fmt:
+            value = getattr(st, name)
+            if value or not optional:
+                out += (fmt.format(*value) if isinstance(value, tuple)
+                        else fmt.format(value))
         if st.identities:
-            eqs = ", ".join(
+            out += " with " + ", ".join(
                 f"{'.'.join(lhs)} = {'.'.join(rhs) if rhs else 'id'}"
                 for lhs, rhs in st.identities)
-            bits.append(f"with {eqs}")
-        return " ".join(bits) + ";"
+        return out + ";"
     if isinstance(st, ProductDecl):
         kw = "fiberproduct" if st.base else "product"
         over = f" over {st.base}" if st.base else ""
@@ -817,6 +803,9 @@ _DECLARE = {cls: (method, attrgetter(*_positional(cls))) for cls, method in (
     (FunctionDecl, GeometryContext.function),
     (CartesianDecl, GeometryContext.square),
     (ObjectDecl, GeometryContext.object_),
+    (MorphismDecl, GeometryContext.morphism),
+    (ProductDecl, GeometryContext.product),
+    (SubvarietyDecl, GeometryContext.subvariety),
 )}
 
 
@@ -835,26 +824,6 @@ def bind_script(doc):
             if st.__class__ in _DECLARE:
                 method, args = _DECLARE[st.__class__]
                 method(ctx, *[bind_expr(ctx, a) for a in args(st)])
-            elif isinstance(st, MorphismDecl):
-                ctx.morphism(st.name, st.source, st.target, kind=st.kind,
-                             codim=st.codim, factor=st.factor,
-                             parts=st.parts, transpose=st.transpose)
-                for lhs, rhs in st.identities:
-                    ctx.declare_identity(lhs, rhs)
-            elif isinstance(st, ProductDecl):
-                if st.base:
-                    ctx.fiber_product(st.name, st.x, st.y, st.base,
-                                      st.q1, st.q2)
-                else:
-                    ctx.product(st.name, st.x, st.y, st.q1, st.q2)
-            elif isinstance(st, SubvarietyDecl):
-                ctx.subvariety(st.name, st.ambient, codim=st.codim,
-                               smooth=st.smooth, reduced=st.reduced,
-                               image_of=st.image)
-                for a, b in st.caps:
-                    ctx.cap_fact(a, b, st.name)
-                for m, z in st.preimages:
-                    ctx.pre_fact(m, st.name, z)
             elif isinstance(st, (GoalDecl, LemmaDecl)):
                 if goal is not None and isinstance(st, GoalDecl):
                     raise GeometryError("a script carries a single goal")

@@ -178,7 +178,10 @@ class GeometryContext:
             raise GeometryError(f"unknown variety {name!r}") from None
 
     def morphism(self, name, source, target, kind="plain", codim=0, factor=0,
-                 parts=(), transpose=""):
+                 parts=(), transpose="", identities=()):
+        """Declare an atom; `identities` are (lhs, rhs) pairs of atom
+        names, outermost first, declared after it (see
+        `declare_identity`)."""
         if name in self.atoms:
             raise GeometryError(f"morphism {name!r} already declared")
         self.need_variety(source)
@@ -203,6 +206,8 @@ class GeometryContext:
             # either map may be declared first
             self.transposes[name] = transpose
             self.transposes.setdefault(transpose, name)
+        for lhs, rhs in identities:
+            self.declare_identity(lhs, rhs)
         return name
 
     def need_atom(self, name) -> MorphismAtom:
@@ -306,25 +311,19 @@ class GeometryContext:
         self.fourier[b2] = FourierData(b2, b1, product, p2, p1, pairing, line, coord)
         self.product_factors[product] = (b1, b2)
 
-    def product(self, name, x, y, q1, q2):
-        """Plain product of two varieties with its projections."""
+    def product(self, name, x, y, q1, q2, base=""):
+        """Product of two varieties with its projections q1, q2.  Given a
+        base, it is the fiber product over it (of two bundles' totals,
+        typically), of dimension dim x + dim y - dim base; only a plain
+        product is indexed by its factors in `products`."""
         vx = self.need_variety(x)
         vy = self.need_variety(y)
-        self.variety(name, vx.dim + vy.dim, vx.smooth and vy.smooth)
+        dim = vx.dim + vy.dim - (self.need_variety(base).dim if base else 0)
+        self.variety(name, dim, vx.smooth and vy.smooth)
         self.morphism(q1, name, x, kind="projection", factor=1)
         self.morphism(q2, name, y, kind="projection", factor=2)
-        self.products[(x, y)] = name
-        self.product_factors[name] = (x, y)
-        return name
-
-    def fiber_product(self, name, x, y, base, q1, q2):
-        """Product over a common base (totals of bundles, typically)."""
-        vx = self.need_variety(x)
-        vy = self.need_variety(y)
-        vb = self.need_variety(base)
-        self.variety(name, vx.dim + vy.dim - vb.dim, vx.smooth and vy.smooth)
-        self.morphism(q1, name, x, kind="projection", factor=1)
-        self.morphism(q2, name, y, kind="projection", factor=2)
+        if not base:
+            self.products[(x, y)] = name
         self.product_factors[name] = (x, y)
         return name
 
@@ -344,7 +343,10 @@ class GeometryContext:
         return name
 
     def subvariety(self, name, ambient, codim=None, smooth=None, reduced=True,
-                   image_of=""):
+                   image_of="", caps=(), preimages=()):
+        """Declare a subvariety, then each (a, b) of `caps` meeting in it
+        and each (map, result) of `preimages`, the preimage of it along
+        the map (see `cap_fact` and `pre_fact`)."""
         if name in self.subvarieties:
             raise GeometryError(f"subvariety {name!r} already declared")
         amb = self.need_variety(ambient)
@@ -369,6 +371,10 @@ class GeometryContext:
                                              reduced, image_of)
         if image_of:
             self.images[image_of] = name
+        for a, b in caps:
+            self.cap_fact(a, b, name)
+        for morphism_name, result in preimages:
+            self.pre_fact(morphism_name, name, result)
         return name
 
     def need_subvariety(self, name) -> Subvariety:

@@ -16,10 +16,10 @@ caller ledgers it).
 Matching tolerances, applied deterministically:
 
 * the root shift is transparent (driver);
-* compose rules run backward may see any subterm as pulled back / pushed
-  forward along an identity, provided the cited factors compose to one —
-  but when the subterm already has a map in that slot, the as-written
-  reading is tried first;
+* compose rules run backward may see a subterm with no map in their slot
+  as pulled back / pushed forward along an identity, provided the cited
+  factors compose to one; a map written in that slot is read only as
+  written, and the cited factors must compose to it;
 * tensor patterns try the written factor order, then the swapped one;
 * closed subpatterns (transform kernels, lemma sides) compare by normal
   form, with any shift difference transferred to the ledger;

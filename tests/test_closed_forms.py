@@ -45,14 +45,26 @@ the engine:
   below are not weighted homogeneous, and their exponents span Q^2, so
   no Euler field has E F = 0: each twist is one weight block holding
   every element.
+* Both sides, three variables, Newton polytope.  A convenient f in x, y,
+  z nondegenerate at infinity is tame, and its fibre Z = f^(-1)(0) is a
+  bouquet of ν - Σ_{p in Z} μ_p two-spheres, ν its Newton number and μ_p
+  the Milnor number of each singular point of Z (Broughton, Invent. Math.
+  1988; Siersma–Tibăr, Duke Math. J. 1995).  For n = 3,
+  ν = 3!·V_3 - 2!·V_2 + V_1 - 1.  When Z is smooth or has only simple
+  (ADE) points, whose links are rational homology spheres, Z satisfies
+  Poincaré duality over Q, so h^k_Z = h^(k-2)(Z): h^2_Z = h^0(Z) = 1 and
+  h^4_Z = h^2(Z) counts the spheres, and the supported table is
+  {2: 1, 4: ν - Σ μ_p}.  The Σ μ_p of each input is worked out by hand
+  in the docstring of the test that checks it.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
-from math import prod
+from itertools import combinations, product
+from math import gcd, prod
 
 from dworklab import dwork_compare, parse_poly, twisted_cohomology
+from dworklab.weyl.compare import dwork_twist
 from dworklab.weyl.twisted import TwistedComplex
 
 NAMES = ("x", "y", "z")
@@ -113,11 +125,10 @@ def _turn(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _newton_number(F):
-    """2·V_2 - V_1 + 1 for a convenient F in x, y: the area of the hull
-    of 0 and F's exponents by the shoelace formula over its monotone-chain
-    hull, and the two axis intercepts."""
-    points = sorted(set(F.terms) | {(0, 0)})
+def _twice_area(points):
+    """Twice the area of the hull of plane points: the shoelace formula
+    over their monotone-chain hull."""
+    points = sorted(set(points))
 
     def half(pts):
         out = []
@@ -128,11 +139,15 @@ def _newton_number(F):
         return out[:-1]
 
     hull = half(points) + half(points[::-1])
-    twice_area = sum(_turn((0, 0), a, b)
-                     for a, b in zip(hull, hull[1:] + hull[:1]))
+    return sum(_turn(hull[0], a, b) for a, b in zip(hull[1:], hull[2:]))
+
+
+def _newton_number(F):
+    """2·V_2 - V_1 + 1 for a convenient F in x, y: the area of the hull
+    of 0 and F's exponents, and the two axis intercepts."""
     intercepts = (max(a for a, b in F.terms if b == 0)
                   + max(b for a, b in F.terms if a == 0))
-    return twice_area - intercepts + 1
+    return _twice_area(set(F.terms) | {(0, 0)}) - intercepts + 1
 
 
 # convenient, nondegenerate at infinity, not weighted homogeneous: (F, ν)
@@ -180,3 +195,97 @@ def test_supported_table_of_three_variables_counts_invariant_eigenvalues():
         assert not cmp.inconclusive and cmp.match, exponents
         assert _nonzero(cmp.supports.dims) == want, exponents
         assert _nonzero(cmp.twisted.dims) == want, exponents
+
+
+def _hull_facets(points):
+    """Each facet plane of the hull of 3-dimensional `points`, as
+    (n, d, on): n·p <= d on the hull with n primitive, and `on` the
+    points with n·p = d.  Every plane through three of the points that
+    leaves all of them on one side is one."""
+    def cross(u, v):
+        return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                u[0] * v[1] - u[1] * v[0])
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    facets = {}
+    for a, b, c in combinations(points, 3):
+        n = cross(tuple(q - p for p, q in zip(a, b)),
+                  tuple(q - p for p, q in zip(a, c)))
+        if n == (0, 0, 0):
+            continue
+        sides = {(dot(n, p) > dot(n, a)) - (dot(n, p) < dot(n, a))
+                 for p in points}
+        if sides == {0, 1} or sides == {0, -1}:
+            sign = -1 if 1 in sides else 1
+            g = gcd(*n)
+            n = tuple(sign * x // g for x in n)
+            d = dot(n, a)
+            facets[n, d] = [p for p in points if dot(n, p) == d]
+    return [(n, d, on) for (n, d), on in facets.items()]
+
+
+def _newton_number_3(F):
+    """3!·V_3 - 2!·V_2 + V_1 - 1 for a convenient F in x, y, z.
+
+    V_3 is the volume of Δ, the hull of 0 and F's exponents: the sum over
+    the facets not through 0, n·p = d, of the cones from 0, each d·A/3
+    with A the facet's area over |n|; A is read off the projection that
+    drops the coordinate k of largest |n_k|, whose area is A·|n_k|/|n|.
+    V_2 is the total area of Δ cut with the three coordinate planes,
+    each a face of Δ and so the hull of 0 and the exponents in it, and
+    V_1 the sum of the three axis intercepts."""
+    points = sorted(set(F.terms) | {(0, 0, 0)})
+    volume = Fraction(0)
+    for n, d, on in _hull_facets(points):
+        if d == 0:
+            continue
+        k = max(range(3), key=lambda i: abs(n[i]))
+        flat = [tuple(p[i] for i in range(3) if i != k) for p in on]
+        volume += Fraction(d * _twice_area(flat), 2 * 3 * abs(n[k]))
+    area = sum(Fraction(_twice_area(
+        [tuple(p[i] for i in range(3) if i != k) for p in points
+         if p[k] == 0]), 2) for k in range(3))
+    intercepts = sum(max(p[k] for p in points
+                         if all(p[i] == 0 for i in range(3) if i != k))
+                     for k in range(3))
+    return 6 * volume - 2 * area + intercepts - 1
+
+
+# convenient, nondegenerate at infinity, with no torus: (f, ν, Σ μ_p)
+TAME = [
+    ("x^3+y^3+z^3+x", 8, 0),
+    ("x^2+y^2+z^2+x*y*z", 5, 1),
+    ("x^3+y^3+z^3+y*z", 8, 2),
+]
+
+
+def test_twisted_table_of_a_tame_fibre_is_its_reduced_newton_number():
+    """Z = f^(-1)(0) is a bouquet of ν - Σ μ_p two-spheres (Broughton
+    1988; Siersma–Tibăr 1995), Σ μ_p over the singular points of Z:
+
+    * x^3+y^3+z^3+x: df = 0 forces y = z = 0 and 3x^2 = -1, where
+      f = x(x^2 + 1) = 2x/3 is not 0; Z is smooth, Σ μ_p = 0.
+    * x^2+y^2+z^2+x*y*z: df = 0 gives 2x^2 = 2y^2 = 2z^2 = -x*y*z, so
+      x^2 = y^2 = z^2 = c and f = 3c - 2c = c; on Z only 0 is critical,
+      where the Hessian is 2I: a node (A_1), Σ μ_p = 1.
+    * x^3+y^3+z^3+y*z: df = 0 gives x = 0, z = -3y^2 and y = -3z^2, so
+      y = 0 or y^3 = -1/27, where f = -2y^3 - 27y^6 = 1/27; on Z only 0
+      is critical, where the quadratic part y*z has rank 2 and x enters
+      as x^3: an A_2 point, Σ μ_p = 2.
+
+    `x^4+y^4+z^4+x*y*z` is left out: its point at 0 is T_{4,4,4}, which
+    is not simple, so its link is no rational homology sphere, Z is no
+    rational homology manifold, and its table {2: 1, 4: 18} is not
+    ν - μ = 27 - 11 = 16.
+    """
+    # on a Brieskorn–Pham polynomial ν is the Milnor number
+    for exponents in [(2, 3, 4), (3, 3, 3), (2, 2, 5)]:
+        assert _newton_number_3(_brieskorn(exponents)) \
+            == prod(a - 1 for a in exponents)
+    for text, nu, milnor in TAME:
+        f = parse_poly(text, NAMES)
+        assert _newton_number_3(f) == nu, text
+        dims = twisted_cohomology(dwork_twist([f])).dims
+        assert _nonzero(dims) == {2: 1, 4: nu - milnor}, text

@@ -9,7 +9,7 @@ import pytest
 
 from dworklab import dsl
 from dworklab import terms as T
-from dworklab.certificates import check_certificate
+from dworklab.certificates import CONTEXT_BUILDERS, check_certificate
 from dworklab.cli import main
 from dworklab.errors import ParseError
 
@@ -331,10 +331,14 @@ def test_docgen_never_draws_a_keyword_as_a_name():
     forms = {kw for rows in dsl.FORMS.values() for kw in rows}
     rows = [row for table in [dsl.STATEMENTS, *dsl.FORMS.values()]
             for row in table.values()]
-    # a row's layout, and each option's keyword and layout
+    # a row's layout, each option's keyword and layout, each morphism
+    # kind's keyword and layout, and the fixed parts read by hand
     texts = [row[1] for row in rows] + [
         f"{kw} {layout}" for row in rows if len(row) > 2
-        for kw, (_field, layout, _value) in row[3].items()]
+        for kw, (_field, layout, _value) in row[3].items()] + [
+        f"{kw} {layout}" for kw, (_kind, layout, _field, _optional)
+        in dsl._MORPHISM_KINDS.items()] + [
+        " ".join(head) for head in dsl._HEADS.values()]
     words = {word for text in texts for word in re.findall("[a-z]+", text)}
     keywords = stmts | forms | words | set(dsl._BINDING_SLOTS)
     assert {"variety", "goal", "strata"} <= stmts
@@ -343,6 +347,7 @@ def test_docgen_never_draws_a_keyword_as_a_name():
             "coord", "dim", "in"} <= words
     assert {"singular", "smooth", "codim", "nonreduced", "image", "cap",
             "preimage"} <= words
+    assert {"zerosection", "bundlemap", "transpose", "over", "x"} <= words
     assert keywords <= docgen._KEYWORDS, sorted(keywords - docgen._KEYWORDS)
 
 
@@ -457,3 +462,98 @@ def test_every_option_round_trips():
             assert dsl.parse_script(dsl.render_script(doc)) == doc, tail
         rows += 1
     assert rows == 3
+
+
+# --- the built-in contexts, declared by script ---------------------------------
+
+# each built-in context as a script, statement for statement: together
+# they bind every declaration with its own fields (`closed codim`,
+# `section`, `diagonal`, `graph`, `pmap`, `negation`, `bundlemap
+# transpose`, `fiberproduct`, `with` identities, subvariety `cap` and
+# `preimage`)
+CONTEXT_SCRIPTS = {
+    "dwork": """variety X dim 1;
+bundle V on X rank 1 proj pi sect iota;
+bundle Adual on X rank 1 proj picheck sect iotacheck;
+fourierpair V Adual product VA proj p1 p2 pairing gammaV line A1X coord t;
+morphism s : X -> Adual section;
+morphism stilde : V -> VA with p1.stilde = id;
+variety S dim 0 singular;
+morphism j : S -> X closed codim 1;
+subvariety S in X codim 1 singular image j;
+subvariety sX in Adual image s;
+subvariety iotaX in Adual image iotacheck preimage s S;
+subvariety iotaS in Adual codim 2 singular cap iotaX sX cap iotaS iotaX
+  preimage iotacheck S;
+function F on V = pull(t, gammaV.stilde);
+cartesian sq1 = (s, p2, stilde, pi);
+cartesian sq2 = (s, iotacheck, j, j);
+object M on X;
+""",
+    "product": """variety Yp dim 1;
+variety Xv dim 1;
+variety Yv dim 1;
+morphism f : Xv -> Yv;
+product YpX = Yp x Xv proj q1x q2x;
+product YpY = Yp x Yv proj q1y q2y;
+morphism idf : YpX -> YpY pmap id f;
+object M on Xv;
+""",
+    "graph": """variety X dim 1;
+variety Y dim 1;
+morphism f : X -> Y;
+product XX = X x X proj a1 a2;
+product XY = X x Y proj b1 b2;
+product YY = Y x Y proj c1 c2;
+morphism dX : X -> XX diagonal;
+morphism dY : Y -> YY diagonal;
+morphism gf : X -> XY graph f;
+morphism fpp : XX -> XY pmap id f with fpp.dX = gf;
+morphism fp : XY -> YY pmap f id;
+cartesian sqg = (fp, dY, f, gf);
+object M on X;
+object N on Y;
+""",
+    "transform": """variety X dim 1;
+bundle Vb on X rank 1 proj pv sect iv;
+bundle Vd on X rank 1 proj pvd sect ivd;
+bundle Wb on X rank 1 proj qw sect iw;
+bundle Wd on X rank 1 proj qwd sect iwd;
+fourierpair Vb Vd product VVd proj pv1 pv2 pairing gammaV line A1X coord t;
+fourierpair Wb Wd product WWd proj qw1 qw2 pairing gammaW line A1X coord t;
+morphism f : Vb -> Wb bundlemap;
+morphism tf : Wd -> Vd bundlemap transpose f;
+fiberproduct VWd = Vb x Wd over X proj r1 r2;
+morphism alpha : VWd -> VVd pmap id tf;
+morphism beta : VWd -> WWd pmap f id
+  with pv1.alpha = r1, qw2.beta = r2, gammaV.alpha = gammaW.beta;
+morphism negV : Vb -> Vb negation;
+morphism negVd : Vd -> Vd negation;
+morphism negW : Wb -> Wb negation with negW.f = f.negV;
+cartesian sqL = (pv2, tf, r2, alpha);
+cartesian sqR = (f, qw1, beta, r1);
+object N on Vb;
+object P on Wb;
+""",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CONTEXT_BUILDERS))
+def test_a_builtin_context_written_as_a_script_binds_to_itself(key):
+    assert vars(dsl.load_script(CONTEXT_SCRIPTS[key]).ctx) \
+        == vars(CONTEXT_BUILDERS[key]())
+
+
+@pytest.mark.parametrize("decl, kind, extra", [
+    ("morphism u : X -> P open;", "open", {}),
+    ("morphism z : X -> P zerosection;", "zero-section", {}),
+    ("morphism q : P -> X projection 2;", "projection", {"factor": 2}),
+])
+def test_a_morphism_kind_binds_as_its_context_call(decl, kind, extra):
+    head = "variety X dim 1;\nvariety P dim 2;\n"
+    got = dsl.load_script(head + decl).ctx
+    want = dsl.load_script(head).ctx
+    st, = dsl.parse_script(decl).statements
+    want.morphism(st.name, st.source, st.target, kind=kind, **extra)
+    assert got.atoms[st.name] == want.atoms[st.name]
+    assert vars(got) == vars(want)

@@ -584,3 +584,23 @@ def test_rules_offer_every_certificate_step(suite):
                     missed.add((cert.name, i))
             term = nxt
     assert missed == not_offered
+
+
+@pytest.mark.parametrize("rule, node, written", [
+    ("R1", Opb, "pi"),
+    ("R2", Oim, "iota"),
+])
+def test_a_written_map_is_read_only_as_written(dwork, rule, node, written):
+    # p1 . stilde = id: cited at a term with no map in the rule's slot,
+    # the factors split off an identity; cited at a map in that slot,
+    # they must compose to it, and no identity is read in front of it
+    f, g = dwork.composite("stilde"), dwork.composite("p1")
+    at_map = node(dwork.composite(written), Var("M", "X"))
+    with pytest.raises(RuleError,
+                       match="cited factors do not compose to the written map"):
+        _step(dwork, at_map, rule, "bwd", b={"f": f, "g": g})
+    exp = Exp("V", FuncName("F"))
+    out, delta = _step(dwork, exp, rule, "bwd", b={"f": f, "g": g})
+    assert delta == 0
+    split = Opb(f, Opb(g, exp)) if node is Opb else Oim(g, Oim(f, exp))
+    assert serialize(out) == serialize(split)
