@@ -195,9 +195,9 @@ def build_dwork_context():
     ctx.declare_identity(("p1", "stilde"), ())
     ctx.variety("S", 0, smooth=False)
     ctx.morphism("j", "S", "X", kind="closed", codim=1)
-    ctx.subvariety("S", "X", codim=1, smooth=False, image_of="j")
-    ctx.subvariety("sX", "Adual", image_of="s")
-    ctx.subvariety("iotaX", "Adual", image_of="iotacheck")
+    ctx.subvariety("S", "X", codim=1, smooth=False, image="j")
+    ctx.subvariety("sX", "Adual", image="s")
+    ctx.subvariety("iotaX", "Adual", image="iotacheck")
     ctx.subvariety("iotaS", "Adual", codim=2, smooth=False)
     ctx.cap_fact("iotaX", "sX", "iotaS")
     ctx.cap_fact("iotaS", "iotaX", "iotaS")

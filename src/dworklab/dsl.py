@@ -23,10 +23,12 @@ an object name `DRef`, whose variety the context supplies.  `bind_expr`
 binds a form by rebuilding it from its bound fields, and `render_expr`
 spells parsed and bound expressions alike, so the reports spell a
 search's step bindings in script syntax.  Step binding keys map to the
-slot of their value in `_BINDING_SLOTS`.  Every geometry declaration
-binds through `_DECLARE`: its fields, each bound by `bind_expr`, are the
-arguments of one `GeometryContext` method, and only the certificate
-statements bind by hand.  Six statements have a case of their own in
+slot of their value in `_BINDING_SLOTS`.  The statement class of each
+geometry declaration is made from the `GeometryContext` method that
+declares it (`_declaration`), so its fields are that method's
+parameters; it binds through `_DECLARE`, which calls the method on its
+fields, each bound by `bind_expr`.  Only the certificate statements are
+written out and bind by hand.  Six statements have a case of their own in
 the parser and the renderer, which still reads their fixed parts with
 `fill`: `morphism`, whose kind keywords and their arguments come from
 `_MORPHISM_KINDS`; `product` and `fiberproduct`, whose keyword picks the
@@ -37,7 +39,8 @@ dashed word; and `exclude`, a list of names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, make_dataclass
+from inspect import signature
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -134,89 +137,34 @@ class _Statement:
     span: tuple = field(default=(0, 0), compare=False, kw_only=True)
 
 
-@dataclass(frozen=True)
-class VarietyDecl(_Statement):
-    name: str
-    dim: int
-    smooth: bool = True
+# declaration class -> (the context method that declares it, a getter of
+# the method's arguments), filled by `_declaration`
+_DECLARE = {}
 
 
-@dataclass(frozen=True)
-class BundleDecl(_Statement):
-    name: str
-    base: str
-    rank: int
-    proj: str
-    sect: str
+def _declaration(name, method):
+    """The statement class of a geometry declaration: its fields are the
+    parameters of the `GeometryContext` method that declares it, after
+    `self`, in order and with their defaults."""
+    params = list(signature(method).parameters.values())[1:]
+    cls = make_dataclass(
+        name, [(p.name, object) if p.default is p.empty
+               else (p.name, object, p.default) for p in params],
+        bases=(_Statement,), frozen=True)
+    cls.__module__ = __name__
+    _DECLARE[cls] = method, attrgetter(*[p.name for p in params])
+    return cls
 
 
-@dataclass(frozen=True)
-class FourierDecl(_Statement):
-    b1: str
-    b2: str
-    product: str
-    p1: str
-    p2: str
-    pairing: str
-    line: str
-    coord: str
-
-
-@dataclass(frozen=True)
-class MorphismDecl(_Statement):
-    name: str
-    source: str
-    target: str
-    kind: str = "plain"
-    codim: int = 0
-    factor: int = 0
-    parts: tuple = ()
-    transpose: str = ""
-    identities: tuple = ()  # ((lhs parts), (rhs parts or () for id)) pairs
-
-
-@dataclass(frozen=True)
-class ProductDecl(_Statement):
-    name: str
-    x: str
-    y: str
-    q1: str
-    q2: str
-    base: str = ""  # nonempty = fiber product
-
-
-@dataclass(frozen=True)
-class FunctionDecl(_Statement):
-    name: str
-    variety: str
-    definition: object = None
-
-
-@dataclass(frozen=True)
-class SubvarietyDecl(_Statement):
-    name: str
-    ambient: str
-    codim: int | None = None
-    smooth: bool | None = None
-    reduced: bool = True
-    image: str = ""
-    caps: tuple = ()       # (left, right) pairs intersecting to this
-    preimages: tuple = ()  # (morphism name, result) pairs: pullback of this
-
-
-@dataclass(frozen=True)
-class CartesianDecl(_Statement):
-    name: str
-    f: str
-    h: str
-    f_prime: str
-    h_prime: str
-
-
-@dataclass(frozen=True)
-class ObjectDecl(_Statement):
-    name: str
-    variety: str
+VarietyDecl = _declaration("VarietyDecl", GeometryContext.variety)
+BundleDecl = _declaration("BundleDecl", GeometryContext.bundle)
+FourierDecl = _declaration("FourierDecl", GeometryContext.fourier_pair)
+MorphismDecl = _declaration("MorphismDecl", GeometryContext.morphism)
+ProductDecl = _declaration("ProductDecl", GeometryContext.product)
+FunctionDecl = _declaration("FunctionDecl", GeometryContext.function)
+SubvarietyDecl = _declaration("SubvarietyDecl", GeometryContext.subvariety)
+CartesianDecl = _declaration("CartesianDecl", GeometryContext.square)
+ObjectDecl = _declaration("ObjectDecl", GeometryContext.object_)
 
 
 @dataclass(frozen=True)
@@ -792,21 +740,6 @@ class BoundScript:
     ctx: GeometryContext
     certificate: ProofCertificate | None
     document: ScriptDocument
-
-
-# declaration class -> the context method that declares it, whose
-# arguments are the class's fields in order
-_DECLARE = {cls: (method, attrgetter(*_positional(cls))) for cls, method in (
-    (VarietyDecl, GeometryContext.variety),
-    (BundleDecl, GeometryContext.bundle),
-    (FourierDecl, GeometryContext.fourier_pair),
-    (FunctionDecl, GeometryContext.function),
-    (CartesianDecl, GeometryContext.square),
-    (ObjectDecl, GeometryContext.object_),
-    (MorphismDecl, GeometryContext.morphism),
-    (ProductDecl, GeometryContext.product),
-    (SubvarietyDecl, GeometryContext.subvariety),
-)}
 
 
 def bind_script(doc):

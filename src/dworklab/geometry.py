@@ -314,11 +314,26 @@ class GeometryContext:
     def product(self, name, x, y, q1, q2, base=""):
         """Product of two varieties with its projections q1, q2.  Given a
         base, it is the fiber product over it (of two bundles' totals,
-        typically), of dimension dim x + dim y - dim base; only a plain
-        product is indexed by its factors in `products`."""
+        typically), of dimension dim x + dim y - dim base; each factor
+        but the base itself needs an atom into the base, declared before
+        it.  Only a plain product is indexed by its factors in
+        `products`."""
         vx = self.need_variety(x)
         vy = self.need_variety(y)
-        dim = vx.dim + vy.dim - (self.need_variety(base).dim if base else 0)
+        dim = vx.dim + vy.dim
+        if base:
+            dim -= self.need_variety(base).dim
+            for factor in (x, y):
+                if factor != base and not any(
+                        a.source == factor and a.target == base
+                        for a in self.atoms.values()):
+                    raise GeometryError(
+                        f"fiber product {name!r}: no declared map takes "
+                        f"{factor} to the base {base}")
+            if dim < 0:
+                raise GeometryError(
+                    f"fiber product {name!r}: negative dimension {dim} "
+                    f"(dim {x} + dim {y} - dim {base})")
         self.variety(name, dim, vx.smooth and vy.smooth)
         self.morphism(q1, name, x, kind="projection", factor=1)
         self.morphism(q2, name, y, kind="projection", factor=2)
@@ -343,20 +358,23 @@ class GeometryContext:
         return name
 
     def subvariety(self, name, ambient, codim=None, smooth=None, reduced=True,
-                   image_of="", caps=(), preimages=()):
+                   image="", caps=(), preimages=()):
         """Declare a subvariety, then each (a, b) of `caps` meeting in it
         and each (map, result) of `preimages`, the preimage of it along
-        the map (see `cap_fact` and `pre_fact`)."""
+        the map (see `cap_fact` and `pre_fact`).  Given `image`, the name
+        of an embedding atom into the ambient, it is that atom's image
+        (stored as `Subvariety.image_of`): its codimension defaults to
+        dim ambient - dim source and its smoothness to the source's."""
         if name in self.subvarieties:
             raise GeometryError(f"subvariety {name!r} already declared")
         amb = self.need_variety(ambient)
-        if image_of:
-            atom = self.need_atom(image_of)
+        if image:
+            atom = self.need_atom(image)
             if atom.target != ambient:
                 raise GeometryError(
-                    f"{image_of} does not land in {ambient}")
+                    f"{image} does not land in {ambient}")
             if atom.kind not in EMBEDDING_KINDS:
-                raise GeometryError(f"{image_of} is not an embedding")
+                raise GeometryError(f"{image} is not an embedding")
             src = self.varieties[atom.source]
             if codim is None:
                 codim = amb.dim - src.dim
@@ -368,9 +386,9 @@ class GeometryContext:
         if smooth is None:
             smooth = True
         self.subvarieties[name] = Subvariety(name, ambient, codim, smooth,
-                                             reduced, image_of)
-        if image_of:
-            self.images[image_of] = name
+                                             reduced, image)
+        if image:
+            self.images[image] = name
         for a, b in caps:
             self.cap_fact(a, b, name)
         for morphism_name, result in preimages:

@@ -174,6 +174,7 @@ def test_product_keyword_decides_the_base(bad):
 
 def test_fiberproduct_binds_over_its_base():
     text = ("variety X dim 2;\nvariety Y dim 3;\nvariety B dim 1;\n"
+            "morphism pa : X -> B;\nmorphism pb : Y -> B;\n"
             "fiberproduct P = X x Y over B proj a b;\n")
     doc = dsl.parse_script(text)
     assert dsl.render_script(doc) == text
@@ -181,6 +182,105 @@ def test_fiberproduct_binds_over_its_base():
     assert ctx.product_factors["P"] == ("X", "Y")
     assert "P" not in ctx.products.values()
     assert ctx.varieties["P"].dim == 2 + 3 - 1
+
+
+@pytest.mark.parametrize("dims, maps, why", [
+    ((2, 3, 1), "",
+     "fiber product 'P': no declared map takes X to the base B"),
+    ((2, 3, 1), "morphism pa : X -> B;\n",
+     "fiber product 'P': no declared map takes Y to the base B"),
+    ((0, 0, 1), "morphism pa : X -> B;\nmorphism pb : Y -> B;\n",
+     "fiber product 'P': negative dimension -1 (dim X + dim Y - dim B)"),
+])
+def test_fiberproduct_needs_maps_to_its_base(dims, maps, why):
+    bad = "fiberproduct P = X x Y over B proj a b;"
+    text = ("variety X dim {};\nvariety Y dim {};\nvariety B dim {};\n"
+            .format(*dims) + maps + bad + "\n")
+    with pytest.raises(ParseError) as exc:
+        dsl.load_script(text)
+    lo, hi = exc.value.span
+    assert text[lo:hi] == bad
+    assert exc.value.message == why
+
+
+def test_a_fiberproduct_over_one_of_its_factors_needs_one_map():
+    text = ("variety X dim 1;\nvariety Y dim 2;\nmorphism p : Y -> X;\n"
+            "fiberproduct P = X x Y over X proj a b;\n")
+    assert dsl.load_script(text).ctx.varieties["P"].dim == 2
+
+
+# every declaration refusal that script input reaches, each at its
+# statement; the bad statement follows this preamble on line 17
+_REFUSAL_PREAMBLE = """variety X dim 1;
+variety Y dim 1;
+variety P dim 2;
+morphism f : X -> Y;
+morphism e : X -> X;
+morphism j : X -> P closed codim 1;
+bundle V on X rank 1 proj pv sect iv;
+bundle W on X rank 1 proj pw sect iw;
+bundle V2 on X rank 1 proj pv2 sect iv2;
+bundle W2 on X rank 1 proj pw2 sect iw2;
+bundle U on Y rank 1 proj pu sect iu;
+bundle R on X rank 2 proj pr sect ir;
+fourierpair V W product VW proj a1 a2 pairing gamma line L coord t;
+cartesian sq = (f, f, e, e);
+function g on X;
+object M on X;
+"""
+
+
+@pytest.mark.parametrize("bad, why", [
+    ("morphism n : X -> Y negation;", "negation 'n' must be an endomap"),
+    ("morphism h : X -> Y with h.h = h;",
+     "cannot compose h . h: h lands in Y, h starts at X"),
+    ("morphism h : X -> Y with h = j;",
+     "identity endpoints differ: ('h',) vs ('j',)"),
+    ("morphism h : X -> Y with h = id;",
+     "('h',) cannot equal an identity map"),
+    ("bundle B on X rank 0 proj pb sect ib;",
+     "bundle 'B' needs positive rank"),
+    ("bundle V on X rank 1 proj pv3 sect iv3;", "bundle 'V' already declared"),
+    ("fourierpair V2 U product VU proj b1 b2 pairing g2 line L coord t;",
+     "V2 and U live over different bases"),
+    ("fourierpair V2 R product VR proj b1 b2 pairing g2 line L coord t;",
+     "V2 and R have different ranks"),
+    ("fourierpair V V2 product VV proj b1 b2 pairing g2 line L coord t;",
+     "bundle already paired"),
+    ("fourierpair V2 W2 product VW2 proj b1 b2 pairing g2 line L coord g;",
+     "line 'L' exists but 'g' is not its coordinate"),
+    ("cartesian sq = (f, f, e, e);", "square 'sq' already declared"),
+    ("cartesian sq2 = (f, j, e, e);",
+     "square 'sq2': f and j have different targets"),
+    ("cartesian sq2 = (f, f, e, pv);",
+     "square 'sq2': e and pv have different corners"),
+    ("cartesian sq2 = (f, f, e, f);", "square 'sq2': legs do not line up"),
+    ("subvariety Z in Y image j;", "j does not land in Y"),
+    ("subvariety Z in Y image f;", "f is not an embedding"),
+    ("subvariety Z in X;", "subvariety 'Z' needs a codimension"),
+    ("function g on X;", "function 'g' already declared"),
+    ("function k on Y = pull(g, e);",
+     "function 'k' declared on Y but its definition lives on X"),
+    ("object M on X;", "object 'M' already declared"),
+])
+def test_every_declaration_refusal_is_an_input_error_at_its_statement(
+        bad, why, tmp_path, capsys):
+    text = _REFUSAL_PREAMBLE + bad + "\n"
+    with pytest.raises(ParseError) as exc:
+        dsl.load_script(text)
+    lo, hi = exc.value.span
+    assert text[lo:hi] == bad
+    assert exc.value.message == why
+    script = tmp_path / "refused.dwk"
+    script.write_text(text, encoding="utf-8")
+    assert main(["prove", str(script)]) == 2
+    assert capsys.readouterr().err == f"error: {script}:17:1: {why}\n"
+
+
+def test_closed_codim_0_takes_the_dimension_difference():
+    text = ("variety S dim 0;\nvariety X dim 2;\n"
+            "morphism j : S -> X closed codim 0;\n")
+    assert dsl.load_script(text).ctx.atoms["j"].codim == 2
 
 
 def test_negative_strata_is_an_input_error(tmp_path, capsys):

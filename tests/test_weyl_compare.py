@@ -110,6 +110,20 @@ def test_nowhere_vanishing_section_matches_empty_tables():
     assert _nonzero(cmp.twisted.dims) == {}
 
 
+def test_a_disconnected_complement_puts_its_extra_h0_in_degree_1(
+        monkeypatch):
+    # h^1_Z = h^0(complement) - 1 and h^{k+1}_Z = h^k(complement); no
+    # input in the suite has a complement with h^0 above 1
+    from dworklab.weyl import compare
+    from dworklab.weyl.ladder import CohomologyReport
+    monkeypatch.setattr(
+        compare, "complement_cohomology",
+        lambda fs, t_max=None: CohomologyReport("complement", {0: 2, 1: 3}))
+    rep = supports_cohomology(_polys(["x"], X))
+    assert rep.kind == "supports"
+    assert rep.dims == {1: 1, 2: 3}
+
+
 def test_inconclusive_when_capped():
     # a cap at the first cutoff (deg F + 1 = 4) runs a single rung
     cmp = dwork_compare(_polys(["x^2-1"], X), d_max=4)
