@@ -23,17 +23,19 @@ an object name `DRef`, whose variety the context supplies.  `bind_expr`
 binds a form by rebuilding it from its bound fields, and `render_expr`
 spells parsed and bound expressions alike, so the reports spell a
 search's step bindings in script syntax.  Step binding keys map to the
-slot of their value in `_BINDING_SLOTS`.  The statement class of each
-geometry declaration is made from the `GeometryContext` method that
-declares it (`_declaration`), so its fields are that method's
-parameters; it binds through `_DECLARE`, which calls the method on its
-fields, each bound by `bind_expr`.  Only the certificate statements are
-written out and bind by hand.  Six statements have a case of their own in
-the parser and the renderer, which still reads their fixed parts with
-`fill`: `morphism`, whose kind keywords and their arguments come from
-`_MORPHISM_KINDS`; `product` and `fiberproduct`, whose keyword picks the
-spelling of one class; `step`, whose bindings have separators; `mode`, a
-dashed word; and `exclude`, a list of names.
+slot of their value in `_BINDING_SLOTS`.  The class of each statement
+is made from the method that declares it (`_declaration`), so its fields
+are that method's parameters: a `GeometryContext` method for a geometry
+declaration, a `_CertificateBuilder` method for a certificate statement
+(`goal`, `lemma`, `step`, `closure`, `mode`, `strata`, `exclude`).  Every
+statement binds through `_DECLARE`, which calls its method on its
+fields, each bound by `bind_expr`; the builder holds the context and
+hands out the certificate at the end.  Six statements have a case of
+their own in the parser and the renderer, which still reads their fixed
+parts with `fill`: `morphism`, whose kind keywords and their arguments
+come from `_MORPHISM_KINDS`; `product` and `fiberproduct`, whose keyword
+picks the spelling of one class; `step`, whose bindings have separators;
+`mode`, a dashed word; and `exclude`, a list of names.
 """
 
 from __future__ import annotations
@@ -137,22 +139,88 @@ class _Statement:
     span: tuple = field(default=(0, 0), compare=False, kw_only=True)
 
 
-# declaration class -> (the context method that declares it, a getter of
-# the method's arguments), filled by `_declaration`
+class _CertificateBuilder:
+    """The context a script declares and the certificate its certificate
+    statements build, one method per statement; `certificate` hands out
+    the certificate once every statement is bound."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.equation = None  # the goal's (name, lhs, rhs)
+        self.steps = []
+        self.lemmas = []
+        # the `ProofCertificate` fields closure, mode, strata and exclude set
+        self.policy = {}
+
+    def goal(self, name, lhs, rhs):
+        if self.equation is not None:
+            raise GeometryError("a script carries a single goal")
+        T.equation_variety(self.ctx, lhs, rhs)
+        self.equation = name, lhs, rhs
+
+    def lemma(self, name, lhs, rhs):
+        T.equation_variety(self.ctx, lhs, rhs)
+        self.lemmas.append(Lemma(name, lhs, rhs))
+
+    def step(self, rule, direction, path, bindings=()):
+        """`bindings` are (key, value expression) pairs."""
+        self.steps.append(ProofStep(
+            rule, direction, path,
+            {k: bind_expr(self.ctx, v) for k, v in bindings}))
+
+    def closure(self, kind, morphism):
+        self.policy["closure"] = Closure(kind, morphism)
+
+    def mode(self, mode):
+        if mode not in ("strict-smooth", "allow-singular"):
+            raise GeometryError(f"unknown mode {mode!r}")
+        self.policy["mode"] = mode
+
+    def strata(self, strata):
+        if strata < 0:
+            raise GeometryError(f"strata must be at least 0, got {strata}")
+        self.policy["allowed_strata"] = strata
+
+    def exclude(self, rules):
+        self.policy["excluded_rules"] = frozenset(rules)
+
+    def certificate(self):
+        """The certificate, or None for a script of no goal."""
+        if self.equation is None:
+            if self.steps or self.lemmas or "closure" in self.policy:
+                raise GeometryError("script has steps but no goal")
+            return None
+        name, lhs, rhs = self.equation
+        return ProofCertificate(name=name, title=name, goal_lhs=lhs,
+                                goal_rhs=rhs, steps=tuple(self.steps),
+                                lemmas=tuple(self.lemmas), **self.policy)
+
+
+# statement class -> (a getter of the object its method is called on, from
+# the certificate builder; the method; a getter of the sequence of the
+# method's arguments), filled by `_declaration`
 _DECLARE = {}
+_CONTEXT = attrgetter("ctx")
 
 
-def _declaration(name, method):
-    """The statement class of a geometry declaration: its fields are the
-    parameters of the `GeometryContext` method that declares it, after
-    `self`, in order and with their defaults."""
+def _builder(builder):
+    return builder
+
+
+def _declaration(name, method, receiver=_CONTEXT):
+    """The class of the statement that `method` declares: its fields are
+    the method's parameters after `self`, in order and with their
+    defaults.  The method is called on `receiver(builder)`: the context
+    for a geometry declaration, the builder for a certificate statement."""
     params = list(signature(method).parameters.values())[1:]
     cls = make_dataclass(
         name, [(p.name, object) if p.default is p.empty
                else (p.name, object, p.default) for p in params],
         bases=(_Statement,), frozen=True)
     cls.__module__ = __name__
-    _DECLARE[cls] = method, attrgetter(*[p.name for p in params])
+    get = attrgetter(*[p.name for p in params])
+    _DECLARE[cls] = (receiver, method,
+                     get if len(params) > 1 else lambda st: (get(st),))
     return cls
 
 
@@ -165,49 +233,15 @@ FunctionDecl = _declaration("FunctionDecl", GeometryContext.function)
 SubvarietyDecl = _declaration("SubvarietyDecl", GeometryContext.subvariety)
 CartesianDecl = _declaration("CartesianDecl", GeometryContext.square)
 ObjectDecl = _declaration("ObjectDecl", GeometryContext.object_)
-
-
-@dataclass(frozen=True)
-class GoalDecl(_Statement):
-    name: str
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class LemmaDecl(_Statement):
-    name: str
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class StepDecl(_Statement):
-    rule: str
-    direction: str
-    path: tuple
-    bindings: tuple = ()  # (key, value node) pairs
-
-
-@dataclass(frozen=True)
-class ClosureDecl(_Statement):
-    kind: str
-    morphism: str
-
-
-@dataclass(frozen=True)
-class ModeDecl(_Statement):
-    mode: str
-
-
-@dataclass(frozen=True)
-class StrataDecl(_Statement):
-    strata: int
-
-
-@dataclass(frozen=True)
-class ExcludeDecl(_Statement):
-    rules: tuple
+GoalDecl = _declaration("GoalDecl", _CertificateBuilder.goal, _builder)
+LemmaDecl = _declaration("LemmaDecl", _CertificateBuilder.lemma, _builder)
+StepDecl = _declaration("StepDecl", _CertificateBuilder.step, _builder)
+ClosureDecl = _declaration("ClosureDecl", _CertificateBuilder.closure,
+                           _builder)
+ModeDecl = _declaration("ModeDecl", _CertificateBuilder.mode, _builder)
+StrataDecl = _declaration("StrataDecl", _CertificateBuilder.strata, _builder)
+ExcludeDecl = _declaration("ExcludeDecl", _CertificateBuilder.exclude,
+                           _builder)
 
 
 @dataclass(frozen=True)
@@ -743,45 +777,14 @@ class BoundScript:
 
 
 def bind_script(doc):
-    """Build the geometry context and certificate from a parsed document."""
-    ctx = GeometryContext()
-    goal = None
-    steps = []
-    lemmas = []
-    closure = None
-    mode = "strict-smooth"
-    strata = 1
-    excluded = frozenset()
+    """Build the geometry context and certificate from a parsed document:
+    each statement calls the method that declares it on its bound fields."""
+    builder = _CertificateBuilder(GeometryContext())
+    ctx = builder.ctx
     for st in doc.statements:
+        receiver, method, args = _DECLARE[st.__class__]
         try:
-            if st.__class__ in _DECLARE:
-                method, args = _DECLARE[st.__class__]
-                method(ctx, *[bind_expr(ctx, a) for a in args(st)])
-            elif isinstance(st, (GoalDecl, LemmaDecl)):
-                if goal is not None and isinstance(st, GoalDecl):
-                    raise GeometryError("a script carries a single goal")
-                eq = (st.name, bind_expr(ctx, st.lhs), bind_expr(ctx, st.rhs))
-                T.equation_variety(ctx, eq[1], eq[2])
-                if isinstance(st, GoalDecl):
-                    goal = eq
-                else:
-                    lemmas.append(Lemma(*eq))
-            elif isinstance(st, StepDecl):
-                b = {k: bind_expr(ctx, v) for k, v in st.bindings}
-                steps.append(ProofStep(st.rule, st.direction, st.path, b))
-            elif isinstance(st, ClosureDecl):
-                closure = Closure(st.kind, st.morphism)
-            elif isinstance(st, ModeDecl):
-                if st.mode not in ("strict-smooth", "allow-singular"):
-                    raise GeometryError(f"unknown mode {st.mode!r}")
-                mode = st.mode
-            elif isinstance(st, StrataDecl):
-                if st.strata < 0:
-                    raise GeometryError(
-                        f"strata must be at least 0, got {st.strata}")
-                strata = st.strata
-            elif isinstance(st, ExcludeDecl):
-                excluded = frozenset(st.rules)
+            method(receiver(builder), *[bind_expr(ctx, a) for a in args(st)])
         except (GeometryError, TermError) as e:
             raise ParseError(str(e), span=st.span) from None
     for st in doc.statements:
@@ -790,16 +793,11 @@ def bind_script(doc):
             raise ParseError(
                 f"transpose {st.transpose!r} is not a declared map",
                 span=st.span)
-    cert = None
-    if goal is not None:
-        cert = ProofCertificate(
-            name=goal[0], title=goal[0], goal_lhs=goal[1], goal_rhs=goal[2],
-            steps=tuple(steps), mode=mode, allowed_strata=strata,
-            closure=closure, lemmas=tuple(lemmas), excluded_rules=excluded)
-    elif steps or lemmas or closure is not None:
-        raise ParseError("script has steps but no goal",
-                         span=doc.statements[-1].span if doc.statements
-                         else (0, 0))
+    try:
+        cert = builder.certificate()
+    except GeometryError as e:
+        # only a script of statements can have steps
+        raise ParseError(str(e), span=doc.statements[-1].span) from None
     return BoundScript(ctx=ctx, certificate=cert, document=doc)
 
 

@@ -2,7 +2,9 @@
 
 Machine output is canonical: schema_version 1, sorted keys, compact
 separators, one trailing newline — byte-identical across runs for the
-same inputs.
+same inputs.  The machine fields of a validation report, of each of its
+step records and of each lemma note are that dataclass's own fields, read
+with `vars`; so those dataclasses keep a `__dict__` (no `slots=True`).
 """
 
 from __future__ import annotations
@@ -21,31 +23,8 @@ SCHEMA_VERSION = 1
 # --- dict forms -------------------------------------------------------------------
 
 
-def _step_dict(rec):
-    return {
-        "index": rec.index,
-        "rule": rec.rule,
-        "direction": rec.direction,
-        "path": list(rec.path),
-        "ok": rec.ok,
-        "delta": rec.delta,
-        "term": rec.term,
-        "error": rec.error,
-    }
-
-
 def validation_dict(rep):
-    return {
-        "certificate": rep.certificate,
-        "status": rep.status,
-        "reason": rep.reason,
-        "mode": rep.mode,
-        "expected_shift": rep.expected_shift,
-        "ledger": list(rep.ledger),
-        "ledger_total": rep.ledger_total,
-        "rules_used": dict(rep.rules_used),
-        "steps": [_step_dict(r) for r in rep.steps],
-    }
+    return dict(vars(rep), steps=[vars(r) for r in rep.steps])
 
 
 def paper_dict(rep):
@@ -53,11 +32,7 @@ def paper_dict(rep):
         "ok": rep.ok,
         "mode": rep.mode,
         "certificates": [validation_dict(r) for r in rep.reports],
-        "lemmas": [
-            {"certificate": n.certificate, "lemma": n.lemma,
-             "discharged": n.discharged, "via": list(n.via)}
-            for n in rep.lemma_notes
-        ],
+        "lemmas": [vars(n) for n in rep.lemma_notes],
     }
     if rep.stratum_needs is not None:
         out["stratum_needs"] = rep.stratum_needs

@@ -588,8 +588,10 @@ def _r20(ctx, sub, direction, b, mode):
             atom = _single_atom(ctx, sub.morphism)
             if atom.kind != "projection" or atom.factor != 2:
                 raise Fail("map is not a second-factor projection")
-            x, y = ctx.product_factors[atom.source]
-            return ETensor(Struct(x), sub.arg), 0
+            factors = ctx.product_factors.get(atom.source)
+            if factors is None:
+                raise Fail(f"{atom.source} is not a declared product")
+            return ETensor(Struct(factors[0]), sub.arg), 0
         if not (isinstance(sub, ETensor) and isinstance(sub.left, Struct)):
             raise Fail("need an exterior tensor with a structure-sheaf first factor")
         x = sub.left.variety

@@ -347,6 +347,63 @@ def test_binder_single_goal_only():
         dsl.load_script(text)
 
 
+def test_a_second_goal_binds_its_sides_first(tmp_path, capsys):
+    # a statement's fields bind before its method runs, so a second goal
+    # naming no declared object is refused for the object
+    text = ("variety X dim 1;\n"
+            "goal a : O[X] ~ O[X];\n"
+            "goal b : O[X] ~ M;\n")
+    with pytest.raises(ParseError) as exc:
+        dsl.load_script(text)
+    lo, hi = exc.value.span
+    assert text[lo:hi] == "goal b : O[X] ~ M;"
+    assert exc.value.message == "unknown object 'M'"
+    script = tmp_path / "goals.dwk"
+    script.write_text(text, encoding="utf-8")
+    assert main(["prove", str(script)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {script}:3:1: unknown object 'M'\n")
+
+
+# one statement of each keyword the parser reads by a case of its own
+_OWN_CASES = {
+    "morphism": "morphism f : X -> Y;",
+    "product": "product P = X x Y proj a b;",
+    "fiberproduct": "fiberproduct P = X x Y over B proj a b;",
+    "step": "step R1 fwd at /;",
+    "mode": "mode allow-singular;",
+    "exclude": "exclude R1;",
+}
+
+
+def test_every_parsed_statement_binds_through_its_method():
+    own = {name[len("_stmt_"):] for name in vars(dsl._Parser)
+           if name.startswith("_stmt_")}
+    assert own == set(_OWN_CASES)
+    built = {row[0] for row in dsl.STATEMENTS.values()} | {
+        type(st) for st in dsl.parse_script(
+            "\n".join(_OWN_CASES.values())).statements}
+    assert built == set(dsl._DECLARE)
+    for cls in built:
+        assert cls.__module__ == "dworklab.dsl"
+
+
+@pytest.mark.parametrize("cls, want", [
+    (dsl.GoalDecl, ["name", "lhs", "rhs"]),
+    (dsl.LemmaDecl, ["name", "lhs", "rhs"]),
+    (dsl.StepDecl, ["rule", "direction", "path", ("bindings", ())]),
+    (dsl.ClosureDecl, ["kind", "morphism"]),
+    (dsl.ModeDecl, ["mode"]),
+    (dsl.StrataDecl, ["strata"]),
+    (dsl.ExcludeDecl, ["rules"]),
+])
+def test_certificate_statement_fields(cls, want):
+    # positional fields in order, each with its default if it has one
+    got = [f.name if f.default is dataclasses.MISSING else (f.name, f.default)
+           for f in dataclasses.fields(cls) if not f.kw_only]
+    assert got == want
+
+
 def test_policy_statements_shape_the_certificate():
     text = ("variety X dim 1;\n"
             "variety Y dim 1;\n"

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from dworklab import (
     DworkComparison,
     builtin_suite,
@@ -13,6 +15,7 @@ from dworklab import (
     render_report,
     verify_paper,
 )
+from dworklab.cli import main
 from dworklab.geometry import FuncName, FuncPull, SubCap, SubName, SubPre, SubRed
 from dworklab.reports import binding_str, text_report
 from dworklab.weyl import parse_poly
@@ -49,6 +52,34 @@ def test_validation_machine_fields(suite):
     step = data["steps"][0]
     assert set(step) == {"index", "rule", "direction", "path", "ok",
                          "delta", "term", "error"}
+
+
+VALIDATION_KEYS = {"certificate", "status", "reason", "mode",
+                   "expected_shift", "ledger", "ledger_total", "rules_used",
+                   "steps", "kind", "schema_version"}
+
+
+def test_validation_document_keys(suite):
+    # a validation document's fields are the report's own, plus its frame
+    data = json.loads(machine_report(_first_report(suite)))
+    assert set(data) == VALIDATION_KEYS
+
+
+@pytest.mark.parametrize("argv, code, extra", [
+    ([], 0, set()),
+    (["--strata", "0"], 1, {"stratum_needs"}),
+])
+def test_paper_document_keys(argv, code, extra, capsys):
+    # `stratum_needs` appears only under a strata bound
+    assert main(["verify-paper", "--output", "machine", *argv]) == code
+    data = json.loads(capsys.readouterr().out)
+    assert set(data) == {"ok", "mode", "certificates", "lemmas", "kind",
+                         "schema_version"} | extra
+    assert {frozenset(c) for c in data["certificates"]} == {
+        frozenset(VALIDATION_KEYS - {"kind", "schema_version"})}
+    assert data["lemmas"]
+    assert all(set(n) == {"certificate", "lemma", "discharged", "via"}
+               for n in data["lemmas"])
 
 
 def test_suite_machine_fields():
@@ -151,8 +182,6 @@ def test_text_report_shapes(suite):
 
 
 def test_unknown_object_rejected():
-    import pytest
-
     with pytest.raises(TypeError):
         machine_report(object())
     with pytest.raises(TypeError):

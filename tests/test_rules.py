@@ -2,6 +2,7 @@
 
 import pytest
 
+from dworklab import dsl
 from dworklab.certificates import ProofCertificate, ProofStep, check_certificate
 from dworklab.errors import RuleError
 from dworklab.geometry import (
@@ -13,7 +14,8 @@ from dworklab.geometry import (
     SubPre,
     SubRed,
 )
-from dworklab.rules import Moves, apply_step, step_stratum
+from dworklab.cli import main
+from dworklab.rules import RULES, Moves, apply_step, step_stratum
 from dworklab.terms import (
     ETensor,
     Exp,
@@ -604,3 +606,80 @@ def test_a_written_map_is_read_only_as_written(dwork, rule, node, written):
     assert delta == 0
     split = Opb(f, Opb(g, exp)) if node is Opb else Oim(g, Oim(f, exp))
     assert serialize(out) == serialize(split)
+
+
+# --- every law at every kind of atom ------------------------------------------
+
+# one atom of each morphism kind a script can declare, none of them from a
+# `product` statement, so no product is declared over its source
+ATOM_KINDS = """variety A dim 2;
+variety B dim 1;
+morphism g : B -> B;
+morphism plain : A -> B;
+morphism cl : B -> A closed codim 1;
+morphism op : A -> A open;
+morphism sec : B -> A section;
+morphism zs : B -> A zerosection;
+morphism neg : A -> A negation;
+morphism dg : B -> A diagonal;
+morphism bm : A -> A bundlemap;
+morphism gr : B -> A graph g;
+morphism pid : A -> A pmap id g;
+morphism pgi : A -> A pmap g id;
+morphism pr1 : A -> B projection 1;
+morphism pr2 : A -> B projection 2;
+object M on A;
+object N on B;
+"""
+ATOMS = ("plain", "cl", "op", "sec", "zs", "neg", "dg", "bm", "gr", "pid",
+         "pgi", "pr1", "pr2")
+LAWS = [(rule, law) for rule in ("R19", "R20")
+        for law in sorted({law for _d, law in RULES[rule][2]})]
+
+
+def test_the_atom_sweep_declares_every_script_kind():
+    ctx = dsl.load_script(ATOM_KINDS).ctx
+    kinds = {ctx.atoms[a].kind for a in ATOMS}
+    assert kinds == {"plain"} | {k for k, *_ in dsl._MORPHISM_KINDS.values()}
+
+
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+@pytest.mark.parametrize("rule, law", LAWS)
+@pytest.mark.parametrize("atom", ATOMS)
+def test_no_law_crashes_at_any_kind_of_atom(atom, rule, law, direction):
+    # each law, at a pullback and a pushforward along the bare atom and
+    # citing it, either applies or is refused
+    ctx = dsl.load_script(ATOM_KINDS).ctx
+    f = ctx.composite(atom)
+    obj = {"A": Var("M", "A"), "B": Var("N", "B")}
+    for term in (Opb(f, obj[f.target]), Oim(f, obj[f.source])):
+        try:
+            _step(ctx, term, rule, direction, b={"law": law, "f": f})
+        except RuleError:
+            pass
+
+
+_BARE_PROJECTION = """variety A dim 2;
+variety B dim 1;
+morphism q : A -> B projection 2;
+object M on B;
+object N on A;
+"""
+
+
+def test_a_projection_from_no_declared_product_is_refused(tmp_path, capsys):
+    ctx = dsl.load_script(_BARE_PROJECTION).ctx
+    with pytest.raises(RuleError, match="A is not a declared product"):
+        _step(ctx, Opb(ctx.composite("q"), Var("M", "B")), "R20", "fwd",
+              b={"law": "etens_opb_proj2"})
+    script = tmp_path / "bare.dwk"
+    script.write_text(_BARE_PROJECTION
+                      + "goal g : Opb[q](M) ~ Opb[q](M);\n"
+                      "step R20 fwd at / with law=etens_opb_proj2;\n",
+                      encoding="utf-8")
+    assert main(["prove", str(script)]) == 1
+    assert ("step 1 failed: R20 at /: A is not a declared product"
+            in capsys.readouterr().out)
+    script.write_text(_BARE_PROJECTION + "goal g : Opb[q](M) ~ N;\n",
+                      encoding="utf-8")
+    assert main(["prove", str(script), "--search", "3"]) == 3
