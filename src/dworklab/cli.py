@@ -91,6 +91,8 @@ def cmd_prove(args):
             text = fh.read()
     except OSError as e:
         return _fail_input(str(e))
+    except UnicodeDecodeError as e:
+        return _fail_input(f"{args.script}: {e}")
     try:
         bound = load_script(text)
     except ParseError as e:
@@ -171,7 +173,9 @@ def cmd_dwork_check(args):
     t_max = None if args.pole_max is None else args.pole_max - 1
     try:
         cmp = dwork_compare(fs, d0=args.window, d_max=args.d_max, t_max=t_max)
-    except ValueError as e:  # a cap below the first twisted cutoff
+    except ValueError as e:
+        # a twisted cap below the first cutoff, or --pole-max above
+        # cech.MAX_POLE
         return _fail_input(str(e))
     extra = {"f": list(args.f), "n": n}
     sys.stdout.write(render_report(cmp, args.output, extra=extra))

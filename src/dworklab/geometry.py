@@ -608,18 +608,10 @@ class GeometryContext:
         return func_key(self.normalize_func(a)) == func_key(self.normalize_func(b))
 
     def func_variety(self, f) -> str:
-        if isinstance(f, FuncName):
-            if f.name not in self.functions:
-                raise GeometryError(f"unknown function {f.name!r}")
-            return self.functions[f.name][0]
-        if isinstance(f, FuncPull):
-            inner = self.func_variety(f.arg)
-            if inner != f.morphism.target:
-                raise GeometryError(
-                    f"pullback of a function on {inner} along a map into "
-                    f"{f.morphism.target}")
-            return f.morphism.source
-        raise GeometryError(f"not a function expression: {f!r}")
+        """The variety f lives on: the source of the map its flattened
+        pullback is taken along, so one walk checks f as
+        `normalize_func` does."""
+        return self._func_flatten(f)[1].source
 
 
 # --- stable keys for hashing/sorting normalized expressions ----------------

@@ -2,9 +2,13 @@
 
 Machine output is canonical: schema_version 1, sorted keys, compact
 separators, one trailing newline — byte-identical across runs for the
-same inputs.  The machine fields of a validation report, of each of its
-step records and of each lemma note are that dataclass's own fields, read
-with `vars`; so those dataclasses keep a `__dict__` (no `slots=True`).
+same inputs.  Every machine document starts from its dataclass's own
+fields, read with `vars`, and overrides only what needs converting (a
+search's steps and closure, a cohomology report's grade tables and its
+`stabilized` property).  So `ValidationReport`, `StepRecord`, `LemmaNote`,
+`SearchResult`, `Closure`, `CohomologyReport` and `DworkComparison` keep
+a `__dict__` (no `slots=True`); `ProofStep` has slots and is written out
+field by field.
 """
 
 from __future__ import annotations
@@ -40,40 +44,29 @@ def paper_dict(rep):
 
 
 def search_dict(res):
-    return {
-        "found": res.found,
-        "depth": res.depth,
-        "expanded": res.expanded,
-        "closure": (None if res.closure is None
-                    else {"kind": res.closure.kind,
-                          "morphism": res.closure.morphism}),
-        "steps": [
-            {"rule": s.rule, "direction": s.direction, "path": list(s.path),
-             "bindings": {k: binding_str(v) for k, v in s.bindings.items()}}
-            for s in res.steps
-        ],
-    }
+    return dict(vars(res),
+                closure=None if res.closure is None else vars(res.closure),
+                steps=[{"rule": s.rule, "direction": s.direction,
+                        "path": list(s.path),
+                        "bindings": {k: binding_str(v)
+                                     for k, v in s.bindings.items()}}
+                       for s in res.steps])
+
+
+def _graded(dims):
+    """A grade table with string keys, in grade order."""
+    return {str(k): v for k, v in sorted(dims.items())}
 
 
 def cohomology_dict(rep):
-    return {
-        "kind": rep.kind,
-        "stabilized": rep.stabilized,
-        "dims": (None if rep.dims is None
-                 else {str(k): v for k, v in sorted(rep.dims.items())}),
-        "rungs": [[cut, {str(k): v for k, v in sorted(dims.items())}]
-                  for cut, dims in rep.rungs],
-        "note": rep.note,
-    }
+    return dict(vars(rep), stabilized=rep.stabilized,
+                dims=None if rep.dims is None else _graded(rep.dims),
+                rungs=[[cut, _graded(dims)] for cut, dims in rep.rungs])
 
 
 def comparison_dict(cmp):
-    return {
-        "match": cmp.match,
-        "inconclusive": cmp.inconclusive,
-        "twisted": cohomology_dict(cmp.twisted),
-        "supports": cohomology_dict(cmp.supports),
-    }
+    return dict(vars(cmp), twisted=cohomology_dict(cmp.twisted),
+                supports=cohomology_dict(cmp.supports))
 
 
 # --- text forms -------------------------------------------------------------------

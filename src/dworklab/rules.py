@@ -453,13 +453,6 @@ def _r13(ctx, sub, direction, b, mode):
     return Fourier(data.dual, Fourier(bundle, sub.arg)), 0
 
 
-def _transposable(ctx, m):
-    try:
-        return ctx.transpose_morphism(m)
-    except GeometryError as e:
-        raise Fail(str(e)) from None
-
-
 @_other_way
 def _r14(ctx, sub, direction, b, mode):
     if direction == "fwd":
@@ -472,10 +465,10 @@ def _r14(ctx, sub, direction, b, mode):
         if want is not None and not ctx.morphisms_equal(want, u):
             raise Fail("cited map differs from the written one")
         ctx.pairing(u.source)
-        return Opb(_transposable(ctx, u), Fourier(u.source, sub.arg.arg)), 0
+        return Opb(ctx.transpose_morphism(u), Fourier(u.source, sub.arg.arg)), 0
     if not (isinstance(sub, Opb) and isinstance(sub.arg, Fourier)):
         raise Fail("need a pullback of a transform")
-    u = _transposable(ctx, sub.morphism)
+    u = ctx.transpose_morphism(sub.morphism)
     if sub.arg.bundle != u.source:
         raise Fail("transform bundle is not the source of the transposed map")
     ctx.pairing(u.target)
@@ -487,7 +480,7 @@ def _r15(ctx, sub, direction, b, mode):
     if direction == "fwd":
         if not (isinstance(sub, Oim) and isinstance(sub.arg, Fourier)):
             raise Fail("need a pushforward of a transform")
-        u = _transposable(ctx, sub.morphism)
+        u = ctx.transpose_morphism(sub.morphism)
         if sub.arg.bundle != u.target:
             raise Fail("transform bundle is not the target of the transposed map")
         ctx.pairing(u.source)
@@ -498,7 +491,7 @@ def _r15(ctx, sub, direction, b, mode):
     if sub.bundle != u.source:
         raise Fail("pullback does not start at the transformed bundle")
     ctx.pairing(u.target)
-    return Oim(_transposable(ctx, u), Fourier(u.target, sub.arg.arg)), 0
+    return Oim(ctx.transpose_morphism(u), Fourier(u.target, sub.arg.arg)), 0
 
 
 @_other_way

@@ -78,12 +78,15 @@ exponents at most e + p·max deg f_i + deg g, a rung's widest rows are its
 image rows at pole P + 1, and W is the bit length of that bound at rung
 t_max.  Every code, template and carried lead set is valid for the life
 of the complex, and a rung or row beyond the cap raises ValueError.
-Rows are built from one template per (I, mask, pole): the -pole·dg_I[j]
-and Čech terms merged into one part of code offsets, plus a g_I part per
-variable j scaled by mono[j].  A row is the template shifted by
-code(mono); the scaled parts can meet the merged one, so they are added
-entry by entry.  The embedded window rows shift the codes of the terms
-of g_I², formed once per complex, the same way.
+Rows are built from one template per (I, mask, pole): the
+`forms.template` the twisted side uses too, with q = g_I, dp = dg_I,
+c = −pole and sign (−1)^(|I|−1), whose merged part then takes the Čech
+terms; each of its scaled parts is a g_I part for variable j, scaled by
+mono[j].  A row is the template shifted by code(mono)
+(`forms.shifted_row`); the scaled parts can meet the merged one, so they
+are added entry by entry.  The embedded window rows shift the codes of
+the terms of g_I², formed once per complex, the same way.  A complex
+refuses a pole order above `MAX_POLE` before it builds anything.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 from .forms import (WeightBlocks, add_into, mask_weight, masks_of_degree,
-                    wedge_sign, weight)
+                    shifted_row, template, weight)
 from .ladder import ladder
 # `rank` stays importable here: bench/spans.py traces it under this name.
 from .linalg import Echelon, GradedCodes, kernel_lattice, rank  # noqa: F401
@@ -103,8 +106,16 @@ def _int_terms(p):
     return {m: int(c) for m, c in p.terms.items()}
 
 
+# the largest pole order a complex may be asked for: every (piece, mask,
+# pole) up to it gets a weight key before the first rung runs
+MAX_POLE = 100
+
+
 class CechDeRham:
     def __init__(self, fs, t_max):
+        if t_max + 1 > MAX_POLE:
+            raise ValueError(f"largest pole order {t_max + 1} is above the "
+                             f"cap of {MAX_POLE}")
         if not fs:
             raise ValueError("need at least one polynomial")
         self.n = fs[0].nvars
@@ -203,28 +214,17 @@ class CechDeRham:
 
     def _template(self, I, mask, pole):
         """(merged part, scaled parts) of x^0/g_I^pole dx_mask as code
-        offsets: the merged part holds the -pole·dg_I[j] and Čech terms,
-        and each scaled part (j, terms) the g_I terms of x^-e_j, to be
-        scaled by mono[j]."""
+        offsets: the `forms.template` of g_I·d − pole·dg_I∧, signed
+        (−1)^(|I|−1), with the Čech terms added to its merged part."""
         key = (I, mask, pole)
         tpl = self._templates.get(key)
         if tpl is not None:
             return tpl
         mono_code = self._codes.mono
         n, index = self.n, self.piece_index
-        psign = -1 if (len(I) - 1) & 1 else 1
-        merged, scaled = {}, []
-        for j in range(n):
-            sgn = wedge_sign(j, mask)
-            if not sgn:
-                continue
-            sgn *= psign
-            tgt = index[I] << n | mask | (1 << j)
-            unit = mono_code(tuple(int(i == j) for i in range(n)))
-            scaled.append((j, [(mono_code(m) - unit + tgt, sgn * c)
-                               for m, c in self.g_int[I].items()]))
-            for m, c in self.dg[I][j].items():
-                add_into(merged, mono_code(m) + tgt, -pole * sgn * c)
+        merged, scaled = template(mono_code, n, mask, index[I] << n,
+                                  self.g_int[I], self.dg[I], -pole,
+                                  -1 if (len(I) - 1) & 1 else 1)
         for j0 in range(self.r):
             if j0 in I:
                 continue
@@ -233,21 +233,14 @@ class CechDeRham:
             there = index[J] << n | mask
             for m, c in self._cech_factor(I, j0, pole).items():
                 add_into(merged, mono_code(m) + there, sgn * c)
-        tpl = self._templates[key] = (list(merged.items()), scaled)
+        tpl = self._templates[key] = (merged, scaled)
         return tpl
 
     def diff_row(self, I, mono, mask, pole):
         """Total differential of x^mono/g_I^pole dx_mask, at pole + 1."""
         self._check(self._reach(sum(mono), pole))
-        merged, scaled = self._template(I, mask, pole)
-        base = self._codes.mono(mono)
-        row = {base + off: c for off, c in merged}
-        for j, terms in scaled:
-            s = mono[j]
-            if s:
-                for off, c in terms:
-                    add_into(row, base + off, s * c)
-        return row
+        return shifted_row(self._codes.mono(mono), mono,
+                           *self._template(I, mask, pole))
 
     def _window(self, pole, D):
         """The weight-0 block of the window (pole, D) by total grade, as

@@ -7,6 +7,16 @@ A weight lattice is a list of integer rows w, one Euler field
 E = sum_j w_j x_j d/dx_j each.  E scales x^mono dx_mask by w·(mono + mask),
 with the mask read as its 0/1 vector; `weight` is the tuple of these
 numbers over the rows, () for an empty lattice.
+
+Both de Rham complexes have a differential of one shape on a basis
+element x^mono dx_mask: q·d + c·dp∧, with q a polynomial, dp a list of
+polynomials (one per variable) and c a constant.  The twisted side takes
+q = L, dp = L·dF and c = 1; the Čech side takes q = g_I, dp = dg_I and
+c = −pole.  `template` writes it once per mask as code offsets: a merged
+part holding c·dp[j] dx_j∧dx_mask for each j, and one scaled part per j
+holding q·x^{−e_j} dx_j∧dx_mask, since d contributes
+mono[j]·q·x^{mono − e_j} there.  `shifted_row` then gives the row of one
+monomial by adding code(mono) to every offset.
 """
 
 from __future__ import annotations
@@ -42,6 +52,39 @@ def add_into(row, col, val):
         row[col] = s
     else:
         row.pop(col, None)
+
+
+def template(mono_code, nvars, mask, fields, q, dp, c, sign=1):
+    """(merged, scaled) parts of q·d + c·dp∧ on x^0 dx_mask, every column
+    carrying `fields`; q and each dp[j] map exponent tuples to
+    coefficients.  merged maps code offset -> coefficient, in (j,
+    monomial) order; scaled lists (j, [(offset, coefficient), ...]), the
+    terms of q·x^{−e_j}, to be scaled by mono[j].  `sign` multiplies
+    every term."""
+    merged, scaled = {}, []
+    for j in range(nvars):
+        sgn = wedge_sign(j, mask) * sign
+        if not sgn:
+            continue
+        tgt = fields | mask | 1 << j
+        unit = mono_code(tuple(int(i == j) for i in range(nvars)))
+        scaled.append((j, [(mono_code(m) - unit + tgt, sgn * v)
+                           for m, v in q.items()]))
+        for m, v in dp[j].items():
+            add_into(merged, mono_code(m) + tgt, c * sgn * v)
+    return merged, scaled
+
+
+def shifted_row(base, mono, merged, scaled):
+    """The row of x^mono from its (merged, scaled) template, shifted by
+    base = code(mono)."""
+    row = {base + off: v for off, v in merged.items()}
+    for j, terms in scaled:
+        s = mono[j]
+        if s:
+            for off, v in terms:
+                add_into(row, base + off, s * v)
+    return row
 
 
 def weight(lattice, vec):

@@ -14,10 +14,13 @@ takes: W is the bit length of the largest exponent a row of the highest
 domain degree, d_max + slack, can reach (that degree + deg F - 1).  Every
 code is valid for the life of the complex, and asking for rows, a row or
 a rung beyond the cap raises ValueError.  Rows are built from one
-template per mask: the dF_j terms as code offsets, plus one offset per
+`forms.template` per mask, the one the Čech side uses too, with q = L,
+dp = L·dF and c = 1: the dF_j terms as code offsets, plus one offset per
 variable j scaled by mono[j] (the d term).  A row of x^mono dx_mask is
-then the template shifted by code(mono); no two of its terms share a
-column.
+then the template shifted by code(mono) (`forms.shifted_row`); no two
+of its terms share a column, since terms of different j carry different
+masks and the d term of j has degree one below mono's, every dF_j term
+at least mono's.
 
 A complex keeps one incremental echelon per form degree k.  Rows are fed
 in increasing domain degree e (the stage), each degree once, and every
@@ -66,21 +69,11 @@ Rungs are laddered (step 2) until three in a row agree.
 
 from __future__ import annotations
 
-from .forms import WeightBlocks, mask_weight, masks_of_degree, wedge_sign
+from .forms import (WeightBlocks, mask_weight, masks_of_degree, shifted_row,
+                    template)
 from .ladder import ladder
 # `rank` stays importable here: bench/spans.py traces it under this name.
 from .linalg import Echelon, GradedCodes, kernel_lattice, rank  # noqa: F401
-
-
-def _row(base, mono, template):
-    """The row of x^mono dx_mask: its mask's template shifted by
-    base = code(mono)."""
-    dF_terms, d_terms = template
-    row = {base + off: c for off, c in dF_terms}
-    for j, off, c in d_terms:
-        if mono[j]:
-            row[base + off] = c * mono[j]
-    return row
 
 
 class TwistedComplex:
@@ -125,22 +118,12 @@ class TwistedComplex:
         return self._codes.decode(code)
 
     def _template(self, mask):
-        """(dF terms, d terms) of dx_mask as code offsets and coefficients;
-        a d term is (j, offset, coefficient), to be scaled by mono[j]."""
+        """`forms.template` of L·(d + dF∧) on dx_mask, cached per mask."""
         tpl = self._templates.get(mask)
         if tpl is None:
-            mono_code = self._codes.mono
-            dF_terms, d_terms = [], []
-            for j in range(self.n):
-                sgn = wedge_sign(j, mask)
-                if not sgn:
-                    continue
-                tgt = mask | (1 << j)
-                unit = tuple(int(i == j) for i in range(self.n))
-                d_terms.append((j, tgt - mono_code(unit), self.L * sgn))
-                for fm, fc in self.dF[j].items():
-                    dF_terms.append((mono_code(fm) | tgt, sgn * fc))
-            tpl = self._templates[mask] = (dF_terms, d_terms)
+            tpl = self._templates[mask] = template(
+                self._codes.mono, self.n, mask, 0, {(0,) * self.n: self.L},
+                self.dF, 1)
         return tpl
 
     def _block(self, e, mask):
@@ -158,7 +141,7 @@ class TwistedComplex:
         """L times the differential on the basis element x^mono dx_mask,
         keyed by column code."""
         self._check(sum(mono))
-        return _row(self._codes.mono(mono), mono, self._template(mask))
+        return shifted_row(self._codes.mono(mono), mono, *self._template(mask))
 
     def rows(self, k, hi, lo=0, *, exclude=()):
         """Nonzero rows of the weight-0 grade-k basis elements of degrees
@@ -169,11 +152,11 @@ class TwistedComplex:
         out = []
         for e in range(lo, hi + 1):
             for mask in masks:
-                tpl = self._template(mask)
+                merged, scaled = self._template(mask)
                 for mono, base in self._block(e, mask):
                     if base | mask in exclude:
                         continue
-                    if row := _row(base, mono, tpl):
+                    if row := shifted_row(base, mono, merged, scaled):
                         out.append(row)
         return out
 

@@ -161,6 +161,17 @@ def test_prove_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_script_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    # a UTF-16 file starts with the bytes ff fe, which UTF-8 cannot decode
+    script = tmp_path / "utf16.dwk"
+    script.write_bytes(b"\xff\xfe" + GOAL_ONLY.encode("utf-16-le"))
+    assert main(["prove", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {script}: ")
+    assert "UnicodeDecodeError" not in captured.err
+
+
 def test_prove_no_goal(tmp_path, capsys):
     script = tmp_path / "nogoal.dwk"
     script.write_text("variety X dim 1;\n", encoding="utf-8")
@@ -272,6 +283,27 @@ def test_impossible_flag_values_are_input_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_a_pole_cap_above_max_pole_is_an_input_error(capsys):
+    """Past `cech.MAX_POLE` the run ends with exit 2 naming the cap, long
+    before the weight keys of a million poles could be built."""
+    start = time.perf_counter()
+    assert main(["dwork-check", "--f", "x*y", "--pole-max", "1000000"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: largest pole order 1000000 is above the "
+                            f"cap of {cech.MAX_POLE}\n")
+
+
+def test_a_pole_cap_at_max_pole_runs(capsys):
+    # x*y stabilizes at rung 2, so the cap changes nothing in its document
+    argv = ["dwork-check", "--f", "x*y", "--output", "machine"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--pole-max", str(cech.MAX_POLE)]) == 0
+    assert capsys.readouterr().out == default
 
 
 @pytest.mark.parametrize("texts", [["x*y"], ["x*y", "x-y"]],

@@ -82,6 +82,35 @@ def test_paper_document_keys(argv, code, extra, capsys):
                for n in data["lemmas"])
 
 
+def test_search_document_keys(collapse_text, tmp_path, capsys):
+    """A search document, its closure and each of its steps, as `prove
+    --search` embeds it in the replay's validation document."""
+    script = tmp_path / "collapse.dwk"
+    script.write_text(collapse_text, encoding="utf-8")
+    assert main(["prove", str(script), "--search", "6",
+                 "--output", "machine"]) == 0
+    search = json.loads(capsys.readouterr().out)["search"]
+    assert set(search) == {"found", "depth", "expanded", "closure", "steps"}
+    assert set(search["closure"]) == {"kind", "morphism"}
+    assert search["steps"]
+    assert all(set(s) == {"rule", "direction", "path", "bindings"}
+               for s in search["steps"])
+
+
+COHOMOLOGY_KEYS = {"kind", "dims", "rungs", "note", "stabilized"}
+
+
+def test_cohomology_and_comparison_document_keys():
+    cmp = dwork_compare([parse_poly("x", ("x",))])
+    data = json.loads(machine_report(cmp.twisted))
+    assert set(data) == COHOMOLOGY_KEYS | {"schema_version"}
+    assert data["stabilized"] is True
+    data = json.loads(machine_report(cmp))
+    assert set(data) == {"match", "inconclusive", "twisted", "supports",
+                         "kind", "schema_version"}
+    assert set(data["twisted"]) == set(data["supports"]) == COHOMOLOGY_KEYS
+
+
 def test_suite_machine_fields():
     data = json.loads(machine_report(verify_paper()))
     assert data["kind"] == "paper"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dworklab import complement_cohomology, parse_poly
-from dworklab.weyl.cech import CechDeRham, complement_rung
+from dworklab.weyl.cech import MAX_POLE, CechDeRham, complement_rung
 from dworklab.weyl.linalg import Echelon
 from dworklab.weyl.poly import MultiPoly, graded_monomials
 
@@ -265,6 +265,21 @@ def test_bad_inputs_rejected():
         CechDeRham(_polys(["x", "0"], XY), 0)
     with pytest.raises(ValueError):
         CechDeRham([parse_poly("x", X), parse_poly("x*y", XY)], 0)
+
+
+@pytest.mark.parametrize("t_max", [MAX_POLE, 10**6])
+def test_a_pole_above_the_cap_is_refused_before_anything_is_built(t_max):
+    # rung t_max has pole order t_max + 1; past the cap the complex raises
+    # before it keys a single (piece, mask, pole)
+    with pytest.raises(ValueError, match=f"largest pole order {t_max + 1} "
+                       f"is above the cap of {MAX_POLE}"):
+        CechDeRham(_polys(["x*y"], XY), t_max)
+
+
+def test_a_complex_at_the_pole_cap_builds():
+    cx = CechDeRham(_polys(["x*y"], XY), MAX_POLE - 1)
+    assert cx.schedule(MAX_POLE - 1)[0] == MAX_POLE
+    assert cx.rung(0) == complement_rung(_polys(["x*y"], XY), 0)
 
 
 def test_ladder_can_give_up():
