@@ -160,6 +160,7 @@ class GeometryContext:
         self.diagonals: dict = {}  # variety -> atom name
         self.images: dict = {}  # embedding atom -> subvariety name
         self.transposes: dict = {}  # bundle map -> its transpose, both ways
+        self._normal_atoms: dict = {}  # atoms -> their normal form's atoms
 
     # -- declarations --------------------------------------------------
 
@@ -194,6 +195,7 @@ class GeometryContext:
                 f"morphism {name!r}: projection factor {factor} is not 1 or 2")
         self.atoms[name] = MorphismAtom(name, kind, source, target, codim,
                                         factor, tuple(parts))
+        self._normal_atoms.clear()
         if kind == "negation":
             if source != target:
                 raise GeometryError(f"negation {name!r} must be an endomap")
@@ -255,6 +257,7 @@ class GeometryContext:
         elif lm.source != lm.target:
             raise GeometryError(f"{lhs} cannot equal an identity map")
         self.identities.append((lhs, rhs))
+        self._normal_atoms.clear()
 
     def bundle(self, name, base, rank, proj, sect):
         if rank <= 0:
@@ -444,8 +447,18 @@ class GeometryContext:
 
     def normalize_morphism(self, m: Morphism) -> Morphism:
         """Cancel involutions, then apply declared identities leftmost-first
-        in declaration order until nothing fires (or the cap trips)."""
-        atoms = list(m.atoms)
+        in declaration order until nothing fires (or the cap trips).
+
+        The result depends only on the atoms, their kinds and the declared
+        identities, so it is memoized by `m.atoms`; declaring an atom or an
+        identity clears the memo."""
+        atoms = self._normal_atoms.get(m.atoms)
+        if atoms is None:
+            atoms = self._normal_atoms[m.atoms] = self._rewrite_atoms(m.atoms)
+        return Morphism(atoms, m.source, m.target)
+
+    def _rewrite_atoms(self, atoms):
+        atoms = list(atoms)
         budget = _REWRITE_CAP * (len(atoms) + 1)
         changed = True
         while changed and budget > 0:
@@ -469,7 +482,7 @@ class GeometryContext:
                 if changed:
                     break
             budget -= 1
-        return Morphism(tuple(atoms), m.source, m.target)
+        return tuple(atoms)
 
     def morphisms_equal(self, a: Morphism, b: Morphism) -> bool:
         if (a.source, a.target) != (b.source, b.target):

@@ -28,9 +28,12 @@ Matching tolerances, applied deterministically:
 Each applier also names the step undoing it, read off the subterm it
 rewrote.  Each rule's `RULES` row says where a search tries it: per
 direction (and law), a node shape and candidate bindings.  `Moves` tries
-each candidate once through `rewrite` and keeps the accepted moves per
-subterm for one search.  An undo may land on a raw form other than the
-original; `Moves` checks, once per move.
+each candidate once and keeps the accepted moves per subterm for one
+search.  It tries them through `_rewrite`, which is `rewrite` refusing
+with the one `Fail`, `GeometryError` or `TermError` raised, so that a
+refused candidate costs one exception, not a second `RuleError`.  An
+undo may land on a raw form other than the original; `Moves` checks,
+once per move.
 """
 
 from __future__ import annotations
@@ -88,9 +91,7 @@ class Offer(NamedTuple):
 
 
 class Fail(Exception):
-    def __init__(self, reason):
-        self.reason = reason
-        super().__init__(reason)
+    """A rule's refusal; its message is the reason."""
 
 
 def _get(b, key, cls, what):
@@ -770,14 +771,14 @@ class Moves:
     it meets, each with the step undoing it.
 
     Called on a subterm, tries every candidate of each `RULES` row offered
-    at its node, in rule order, once through `rewrite` under the search's
+    at its node, in rule order, once through `_rewrite` under the search's
     gates, and yields those accepted as ``(rule, direction, bindings, undo
     direction, undo bindings, replacement, delta)``; a move and its undo
     are always the same rule.  `rows` keeps them per serialized subterm,
-    each with its size change, and `undoes` decides once per row whether
-    its undo is exact.  Built once per search, so the indexes the picks
-    read are gathered once; rules that the strata budget or the
-    exclusions refuse are left out."""
+    each with its size change and the replacement's serialization, and
+    `undoes` decides once per row whether its undo is exact.  Built once
+    per search, so the indexes the picks read are gathered once; rules
+    that the strata budget or the exclusions refuse are left out."""
 
     def __init__(self, ctx, mode="strict-smooth", allowed_strata=1,
                  excluded=frozenset()):
@@ -838,21 +839,24 @@ class Moves:
             for b in found:
                 b = {"law": law, **b} if law else dict(b)
                 try:
-                    new, delta, (ud, ub) = rewrite(
+                    new, delta, (ud, ub) = _rewrite(
                         self.ctx, sub, name, direction, b, **self.gates)
-                except RuleError:
+                except _REFUSALS:
                     continue
                 yield name, direction, b, ud, ub, new, delta
 
     def rows(self, sub, key):
-        """The moves at `sub`, serialized as `key`, each with its size
-        change appended; matched on first sight.  A subterm where no move
-        applies gets the empty tuple."""
+        """The moves at `sub`, serialized as `key`, matched on first sight:
+        each row is ``(rule, direction, bindings, undo direction, undo
+        bindings, replacement, delta, size change, serialized
+        replacement)``.  A subterm where no move applies gets the empty
+        tuple."""
         rows = self._rows.get(key)
         if rows is None:
             n = size(sub)
             rows = self._rows[key] = tuple(
-                (*row, size(row[5]) - n) for row in self(sub))
+                (*row, size(row[5]) - n, serialize(row[5]))
+                for row in self(sub))
         return rows
 
     def undoes(self, key, i):
@@ -861,11 +865,11 @@ class Moves:
         opposite delta."""
         verdict = self._undoes.get((key, i))
         if verdict is None:
-            rule, _d, _b, ud, ub, new, delta, _grow = self._rows[key][i]
+            rule, _d, _b, ud, ub, new, delta, *_ = self._rows[key][i]
             try:
-                back, back_delta, _undo = rewrite(self.ctx, new, rule, ud, ub,
-                                                  **self.gates)
-            except RuleError:
+                back, back_delta, _undo = _rewrite(self.ctx, new, rule, ud, ub,
+                                                   **self.gates)
+            except _REFUSALS:
                 verdict = False
             else:
                 verdict = back_delta == -delta and serialize(back) == key
@@ -881,6 +885,44 @@ def step_stratum(ctx, rule, bindings):
     return RULES[rule][0]
 
 
+# what `_rewrite` raises when it refuses a step
+_REFUSALS = (Fail, GeometryError, TermError)
+
+
+def _rewrite(ctx, sub, rule, direction, bindings=None, *,
+             mode="strict-smooth", allowed_strata=1, excluded=frozenset(),
+             lemmas=None):
+    """`rewrite`, with a refusal left as the `Fail`, `GeometryError` or
+    `TermError` raised, so that `Moves` pays one exception per refused
+    candidate."""
+    if direction not in ("fwd", "bwd"):
+        raise Fail(f"bad direction {direction!r}")
+    # a copy: an applier may hand its bindings back as its undo's, which
+    # must not be the caller's dict
+    b = dict(bindings or {})
+    if rule.startswith("lemma:"):
+        new, delta, undo = _lemma(ctx, sub, direction, rule[len("lemma:"):],
+                                  lemmas or {})
+    else:
+        entry = RULES.get(rule)
+        if entry is None:
+            raise Fail(f"unknown rule {rule!r}")
+        if rule in excluded:
+            raise Fail("rule excluded by this certificate")
+        need = step_stratum(ctx, rule, b)
+        if need > allowed_strata:
+            raise Fail(f"stratum-{need} rule, only {allowed_strata} allowed")
+        new, delta, undo = entry[1](ctx, sub, direction, b, mode)
+    try:
+        there = variety_of(ctx, new)
+    except TermError as e:
+        raise Fail(f"result ill-formed: {e}") from None
+    here = variety_of(ctx, sub)
+    if there != here:
+        raise Fail(f"result lives on {there}, not on {here}")
+    return new, delta, undo
+
+
 def rewrite(ctx, sub, rule, direction, bindings=None, *,
             mode="strict-smooth", allowed_strata=1, excluded=frozenset(),
             lemmas=None):
@@ -890,34 +932,11 @@ def rewrite(ctx, sub, rule, direction, bindings=None, *,
     Checks the gates (exclusions, the step's strata need), the rule itself
     and that the replacement is well-formed on the subterm's own variety;
     a refusal is a RuleError at the empty path."""
-    if direction not in ("fwd", "bwd"):
-        raise RuleError(rule, (), f"bad direction {direction!r}")
-    b = dict(bindings or {})
     try:
-        if rule.startswith("lemma:"):
-            new, delta, undo = _lemma(ctx, sub, direction,
-                                      rule[len("lemma:"):], lemmas or {})
-        else:
-            entry = RULES.get(rule)
-            if entry is None:
-                raise Fail(f"unknown rule {rule!r}")
-            if rule in excluded:
-                raise Fail("rule excluded by this certificate")
-            need = step_stratum(ctx, rule, b)
-            if need > allowed_strata:
-                raise Fail(f"stratum-{need} rule, only {allowed_strata} allowed")
-            new, delta, undo = entry[1](ctx, sub, direction, b, mode)
-        try:
-            there = variety_of(ctx, new)
-        except TermError as e:
-            raise Fail(f"result ill-formed: {e}") from None
-        here = variety_of(ctx, sub)
-        if there != here:
-            raise Fail(f"result lives on {there}, not on {here}")
-        return new, delta, undo
-    except Fail as e:
-        raise RuleError(rule, (), e.reason) from None
-    except (GeometryError, TermError) as e:
+        return _rewrite(ctx, sub, rule, direction, bindings, mode=mode,
+                        allowed_strata=allowed_strata, excluded=excluded,
+                        lemmas=lemmas)
+    except _REFUSALS as e:
         raise RuleError(rule, (), str(e)) from None
 
 

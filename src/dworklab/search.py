@@ -13,9 +13,14 @@ The rules are matched once per distinct subterm, not once per place it
 occurs.  `prove` builds one `Moves` and shares it across the direct
 search and every closure retry.  `Moves.rows` is keyed by a subterm's
 serialization and keeps the move, its undo, the replacement, the shift
-delta and the size change.  A successor is the replacement spliced in
-at its path, with the delta folded into the root shift; nothing is
-re-applied to the whole term.  `rules.rewrite` accepts only
+delta, the size change and the replacement's serialization.  A term is
+walked once per expansion (`keyed_subterms`), which gives each
+subterm's serialization and its offset in the term's.  A successor's
+serialization is spliced from those: the replacement's put in the
+subterm's place, the root shift with the delta folded in wrapped around
+it.  The successor term itself, the replacement put in at its path, is
+built only when the frontier records a step; nothing is re-applied to
+the whole term.  `rules.rewrite` accepts only
 replacements that are well-formed on the subterm's own variety, so from
 well-formed goal sides every successor is well-formed; a goal with an
 ill-formed side, or with sides on two varieties, is not searched.
@@ -37,11 +42,10 @@ from .terms import (
     Oim,
     canonical_shift,
     equation_variety,
+    keyed_subterms,
     replace,
     serialize,
-    size,
     split_shift,
-    subterms,
     with_shift,
 )
 
@@ -64,26 +68,29 @@ def _successors(moves, term, seen, forward=True):
     The step is the one the frontier records: going forward the move
     itself; going backward its undo, or None when the undo does not land
     back exactly on `term`.  It is None too when `seen` has the term
-    already, and then the undo is not tried."""
+    already, and then the undo is not tried.  A successor's serialization
+    is spliced from `term`'s; the term itself is built only with a step,
+    and is None otherwise."""
     core, k = split_shift(term)
-    n = size(core)
-    for path, sub in subterms(core):
-        key = serialize(sub)
+    walk = keyed_subterms(core)
+    ckey = walk[0][2]
+    n = len(walk)
+    for path, sub, key, start in walk:
+        end = start + len(key)
         for i, row in enumerate(moves.rows(sub, key)):
-            rule, d, b, ud, ub, new_sub, delta, grow = row
+            rule, d, b, ud, ub, new_sub, delta, grow, new_key = row
             shift = k + delta
             if n + grow + (shift != 0) > _SIZE_CAP:
                 continue
-            nt = with_shift(replace(core, path, new_sub), shift)
-            nk = serialize(nt)
-            if nk in seen:
-                yield nk, nt, None
-            elif forward:
-                yield nk, nt, ProofStep(rule, d, path, b)
-            elif moves.undoes(key, i):
-                yield nk, nt, ProofStep(rule, ud, path, ub)
-            else:
-                yield nk, nt, None
+            nk = ckey[:start] + new_key + ckey[end:]
+            if shift:
+                nk = f"({nk})[{shift}]"
+            if nk in seen or not (forward or moves.undoes(key, i)):
+                yield nk, None, None
+                continue
+            step = (ProofStep(rule, d, path, b) if forward
+                    else ProofStep(rule, ud, path, ub))
+            yield nk, with_shift(replace(core, path, new_sub), shift), step
 
 
 def _path(parents, key):

@@ -179,6 +179,44 @@ def serialize(t) -> str:
     raise TermError(f"not a term: {t!r}")
 
 
+def keyed_subterms(t):
+    """(path, subterm, serialization, offset) for every subterm of t,
+    preorder, as `subterms` lists them.  Each serialization is built once,
+    from its children's, exactly as `serialize` writes it, and the offset
+    is where it starts in t's own, which comes first."""
+    out = []
+    _keyed(t, (), 0, out)
+    return out
+
+
+def _keyed(t, path, start, out):
+    """Append the `keyed_subterms` entries of t, at `path` and offset
+    `start`, to `out`; returns t's serialization."""
+    at = len(out)
+    out.append(None)
+    if isinstance(t, (Tensor, ETensor)):
+        head = f"{type(t).__name__}("
+        left = _keyed(t.left, path + (0,), start + len(head), out)
+        right = _keyed(t.right, path + (1,),
+                       start + len(head) + len(left) + 1, out)
+        key = f"{head}{left},{right})"
+    elif isinstance(t, Shift):
+        key = f"({_keyed(t.arg, path + (0,), start + 1, out)})[{t.k}]"
+    elif isinstance(t, (Opb, Oim, RGamma, Fourier)):
+        if isinstance(t, RGamma):
+            label = sub_key(t.sub)
+        elif isinstance(t, Fourier):
+            label = t.bundle
+        else:
+            label = morphism_key(t.morphism)
+        head = f"{type(t).__name__}[{label}]("
+        key = f"{head}{_keyed(t.arg, path + (0,), start + len(head), out)})"
+    else:
+        key = serialize(t)
+    out[at] = (path, t, key, start)
+    return key
+
+
 # --- well-formedness --------------------------------------------------------
 
 

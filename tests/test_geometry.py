@@ -3,7 +3,14 @@
 import pytest
 
 from dworklab.errors import GeometryError
-from dworklab.geometry import GeometryContext, SubCap, SubName, SubPre, SubRed
+from dworklab.geometry import (
+    GeometryContext,
+    Morphism,
+    SubCap,
+    SubName,
+    SubPre,
+    SubRed,
+)
 
 
 def test_duplicate_declarations_rejected(dwork):
@@ -72,6 +79,42 @@ def test_morphisms_equal_uses_declared_relations(transform_ctx):
     b = ctx.composite("gammaW", "beta")
     assert ctx.morphisms_equal(a, b)
     assert not ctx.morphisms_equal(a, ctx.composite("gammaW"))
+
+
+def _two_maps():
+    ctx = GeometryContext()
+    ctx.variety("X", 1)
+    ctx.variety("Y", 1)
+    ctx.morphism("f", "X", "Y")
+    ctx.morphism("g", "Y", "X")
+    return ctx
+
+
+def test_a_declared_identity_renormalizes_maps_seen_before():
+    ctx = _two_maps()
+    gf = ctx.composite("g", "f")
+    fgf = ctx.composite("f", "g", "f")
+    assert ctx.normalize_morphism(gf).atoms == ("g", "f")
+    assert ctx.normalize_morphism(fgf).atoms == ("f", "g", "f")
+    assert not ctx.is_identity(gf)
+    ctx.declare_identity(("g", "f"), ())
+    assert ctx.normalize_morphism(gf).atoms == ()
+    assert ctx.normalize_morphism(fgf).atoms == ("f",)
+    assert ctx.is_identity(gf)
+
+
+def test_a_declared_negation_renormalizes_maps_seen_before():
+    # `n` is named twice, apart, in a map normalized before `n` is
+    # declared; once it is a negation and g.f an identity, the two meet
+    # and cancel
+    ctx = _two_maps()
+    word = Morphism(("n", "g", "f", "n"), "X", "X")
+    assert ctx.normalize_morphism(word).atoms == word.atoms
+    ctx.morphism("n", "X", "X", kind="negation")
+    assert ctx.normalize_morphism(word).atoms == word.atoms
+    ctx.declare_identity(("g", "f"), ())
+    assert ctx.normalize_morphism(word).atoms == ()
+    assert ctx.is_identity(ctx.composite("n", "g", "f", "n"))
 
 
 def test_identity_morphism(dwork):

@@ -5,7 +5,9 @@ import pytest
 from dworklab.errors import TermError
 from dworklab.geometry import FuncName, FuncPull, SubName
 from dworklab.terms import (
+    ETensor,
     Exp,
+    Fourier,
     Oim,
     Opb,
     RGamma,
@@ -14,6 +16,7 @@ from dworklab.terms import (
     Tensor,
     Var,
     equal_normal,
+    keyed_subterms,
     navigate,
     normalize,
     replace,
@@ -77,6 +80,24 @@ def test_subterm_paths_and_size(dwork):
     assert ((), (0,), (0, 0)) == tuple(paths)
     assert all(sub is navigate(t, path) for path, sub in subterms(t))
     assert size(t) == 3
+
+
+def test_keyed_subterms_serialize_each_subterm_in_place(dwork):
+    # every node kind, a shift below the root and both sides of a tensor
+    m = Var("M", "X")
+    t = Shift(Tensor(
+        Opb(dwork.composite("iotacheck"), Oim(dwork.composite("s"), m)),
+        RGamma(SubName("S"), Shift(ETensor(Exp("V", FuncName("F")),
+                                           Fourier("V", Struct("V"))), -3))),
+        2)
+    walk = keyed_subterms(t)
+    whole = serialize(t)
+    assert [(path, sub) for path, sub, _key, _start in walk] == list(
+        subterms(t))
+    assert walk[0][2:] == (whole, 0)
+    for _path, sub, key, start in walk:
+        assert key == serialize(sub)
+        assert whole[start:start + len(key)] == key
 
 
 def test_shift_canonicalization(dwork):
