@@ -41,7 +41,6 @@ res = prove(ctx, lhs, rhs, max_depth=6)
 print(text_report(res))
 
 if res.found:
-    cert = ProofCertificate(name="rediscovered", title="found by search",
-                            goal_lhs=lhs, goal_rhs=rhs,
+    cert = ProofCertificate(name="rediscovered", goal_lhs=lhs, goal_rhs=rhs,
                             steps=tuple(res.steps), closure=res.closure)
     print(text_report(check_certificate(ctx, cert)))

@@ -191,8 +191,8 @@ class _CertificateBuilder:
                 raise GeometryError("script has steps but no goal")
             return None
         name, lhs, rhs = self.equation
-        return ProofCertificate(name=name, title=name, goal_lhs=lhs,
-                                goal_rhs=rhs, steps=tuple(self.steps),
+        return ProofCertificate(name=name, goal_lhs=lhs, goal_rhs=rhs,
+                                steps=tuple(self.steps),
                                 lemmas=tuple(self.lemmas), **self.policy)
 
 
@@ -776,11 +776,15 @@ class BoundScript:
     document: ScriptDocument
 
 
-def bind_script(doc):
+def bind_script(doc, ctx=None):
     """Build the geometry context and certificate from a parsed document:
-    each statement calls the method that declares it on its bound fields."""
-    builder = _CertificateBuilder(GeometryContext())
-    ctx = builder.ctx
+    each statement calls the method that declares it on its bound fields.
+    With `ctx` the statements declare into that context, which the result
+    holds, so several documents (declarations, then certificates) can
+    share one; without it they declare into a new one."""
+    if ctx is None:
+        ctx = GeometryContext()
+    builder = _CertificateBuilder(ctx)
     for st in doc.statements:
         receiver, method, args = _DECLARE[st.__class__]
         try:

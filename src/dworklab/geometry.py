@@ -193,12 +193,12 @@ class GeometryContext:
         if kind == "projection" and factor not in (1, 2):
             raise GeometryError(
                 f"morphism {name!r}: projection factor {factor} is not 1 or 2")
+        if kind == "negation" and source != target:
+            raise GeometryError(f"negation {name!r} must be an endomap")
         self.atoms[name] = MorphismAtom(name, kind, source, target, codim,
                                         factor, tuple(parts))
         self._normal_atoms.clear()
         if kind == "negation":
-            if source != target:
-                raise GeometryError(f"negation {name!r} must be an endomap")
             self.negations.setdefault(source, name)
         elif kind == "diagonal":
             self.diagonals.setdefault(source, name)

@@ -1,39 +1,30 @@
-import pathlib
-
 import pytest
 
-from dworklab.certificates import (
-    build_dwork_context,
-    build_graph_context,
-    build_product_context,
-    build_transform_context,
-    builtin_suite,
-)
+from dworklab.certificates import DATA, builtin_suite
 
-BUNDLED = (pathlib.Path(__file__).resolve().parent.parent
-           / "src" / "dworklab" / "data" / "dwork_theorem.dwk")
+BUNDLED = DATA / "dwork_theorem.dwk"
 COLLAPSE_GOAL = ("goal collapse : Opb[iotacheck](Oim[s](O[X])) ~ "
                  "RGamma[S](O[X])[1];\n")
 
 
 @pytest.fixture
 def dwork():
-    return build_dwork_context()
+    return builtin_suite()[0]["dwork"]
 
 
 @pytest.fixture
 def product_ctx():
-    return build_product_context()
+    return builtin_suite()[0]["product"]
 
 
 @pytest.fixture
 def graph_ctx():
-    return build_graph_context()
+    return builtin_suite()[0]["graph"]
 
 
 @pytest.fixture
 def transform_ctx():
-    return build_transform_context()
+    return builtin_suite()[0]["transform"]
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,10 @@ import dataclasses
 
 import pytest
 
+from dworklab import dsl
 from dworklab.certificates import (
+    DATA,
+    SUITE,
     Closure,
     Lemma,
     ProofCertificate,
@@ -114,7 +117,7 @@ def test_c4_mutation_sweep_all_rejected(suite):
 
 def test_steps_that_replay_but_miss_the_goal_are_falsified(dwork):
     cert = ProofCertificate(
-        name="wrong", title="wrong endpoint",
+        name="wrong",
         goal_lhs=Oim(dwork.composite("s"), Struct("X")),
         goal_rhs=Struct("Adual"),
         steps=())
@@ -124,7 +127,7 @@ def test_steps_that_replay_but_miss_the_goal_are_falsified(dwork):
 
 def test_ill_formed_goals_are_invalid(dwork):
     cert = ProofCertificate(
-        name="bad", title="ill-formed",
+        name="bad",
         goal_lhs=Oim(dwork.composite("s"), Struct("Adual")),
         goal_rhs=Struct("Adual"),
         steps=())
@@ -137,7 +140,7 @@ def test_a_lemma_across_two_varieties_proves_nothing(dwork):
     # O[V], a replacement on another variety; the goal's sides are refused
     # first, for the same reason
     cert = ProofCertificate(
-        name="bad", title="across", goal_lhs=Struct("X"), goal_rhs=Struct("V"),
+        name="bad", goal_lhs=Struct("X"), goal_rhs=Struct("V"),
         steps=(ProofStep("lemma:across"),),
         lemmas=(Lemma("across", Struct("X"), Struct("V")),))
     rep = check_certificate(dwork, cert)
@@ -148,7 +151,7 @@ def test_a_lemma_across_two_varieties_proves_nothing(dwork):
 def test_sides_on_two_varieties_are_ill_formed(dwork):
     # a goal, or a lemma it carries, whose sides live on two varieties is
     # refused before any step replays, even one that cites nothing
-    goal = ProofCertificate(name="g", title="g", goal_lhs=Struct("X"),
+    goal = ProofCertificate(name="g", goal_lhs=Struct("X"),
                             goal_rhs=Struct("V"), steps=())
     uncited = dataclasses.replace(
         goal, goal_rhs=Struct("X"),
@@ -162,8 +165,7 @@ def test_sides_on_two_varieties_are_ill_formed(dwork):
 def test_closure_must_be_a_closed_wrapping(dwork):
     lhs = Struct("X")
     rhs = Struct("X")
-    base = ProofCertificate(name="c", title="c", goal_lhs=lhs, goal_rhs=rhs,
-                            steps=())
+    base = ProofCertificate(name="c", goal_lhs=lhs, goal_rhs=rhs, steps=())
     ok = check_certificate(
         dwork,
         dataclasses.replace(base, closure=Closure("kashiwara", "iotacheck")))
@@ -182,7 +184,7 @@ def test_closure_must_be_a_closed_wrapping(dwork):
 
 def test_failing_step_reports_index_and_reason(dwork):
     cert = ProofCertificate(
-        name="c", title="c",
+        name="c",
         goal_lhs=RGamma(SubName("S"), Struct("X")),
         goal_rhs=Shift(RGamma(SubName("S"), Struct("X")), 0),
         steps=(ProofStep("R10", "fwd", ()),))
@@ -229,3 +231,17 @@ def test_builtin_suite_is_fresh_each_call():
     a = builtin_suite()
     b = builtin_suite()
     assert a[0]["dwork"] is not b[0]["dwork"]
+
+
+def test_the_suite_is_its_scripts(suite):
+    _contexts, certs = suite
+    assert [cert.name for _key, cert in certs] == [
+        "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C1"]
+    named = {f"{name}.dwk" for pair in SUITE for name in pair}
+    assert {p.name for p in DATA.glob("*.dwk")} == named | {"dwork_theorem.dwk"}
+    # a certificate bound onto its shared context equals the one its own
+    # script, the context's declarations and then its statements, binds to
+    for key, cert in certs:
+        text = "".join((DATA / f"{name}.dwk").read_text(encoding="utf-8")
+                       for name in (key, cert.name))
+        assert dsl.load_script(text).certificate == cert, cert.name

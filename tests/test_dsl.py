@@ -9,7 +9,7 @@ import pytest
 
 from dworklab import dsl
 from dworklab import terms as T
-from dworklab.certificates import CONTEXT_BUILDERS, check_certificate
+from dworklab.certificates import DATA, check_certificate
 from dworklab.cli import main
 from dworklab.errors import ParseError
 
@@ -42,8 +42,10 @@ def test_bundled_script_verifies(bundled_text):
     assert rep.ledger_total == rep.expected_shift == 1
 
 
-def test_bundled_round_trip(bundled_text):
-    doc = dsl.parse_script(bundled_text)
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.dwk")),
+                         ids=lambda path: path.name)
+def test_bundled_round_trip(path):
+    doc = dsl.parse_script(path.read_text(encoding="utf-8"))
     canon = dsl.render_script(doc)
     doc2 = dsl.parse_script(canon)
     assert doc2 == doc
@@ -619,86 +621,6 @@ def test_every_option_round_trips():
             assert dsl.parse_script(dsl.render_script(doc)) == doc, tail
         rows += 1
     assert rows == 3
-
-
-# --- the built-in contexts, declared by script ---------------------------------
-
-# each built-in context as a script, statement for statement: together
-# they bind every declaration with its own fields (`closed codim`,
-# `section`, `diagonal`, `graph`, `pmap`, `negation`, `bundlemap
-# transpose`, `fiberproduct`, `with` identities, subvariety `cap` and
-# `preimage`)
-CONTEXT_SCRIPTS = {
-    "dwork": """variety X dim 1;
-bundle V on X rank 1 proj pi sect iota;
-bundle Adual on X rank 1 proj picheck sect iotacheck;
-fourierpair V Adual product VA proj p1 p2 pairing gammaV line A1X coord t;
-morphism s : X -> Adual section;
-morphism stilde : V -> VA with p1.stilde = id;
-variety S dim 0 singular;
-morphism j : S -> X closed codim 1;
-subvariety S in X codim 1 singular image j;
-subvariety sX in Adual image s;
-subvariety iotaX in Adual image iotacheck preimage s S;
-subvariety iotaS in Adual codim 2 singular cap iotaX sX cap iotaS iotaX
-  preimage iotacheck S;
-function F on V = pull(t, gammaV.stilde);
-cartesian sq1 = (s, p2, stilde, pi);
-cartesian sq2 = (s, iotacheck, j, j);
-object M on X;
-""",
-    "product": """variety Yp dim 1;
-variety Xv dim 1;
-variety Yv dim 1;
-morphism f : Xv -> Yv;
-product YpX = Yp x Xv proj q1x q2x;
-product YpY = Yp x Yv proj q1y q2y;
-morphism idf : YpX -> YpY pmap id f;
-object M on Xv;
-""",
-    "graph": """variety X dim 1;
-variety Y dim 1;
-morphism f : X -> Y;
-product XX = X x X proj a1 a2;
-product XY = X x Y proj b1 b2;
-product YY = Y x Y proj c1 c2;
-morphism dX : X -> XX diagonal;
-morphism dY : Y -> YY diagonal;
-morphism gf : X -> XY graph f;
-morphism fpp : XX -> XY pmap id f with fpp.dX = gf;
-morphism fp : XY -> YY pmap f id;
-cartesian sqg = (fp, dY, f, gf);
-object M on X;
-object N on Y;
-""",
-    "transform": """variety X dim 1;
-bundle Vb on X rank 1 proj pv sect iv;
-bundle Vd on X rank 1 proj pvd sect ivd;
-bundle Wb on X rank 1 proj qw sect iw;
-bundle Wd on X rank 1 proj qwd sect iwd;
-fourierpair Vb Vd product VVd proj pv1 pv2 pairing gammaV line A1X coord t;
-fourierpair Wb Wd product WWd proj qw1 qw2 pairing gammaW line A1X coord t;
-morphism f : Vb -> Wb bundlemap;
-morphism tf : Wd -> Vd bundlemap transpose f;
-fiberproduct VWd = Vb x Wd over X proj r1 r2;
-morphism alpha : VWd -> VVd pmap id tf;
-morphism beta : VWd -> WWd pmap f id
-  with pv1.alpha = r1, qw2.beta = r2, gammaV.alpha = gammaW.beta;
-morphism negV : Vb -> Vb negation;
-morphism negVd : Vd -> Vd negation;
-morphism negW : Wb -> Wb negation with negW.f = f.negV;
-cartesian sqL = (pv2, tf, r2, alpha);
-cartesian sqR = (f, qw1, beta, r1);
-object N on Vb;
-object P on Wb;
-""",
-}
-
-
-@pytest.mark.parametrize("key", sorted(CONTEXT_BUILDERS))
-def test_a_builtin_context_written_as_a_script_binds_to_itself(key):
-    assert vars(dsl.load_script(CONTEXT_SCRIPTS[key]).ctx) \
-        == vars(CONTEXT_BUILDERS[key]())
 
 
 @pytest.mark.parametrize("decl, kind, extra", [

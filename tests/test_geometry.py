@@ -117,6 +117,16 @@ def test_a_declared_negation_renormalizes_maps_seen_before():
     assert ctx.is_identity(ctx.composite("n", "g", "f", "n"))
 
 
+def test_a_refused_negation_declares_nothing():
+    ctx = _two_maps()
+    before = dict(ctx.atoms)
+    with pytest.raises(GeometryError, match="must be an endomap"):
+        ctx.morphism("n", "X", "Y", kind="negation")
+    assert ctx.atoms == before
+    ctx.morphism("n", "X", "X", kind="negation")
+    assert ctx.negations == {"X": "n"}
+
+
 def test_identity_morphism(dwork):
     i = dwork.identity("X")
     assert i.atoms == () and i.source == i.target == "X"

@@ -540,8 +540,7 @@ def test_every_shape_guard_refuses_a_node_of_the_wrong_shape(
         _step(ctx, node, rule, direction, b=b)
     assert exc.value.reason == reason
     # the checker reports the same refusal as an invalid first step
-    cert = ProofCertificate(name="shape", title="shape", goal_lhs=node,
-                            goal_rhs=node,
+    cert = ProofCertificate(name="shape", goal_lhs=node, goal_rhs=node,
                             steps=(ProofStep(rule, direction, (), b),))
     rep = check_certificate(ctx, cert)
     assert rep.status == "invalid"
