@@ -31,6 +31,7 @@ from .terms import (
     canonical_shift,
     equal_normal,
     equation_variety,
+    normal_key,
     normalize,
     serialize,
     split_shift,
@@ -167,8 +168,8 @@ def check_certificate(ctx, cert, mode=None, allowed_strata=None):
         rep.status = "verified"
     else:
         rep.status = "falsified"
-        rep.reason = (f"endpoint mismatch: got {serialize(normalize(ctx, term))}, "
-                      f"goal {serialize(normalize(ctx, rhs))}")
+        rep.reason = (f"endpoint mismatch: got {normal_key(ctx, term)}, "
+                      f"goal {normal_key(ctx, rhs)}")
     return rep
 
 
@@ -235,14 +236,10 @@ class PaperReport:
     stratum_needs: dict | None = None
 
 
-def _nf_key(ctx, term):
-    return serialize(normalize(ctx, term))
-
-
 def _discharge(ctx, pair, proven):
     """Reach pair's rhs from its lhs through already-proven goal pairs."""
-    start = _nf_key(ctx, pair[0])
-    goal = _nf_key(ctx, pair[1])
+    start = normal_key(ctx, pair[0])
+    goal = normal_key(ctx, pair[1])
     seen = {start}
     frontier = [(start, [])]
     while frontier:
@@ -291,7 +288,7 @@ def verify_paper(mode=None, allowed_strata=None):
             if via is None:
                 ok = False
         if rep.ok:
-            proven.append((_nf_key(ctx, cert.goal_lhs),
-                           _nf_key(ctx, cert.goal_rhs), cert.name, ctx))
+            proven.append((normal_key(ctx, cert.goal_lhs),
+                           normal_key(ctx, cert.goal_rhs), cert.name, ctx))
     return PaperReport(ok=ok, reports=reports, lemma_notes=notes,
                        mode=mode or "per-certificate", stratum_needs=needs)

@@ -551,7 +551,7 @@ class _Parser:
             out = cls(*self.fill(layout))
             self.depth -= 1
         elif sort == "M":
-            out = MName(self._atom_chain())
+            out = MName(self._joined(".", "a map name"))
         else:
             leaf, what = _LEAVES[sort]
             out = leaf(self.name(what))
@@ -610,13 +610,6 @@ class _Parser:
                 out.append(int(tok.text))
         return tuple(out)
 
-    def dashed_name(self):
-        parts = [self.name()]
-        while self.peek().text == "-":
-            self.take()
-            parts.append(self.name())
-        return "-".join(parts)
-
     def statement(self):
         self.stmt_start = self.peek().start
         kw = self.name("a statement keyword")
@@ -647,24 +640,26 @@ class _Parser:
         if self.peek().text == "with":
             self.take()
             while True:
-                lhs = self._atom_chain()
+                lhs = self._joined(".", "a map name")
                 self.expect("=")
                 if self.peek().text == "id":
                     self.take()
                     rhs = ()
                 else:
-                    rhs = self._atom_chain()
+                    rhs = self._joined(".", "a map name")
                 identities.append((lhs, rhs))
                 if self.peek().text != ",":
                     break
                 self.take()
         return MorphismDecl(*head, **args, identities=tuple(identities))
 
-    def _atom_chain(self):
-        parts = [self.name("a map name")]
-        while self.peek().text == ".":
+    def _joined(self, sep, what="a name"):
+        """Names joined by `sep`, such as a chain of map names `g.f` or a
+        dashed mode name, as a tuple."""
+        parts = [self.name(what)]
+        while self.peek().text == sep:
             self.take()
-            parts.append(self.name("a map name"))
+            parts.append(self.name(what))
         return tuple(parts)
 
     def _stmt_product(self, over=False):
@@ -704,7 +699,7 @@ class _Parser:
         return self.fill((slot,))[0]
 
     def _stmt_mode(self):
-        return ModeDecl(self.dashed_name())
+        return ModeDecl("-".join(self._joined("-")))
 
     def _stmt_exclude(self):
         rules = [self.name("a rule name")]

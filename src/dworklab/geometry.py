@@ -132,6 +132,24 @@ class FuncPull:
     morphism: Morphism
 
 
+def _need(table, name, what):
+    """`table[name]`, or a GeometryError naming the unknown `what`."""
+    try:
+        return table[name]
+    except KeyError:
+        raise GeometryError(f"unknown {what} {name!r}") from None
+
+
+def _fresh(table, what, *names, taken=()):
+    """Refuse each of `names` that `table` or `taken` holds, or that comes
+    twice, as declaring it would."""
+    seen = set(taken)
+    for name in names:
+        if name in table or name in seen:
+            raise GeometryError(f"{what} {name!r} already declared")
+        seen.add(name)
+
+
 def _check_codim(what, codim, ambient):
     if not 0 <= codim <= ambient.dim:
         raise GeometryError(f"{what}: codimension {codim} is outside "
@@ -139,7 +157,9 @@ def _check_codim(what, codim, ambient):
 
 
 class GeometryContext:
-    """Mutable registry of declarations plus the normal-form machinery."""
+    """Mutable registry of declarations plus the normal-form machinery.
+
+    A refused declaration leaves every registry as it was."""
 
     def __init__(self):
         self.varieties: dict = {}
@@ -165,26 +185,22 @@ class GeometryContext:
     # -- declarations --------------------------------------------------
 
     def variety(self, name, dim, smooth=True):
-        if name in self.varieties:
-            raise GeometryError(f"variety {name!r} already declared")
+        _fresh(self.varieties, "variety", name)
         if dim < 0:
             raise GeometryError(f"variety {name!r}: negative dimension {dim}")
         self.varieties[name] = Variety(name, dim, smooth)
         return name
 
     def need_variety(self, name) -> Variety:
-        try:
-            return self.varieties[name]
-        except KeyError:
-            raise GeometryError(f"unknown variety {name!r}") from None
+        return _need(self.varieties, name, "variety")
 
     def morphism(self, name, source, target, kind="plain", codim=0, factor=0,
                  parts=(), transpose="", identities=()):
         """Declare an atom; `identities` are (lhs, rhs) pairs of atom
         names, outermost first, declared after it (see
-        `declare_identity`)."""
-        if name in self.atoms:
-            raise GeometryError(f"morphism {name!r} already declared")
+        `declare_identity`).  They may name the atom, so they are checked
+        with it in place, and a refused one takes it back."""
+        _fresh(self.atoms, "morphism", name)
         self.need_variety(source)
         tgt = self.need_variety(target)
         if kind == "closed" and codim == 0:
@@ -197,6 +213,12 @@ class GeometryContext:
             raise GeometryError(f"negation {name!r} must be an endomap")
         self.atoms[name] = MorphismAtom(name, kind, source, target, codim,
                                         factor, tuple(parts))
+        try:
+            checked = [self._identity(lhs, rhs) for lhs, rhs in identities]
+        except GeometryError:
+            del self.atoms[name]
+            raise
+        self.identities += checked
         self._normal_atoms.clear()
         if kind == "negation":
             self.negations.setdefault(source, name)
@@ -208,15 +230,10 @@ class GeometryContext:
             # either map may be declared first
             self.transposes[name] = transpose
             self.transposes.setdefault(transpose, name)
-        for lhs, rhs in identities:
-            self.declare_identity(lhs, rhs)
         return name
 
     def need_atom(self, name) -> MorphismAtom:
-        try:
-            return self.atoms[name]
-        except KeyError:
-            raise GeometryError(f"unknown morphism {name!r}") from None
+        return _need(self.atoms, name, "morphism")
 
     def identity(self, x) -> Morphism:
         self.need_variety(x)
@@ -244,6 +261,12 @@ class GeometryContext:
 
     def declare_identity(self, lhs, rhs):
         """Record lhs = rhs as composites of atom names, outermost first."""
+        self.identities.append(self._identity(lhs, rhs))
+        self._normal_atoms.clear()
+
+    def _identity(self, lhs, rhs):
+        """(lhs, rhs) as tuples, once both are composites with the same
+        endpoints; an empty rhs is the identity."""
         lhs = tuple(lhs)
         rhs = tuple(rhs)
         if not lhs:
@@ -256,15 +279,15 @@ class GeometryContext:
                     f"identity endpoints differ: {lhs} vs {rhs}")
         elif lm.source != lm.target:
             raise GeometryError(f"{lhs} cannot equal an identity map")
-        self.identities.append((lhs, rhs))
-        self._normal_atoms.clear()
+        return lhs, rhs
 
     def bundle(self, name, base, rank, proj, sect):
         if rank <= 0:
             raise GeometryError(f"bundle {name!r} needs positive rank")
-        if name in self.bundles:
-            raise GeometryError(f"bundle {name!r} already declared")
+        _fresh(self.bundles, "bundle", name)
         b = self.need_variety(base)
+        _fresh(self.varieties, "variety", name)
+        _fresh(self.atoms, "morphism", proj, sect)
         self.variety(name, b.dim + rank, b.smooth)
         self.morphism(proj, name, base, kind="bundle-projection")
         self.morphism(sect, base, name, kind="zero-section", codim=rank)
@@ -273,10 +296,7 @@ class GeometryContext:
         return name
 
     def need_bundle(self, name) -> Bundle:
-        try:
-            return self.bundles[name]
-        except KeyError:
-            raise GeometryError(f"unknown bundle {name!r}") from None
+        return _need(self.bundles, name, "bundle")
 
     def pairing(self, name) -> FourierData:
         """The pairing declared on bundle `name`; a GeometryError when
@@ -300,15 +320,20 @@ class GeometryContext:
             raise GeometryError(f"{b1} and {b2} have different ranks")
         if b1 in self.fourier or b2 in self.fourier:
             raise GeometryError("bundle already paired")
+        _fresh(self.varieties, "variety", product)
+        _fresh(self.atoms, "morphism", p1, p2)
+        new_line = line not in self.varieties and line != product
+        if not new_line and (coord not in self.functions
+                             or self.functions[coord][0] != line):
+            raise GeometryError(f"line {line!r} exists but {coord!r} is not its coordinate")
+        _fresh(self.atoms, "morphism", pairing, taken=(p1, p2))
         base = self.varieties[v1.base]
         self.variety(product, base.dim + 2 * v1.rank, base.smooth)
         self.morphism(p1, product, b1, kind="projection", factor=1)
         self.morphism(p2, product, b2, kind="projection", factor=2)
-        if line not in self.varieties:
+        if new_line:
             self.variety(line, base.dim + 1, base.smooth)
             self.functions[coord] = (line, None)
-        elif coord not in self.functions or self.functions[coord][0] != line:
-            raise GeometryError(f"line {line!r} exists but {coord!r} is not its coordinate")
         self.morphism(pairing, product, line, kind="pairing")
         self.fourier[b1] = FourierData(b1, b2, product, p1, p2, pairing, line, coord)
         self.fourier[b2] = FourierData(b2, b1, product, p2, p1, pairing, line, coord)
@@ -337,6 +362,8 @@ class GeometryContext:
                 raise GeometryError(
                     f"fiber product {name!r}: negative dimension {dim} "
                     f"(dim {x} + dim {y} - dim {base})")
+        _fresh(self.varieties, "variety", name)
+        _fresh(self.atoms, "morphism", q1, q2)
         self.variety(name, dim, vx.smooth and vy.smooth)
         self.morphism(q1, name, x, kind="projection", factor=1)
         self.morphism(q2, name, y, kind="projection", factor=2)
@@ -346,8 +373,7 @@ class GeometryContext:
         return name
 
     def square(self, name, f, h, f_prime, h_prime):
-        if name in self.squares:
-            raise GeometryError(f"square {name!r} already declared")
+        _fresh(self.squares, "square", name)
         af, ah = self.need_atom(f), self.need_atom(h)
         afp, ahp = self.need_atom(f_prime), self.need_atom(h_prime)
         if af.target != ah.target:
@@ -368,8 +394,7 @@ class GeometryContext:
         of an embedding atom into the ambient, it is that atom's image
         (stored as `Subvariety.image_of`): its codimension defaults to
         dim ambient - dim source and its smoothness to the source's."""
-        if name in self.subvarieties:
-            raise GeometryError(f"subvariety {name!r} already declared")
+        _fresh(self.subvarieties, "subvariety", name)
         amb = self.need_variety(ambient)
         if image:
             atom = self.need_atom(image)
@@ -388,44 +413,54 @@ class GeometryContext:
         _check_codim(f"subvariety {name!r}", codim, amb)
         if smooth is None:
             smooth = True
-        self.subvarieties[name] = Subvariety(name, ambient, codim, smooth,
-                                             reduced, image)
+        sv = Subvariety(name, ambient, codim, smooth, reduced, image)
+        self._facts([(a, b, name) for a, b in caps],
+                    [(m, name, result) for m, result in preimages], sv)
+        self.subvarieties[name] = sv
         if image:
             self.images[image] = name
-        for a, b in caps:
-            self.cap_fact(a, b, name)
-        for morphism_name, result in preimages:
-            self.pre_fact(morphism_name, name, result)
         return name
 
     def need_subvariety(self, name) -> Subvariety:
-        try:
-            return self.subvarieties[name]
-        except KeyError:
-            raise GeometryError(f"unknown subvariety {name!r}") from None
+        return _need(self.subvarieties, name, "subvariety")
 
     def cap_fact(self, a, b, result):
         """Record that a and b meet in result, all in one ambient."""
-        ambients = {self.need_subvariety(z).ambient for z in (a, b, result)}
-        if len(ambients) != 1:
-            raise GeometryError(f"cap {a} {b} as {result} spans the "
-                                f"ambients {', '.join(sorted(ambients))}")
-        self.cap_facts[frozenset((a, b))] = result
+        self._facts([(a, b, result)], ())
 
     def pre_fact(self, morphism_name, sub, result):
         """Record that the preimage of sub along the map is result."""
-        atom = self.need_atom(morphism_name)
-        if self.need_subvariety(sub).ambient != atom.target:
-            raise GeometryError(f"{morphism_name} does not land in the "
-                                f"ambient of {sub}")
-        if self.need_subvariety(result).ambient != atom.source:
-            raise GeometryError(f"{result} does not lie in the source of "
-                                f"{morphism_name}")
-        self.pre_facts[((morphism_name,), sub)] = result
+        self._facts((), [(morphism_name, sub, result)])
+
+    def _facts(self, caps, preimages, new=None):
+        """Check every cap fact (a, b, result) and preimage fact (map, sub,
+        result), then record them all.  They may name `new`, a
+        subvariety not declared yet."""
+        def ambient(z):
+            if new is not None and z == new.name:
+                return new.ambient
+            return self.need_subvariety(z).ambient
+
+        for a, b, result in caps:
+            ambients = {ambient(z) for z in (a, b, result)}
+            if len(ambients) != 1:
+                raise GeometryError(f"cap {a} {b} as {result} spans the "
+                                    f"ambients {', '.join(sorted(ambients))}")
+        for morphism_name, sub, result in preimages:
+            atom = self.need_atom(morphism_name)
+            if ambient(sub) != atom.target:
+                raise GeometryError(f"{morphism_name} does not land in the "
+                                    f"ambient of {sub}")
+            if ambient(result) != atom.source:
+                raise GeometryError(f"{result} does not lie in the source of "
+                                    f"{morphism_name}")
+        for a, b, result in caps:
+            self.cap_facts[frozenset((a, b))] = result
+        for morphism_name, sub, result in preimages:
+            self.pre_facts[((morphism_name,), sub)] = result
 
     def function(self, name, variety, definition=None):
-        if name in self.functions:
-            raise GeometryError(f"function {name!r} already declared")
+        _fresh(self.functions, "function", name)
         self.need_variety(variety)
         if definition is not None:
             got = self.func_variety(definition)
@@ -437,8 +472,7 @@ class GeometryContext:
         return name
 
     def object_(self, name, variety):
-        if name in self.objects:
-            raise GeometryError(f"object {name!r} already declared")
+        _fresh(self.objects, "object", name)
         self.need_variety(variety)
         self.objects[name] = variety
         return name
@@ -593,28 +627,29 @@ class GeometryContext:
     # -- function normal forms ------------------------------------------
 
     def normalize_func(self, f):
-        base, m = self._func_flatten(f)
-        m = self.normalize_morphism(m)
+        base, atoms, source, target = self._func_flatten(f)
+        m = self.normalize_morphism(Morphism(atoms, source, target))
         if self.is_identity(m):
             return FuncName(base)
         return FuncPull(FuncName(base), m)
 
     def _func_flatten(self, f):
-        """Resolve aliases and collapse nested pullbacks to (atom, map)."""
+        """Resolve aliases and collapse nested pullbacks: (base function,
+        the atoms of the map it is pulled back along, outermost first,
+        that map's source, its target)."""
         if isinstance(f, FuncName):
-            if f.name not in self.functions:
-                raise GeometryError(f"unknown function {f.name!r}")
-            variety, definition = self.functions[f.name]
+            variety, definition = _need(self.functions, f.name, "function")
             if definition is None:
-                return f.name, self.identity(variety)
+                return f.name, (), variety, variety
             return self._func_flatten(definition)
         if isinstance(f, FuncPull):
-            base, m = self._func_flatten(f.arg)
-            if m.source != f.morphism.target:
+            base, atoms, source, target = self._func_flatten(f.arg)
+            m = f.morphism
+            if source != m.target:
                 raise GeometryError(
-                    f"pullback of a function on {m.source} along a map into "
-                    f"{f.morphism.target}")
-            return base, self.compose(m, f.morphism)
+                    f"pullback of a function on {source} along a map into "
+                    f"{m.target}")
+            return base, atoms + m.atoms, m.source, target
         raise GeometryError(f"not a function expression: {f!r}")
 
     def funcs_equal(self, a, b) -> bool:
@@ -622,9 +657,9 @@ class GeometryContext:
 
     def func_variety(self, f) -> str:
         """The variety f lives on: the source of the map its flattened
-        pullback is taken along, so one walk checks f as
-        `normalize_func` does."""
-        return self._func_flatten(f)[1].source
+        pullback is taken along, read off the walk that checks f for
+        `normalize_func`, with no map built."""
+        return self._func_flatten(f)[2]
 
 
 # --- stable keys for hashing/sorting normalized expressions ----------------

@@ -8,10 +8,12 @@ a step beyond its rule's matching: the exclusions, the step's strata need
 (`step_stratum`), and that the replacement is well-formed on the
 subterm's own variety.  Every rule is an isomorphism on one variety, and
 a node's variety depends only on its children's, so a step that passes
-keeps a well-formed term well-formed.  A refusal is a `RuleError`.
-`apply_step` is `rewrite` on a whole term: it navigates to the path,
-splices the replacement in and folds the delta into the root shift (the
-caller ledgers it).
+keeps a well-formed term well-formed.  A refusal is the one `Fail`,
+`GeometryError` or `TermError` raised.  `apply_step` is `rewrite` on a
+whole term: it navigates to the path, splices the replacement in and
+folds the delta into the root shift (the caller ledgers it).  It is the
+one place that turns a refusal, of the path or of the rule, into a
+`RuleError` at the step's path.
 
 Matching tolerances, applied deterministically:
 
@@ -28,10 +30,8 @@ Matching tolerances, applied deterministically:
 Each applier also names the step undoing it, read off the subterm it
 rewrote.  Each rule's `RULES` row says where a search tries it: per
 direction (and law), a node shape and candidate bindings.  `Moves` tries
-each candidate once and keeps the accepted moves per subterm for one
-search.  It tries them through `_rewrite`, which is `rewrite` refusing
-with the one `Fail`, `GeometryError` or `TermError` raised, so that a
-refused candidate costs one exception, not a second `RuleError`.  An
+each candidate once through `rewrite`, so a refused candidate costs one
+exception, and keeps the accepted moves per subterm for one search.  An
 undo may land on a raw form other than the original; `Moves` checks,
 once per move.
 """
@@ -63,6 +63,7 @@ from .terms import (
     Tensor,
     hoist_shifts,
     navigate,
+    normal_key,
     normalize,
     replace,
     serialize,
@@ -426,11 +427,11 @@ def _r12(ctx, sub, direction, b, mode):
         raise Fail("need a pushforward of a tensor")
     if not ctx.morphisms_equal(sub.morphism, p_dual):
         raise Fail("pushforward is not along the dual projection")
-    want = serialize(normalize(ctx, kernel))
+    want = normal_key(ctx, kernel)
     for first, second, _sw in _orderings(sub.arg):
         if (isinstance(first, Opb)
                 and ctx.morphisms_equal(first.morphism, p_self)
-                and serialize(normalize(ctx, second)) == want):
+                and normal_key(ctx, second) == want):
             return Fourier(bundle, first.arg), 0
     raise Fail("factors do not match the transform kernel shape")
 
@@ -495,12 +496,18 @@ def _r15(ctx, sub, direction, b, mode):
     return Oim(ctx.transpose_morphism(u), Fourier(u.target, sub.arg.arg)), 0
 
 
+def _zero_section(ctx, b):
+    """R16's and R17's data: the cited bundle, its dual, the dual's zero
+    section and the bundle's projection."""
+    bundle = _get(b, "bundle", str, "a bundle name")
+    dual = ctx.pairing(bundle).dual
+    return (bundle, dual, ctx.composite(ctx.bundles[dual].sect),
+            ctx.composite(ctx.bundles[bundle].proj))
+
+
 @_other_way
 def _r16(ctx, sub, direction, b, mode):
-    bundle = _get(b, "bundle", str, "a bundle name")
-    data = ctx.pairing(bundle)
-    sect = ctx.composite(ctx.bundles[data.dual].sect)
-    proj = ctx.composite(ctx.bundles[bundle].proj)
+    bundle, _dual, sect, proj = _zero_section(ctx, b)
     if direction == "fwd":
         if not isinstance(sub, Oim):
             raise Fail("need a pushforward")
@@ -517,19 +524,16 @@ def _r16(ctx, sub, direction, b, mode):
 
 @_other_way
 def _r17(ctx, sub, direction, b, mode):
-    bundle = _get(b, "bundle", str, "a bundle name")
-    data = ctx.pairing(bundle)
-    sect = ctx.composite(ctx.bundles[data.dual].sect)
-    proj = ctx.composite(ctx.bundles[bundle].proj)
+    bundle, dual, sect, proj = _zero_section(ctx, b)
     if direction == "fwd":
         if not isinstance(sub, Opb):
             raise Fail("need a pullback")
         if not ctx.morphisms_equal(sub.morphism, sect):
             raise Fail("map is not the dual zero section")
-        return Oim(proj, Fourier(data.dual, sub.arg)), 0
+        return Oim(proj, Fourier(dual, sub.arg)), 0
     if not (isinstance(sub, Oim) and isinstance(sub.arg, Fourier)
-            and sub.arg.bundle == data.dual):
-        raise Fail(f"need a pushforward of a transform along {data.dual}")
+            and sub.arg.bundle == dual):
+        raise Fail(f"need a pushforward of a transform along {dual}")
     if not ctx.morphisms_equal(sub.morphism, proj):
         raise Fail("pushforward is not along the bundle projection")
     return Opb(sect, sub.arg.arg), 0
@@ -663,7 +667,7 @@ def _lemma(ctx, sub, direction, name, lemmas):
     src, dst = (lhs, rhs) if direction == "fwd" else (rhs, lhs)
     s_core, s_k = split_shift(normalize(ctx, src))
     d_core, d_k = split_shift(normalize(ctx, dst))
-    if serialize(normalize(ctx, sub)) != serialize(s_core):
+    if normal_key(ctx, sub) != serialize(s_core):
         raise Fail(f"subterm does not match lemma {name}")
     raw_core, _raw_k = hoist_shifts(dst)
     return raw_core, d_k - s_k, ("bwd" if direction == "fwd" else "fwd", {})
@@ -699,6 +703,18 @@ def _tower(moves, sub):
     return range(1, k + 1)
 
 
+def _negated(moves, sub):
+    """The paired bundles, in name order, with a declared negation."""
+    return [b for b in moves.names["bundle"] if b in moves.ctx.negations]
+
+
+def _paired_with(moves, sub):
+    """The bundle paired with the one the written transform is along: a
+    bundle is paired at most once."""
+    data = moves.ctx.fourier.get(sub.arg.bundle)
+    return (data.dual,) if data else ()
+
+
 def _dual_section_of(moves, sub):
     """The bundles, in name order, whose dual's zero section is the written
     map (as `ctx.morphisms_equal` decides)."""
@@ -730,17 +746,14 @@ RULES = {
                       "bwd": Offer(Oim, Tensor, "bundle")}),
     "R13": (0, _r13, {"fwd": Offer(Fourier, Fourier, "bundle",
                                    lambda m, s: (s.arg.bundle,)),
-                      "bwd": Offer(Opb, None, "bundle",
-                                   lambda m, s: m.negated)}),
+                      "bwd": Offer(Opb, None, "bundle", _negated)}),
     "R14": (1, _r14, {"fwd": Offer(Fourier, Oim), "bwd": Offer(Opb, Fourier)}),
     "R15": (1, _r15, {"fwd": Offer(Oim, Fourier), "bwd": Offer(Fourier, Opb)}),
     "R16": (0, _r16, {"fwd": Offer(Oim, None, "bundle", _dual_section_of),
                       "bwd": Offer(Fourier, Opb, "bundle",
                                    lambda m, s: (s.bundle,))}),
     "R17": (0, _r17, {"fwd": Offer(Opb, None, "bundle", _dual_section_of),
-                      "bwd": Offer(Oim, Fourier, "bundle",
-                                   lambda m, s: m.paired_with.get(
-                                       s.arg.bundle, ()))}),
+                      "bwd": Offer(Oim, Fourier, "bundle", _paired_with)}),
     "R18": (0, _r18, {"fwd": Offer(RGamma), "bwd": Offer(RGamma, None, "sub")}),
     "R19": (0, _r19, {
         ("fwd", "opb_id"): Offer(Opb),
@@ -771,7 +784,7 @@ class Moves:
     it meets, each with the step undoing it.
 
     Called on a subterm, tries every candidate of each `RULES` row offered
-    at its node, in rule order, once through `_rewrite` under the search's
+    at its node, in rule order, once through `rewrite` under the search's
     gates, and yields those accepted as ``(rule, direction, bindings, undo
     direction, undo bindings, replacement, delta)``; a move and its undo
     are always the same rule.  `rows` keeps them per serialized subterm,
@@ -797,17 +810,13 @@ class Moves:
         self.names = {"bundle": sorted(ctx.fourier),
                       "square": sorted(ctx.squares),
                       "sub": [SubName(n) for n in sorted(ctx.subvarieties)]}
-        self.negated = [b for b in self.names["bundle"] if b in ctx.negations]
-        # R16 and R17 run forward only along a dual's zero section and
-        # backward only at a transform along the dual: each bundle by the
-        # normal form of that section, and by its dual
+        # R16 and R17 run forward only along a dual's zero section: each
+        # bundle by the normal form of that section
         self.dual_sections = {}
-        self.paired_with = {}
         for b in self.names["bundle"]:
             dual = ctx.fourier[b].dual
             sect = ctx.normalize_morphism(ctx.composite(ctx.bundles[dual].sect))
             self.dual_sections.setdefault(sect, []).append(b)
-            self.paired_with.setdefault(dual, []).append(b)
         # both orders of the two members of each declared intersection
         orders = []
         for members in sorted(ctx.cap_facts, key=sorted):
@@ -839,7 +848,7 @@ class Moves:
             for b in found:
                 b = {"law": law, **b} if law else dict(b)
                 try:
-                    new, delta, (ud, ub) = _rewrite(
+                    new, delta, (ud, ub) = rewrite(
                         self.ctx, sub, name, direction, b, **self.gates)
                 except _REFUSALS:
                     continue
@@ -867,8 +876,8 @@ class Moves:
         if verdict is None:
             rule, _d, _b, ud, ub, new, delta, *_ = self._rows[key][i]
             try:
-                back, back_delta, _undo = _rewrite(self.ctx, new, rule, ud, ub,
-                                                   **self.gates)
+                back, back_delta, _undo = rewrite(self.ctx, new, rule, ud, ub,
+                                                  **self.gates)
             except _REFUSALS:
                 verdict = False
             else:
@@ -885,16 +894,19 @@ def step_stratum(ctx, rule, bindings):
     return RULES[rule][0]
 
 
-# what `_rewrite` raises when it refuses a step
+# what `rewrite` raises when it refuses a step
 _REFUSALS = (Fail, GeometryError, TermError)
 
 
-def _rewrite(ctx, sub, rule, direction, bindings=None, *,
-             mode="strict-smooth", allowed_strata=1, excluded=frozenset(),
-             lemmas=None):
-    """`rewrite`, with a refusal left as the `Fail`, `GeometryError` or
-    `TermError` raised, so that `Moves` pays one exception per refused
-    candidate."""
+def rewrite(ctx, sub, rule, direction, bindings=None, *,
+            mode="strict-smooth", allowed_strata=1, excluded=frozenset(),
+            lemmas=None):
+    """Apply one rewrite to a well-formed subterm, in place: (replacement,
+    delta, undo), the undo a (direction, bindings) of the same rule.
+
+    Checks the gates (exclusions, the step's strata need), the rule itself
+    and that the replacement is well-formed on the subterm's own variety;
+    a refusal is the one `Fail`, `GeometryError` or `TermError` raised."""
     if direction not in ("fwd", "bwd"):
         raise Fail(f"bad direction {direction!r}")
     # a copy: an applier may hand its bindings back as its undo's, which
@@ -923,38 +935,19 @@ def _rewrite(ctx, sub, rule, direction, bindings=None, *,
     return new, delta, undo
 
 
-def rewrite(ctx, sub, rule, direction, bindings=None, *,
-            mode="strict-smooth", allowed_strata=1, excluded=frozenset(),
-            lemmas=None):
-    """Apply one rewrite to a well-formed subterm, in place: (replacement,
-    delta, undo), the undo a (direction, bindings) of the same rule.
-
-    Checks the gates (exclusions, the step's strata need), the rule itself
-    and that the replacement is well-formed on the subterm's own variety;
-    a refusal is a RuleError at the empty path."""
-    try:
-        return _rewrite(ctx, sub, rule, direction, bindings, mode=mode,
-                        allowed_strata=allowed_strata, excluded=excluded,
-                        lemmas=lemmas)
-    except _REFUSALS as e:
-        raise RuleError(rule, (), str(e)) from None
-
-
 def apply_step(ctx, term, rule, direction, path, bindings=None, *,
                mode="strict-smooth", allowed_strata=1,
                excluded=frozenset(), lemmas=None):
     """Apply one rewrite to a well-formed, shift-canonical term (as
-    `certificates.check_certificate` establishes); returns (term, delta)."""
+    `certificates.check_certificate` establishes); returns (term, delta).
+    A path that names no subterm, or a refusal of the rule, is a
+    RuleError at `path`."""
     path = tuple(path)
     core, root_k = split_shift(term)
     try:
-        sub = navigate(core, path)
-    except TermError as e:
-        raise RuleError(rule, path, str(e)) from None
-    try:
         new_sub, delta, _undo = rewrite(
-            ctx, sub, rule, direction, bindings, mode=mode,
+            ctx, navigate(core, path), rule, direction, bindings, mode=mode,
             allowed_strata=allowed_strata, excluded=excluded, lemmas=lemmas)
-    except RuleError as e:
-        raise RuleError(rule, path, e.reason) from None
+    except _REFUSALS as e:
+        raise RuleError(rule, path, str(e)) from None
     return with_shift(replace(core, path, new_sub), root_k + delta), delta

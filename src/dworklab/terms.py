@@ -390,5 +390,11 @@ def _norm(ctx, t):
     raise TermError(f"not a shift-free term: {t!r}")
 
 
+def normal_key(ctx, t) -> str:
+    """The serialization of t's normal form: two terms are equal in
+    normal form exactly when their keys are."""
+    return serialize(normalize(ctx, t))
+
+
 def equal_normal(ctx, a, b) -> bool:
-    return serialize(normalize(ctx, a)) == serialize(normalize(ctx, b))
+    return normal_key(ctx, a) == normal_key(ctx, b)

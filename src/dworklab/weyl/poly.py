@@ -161,20 +161,22 @@ def graded_monomials(nvars, d):
     return out
 
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
+_SPACE = re.compile(r"\s*")
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()]")
 
 
 def _tokenize(text):
-    pos = 0
+    """The tokens of `text`, with the whitespace around them skipped; a
+    character that starts no token is refused at its offset."""
     out = []
+    pos = _SPACE.match(text).end()
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
             raise ParseError(f"bad character {text[pos]!r} in polynomial at "
                              f"offset {pos}")
-        tok = m.group(1)
-        out.append(tok)
-        pos = m.end()
+        out.append(m.group())
+        pos = _SPACE.match(text, m.end()).end()
     return out
 
 

@@ -56,12 +56,22 @@ the engine:
   h^4_Z = h^2(Z) counts the spheres, and the supported table is
   {2: 1, 4: ν - Σ μ_p}.  The Σ μ_p of each input is worked out by hand
   in the docstring of the test that checks it.
+* Both sides, four variables, read off the recorded documents of
+  `tests/golden/`.  The complement of x1*x2*x3*x4 = 0 is the torus
+  (C*)^4, with h^k(U) = C(4, k), so the supported table is
+  {k + 1: C(4, k) : 1 <= k <= 4} = {2: 4, 3: 6, 4: 4, 5: 1}.  For
+  f = sum_i x_i^{a_i} in four variables the Milnor fibre M is a bouquet
+  of three-spheres, and the Wang sequence above gives h^0(U) = h^1(U) = 1,
+  h^2(U) = 0 and h^3(U) = h^4(U) = I, so the supported table is
+  {2: 1, 4: I, 5: I}; I = 6 for the Fermat cubic, a_i = 3.
 """
 
+import json
+import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, prod
+from math import comb, gcd, prod
 
 from dworklab import dwork_compare, parse_poly, twisted_cohomology
 from dworklab.weyl.compare import dwork_twist
@@ -289,3 +299,25 @@ def test_twisted_table_of_a_tame_fibre_is_its_reduced_newton_number():
         assert _newton_number_3(f) == nu, text
         dims = twisted_cohomology(dwork_twist([f])).dims
         assert _nonzero(dims) == {2: 1, 4: nu - milnor}, text
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def _recorded(name):
+    """The supported and twisted tables of a recorded `dwork-check`
+    document, zero entries dropped; the document must report a match."""
+    doc = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    assert doc["match"] is True and doc["inconclusive"] is False, name
+    return tuple(_nonzero({int(k): v for k, v in doc[side]["dims"].items()})
+                 for side in ("supports", "twisted"))
+
+
+def test_four_variable_tables_are_their_closed_forms():
+    torus = {k + 1: comb(4, k) for k in range(1, 5)}
+    assert torus == {2: 4, 3: 6, 4: 4, 5: 1}
+    assert _recorded("dwork-check-x1x2x3x4.json") == (torus, torus)
+    inv = _invariant_count((3, 3, 3, 3))
+    assert inv == 6
+    cubes = {2: 1, 4: inv, 5: inv}
+    assert _recorded("dwork-check-cubes4.json") == (cubes, cubes)

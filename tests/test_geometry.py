@@ -1,5 +1,7 @@
 """Declaration registry, morphism normal forms, and subvariety algebra."""
 
+import copy
+
 import pytest
 
 from dworklab.errors import GeometryError
@@ -125,6 +127,70 @@ def test_a_refused_negation_declares_nothing():
     assert ctx.atoms == before
     ctx.morphism("n", "X", "X", kind="negation")
     assert ctx.negations == {"X": "n"}
+
+
+def _registries(ctx):
+    return {k: copy.deepcopy(v) for k, v in vars(ctx).items()
+            if not k.startswith("_")}
+
+
+def _declared():
+    ctx = GeometryContext()
+    ctx.variety("X", 2)
+    ctx.variety("Y", 1)
+    ctx.morphism("taken", "X", "Y")
+    ctx.bundle("V", "X", 1, proj="pv", sect="iv")
+    ctx.bundle("Vd", "X", 1, proj="pvd", sect="ivd")
+    ctx.subvariety("A", "X", codim=1)
+    ctx.subvariety("B", "X", codim=1)
+    return ctx
+
+
+# (refused declaration, its reason, the same names declared as accepted):
+# each refusal comes after the declaration's first write used to
+REFUSED = {
+    "morphism": (
+        lambda ctx: ctx.morphism("h", "X", "X", kind="negation",
+                                 transpose="ht",
+                                 identities=((("h", "h"), ()),
+                                             (("nosuch",), ()))),
+        "unknown morphism 'nosuch'",
+        lambda ctx: ctx.morphism("h", "X", "X", kind="negation",
+                                 transpose="ht",
+                                 identities=((("h", "h"), ()),))),
+    "bundle": (
+        lambda ctx: ctx.bundle("E", "X", 1, proj="taken", sect="zE"),
+        "morphism 'taken' already declared",
+        lambda ctx: ctx.bundle("E", "X", 1, proj="pE", sect="zE")),
+    "product": (
+        lambda ctx: ctx.product("P", "X", "Y", "q1", "taken"),
+        "morphism 'taken' already declared",
+        lambda ctx: ctx.product("P", "X", "Y", "q1", "q2")),
+    "fourier_pair": (
+        lambda ctx: ctx.fourier_pair("V", "Vd", "VVd", "p1", "p2", "taken",
+                                     "L", "t"),
+        "morphism 'taken' already declared",
+        lambda ctx: ctx.fourier_pair("V", "Vd", "VVd", "p1", "p2", "gam",
+                                     "L", "t")),
+    "subvariety": (
+        lambda ctx: ctx.subvariety("C", "X", codim=1,
+                                   caps=(("A", "B"), ("A", "nosuch"))),
+        "unknown subvariety 'nosuch'",
+        lambda ctx: ctx.subvariety("C", "X", codim=1, caps=(("A", "B"),))),
+}
+
+
+@pytest.mark.parametrize("kind", REFUSED)
+def test_a_refused_declaration_writes_nothing(kind):
+    refused, reason, accepted = REFUSED[kind]
+    ctx = _declared()
+    before = _registries(ctx)
+    with pytest.raises(GeometryError) as exc:
+        refused(ctx)
+    assert str(exc.value) == reason
+    assert _registries(ctx) == before
+    accepted(ctx)
+    assert _registries(ctx) != before
 
 
 def test_identity_morphism(dwork):

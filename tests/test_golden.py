@@ -20,9 +20,16 @@ output.  `collapse.dwk` is the bundled script without its `goal`, `step`
 and `closure` lines, plus the support-collapse goal (the `collapse_text`
 fixture).
 
+The four-variable inputs `x1*x2*x3*x4` (dwork-check-x1x2x3x4.json) and
+`x1^3+x2^3+x3^3+x4^3` (dwork-check-cubes4.json) were recorded with the
+engine as it stood after both changes above, at about 1 s each;
+`tests/test_closed_forms.py` checks their tables against closed forms by
+reading these documents, so no ladder runs twice.
+
 The CI workflow also compares `x*y*z` (dwork-check-xyz.json), `x, y, x+y`,
-`x^2+y^3+z^6` and `x^3+y^3+z^3` (each under a 10 s timeout),
-`verify-paper` and the machine-output search from the shell.
+`x^2+y^3+z^6` and `x^3+y^3+z^3` (each under a 10 s timeout), the two
+four-variable inputs (each under a 20 s timeout), `verify-paper` and the
+machine-output search from the shell.
 """
 
 import pathlib
@@ -54,6 +61,8 @@ CASES = [
     (["--f", "x", "--f", "y", "--f", "x+y"], "dwork-check-x_y_x+y.json", 0),
     (["--f", "x^3+y^3+z^3"], "dwork-check-x3+y3+z3.json", 0),
     (["--f", "x^2+y^3+z^6"], "dwork-check-x2+y3+z6.json", 0),
+    (["--f", "x1*x2*x3*x4"], "dwork-check-x1x2x3x4.json", 0),
+    (["--f", "x1^3+x2^3+x3^3+x4^3"], "dwork-check-cubes4.json", 0),
 ]
 
 

@@ -397,6 +397,28 @@ def test_unknown_rule_and_bad_path(dwork):
         _step(dwork, Struct("X"), "R1", "sideways")
 
 
+def test_a_refusal_below_the_root_names_the_step_path(dwork):
+    # one step refused by its rule at /0, one at a path past a leaf; the
+    # RuleError and the checker's reason both name the step's own path
+    pi = dwork.composite("pi")
+    core = Oim(pi, Opb(pi, Var("M", "X")))
+    cases = [((0,), "R6 at /0: need a supported term"),
+             ((0, 0, 0), "R6 at /0/0/0: no child 0 at /0/0 in M@X")]
+    for term in (core, Shift(core, 2)):
+        for path, message in cases:
+            with pytest.raises(RuleError) as exc:
+                _step(dwork, term, "R6", "fwd", path=path)
+            assert exc.value.path == path
+            assert str(exc.value) == message
+            cert = ProofCertificate(name="below", goal_lhs=term,
+                                    goal_rhs=term,
+                                    steps=(ProofStep("R6", "fwd", path),))
+            rep = check_certificate(dwork, cert)
+            assert rep.status == "invalid"
+            assert rep.reason == f"step 1 failed: {message}"
+            assert rep.steps[0].path == path
+
+
 def test_excluded_rules_are_rejected(dwork):
     term = RGamma(SubName("S"), Var("M", "X"))
     with pytest.raises(RuleError, match="excluded"):

@@ -268,7 +268,7 @@ def test_one_move_table_per_prove(monkeypatch):
             super().__init__(*args)
             tables.append(self)
 
-    real = rules._rewrite
+    real = rules.rewrite
 
     def counting(*args, **kwargs):
         try:
@@ -280,7 +280,7 @@ def test_one_move_table_per_prove(monkeypatch):
         return found
 
     monkeypatch.setattr(search, "Moves", CountingTable)
-    monkeypatch.setattr(rules, "_rewrite", counting)
+    monkeypatch.setattr(rules, "rewrite", counting)
     res = _search(ctx, cert.goal_lhs, cert.goal_rhs, 7, cert)
     # not found: the direct search and every closure retry ran on one table
     assert not res.found

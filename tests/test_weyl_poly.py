@@ -44,6 +44,17 @@ def test_parse_errors():
         parse_poly("x ^ y", XY)
 
 
+def test_whitespace_around_a_polynomial_is_ignored():
+    assert parse_poly("x^2+y^3 ", XY) == parse_poly("x^2+y^3", XY)
+    assert parse_poly(" \tx^2+y^3\n ", XY) == parse_poly("x^2+y^3", XY)
+    for blank in ("", "   ", "\t\n"):
+        with pytest.raises(ParseError, match="^polynomial ended unexpectedly$"):
+            parse_poly(blank, XY)
+    with pytest.raises(ParseError, match="bad character '@' in polynomial at "
+                                         "offset 4"):
+        parse_poly("x + @ ", XY)
+
+
 def test_nesting_is_bounded_and_sign_runs_are_read_in_a_loop():
     x = parse_poly("x", XY)
     assert parse_poly("(" * 100 + "x" + ")" * 100, XY) == x
