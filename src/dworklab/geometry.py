@@ -10,6 +10,7 @@ rewriting of terms elsewhere never mutates raw data based on these facts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import GeometryError
 
@@ -199,7 +200,9 @@ class GeometryContext:
         """Declare an atom; `identities` are (lhs, rhs) pairs of atom
         names, outermost first, declared after it (see
         `declare_identity`).  They may name the atom, so they are checked
-        with it in place, and a refused one takes it back."""
+        with it in place, and a refused one takes it back.  A source has
+        one projection to each factor; a variety's first negation and
+        diagonal are the ones indexed."""
         _fresh(self.atoms, "morphism", name)
         self.need_variety(source)
         tgt = self.need_variety(target)
@@ -209,6 +212,10 @@ class GeometryContext:
         if kind == "projection" and factor not in (1, 2):
             raise GeometryError(
                 f"morphism {name!r}: projection factor {factor} is not 1 or 2")
+        if kind == "projection" and (source, factor) in self.projections:
+            raise GeometryError(
+                f"morphism {name!r}: {source} already has projection "
+                f"{factor}, {self.projections[(source, factor)]!r}")
         if kind == "negation" and source != target:
             raise GeometryError(f"negation {name!r} must be an endomap")
         self.atoms[name] = MorphismAtom(name, kind, source, target, codim,
@@ -307,10 +314,13 @@ class GeometryContext:
             raise GeometryError(f"bundle {name!r} has no declared pairing") from None
 
     def fourier_pair(self, b1, b2, product, p1, p2, pairing, line, coord):
-        """Pair two bundles over one base, with the product and pairing data.
+        """Pair two bundles over one base: their fiber product over it,
+        declared as `product` declares it, and the pairing from it to the
+        line, the total space of the trivial line bundle over the base.
 
-        The line variety and its coordinate function may be shared between
-        pairs over the same base; everything else must be fresh.
+        The line and its coordinate function may be shared between pairs
+        over the same base; a new line's coordinate must be a fresh
+        function name, and everything else must be fresh.
         """
         v1 = self.need_bundle(b1)
         v2 = self.need_bundle(b2)
@@ -320,24 +330,20 @@ class GeometryContext:
             raise GeometryError(f"{b1} and {b2} have different ranks")
         if b1 in self.fourier or b2 in self.fourier:
             raise GeometryError("bundle already paired")
-        _fresh(self.varieties, "variety", product)
-        _fresh(self.atoms, "morphism", p1, p2)
         new_line = line not in self.varieties and line != product
-        if not new_line and (coord not in self.functions
-                             or self.functions[coord][0] != line):
+        if new_line:
+            _fresh(self.functions, "function", coord)
+        elif self.functions.get(coord, ("",))[0] != line:
             raise GeometryError(f"line {line!r} exists but {coord!r} is not its coordinate")
         _fresh(self.atoms, "morphism", pairing, taken=(p1, p2))
-        base = self.varieties[v1.base]
-        self.variety(product, base.dim + 2 * v1.rank, base.smooth)
-        self.morphism(p1, product, b1, kind="projection", factor=1)
-        self.morphism(p2, product, b2, kind="projection", factor=2)
+        self.product(product, b1, b2, p1, p2, base=v1.base)
         if new_line:
+            base = self.varieties[v1.base]
             self.variety(line, base.dim + 1, base.smooth)
-            self.functions[coord] = (line, None)
+            self.function(coord, line)
         self.morphism(pairing, product, line, kind="pairing")
         self.fourier[b1] = FourierData(b1, b2, product, p1, p2, pairing, line, coord)
         self.fourier[b2] = FourierData(b2, b1, product, p2, p1, pairing, line, coord)
-        self.product_factors[product] = (b1, b2)
 
     def product(self, name, x, y, q1, q2, base=""):
         """Product of two varieties with its projections q1, q2.  Given a
@@ -393,7 +399,8 @@ class GeometryContext:
         the map (see `cap_fact` and `pre_fact`).  Given `image`, the name
         of an embedding atom into the ambient, it is that atom's image
         (stored as `Subvariety.image_of`): its codimension defaults to
-        dim ambient - dim source and its smoothness to the source's."""
+        dim ambient - dim source and its smoothness to the source's.  An
+        embedding has one image: a second is refused."""
         _fresh(self.subvarieties, "subvariety", name)
         amb = self.need_variety(ambient)
         if image:
@@ -403,6 +410,9 @@ class GeometryContext:
                     f"{image} does not land in {ambient}")
             if atom.kind not in EMBEDDING_KINDS:
                 raise GeometryError(f"{image} is not an embedding")
+            if image in self.images:
+                raise GeometryError(
+                    f"{image} already has the image {self.images[image]!r}")
             src = self.varieties[atom.source]
             if codim is None:
                 codim = amb.dim - src.dim
@@ -492,31 +502,25 @@ class GeometryContext:
         return Morphism(atoms, m.source, m.target)
 
     def _rewrite_atoms(self, atoms):
-        atoms = list(atoms)
         budget = _REWRITE_CAP * (len(atoms) + 1)
-        changed = True
-        while changed and budget > 0:
-            changed = False
-            for i in range(len(atoms) - 1):
-                if atoms[i] == atoms[i + 1] and \
-                        self.atoms[atoms[i]].kind == "negation":
-                    del atoms[i:i + 2]
-                    changed = True
-                    break
-            if changed:
-                budget -= 1
-                continue
-            for lhs, rhs in self.identities:
-                n = len(lhs)
-                for i in range(len(atoms) - n + 1):
-                    if tuple(atoms[i:i + n]) == lhs:
-                        atoms[i:i + n] = rhs
-                        changed = True
-                        break
-                if changed:
-                    break
-            budget -= 1
-        return tuple(atoms)
+        while budget and (rewritten := self._first_rewrite(atoms)) is not None:
+            atoms, budget = rewritten, budget - 1
+        return atoms
+
+    def _first_rewrite(self, atoms):
+        """`atoms` after the first rewrite that fires, or None: the leftmost
+        negation pair cancels, else the first declared identity that
+        matches replaces its leftmost match."""
+        for i in range(len(atoms) - 1):
+            if atoms[i] == atoms[i + 1] and \
+                    self.atoms[atoms[i]].kind == "negation":
+                return atoms[:i] + atoms[i + 2:]
+        for lhs, rhs in self.identities:
+            n = len(lhs)
+            for i in range(len(atoms) - n + 1):
+                if atoms[i:i + n] == lhs:
+                    return atoms[:i] + rhs + atoms[i + n:]
+        return None
 
     def morphisms_equal(self, a: Morphism, b: Morphism) -> bool:
         if (a.source, a.target) != (b.source, b.target):
@@ -572,21 +576,8 @@ class GeometryContext:
                     flat.append(a)
             flat = sorted(set(flat), key=sub_key)
             # pairwise declared intersections, to a fixpoint
-            changed = True
-            while changed:
-                changed = False
-                for i in range(len(flat)):
-                    for j in range(i + 1, len(flat)):
-                        a, b = flat[i], flat[j]
-                        if isinstance(a, SubName) and isinstance(b, SubName):
-                            hit = self.cap_facts.get(frozenset((a.name, b.name)))
-                            if hit is not None:
-                                rest = [x for k, x in enumerate(flat) if k not in (i, j)]
-                                flat = sorted(set(rest + [SubName(hit)]), key=sub_key)
-                                changed = True
-                                break
-                    if changed:
-                        break
+            while (merged := self._first_cap(flat)) is not None:
+                flat = merged
             if len(flat) == 1:
                 return flat[0]
             return SubCap(tuple(flat))
@@ -601,6 +592,18 @@ class GeometryContext:
                     return SubName(hit)
             return SubPre(m, arg)
         raise GeometryError(f"not a subvariety expression: {s!r}")
+
+    def _first_cap(self, flat):
+        """`flat`, sorted by `sub_key`, with the first pair of its names, in
+        that order, that has a cap fact replaced by their intersection; None
+        when no pair has one."""
+        names = [x for x in flat if isinstance(x, SubName)]
+        for a, b in combinations(names, 2):
+            hit = self.cap_facts.get(frozenset((a.name, b.name)))
+            if hit is not None:
+                rest = [x for x in flat if x not in (a, b)]
+                return sorted(set(rest + [SubName(hit)]), key=sub_key)
+        return None
 
     def subs_equal(self, a, b) -> bool:
         return sub_key(self.normalize_sub(a)) == sub_key(self.normalize_sub(b))

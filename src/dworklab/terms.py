@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TermError
+from .errors import GeometryError, TermError
 from .geometry import (
     FuncPull,
     GeometryContext,
@@ -242,7 +242,7 @@ def variety_of(ctx: GeometryContext, t, path=()) -> str:
     if isinstance(t, Exp):
         try:
             fv = ctx.func_variety(t.func)
-        except Exception as e:
+        except GeometryError as e:
             raise bad(str(e)) from None
         if fv != t.variety:
             raise bad(f"twist lives on {fv}, term claims {t.variety}")
@@ -278,7 +278,7 @@ def variety_of(ctx: GeometryContext, t, path=()) -> str:
         inner = variety_of(ctx, t.arg, path + (0,))
         try:
             amb = ctx.sub_ambient(t.sub)
-        except Exception as e:
+        except GeometryError as e:
             raise bad(str(e)) from None
         if amb != inner:
             raise bad(f"support lives in {amb}, term on {inner}")

@@ -212,7 +212,7 @@ def test_a_fiberproduct_over_one_of_its_factors_needs_one_map():
 
 
 # every declaration refusal that script input reaches, each at its
-# statement; the bad statement follows this preamble on line 17
+# statement; the bad statement is on the line after this preamble
 _REFUSAL_PREAMBLE = """variety X dim 1;
 variety Y dim 1;
 variety P dim 2;
@@ -229,6 +229,7 @@ fourierpair V W product VW proj a1 a2 pairing gamma line L coord t;
 cartesian sq = (f, f, e, e);
 function g on X;
 object M on X;
+subvariety Z0 in P image j;
 """
 
 
@@ -251,6 +252,8 @@ object M on X;
      "bundle already paired"),
     ("fourierpair V2 W2 product VW2 proj b1 b2 pairing g2 line L coord g;",
      "line 'L' exists but 'g' is not its coordinate"),
+    ("fourierpair V2 W2 product VW2 proj b1 b2 pairing g2 line L2 coord g;",
+     "function 'g' already declared"),
     ("cartesian sq = (f, f, e, e);", "square 'sq' already declared"),
     ("cartesian sq2 = (f, j, e, e);",
      "square 'sq2': f and j have different targets"),
@@ -260,6 +263,9 @@ object M on X;
     ("subvariety Z in Y image j;", "j does not land in Y"),
     ("subvariety Z in Y image f;", "f is not an embedding"),
     ("subvariety Z in X;", "subvariety 'Z' needs a codimension"),
+    ("subvariety Z in P image j;", "j already has the image 'Z0'"),
+    ("morphism q : VW -> W projection 2;",
+     "morphism 'q': VW already has projection 2, 'a2'"),
     ("function g on X;", "function 'g' already declared"),
     ("function k on Y = pull(g, e);",
      "function 'k' declared on Y but its definition lives on X"),
@@ -276,7 +282,8 @@ def test_every_declaration_refusal_is_an_input_error_at_its_statement(
     script = tmp_path / "refused.dwk"
     script.write_text(text, encoding="utf-8")
     assert main(["prove", str(script)]) == 2
-    assert capsys.readouterr().err == f"error: {script}:17:1: {why}\n"
+    line = _REFUSAL_PREAMBLE.count("\n") + 1
+    assert capsys.readouterr().err == f"error: {script}:{line}:1: {why}\n"
 
 
 def test_closed_codim_0_takes_the_dimension_difference():

@@ -6,6 +6,7 @@ import pytest
 
 from dworklab.errors import GeometryError
 from dworklab.geometry import (
+    FourierData,
     GeometryContext,
     Morphism,
     SubCap,
@@ -119,6 +120,55 @@ def test_a_declared_negation_renormalizes_maps_seen_before():
     assert ctx.is_identity(ctx.composite("n", "g", "f", "n"))
 
 
+def _endomaps(*names):
+    ctx = GeometryContext()
+    ctx.variety("X", 1)
+    for name in names:
+        ctx.morphism(name, "X", "X")
+    return ctx
+
+
+def test_a_negation_pair_cancels_before_an_identity():
+    # g.n = h matches at the left end, but n.n cancels first
+    ctx = _endomaps("g", "h")
+    ctx.morphism("n", "X", "X", kind="negation")
+    ctx.declare_identity(("g", "n"), ("h",))
+    word = ctx.composite("g", "n", "n")
+    assert ctx.normalize_morphism(word).atoms == ("g",)
+
+
+def test_an_earlier_identity_wins_over_a_later_one_further_left():
+    ctx = _endomaps("a", "b", "c", "d", "e")
+    ctx.declare_identity(("b", "c"), ("d",))
+    ctx.declare_identity(("a", "b"), ("e",))
+    word = ctx.composite("a", "b", "c")
+    assert ctx.normalize_morphism(word).atoms == ("a", "d")
+
+
+def test_looping_identities_stop_at_the_budget():
+    # a = b, then b = a: from a.a the word goes b.a, b.b, then alternates
+    # a.b, b.b; the budget of 64 * (2 + 1) rewrites, an even count, ends
+    # on b.b
+    ctx = _endomaps("a", "b")
+    ctx.declare_identity(("a",), ("b",))
+    ctx.declare_identity(("b",), ("a",))
+    word = ctx.composite("a", "a")
+    assert ctx.normalize_morphism(word).atoms == ("b", "b")
+
+
+def test_the_first_pair_in_key_order_merges_first():
+    # B and C meet in E, A and B in D: of the pairs (A, B), (A, C),
+    # (B, C), in sub_key order, (A, B) is the first with a cap fact
+    ctx = GeometryContext()
+    ctx.variety("X", 2)
+    for name in "ABCDE":
+        ctx.subvariety(name, "X", codim=1)
+    ctx.cap_fact("B", "C", "E")
+    ctx.cap_fact("A", "B", "D")
+    cap = SubCap((SubName("C"), SubName("B"), SubName("A")))
+    assert ctx.normalize_sub(cap) == SubCap((SubName("C"), SubName("D")))
+
+
 def test_a_refused_negation_declares_nothing():
     ctx = _two_maps()
     before = dict(ctx.atoms)
@@ -143,6 +193,10 @@ def _declared():
     ctx.bundle("Vd", "X", 1, proj="pvd", sect="ivd")
     ctx.subvariety("A", "X", codim=1)
     ctx.subvariety("B", "X", codim=1)
+    ctx.morphism("j", "Y", "X", kind="closed")
+    ctx.subvariety("J", "X", image="j")
+    ctx.product("YY", "Y", "Y", "r1", "r2")
+    ctx.function("u", "X")
     return ctx
 
 
@@ -177,6 +231,22 @@ REFUSED = {
                                    caps=(("A", "B"), ("A", "nosuch"))),
         "unknown subvariety 'nosuch'",
         lambda ctx: ctx.subvariety("C", "X", codim=1, caps=(("A", "B"),))),
+    # an index keeps its first entry: no second image of one embedding,
+    # no second projection of one factor, no coordinate over a function
+    "second image": (
+        lambda ctx: ctx.subvariety("C", "X", image="j"),
+        "j already has the image 'J'",
+        lambda ctx: ctx.subvariety("C", "X", codim=1)),
+    "second projection": (
+        lambda ctx: ctx.morphism("q", "YY", "Y", kind="projection", factor=2),
+        "morphism 'q': YY already has projection 2, 'r2'",
+        lambda ctx: ctx.morphism("q", "YY", "Y")),
+    "coordinate": (
+        lambda ctx: ctx.fourier_pair("V", "Vd", "VVd", "p1", "p2", "gam",
+                                     "L", "u"),
+        "function 'u' already declared",
+        lambda ctx: ctx.fourier_pair("V", "Vd", "VVd", "p1", "p2", "gam",
+                                     "L", "t")),
 }
 
 
@@ -191,6 +261,20 @@ def test_a_refused_declaration_writes_nothing(kind):
     assert _registries(ctx) == before
     accepted(ctx)
     assert _registries(ctx) != before
+
+
+def test_a_fourier_pair_is_a_fiber_product_and_a_pairing():
+    paired, parts = _declared(), _declared()
+    paired.fourier_pair("V", "Vd", "VVd", "p1", "p2", "gam", "L", "t")
+    parts.product("VVd", "V", "Vd", "p1", "p2", base="X")
+    parts.variety("L", 3)
+    parts.function("t", "L")
+    parts.morphism("gam", "VVd", "L", kind="pairing")
+    assert _registries(paired) == dict(_registries(parts),
+                                       fourier=paired.fourier)
+    assert paired.fourier == {
+        "V": FourierData("V", "Vd", "VVd", "p1", "p2", "gam", "L", "t"),
+        "Vd": FourierData("Vd", "V", "VVd", "p2", "p1", "gam", "L", "t")}
 
 
 def test_identity_morphism(dwork):

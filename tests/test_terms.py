@@ -3,7 +3,7 @@
 import pytest
 
 from dworklab.errors import TermError
-from dworklab.geometry import FuncName, FuncPull, SubName
+from dworklab.geometry import FuncName, FuncPull, SubName, SubPre
 from dworklab.terms import (
     ETensor,
     Exp,
@@ -51,6 +51,15 @@ def test_variety_of_rejects_mismatches(dwork):
         variety_of(dwork, Exp("X", FuncName("F")))  # F lives on V
     with pytest.raises(TermError):
         variety_of(dwork, Struct("nope"))
+
+
+def test_variety_of_lets_a_caller_bug_through(dwork):
+    # a map that is not a Morphism is a bug of the caller, not an
+    # ill-formed term
+    with pytest.raises(AttributeError):
+        variety_of(dwork, Exp("V", FuncPull(FuncName("F"), "pi")))
+    with pytest.raises(AttributeError):
+        variety_of(dwork, RGamma(SubPre("s", SubName("S")), Struct("X")))
 
 
 def test_serialize_is_stable_and_injective_enough(dwork):
