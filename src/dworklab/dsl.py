@@ -41,7 +41,7 @@ picks the spelling of one class; `step`, whose bindings have separators;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, make_dataclass
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 from inspect import signature
 from operator import attrgetter
 from typing import NamedTuple
@@ -780,18 +780,26 @@ def bind_script(doc, ctx=None):
     if ctx is None:
         ctx = GeometryContext()
     builder = _CertificateBuilder(ctx)
+    paired = []
     for st in doc.statements:
         receiver, method, args = _DECLARE[st.__class__]
+        if isinstance(st, MorphismDecl) and st.transpose:
+            # a map is paired with its transpose once both are declared
+            paired.append(st)
+            st = replace(st, transpose="")
         try:
             method(receiver(builder), *[bind_expr(ctx, a) for a in args(st)])
         except (GeometryError, TermError) as e:
             raise ParseError(str(e), span=st.span) from None
-    for st in doc.statements:
-        if (isinstance(st, MorphismDecl) and st.transpose
-                and st.transpose not in ctx.atoms):
+    for st in paired:
+        if st.transpose not in ctx.atoms:
             raise ParseError(
                 f"transpose {st.transpose!r} is not a declared map",
                 span=st.span)
+        try:
+            ctx.pair_transposes(st.name, st.transpose)
+        except GeometryError as e:
+            raise ParseError(str(e), span=st.span) from None
     try:
         cert = builder.certificate()
     except GeometryError as e:

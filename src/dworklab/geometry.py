@@ -201,8 +201,9 @@ class GeometryContext:
         names, outermost first, declared after it (see
         `declare_identity`).  They may name the atom, so they are checked
         with it in place, and a refused one takes it back.  A source has
-        one projection to each factor; a variety's first negation and
-        diagonal are the ones indexed."""
+        one projection to each factor, and a map at most one transpose,
+        which either of the two may name first; a variety's first
+        negation and diagonal are the ones indexed."""
         _fresh(self.atoms, "morphism", name)
         self.need_variety(source)
         tgt = self.need_variety(target)
@@ -218,6 +219,8 @@ class GeometryContext:
                 f"{factor}, {self.projections[(source, factor)]!r}")
         if kind == "negation" and source != target:
             raise GeometryError(f"negation {name!r} must be an endomap")
+        if transpose:
+            self._pairable(name, transpose)
         self.atoms[name] = MorphismAtom(name, kind, source, target, codim,
                                         factor, tuple(parts))
         try:
@@ -234,10 +237,23 @@ class GeometryContext:
         elif kind == "projection":
             self.projections[(source, factor)] = name
         if transpose:
-            # either map may be declared first
-            self.transposes[name] = transpose
-            self.transposes.setdefault(transpose, name)
+            self.pair_transposes(name, transpose)
         return name
+
+    def pair_transposes(self, a, b):
+        """Pair maps `a` and `b` as each other's transposes; either may be
+        declared later."""
+        self._pairable(a, b)
+        self.transposes[a] = b
+        self.transposes[b] = a
+
+    def _pairable(self, a, b):
+        """Refuse a pairing of `a` and `b` when either has another
+        transpose: a map has at most one."""
+        for x, y in ((a, b), (b, a)):
+            if self.transposes.get(x, y) != y:
+                raise GeometryError(f"{x} already has the transpose "
+                                    f"{self.transposes[x]!r}")
 
     def need_atom(self, name) -> MorphismAtom:
         return _need(self.atoms, name, "morphism")
@@ -351,10 +367,13 @@ class GeometryContext:
         typically), of dimension dim x + dim y - dim base; each factor
         but the base itself needs an atom into the base, declared before
         it.  Only a plain product is indexed by its factors in
-        `products`."""
+        `products`, and two factors have at most one."""
         vx = self.need_variety(x)
         vy = self.need_variety(y)
         dim = vx.dim + vy.dim
+        if not base and (x, y) in self.products:
+            raise GeometryError(f"{x} x {y} already has the product "
+                                f"{self.products[(x, y)]!r}")
         if base:
             dim -= self.need_variety(base).dim
             for factor in (x, y):

@@ -715,6 +715,36 @@ def _paired_with(moves, sub):
     return (data.dual,) if data else ()
 
 
+def _squares(direction):
+    """The pick of R5 one way: the squares, in name order, whose legs
+    that way are the written outer and inner maps (as
+    `ctx.morphisms_equal` decides)."""
+    def pick(moves, sub):
+        norm = moves.ctx.normalize_morphism
+        return moves.square_legs.get(
+            (direction, norm(sub.morphism), norm(sub.arg.morphism)), ())
+    return pick
+
+
+def _dual_projection_of(moves, sub):
+    """The bundles, in name order, whose dual projection is the written
+    map."""
+    return moves.dual_projections.get(
+        moves.ctx.normalize_morphism(sub.morphism), ())
+
+
+def _along_identity(moves, sub):
+    """No bindings, once, where the written map is an identity."""
+    return ({},) if moves.ctx.is_identity(sub.morphism) else ()
+
+
+def _along_second_projection(moves, sub):
+    """No bindings, once, where the written map normalizes to the second
+    projection of a plain product."""
+    atoms = moves.ctx.normalize_morphism(sub.morphism).atoms
+    return ({},) if atoms in moves.second_projections else ()
+
+
 def _dual_section_of(moves, sub):
     """The bundles, in name order, whose dual's zero section is the written
     map (as `ctx.morphisms_equal` decides)."""
@@ -729,8 +759,8 @@ RULES = {
     "R2": (0, _r2, {"fwd": Offer(Oim, Oim), "bwd": Offer(Oim, pick=_splits)}),
     "R3": (0, _r3, {"fwd": Offer(Opb, Tensor), "bwd": Offer(Tensor)}),
     "R4": (1, _r4, {"fwd": Offer(Oim, Tensor), "bwd": Offer(Tensor)}),
-    "R5": (0, _r5, {"fwd": Offer(Oim, Opb, "square"),
-                    "bwd": Offer(Opb, Oim, "square")}),
+    "R5": (0, _r5, {"fwd": Offer(Oim, Opb, "square", _squares("fwd")),
+                    "bwd": Offer(Opb, Oim, "square", _squares("bwd"))}),
     "R6": (0, _r6, {"fwd": Offer(RGamma), "bwd": Offer(Tensor)}),
     # merge nested supports, or rebracket them along a declared intersection
     "R7": (0, _r7, {"fwd": Offer(RGamma, RGamma,
@@ -743,7 +773,8 @@ RULES = {
     "R11": (0, _r11, {"fwd": Offer(Opb, Exp)}),
     "R12": (0, _r12, {"fwd": Offer(Fourier, None, "bundle",
                                    lambda m, s: (s.bundle,)),
-                      "bwd": Offer(Oim, Tensor, "bundle")}),
+                      "bwd": Offer(Oim, Tensor, "bundle",
+                                   _dual_projection_of)}),
     "R13": (0, _r13, {"fwd": Offer(Fourier, Fourier, "bundle",
                                    lambda m, s: (s.arg.bundle,)),
                       "bwd": Offer(Opb, None, "bundle", _negated)}),
@@ -756,8 +787,8 @@ RULES = {
                       "bwd": Offer(Oim, Fourier, "bundle", _paired_with)}),
     "R18": (0, _r18, {"fwd": Offer(RGamma), "bwd": Offer(RGamma, None, "sub")}),
     "R19": (0, _r19, {
-        ("fwd", "opb_id"): Offer(Opb),
-        ("fwd", "oim_id"): Offer(Oim),
+        ("fwd", "opb_id"): Offer(Opb, pick=_along_identity),
+        ("fwd", "oim_id"): Offer(Oim, pick=_along_identity),
         ("fwd", "struct_pullback"): Offer(Opb, Struct),
         ("fwd", "tensor_unit"): Offer(Tensor),
         ("bwd", "struct_pullback"): Offer(Struct, None, "f", lambda m, s: [
@@ -767,7 +798,7 @@ RULES = {
     "R20": (0, _r20, {
         ("fwd", "etens_opb_sndmap"): Offer(Opb, ETensor),
         ("fwd", "etens_opb_diag"): Offer(Opb, ETensor),
-        ("fwd", "etens_opb_proj2"): Offer(Opb),
+        ("fwd", "etens_opb_proj2"): Offer(Opb, pick=_along_second_projection),
         ("fwd", "etens_oim_idmap"): Offer(Oim, ETensor),
         ("fwd", "etens_oim_fstmap"): Offer(Oim, ETensor),
         ("bwd", "etens_opb_diag"): Offer(Tensor),
@@ -810,13 +841,36 @@ class Moves:
         self.names = {"bundle": sorted(ctx.fourier),
                       "square": sorted(ctx.squares),
                       "sub": [SubName(n) for n in sorted(ctx.subvarieties)]}
-        # R16 and R17 run forward only along a dual's zero section: each
-        # bundle by the normal form of that section
+        norm = ctx.normalize_morphism
+        # R16 and R17 run forward only along a dual's zero section, and
+        # R12 backward only along a dual projection: each bundle by the
+        # normal form of that map
         self.dual_sections = {}
+        self.dual_projections = {}
         for b in self.names["bundle"]:
-            dual = ctx.fourier[b].dual
-            sect = ctx.normalize_morphism(ctx.composite(ctx.bundles[dual].sect))
+            data = ctx.fourier[b]
+            sect = norm(ctx.composite(ctx.bundles[data.dual].sect))
             self.dual_sections.setdefault(sect, []).append(b)
+            proj = norm(ctx.composite(data.proj_dual))
+            self.dual_projections.setdefault(proj, []).append(b)
+        # R5 runs only where the written maps are a square's legs: each
+        # square by the normal forms of the outer and inner legs it
+        # rewrites, each way
+        self.square_legs = {}
+        for name in self.names["square"]:
+            sq = ctx.squares[name]
+            for way, outer, inner in (("fwd", sq.f_prime, sq.h_prime),
+                                      ("bwd", sq.h, sq.f)):
+                legs = (way, norm(ctx.composite(outer)),
+                        norm(ctx.composite(inner)))
+                self.square_legs.setdefault(legs, []).append(name)
+        # R20 `etens_opb_proj2` runs forward only along the second
+        # projection of a plain product, by its normal form's atoms: the
+        # exterior tensor of a fiber product's factors lives elsewhere
+        plain = set(ctx.products.values())
+        self.second_projections = {
+            (a.name,) for a in ctx.atoms.values()
+            if a.kind == "projection" and a.factor == 2 and a.source in plain}
         # both orders of the two members of each declared intersection
         orders = []
         for members in sorted(ctx.cap_facts, key=sorted):

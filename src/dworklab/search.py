@@ -27,11 +27,22 @@ ill-formed side, or with sides on two varieties, is not searched.
 `Moves.undoes` decides whether a move's undo lands back exactly on the
 subterm, with the opposite delta, once per (subterm, move), the first
 time a backward edge needs it.
+
+The layer that brings the two depths to `max_depth` only probes: what it
+makes is never expanded, so only a meeting counts.  It skips every
+subterm whose surrounding text, the term's serialization before and
+after it, fits no key the other side has recorded (root shifts
+unwrapped on both sides; one sorted list per layer, bisected), and
+builds a term, a step or an undo check only for a successor whose key
+the other side has.  It meets where the plain layer, which builds every
+successor, meets.  `expanded` counts the successors generated.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .certificates import Closure, ProofStep
 from .errors import TermError
@@ -63,20 +74,29 @@ class SearchResult:
     depth: int = 0
 
 
-def _successors(moves, term, seen, forward=True):
+def _successors(moves, term, seen, forward=True, probe=None):
     """Terms one offered move away, as ``(serialization, term, step)``.
     The step is the one the frontier records: going forward the move
     itself; going backward its undo, or None when the undo does not land
     back exactly on `term`.  It is None too when `seen` has the term
     already, and then the undo is not tried.  A successor's serialization
     is spliced from `term`'s; the term itself is built only with a step,
-    and is None otherwise."""
+    and is None otherwise.
+
+    With a `probe`, the other side's recorded keys and their sorted
+    cores (`_cores`), the expansion only looks for a meeting: a subterm
+    whose surrounding text fits no core offers nothing, and a step is
+    given only for a key the other side has."""
     core, k = split_shift(term)
     walk = keyed_subterms(core)
     ckey = walk[0][2]
     n = len(walk)
+    if probe:
+        meet, cores = probe
     for path, sub, key, start in walk:
         end = start + len(key)
+        if probe and not _fits(cores, ckey[:start], ckey[end:]):
+            continue
         for i, row in enumerate(moves.rows(sub, key)):
             rule, d, b, ud, ub, new_sub, delta, grow, new_key = row
             shift = k + delta
@@ -85,12 +105,32 @@ def _successors(moves, term, seen, forward=True):
             nk = ckey[:start] + new_key + ckey[end:]
             if shift:
                 nk = f"({nk})[{shift}]"
-            if nk in seen or not (forward or moves.undoes(key, i)):
+            if (nk not in meet if probe else nk in seen) or not (
+                    forward or moves.undoes(key, i)):
                 yield nk, None, None
                 continue
             step = (ProofStep(rule, d, path, b) if forward
                     else ProofStep(rule, ud, path, ub))
             yield nk, with_shift(replace(core, path, new_sub), shift), step
+
+
+def _cores(keys):
+    """The recorded keys with any root shift ``(core)[k]`` unwrapped,
+    sorted, for `_fits`."""
+    return sorted({key[1:key.rindex(")[")] if key.startswith("(") else key
+                   for key in keys})
+
+
+def _fits(cores, head, tail):
+    """Whether some core reads `head`, then at least one character, then
+    `tail`: the only cores a rewrite between the two can reach."""
+    least = len(head) + len(tail)
+    for c in islice(cores, bisect_left(cores, head), None):
+        if not c.startswith(head):
+            return False
+        if len(c) > least and c.endswith(tail):
+            return True
+    return False
 
 
 def _path(parents, key):
@@ -128,8 +168,11 @@ def _mitm(moves, lhs, rhs, max_depth):
         parents = fpar if forward else bpar
         other = bpar if forward else fpar
         nxt = {}
+        # the last layer can only meet the other side: it only probes
+        probe = (other, _cores(other)) if fd + bd == max_depth else None
         for key, term in src.items():
-            for nk, nt, step in _successors(moves, term, parents, forward):
+            for nk, nt, step in _successors(moves, term, parents, forward,
+                                            probe):
                 expanded += 1
                 if step is None:
                     continue

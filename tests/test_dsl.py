@@ -230,6 +230,8 @@ cartesian sq = (f, f, e, e);
 function g on X;
 object M on X;
 subvariety Z0 in P image j;
+morphism tf : Y -> X bundlemap transpose f;
+product YY = Y x Y proj r1 r2;
 """
 
 
@@ -266,6 +268,9 @@ subvariety Z0 in P image j;
     ("subvariety Z in P image j;", "j already has the image 'Z0'"),
     ("morphism q : VW -> W projection 2;",
      "morphism 'q': VW already has projection 2, 'a2'"),
+    ("morphism h : Y -> X bundlemap transpose f;",
+     "f already has the transpose 'tf'"),
+    ("product Q = Y x Y proj c1 c2;", "Y x Y already has the product 'YY'"),
     ("function g on X;", "function 'g' already declared"),
     ("function k on Y = pull(g, e);",
      "function 'k' declared on Y but its definition lives on X"),

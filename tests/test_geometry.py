@@ -197,6 +197,7 @@ def _declared():
     ctx.subvariety("J", "X", image="j")
     ctx.product("YY", "Y", "Y", "r1", "r2")
     ctx.function("u", "X")
+    ctx.morphism("tw", "Y", "Y", transpose="w")
     return ctx
 
 
@@ -232,7 +233,8 @@ REFUSED = {
         "unknown subvariety 'nosuch'",
         lambda ctx: ctx.subvariety("C", "X", codim=1, caps=(("A", "B"),))),
     # an index keeps its first entry: no second image of one embedding,
-    # no second projection of one factor, no coordinate over a function
+    # no second projection of one factor, no coordinate over a function,
+    # no second plain product of two factors
     "second image": (
         lambda ctx: ctx.subvariety("C", "X", image="j"),
         "j already has the image 'J'",
@@ -241,6 +243,19 @@ REFUSED = {
         lambda ctx: ctx.morphism("q", "YY", "Y", kind="projection", factor=2),
         "morphism 'q': YY already has projection 2, 'r2'",
         lambda ctx: ctx.morphism("q", "YY", "Y")),
+    "second product": (
+        lambda ctx: ctx.product("P", "Y", "Y", "q1", "q2"),
+        "Y x Y already has the product 'YY'",
+        lambda ctx: ctx.product("P", "X", "Y", "q1", "q2")),
+    # a transpose pairs two maps for good, whichever is declared first
+    "second transpose": (
+        lambda ctx: ctx.morphism("w", "Y", "Y", transpose="h"),
+        "w already has the transpose 'tw'",
+        lambda ctx: ctx.morphism("w", "Y", "Y", transpose="tw")),
+    "transpose taken": (
+        lambda ctx: ctx.morphism("h", "Y", "Y", transpose="w"),
+        "w already has the transpose 'tw'",
+        lambda ctx: ctx.morphism("h", "Y", "Y")),
     "coordinate": (
         lambda ctx: ctx.fourier_pair("V", "Vd", "VVd", "p1", "p2", "gam",
                                      "L", "u"),

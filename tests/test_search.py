@@ -7,10 +7,15 @@ import time
 import pytest
 
 from dworklab import rules, search
-from dworklab.certificates import ProofStep, check_certificate, get_certificate
+from dworklab.certificates import (
+    Closure,
+    ProofStep,
+    check_certificate,
+    get_certificate,
+)
 from dworklab.dsl import load_script
-from dworklab.errors import RuleError
-from dworklab.geometry import SubName
+from dworklab.errors import RuleError, TermError
+from dworklab.geometry import CLOSED_EMBEDDING_KINDS, SubName
 from dworklab.rules import Moves, apply_step
 from dworklab.search import prove
 from dworklab.terms import (
@@ -21,10 +26,14 @@ from dworklab.terms import (
     Struct,
     Tensor,
     Var,
+    canonical_shift,
+    equation_variety,
+    replace,
     serialize,
     size,
     split_shift,
     subterms,
+    with_shift,
 )
 
 
@@ -98,12 +107,15 @@ def test_search_on_equal_sides_finds_the_empty_chain():
 
 # --- the move table -------------------------------------------------------------
 
-# the frontier terms each search expands: the built-in certificates at
+# the successors each search generates: the built-in certificates at
 # their own step counts and the bundled script's support-collapse goal at
 # depth 6; C2, C4, C8 and C9 are not found, so their counts include every
 # closure retry
-EXPANDED = {"C2": 4812, "C4": 843, "C5": 7, "C6": 4, "C7": 10,
-            "C8": 58, "C9": 18, "collapse": 1140}
+EXPANDED = {"C2": 1744, "C4": 523, "C5": 7, "C6": 4, "C7": 10,
+            "C8": 41, "C9": 18, "collapse": 850}
+# the same for the plain search, whose last layer builds every successor
+PLAIN_EXPANDED = {"C2": 4812, "C4": 843, "C5": 7, "C6": 4, "C7": 10,
+                  "C8": 58, "C9": 18, "collapse": 1140}
 MISSED = {"C2", "C4", "C8", "C9"}
 
 
@@ -195,9 +207,9 @@ def expanded(suite, collapse_text):
     out = []
     real = search._successors
 
-    def recording(table, term, seen, forward=True):
+    def recording(table, term, seen, forward=True, probe=None):
         out.append((table, term))
-        return real(table, term, seen, forward)
+        return real(table, term, seen, forward, probe)
 
     search._successors = recording
     try:
@@ -219,21 +231,31 @@ def _rows(moves, sub):
             for rule, d, b, ud, ub, new, delta in moves(sub)]
 
 
+# keyless offers whose pick only gates them: R19 forward along an
+# identity, R20 `etens_opb_proj2` forward along a plain product's second
+# projection
+GATED = {("R19", ("fwd", "opb_id")), ("R19", ("fwd", "oim_id")),
+         ("R20", ("fwd", "etens_opb_proj2"))}
+
+
 def test_narrowed_candidates_lose_no_move(expanded, monkeypatch):
     # where a pick narrows a key's declared names (the bundle of a written
-    # transform, the bundles whose dual zero section is the written map,
-    # the negated or paired bundles), trying every declared name instead
-    # accepts the same moves, in order
+    # transform, the bundles whose dual zero section or dual projection is
+    # the written map, the negated or paired bundles, the squares whose
+    # legs are the written maps) or gates a keyless offer, trying every
+    # declared name, or the offer everywhere, accepts the same moves, in
+    # order
     names = set(expanded[0][0].names)
+    widened = {(name, way) for name, (_s, _fn, where) in rules.RULES.items()
+               for way, offer in where.items()
+               if offer.pick and (offer.key in names or (name, way) in GATED)}
     narrowed = {name: (stratum, fn, {
-        way: offer._replace(pick=None)
-        if offer.key in names and offer.pick else offer
+        way: offer._replace(pick=None) if (name, way) in widened else offer
         for way, offer in where.items()})
         for name, (stratum, fn, where) in rules.RULES.items()}
-    assert narrowed != rules.RULES
     full = {}
     seen = set()
-    rows = 0
+    kept = set()
     for moves, term in expanded:
         if id(moves) not in full:
             with monkeypatch.context() as m:
@@ -247,8 +269,11 @@ def test_narrowed_candidates_lose_no_move(expanded, monkeypatch):
             seen.add(key)
             got = _rows(moves, sub)
             assert got == _rows(full[id(moves)], sub), serialize(sub)
-            rows += sum(b.get("bundle") is not None for _r, _d, b, *_ in got)
-    assert len(seen) > 2000 and rows
+            kept.update((rule, (d, b["law"]) if "law" in b else d)
+                        for rule, d, b, *_ in got)
+    assert len(seen) > 2000
+    # every widened offer but R13's accepts moves on these subterms
+    assert widened - kept == {("R13", "fwd"), ("R13", "bwd")}
 
 
 def test_search_work_is_pinned(suite, collapse_text):
@@ -256,6 +281,106 @@ def test_search_work_is_pinned(suite, collapse_text):
         res = _search(ctx, lhs, rhs, depth, cert)
         assert res.expanded == EXPANDED[name], name
         assert res.found == (name not in MISSED), name
+
+
+# --- the plain search: every layer builds every successor -------------------
+
+
+def _plain_successors(moves, term, seen, forward):
+    """Every successor of `term`, each term built and serialized whole:
+    ``(serialization, term, step)``, the step None for a term in `seen`
+    or, going backward, for an undo that does not land back exactly."""
+    core, k = split_shift(term)
+    for path, sub in subterms(core):
+        key = serialize(sub)
+        for i, (rule, d, b, ud, ub, new, delta, *_) in enumerate(
+                moves.rows(sub, key)):
+            nt = with_shift(replace(core, path, new), k + delta)
+            if size(nt) > search._SIZE_CAP:
+                continue
+            nk = serialize(nt)
+            if nk in seen or not (forward or moves.undoes(key, i)):
+                yield nk, None, None
+            elif forward:
+                yield nk, nt, ProofStep(rule, d, path, b)
+            else:
+                yield nk, nt, ProofStep(rule, ud, path, ub)
+
+
+def _plain_mitm(moves, lhs, rhs, max_depth):
+    """(steps or None, successors generated): layers grow from the smaller
+    side until they meet or the depths sum to `max_depth`."""
+    try:
+        equation_variety(moves.ctx, lhs, rhs)
+    except TermError:
+        return None, 0
+    left, right = canonical_shift(lhs), canonical_shift(rhs)
+    sides = [{serialize(left): None}, {serialize(right): None}]
+    if sides[0].keys() == sides[1].keys():
+        return [], 0
+    levels = [{serialize(left): left}, {serialize(right): right}]
+    expanded = 0
+    for _layer in range(max_depth):
+        if not any(levels):
+            break
+        side = 0 if levels[0] and (
+            len(levels[0]) <= len(levels[1]) or not levels[1]) else 1
+        parents, other = sides[side], sides[1 - side]
+        nxt = {}
+        for key, term in levels[side].items():
+            for nk, nt, step in _plain_successors(moves, term, parents,
+                                                  side == 0):
+                expanded += 1
+                if step is None:
+                    continue
+                parents[nk] = (key, step)
+                nxt[nk] = nt
+                if nk in other:
+                    chains = []
+                    for tree in sides:
+                        chain, at = [], nk
+                        while tree[at] is not None:
+                            at, step = tree[at]
+                            chain.append(step)
+                        chains.append(chain)
+                    return chains[0][::-1] + chains[1], expanded
+        levels[side] = nxt
+    return None, expanded
+
+
+def _plain_prove(ctx, lhs, rhs, depth, cert):
+    """`prove` over the plain search: the direct pass, then each closed
+    embedding's pushforward, all on one move table."""
+    moves = Moves(ctx, cert.mode, cert.allowed_strata, cert.excluded_rules)
+    steps, total = _plain_mitm(moves, lhs, rhs, depth)
+    if steps is not None:
+        return search.SearchResult(True, steps, None, total, len(steps))
+    for atom in [a for a in ctx.atoms.values()
+                 if a.kind in CLOSED_EMBEDDING_KINDS][:8]:
+        j = ctx.composite(atom.name)
+        steps, n = _plain_mitm(moves, Oim(j, lhs), Oim(j, rhs), depth)
+        total += n
+        if steps is not None:
+            return search.SearchResult(True, steps,
+                                       Closure("kashiwara", atom.name),
+                                       total, len(steps))
+    return search.SearchResult(False, [], None, total, depth)
+
+
+def test_search_meets_where_the_plain_search_does(suite, collapse_text):
+    # the last layer only probes for a meeting and builds nothing else, so
+    # at every depth up to each goal's step count it finds what the plain
+    # search finds, the same chain at the same depth, with no more work
+    for name, ctx, lhs, rhs, steps, cert in _goals(suite, collapse_text):
+        for depth in range(1, steps + 1):
+            res = _search(ctx, lhs, rhs, depth, cert)
+            want = _plain_prove(ctx, lhs, rhs, depth, cert)
+            assert (res.found, res.steps, res.depth, res.closure) == (
+                want.found, want.steps, want.depth, want.closure), \
+                (name, depth)
+            assert res.expanded <= want.expanded, (name, depth)
+        assert want.expanded == PLAIN_EXPANDED[name], name
+        assert want.found == (name not in MISSED), name
 
 
 def test_one_move_table_per_prove(monkeypatch):
@@ -287,8 +412,10 @@ def test_one_move_table_per_prove(monkeypatch):
     assert len(tables) == 1
     # applying each offered move to the whole term took 17 227 apply_step
     # calls; trying each candidate once per distinct subterm, with the undo
-    # checks, takes 6 560 tries
-    assert tries == {"accepted": 1847, "refused": 4713}
+    # checks, took 6 560 tries; probing the last layer for a meeting and
+    # offering base change, the transform's backward step and the
+    # identity and projection laws only along their maps takes 2 147
+    assert tries == {"accepted": 1011, "refused": 1136}
 
 
 def _table(ctx, mode="strict-smooth"):
