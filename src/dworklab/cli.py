@@ -10,6 +10,7 @@ import argparse
 import re
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .certificates import check_certificate, verify_paper
 from .dsl import load_script
@@ -30,7 +31,10 @@ def _common_flags(p):
     p.add_argument("--output", choices=("text", "machine"), default="text")
 
 
+@cache
 def build_parser():
+    """The argparse parser, built on the first call and shared after it;
+    parsing leaves it unchanged (an `append` copies its default)."""
     ap = argparse.ArgumentParser(
         prog="dworklab",
         description="replay, prove, and numerically check integral-transform "

@@ -52,13 +52,13 @@ most (P + 1)·deg g_I + D + 1, inside the U domain window since
 D_img = D + maxdeg + 1.  So every closed window element of weight λ ≠ 0
 lies in U ∩ W, and its block adds 0 to every rung, not only in the
 limit.  `_window` therefore returns the weight-0 block of each (I, mask),
-degree by degree.  The complex keeps one `forms.WeightBlocks` index: the
-monomials of a degree are weighed once, the first time a window asks for
-that degree, and only the weights some (I, mask, pole) of a rung up to
-t_max can ask for are kept, so a block's part of one degree is one
-lookup.  The U prefix the carry reads is each block's degrees <= the
-next window's bound, the d² = 0 skip stays inside one block, and the
-embedded W rows take their codes from the pole-P block itself.  A kernel
+degree by degree.  The complex keeps one `forms.WeightBlocks` index: a
+degree is walked once, the first time a window asks for it, and only the
+monomials whose weight some (I, mask, pole) of a rung up to t_max can
+ask for are kept, so a block's part of one degree is one lookup.  The U
+prefix the carry reads is each block's degrees <= the next window's
+bound, the d² = 0 skip stays inside one block, and the embedded W rows
+take their codes from the pole-P block itself.  A kernel
 of dimension 0 gives one block holding every element.
 
 Each f_i is first multiplied by the lcm of its coefficient denominators.

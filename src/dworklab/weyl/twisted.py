@@ -59,10 +59,10 @@ is then (d + dF∧)(ι_E ω)/λ, and ι_E ω has degree <= D + 1 <= D + slack,
 so ω is in the image of the slacked domain: the block adds 0 to every
 rung, not only in the limit.  `rows` and `block_size` therefore see only
 weight-0 elements.  x^mono dx_mask has weight 0 when mono's weight is
-minus the mask's, and one `forms.WeightBlocks` index weighs each degree's
-monomials once, in graded order, keeping only those keys: a mask's block
-of one degree is one lookup.  An F with no such field (kernel dimension
-0) has one block holding every element.
+minus the mask's, and one `forms.WeightBlocks` index walks each degree
+once, in graded order, keeping only the monomials whose weight is one of
+those keys: a mask's block of one degree is one lookup.  An F with no
+such field (kernel dimension 0) has one block holding every element.
 
 Rungs are laddered (step 2) until three in a row agree.
 """

@@ -442,3 +442,35 @@ def test_an_unmapped_exception_is_an_internal_error(monkeypatch, capsys):
         monkeypatch.setattr(cli, "cmd_dwork_check", stopping)
         with pytest.raises(stop):
             main(["dwork-check", "--f", "x"])
+
+
+def test_one_parser_serves_many_calls(bundled, capsys):
+    """`main` reuses one parser: each call sees only its own flags."""
+    def machine(argv):
+        assert main(argv + ["--output", "machine"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert cli.build_parser() is cli.build_parser()
+    first = machine(["dwork-check", "--f", "x", "--f", "y"])
+    assert (first["f"], first["n"]) == (["x", "y"], 2)
+    assert main(["prove", bundled]) == 0
+    capsys.readouterr()
+    second = machine(["dwork-check", "--f", "x^2-1"])
+    assert (second["f"], second["n"]) == (["x^2-1"], 1)
+    assert machine(["dwork-check", "--f", "x", "--f", "y"]) == first
+    assert main(["dwork-check"]) == 2
+    assert capsys.readouterr().err == ("error: pass at least one --f "
+                                       "polynomial\n")
+
+
+def test_a_usage_error_exits_2_on_every_call(capsys):
+    """The shared parser reports a usage error as a fresh one does."""
+    argv = ["dwork-check", "--f", "x", "--bogus"]
+    errors = []
+    for parse in (main, main, cli.build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == errors[2]
+    assert "unrecognized arguments: --bogus" in errors[0]

@@ -216,23 +216,23 @@ def test_an_input_without_a_torus_is_one_block(monkeypatch):
 
 
 @pytest.mark.parametrize("texts,names", [(["x", "y"], XY), (["x^2+y^3"], XY)])
-def test_each_monomial_is_weighed_once(monkeypatch, texts, names):
-    """A whole ladder of either complex weighs no monomial twice: one
+def test_each_degree_is_walked_once(monkeypatch, texts, names):
+    """A whole ladder of either complex walks no degree twice: one
     weight index per complex serves every rung and window."""
     fs = _polys(texts, names)
     F = dwork_twist(fs)
     for cx, rungs in ((TwistedComplex(F, 30), twisted_cohomology(F).rungs),
                       (CechDeRham(fs, 9), complement_cohomology(fs).rungs)):
-        weighed = []
-        weigh = forms.weight
+        walked = []
+        walk = forms.WeightBlocks.__missing__
 
-        def counted(lattice, vec, weigh=weigh):
-            weighed.append(vec)
-            return weigh(lattice, vec)
+        def counted(index, e, walk=walk):
+            walked.append(e)
+            return walk(index, e)
 
-        monkeypatch.setattr(forms, "weight", counted)
+        monkeypatch.setattr(forms.WeightBlocks, "__missing__", counted)
         for cut, dims in rungs:
             assert cx.rung(cut) == dims
         monkeypatch.undo()
-        assert weighed
-        assert len(weighed) == len(set(weighed)), type(cx).__name__
+        assert walked
+        assert len(walked) == len(set(walked)), type(cx).__name__
