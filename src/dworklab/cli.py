@@ -178,8 +178,8 @@ def cmd_dwork_check(args):
     try:
         cmp = dwork_compare(fs, d0=args.window, d_max=args.d_max, t_max=t_max)
     except ValueError as e:
-        # a twisted cap below the first cutoff, or --pole-max above
-        # cech.MAX_POLE
+        # a twisted cap below the first cutoff, --pole-max above
+        # cech.MAX_POLE, or more --f sections than compare.MAX_SECTIONS
         return _fail_input(str(e))
     extra = {"f": list(args.f), "n": n}
     sys.stdout.write(render_report(cmp, args.output, extra=extra))

@@ -106,7 +106,7 @@ def _get(b, key, cls, what):
 
 def _orderings(t):
     """Tensor factors as written, then swapped."""
-    return ((t.left, t.right, False), (t.right, t.left, True))
+    return ((t.left, t.right), (t.right, t.left))
 
 
 def _other_way(apply):
@@ -207,13 +207,13 @@ def _r4(ctx, sub, direction, b, mode):
         if not (isinstance(sub, Oim) and isinstance(sub.arg, Tensor)):
             raise Fail("need a pushforward of a tensor")
         p = sub.morphism
-        for first, second, _sw in _orderings(sub.arg):
+        for first, second in _orderings(sub.arg):
             if isinstance(first, Opb) and ctx.morphisms_equal(first.morphism, p):
                 return Tensor(first.arg, Oim(p, second)), 0
         raise Fail("no factor is pulled back along the pushforward map")
     if not isinstance(sub, Tensor):
         raise Fail("need a tensor")
-    for first, second, _sw in _orderings(sub):
+    for first, second in _orderings(sub):
         if isinstance(second, Oim):
             p = second.morphism
             return Oim(p, Tensor(Opb(p, first), second.arg)), 0
@@ -275,7 +275,7 @@ def _r6(ctx, sub, direction, b, mode):
         return Tensor(sub.arg, RGamma(sub.sub, Struct(amb))), 0
     if not isinstance(sub, Tensor):
         raise Fail("need a tensor")
-    for first, second, _sw in _orderings(sub):
+    for first, second in _orderings(sub):
         if isinstance(second, RGamma) and isinstance(second.arg, Struct):
             return RGamma(second.sub, first), 0
     raise Fail("no supported structure-sheaf factor")
@@ -428,7 +428,7 @@ def _r12(ctx, sub, direction, b, mode):
     if not ctx.morphisms_equal(sub.morphism, p_dual):
         raise Fail("pushforward is not along the dual projection")
     want = normal_key(ctx, kernel)
-    for first, second, _sw in _orderings(sub.arg):
+    for first, second in _orderings(sub.arg):
         if (isinstance(first, Opb)
                 and ctx.morphisms_equal(first.morphism, p_self)
                 and normal_key(ctx, second) == want):
@@ -558,7 +558,7 @@ def _r19(ctx, sub, direction, b, mode):
         if direction == "fwd":
             if not isinstance(sub, Tensor):
                 raise Fail("need a tensor")
-            for first, second, _sw in _orderings(sub):
+            for first, second in _orderings(sub):
                 if isinstance(second, Struct):
                     return first, 0, ("bwd", b)
             raise Fail("no unit factor")

@@ -18,11 +18,11 @@ A ladder carries what each rung learns to the next.  Rung t + 1's
 grade-(q−1) kernel rows are rows of window(P + 1, D_{t+1}) at pole P + 1,
 and since step ≤ maxdeg + 1 that window lies inside the U domain
 window(P + 1, D + maxdeg + 1) of rung t.  The U echelon of grade q is
-therefore fed the monomials inside the next window first, and its size
-and lead set at that point are the kernel rank and lead set of rung
-t + 1, which then builds no kernel row at all.  Rung 0, a rung asked
-for out of order, and a constant section
-(maxdeg 0, step 2 > maxdeg + 1) eliminate a fresh kernel instead.  The
+therefore fed the monomials inside the next window first, and its lead
+set at that point is the kernel lead set of rung t + 1, whose size is
+the kernel rank; that rung then builds no kernel row at all.  Rung 0, a
+rung asked for out of order, and a constant section (maxdeg 0,
+step 2 > maxdeg + 1) eliminate a fresh kernel instead.  The
 top grade n + r − 1 (the full piece with every dx) has differential
 zero, so its kernel is its whole window and no row of it is built.
 Only lead sets are carried, never pivot rows.
@@ -36,7 +36,7 @@ lead is a combination of the U rows at the pivot's other, smaller
 columns, all inside the next window.  By induction on code order the
 rows left fed span what all the rows span, both for the prefix and for
 the whole of U, and an echelon whose leads are largest columns has a
-lead set fixed by its span: every snapshot, rank and rung is unchanged.
+lead set fixed by its span: every lead set, rank and rung is unchanged.
 
 Only the weight-0 block is eliminated.  `weights` holds integer rows w
 spanning the rational kernel of the exponent differences inside each f_i
@@ -173,7 +173,8 @@ class CechDeRham:
         # g_I² as (code offset, coefficient) pairs, for the embedded rows
         self._embed = {I: [(self._codes.mono(m), c) for m, c in sq.items()]
                        for I, sq in squares.items()}
-        # (next rung, {grade: (kernel rank, kernel leads)})
+        # (next rung, {grade: kernel pivot leads}); a kernel's rank is the
+        # size of its lead set
         self._carry = None
 
     def _reach(self, deg, pole):
@@ -283,10 +284,10 @@ class CechDeRham:
         self._check(self._rung_reach(t))
         n, index = self.n, self.piece_index
         carry = self._carry
-        # grade -> (kernel rank, kernel pivot leads) at this rung
+        # grade -> kernel pivot leads at this rung
         kernels = carry[1] if carry and carry[0] == t else {}
         # the top grade's differential is zero
-        kernels[self.n + self.r - 1] = 0, set()
+        kernels[self.n + self.r - 1] = set()
         window = self._window(P, D)
         image = self._window(P + 1, D_img)
         # the U rows inside rung t + 1's kernel window: in each (I, mask)
@@ -304,14 +305,14 @@ class CechDeRham:
                 for I, mask, blocks in basis:
                     for mono, _base in chain.from_iterable(blocks):
                         ech.add(self.diff_row(I, mono, mask, P))
-                kernels[q] = len(ech), set(ech.pivots)
-            ker = size - kernels[q][0]
+                kernels[q] = set(ech.pivots)
+            ker = size - len(kernels[q])
             if q == 0:
                 dims[0] = ker
                 continue
             # d² = 0: a U element leading a grade-(q-2) kernel pivot has
             # a row in the span of the rows at that pivot's other columns
-            skip = kernels[q - 2][1] if q > 1 else ()
+            skip = kernels[q - 2] if q > 1 else ()
             ech = Echelon()
             for prefix in (True, False):
                 for I, mask, blocks in image[q - 1]:
@@ -322,7 +323,7 @@ class CechDeRham:
                         if base | fields not in skip:
                             ech.add(self.diff_row(I, mono, mask, P + 1))
                 if prefix:
-                    ahead[q - 1] = len(ech), set(ech.pivots)
+                    ahead[q - 1] = set(ech.pivots)
             rank_u = len(ech)
             for I, mask, blocks in basis:
                 fields = index[I] << n | mask

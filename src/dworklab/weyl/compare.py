@@ -20,6 +20,12 @@ from .poly import MultiPoly
 from .twisted import twisted_cohomology
 
 
+# the most sections `dwork_compare` takes: the Čech side has 2^r − 1
+# pieces and the twisted side n + r variables, and five sections already
+# take from seconds to minutes
+MAX_SECTIONS = 4
+
+
 def _nonzero(dims):
     return {k: v for k, v in dims.items() if v}
 
@@ -68,7 +74,11 @@ def dwork_compare(fs, d0=None, d_max=None, t_max=None):
     The caps go through as given, None for the defaults that
     `twisted_cohomology` and `complement_cohomology` decide; a `d_max`
     below the first twisted cutoff raises `twisted_cohomology`'s
-    ValueError."""
+    ValueError, and more than `MAX_SECTIONS` sections raise ValueError
+    before either side is built."""
+    if len(fs) > MAX_SECTIONS:
+        raise ValueError(f"{len(fs)} sections are above the cap of "
+                         f"{MAX_SECTIONS}")
     F = dwork_twist(fs)
     trep = twisted_cohomology(F, d0=d0, d_max=d_max)
     srep = supports_cohomology(fs, t_max=t_max)

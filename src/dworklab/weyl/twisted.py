@@ -14,27 +14,35 @@ takes: W is the bit length of the largest exponent a row of the highest
 domain degree, d_max + slack, can reach (that degree + deg F - 1).  Every
 code is valid for the life of the complex, and asking for rows, a row or
 a rung beyond the cap raises ValueError.  Rows are built from one
-`forms.template` per mask, the one the Čech side uses too, with q = L,
-dp = L·dF and c = 1: the dF_j terms as code offsets, plus one offset per
-variable j scaled by mono[j] (the d term).  A row of x^mono dx_mask is
-then the template shifted by code(mono) (`forms.shifted_row`); no two
-of its terms share a column, since terms of different j carry different
-masks and the d term of j has degree one below mono's, every dF_j term
-at least mono's.
+`forms.template` per mask, each made in `__init__`, the one the Čech
+side uses too, with q = L, dp = L·dF and c = 1: the dF_j terms as code
+offsets, plus one offset per variable j scaled by mono[j] (the d term).
+A row of x^mono dx_mask is then the template shifted by code(mono)
+(`forms.shifted_row`); no two of its terms share a column, since terms
+of different j carry different masks and the d term of j has degree one
+below mono's, every dF_j term at least mono's.
 
 A complex keeps one incremental echelon per form degree k.  Rows are fed
-in increasing domain degree e (the stage), each degree once, and every
-new pivot records its stage and the degree of its lead column, which is
-the row's largest graded column.  Pivots are never replaced, so a rung
-at any cutoff D <= d_max, rising or falling, eliminates nothing new
+in increasing domain degree e (the stage), each degree once, and after
+each stage the complex records one number per grade: its pivot count,
+the rank of the grade-k rows of degree <= e.  An echelon's `pivots` dict
+keeps the order its pivots were found in, and pivots are never
+replaced, so grade k's pivots of stage <= e are the first that many in
+its echelon; the lead of each is its row's largest graded column.  A
+rung at any cutoff D <= d_max, rising or falling, eliminates nothing new
 beyond the degrees it is the first to need; it reads two counts:
 
 * the kernel in grade k is the number of grade-k basis elements of
-  degree <= D (of the weight-0 block below) - #{grade-k pivots of
-  stage <= D};
-* dim(image ∩ window) in grade k is #{grade-(k-1) pivots of stage
-  <= D + slack and lead degree <= D}, because an echelon basis whose
-  leads are largest columns is compatible with the degree filtration.
+  degree <= D (of the weight-0 block below) minus grade k's pivot
+  count through stage D;
+* dim(image ∩ window) in grade k is the number of grade-(k-1) pivots
+  among those of stage <= D + slack whose lead has degree <= D,
+  because an echelon basis whose leads are largest columns is
+  compatible with the degree filtration.
+
+The basis elements are counted the same way: `block_size` keeps a
+running total per grade, so each degree's blocks are counted once for
+the life of the complex.
 
 Grade k is fed after grade k - 1 at each stage, and a grade-k basis
 element whose code leads a grade-(k-1) pivot is left out before its row
@@ -43,7 +51,7 @@ rows, so the element's row is a combination of the rows of the pivot's
 other columns, whose codes are smaller and whose degrees are no higher.
 The rows fed through each stage therefore span what all its rows span,
 and since an echelon with largest-column leads has a lead set fixed by
-its span, every record and every count above is unchanged.
+its span, every pivot count and every lead above is unchanged.
 
 Only the weight-0 block is eliminated.  `weights` holds integer rows w
 spanning the rational kernel of F's exponent vectors
@@ -69,6 +77,8 @@ Rungs are laddered (step 2) until three in a row agree.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .forms import (WeightBlocks, mask_weight, masks_of_degree, shifted_row,
                     template)
 from .ladder import ladder
@@ -80,29 +90,32 @@ class TwistedComplex:
     def __init__(self, F, d_max):
         if F.is_zero():
             raise ValueError("zero twist")
-        self.F = F
-        self.n = F.nvars
-        self.L = F.denominator()
-        self.dF = [{m: int(c * self.L) for m, c in F.diff(j).terms.items()}
-                   for j in range(self.n)]
+        n = self.n = F.nvars
+        L = F.denominator()
+        dF = [{m: int(c * L) for m, c in F.diff(j).terms.items()}
+              for j in range(n)]
         self.slack = F.degree() + 1
         # how far a dF term raises an exponent
         self._rise = max(F.degree() - 1, 0)
-        self._codes = GradedCodes(self.n, self.n,
-                                  d_max + self.slack + self._rise)
-        self._templates = {}
+        self._codes = GradedCodes(n, n, d_max + self.slack + self._rise)
+        # the `forms.template` of L·(d + dF∧) on dx_mask, for every mask
+        self._templates = [template(self._codes.mono, n, mask, 0,
+                                    {(0,) * n: L}, dF, 1)
+                           for mask in range(1 << n)]
+        self._masks = [masks_of_degree(n, k) for k in range(n + 1)]
         # one Euler field E with E F = 0 per row; see the module docstring
-        self.weights = kernel_lattice(list(F.terms), self.n)
+        self.weights = kernel_lattice(list(F.terms), n)
         # x^mono dx_mask has weight 0 when mono's weight is its mask's key
-        self._keys = {mask: tuple(-v for v in mask_weight(self.weights,
-                                                          self.n, mask))
-                      for mask in range(1 << self.n)}
-        self._index = WeightBlocks(self.weights, self.n, self._codes.mono,
-                                   set(self._keys.values()))
+        self._keys = [tuple(-v for v in mask_weight(self.weights, n, mask))
+                      for mask in range(1 << n)]
+        self._index = WeightBlocks(self.weights, n, self._codes.mono,
+                                   set(self._keys))
         # top forms are closed, so grade n has no rows and no echelon
-        self._echelons = [Echelon() for _ in range(self.n)]
-        self._leads = [[] for _ in range(self.n + 1)]  # (stage, lead degree)
-        self._fed = -1
+        self._echelons = [Echelon() for _ in range(n)]
+        # _ranks[e][k]: grade k's pivot count through stage e, 0 in grade n
+        self._ranks = []
+        # _sizes[k][e + 1]: number of grade-k elements of degree <= e
+        self._sizes = [[0] for _ in range(n + 1)]
 
     def _check(self, top):
         """ValueError unless domain degrees <= top are under the cap."""
@@ -117,15 +130,6 @@ class TwistedComplex:
         """(mono, mask) of a column code."""
         return self._codes.decode(code)
 
-    def _template(self, mask):
-        """`forms.template` of L·(d + dF∧) on dx_mask, cached per mask."""
-        tpl = self._templates.get(mask)
-        if tpl is None:
-            tpl = self._templates[mask] = template(
-                self._codes.mono, self.n, mask, 0, {(0,) * self.n: self.L},
-                self.dF, 1)
-        return tpl
-
     def _block(self, e, mask):
         """(mono, code(mono)) of the weight-0 basis elements x^mono dx_mask
         of degree e, in graded order."""
@@ -134,25 +138,28 @@ class TwistedComplex:
     def block_size(self, k, D):
         """Number of weight-0 grade-k basis elements of degree <= D."""
         self._check(D)
-        return sum(len(self._block(e, mask)) for e in range(D + 1)
-                   for mask in masks_of_degree(self.n, k))
+        sizes = self._sizes[k]
+        for e in range(len(sizes) - 1, D + 1):
+            sizes.append(sizes[-1] + sum(len(self._block(e, mask))
+                                         for mask in self._masks[k]))
+        return sizes[D + 1]
 
     def apply(self, mono, mask):
         """L times the differential on the basis element x^mono dx_mask,
         keyed by column code."""
         self._check(sum(mono))
-        return shifted_row(self._codes.mono(mono), mono, *self._template(mask))
+        return shifted_row(self._codes.mono(mono), mono,
+                           *self._templates[mask])
 
     def rows(self, k, hi, lo=0, *, exclude=()):
         """Nonzero rows of the weight-0 grade-k basis elements of degrees
         lo..hi, in degree order, leaving out those whose codes are in
         `exclude`."""
         self._check(hi)
-        masks = masks_of_degree(self.n, k)
         out = []
         for e in range(lo, hi + 1):
-            for mask in masks:
-                merged, scaled = self._template(mask)
+            for mask in self._masks[k]:
+                merged, scaled = self._templates[mask]
                 for mono, base in self._block(e, mask):
                     if base | mask in exclude:
                         continue
@@ -161,7 +168,8 @@ class TwistedComplex:
         return out
 
     def _feed(self, top):
-        """Feed every grade the rows of the degrees up to `top` not yet fed.
+        """Feed every grade the rows of the degrees up to `top` not yet fed,
+        recording each grade's pivot count after each degree.
 
         A grade-k basis element whose code leads a grade-(k-1) pivot is
         left out before its row is built.  That pivot lies in the image
@@ -170,32 +178,30 @@ class TwistedComplex:
         in the pivot, none of higher degree.  By induction on code order
         the rows fed through each stage span what all rows of those
         stages span, and an echelon whose leads are largest columns has
-        a lead set fixed by its span: every (stage, lead degree) record,
-        and so every rung, is what feeding every row would give.
+        a lead set fixed by its span: every pivot count and lead, and so
+        every rung, is what feeding every row would give.
         """
         self._check(top)
-        shift = self._codes.shift
         below = [{}] + [ech.pivots for ech in self._echelons]
-        for e in range(self._fed + 1, top + 1):
+        for e in range(len(self._ranks), top + 1):
             for k, ech in enumerate(self._echelons):
-                leads = self._leads[k]
                 for row in self.rows(k, e, e, exclude=below[k]):
-                    lead = ech.add(row)
-                    if lead is not None:
-                        leads.append((e, lead >> shift))
-        self._fed = max(self._fed, top)
+                    ech.add(row)
+            self._ranks.append((*map(len, self._echelons), 0))
 
     def rung(self, D):
         """Windowed dimensions at cutoff D, every grade 0..n."""
         top = D + self.slack
         self._feed(top)
+        shift = self._codes.shift
+        ranks, reach = self._ranks[D], self._ranks[top]
         dims = {}
         for k in range(self.n + 1):
-            ker = self.block_size(k, D) - sum(
-                1 for e, _deg in self._leads[k] if e <= D)
-            inside = sum(1 for e, deg in self._leads[k - 1]
-                         if e <= top and deg <= D) if k else 0
-            dims[k] = ker - inside
+            # grade k-1's pivots of stage <= top whose lead is in the window
+            leads = (islice(self._echelons[k - 1].pivots, reach[k - 1])
+                     if k else ())
+            inside = sum(lead >> shift <= D for lead in leads)
+            dims[k] = self.block_size(k, D) - ranks[k] - inside
         return dims
 
 

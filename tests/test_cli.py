@@ -404,6 +404,31 @@ def test_a_power_too_large_to_expand_is_refused(text, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_more_sections_than_the_cap_are_refused_before_any_ladder(
+        monkeypatch, capsys):
+    def unbuilt(*_args, **_kwargs):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(twisted, "TwistedComplex", unbuilt)
+    monkeypatch.setattr(cech, "CechDeRham", unbuilt)
+    argv = ["dwork-check"]
+    for f in ("x", "y", "x+1", "y+1", "x+y"):
+        argv += ["--f", f]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        "error: 5 sections are above the cap of 4\n")
+
+
+def test_four_sections_are_at_the_cap(capsys):
+    assert main(["dwork-check", "--f", "x", "--f", "y", "--f", "z",
+                 "--f", "x+y", "--output", "machine"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["match"] is True
+    assert data["supports"]["dims"] == {"6": 1}
+
+
 def test_a_power_at_the_degree_cap_parses(capsys):
     # x^64 parses; its first twisted cutoff is then above the cap of 30
     assert main(["dwork-check", "--f", "x^64"]) == 2

@@ -28,7 +28,7 @@ reading these documents, so no ladder runs twice.
 
 The CI workflow also compares `x*y*z` (dwork-check-xyz.json), `x, y, x+y`,
 `x^2+y^3+z^6` and `x^3+y^3+z^3` (each under a 10 s timeout), the two
-four-variable inputs (each under a 20 s timeout), `verify-paper` and the
+four-variable inputs (each under a 5 s timeout), `verify-paper` and the
 machine-output search from the shell.
 """
 

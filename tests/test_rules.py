@@ -1,5 +1,7 @@
 """One applicability example per rewrite rule, plus driver-level behavior."""
 
+import math
+
 import pytest
 
 from dworklab import dsl
@@ -15,7 +17,8 @@ from dworklab.geometry import (
     SubRed,
 )
 from dworklab.cli import main
-from dworklab.rules import RULES, Moves, apply_step, step_stratum
+from dworklab.rules import (RULES, _ATOM_PAIR_CAP, Moves, apply_step,
+                            step_stratum)
 from dworklab.terms import (
     ETensor,
     Exp,
@@ -569,6 +572,91 @@ def test_every_shape_guard_refuses_a_node_of_the_wrong_shape(
     assert rep.reason == f"step 1 failed: {rule} at /: {reason}"
 
 
+# --- refusals of bindings, citations and declared facts ----------------------
+
+# (context fixture, rule, direction, term, bindings, reason): one refusal each
+# that no rule example above reaches.  A term is a function of the context;
+# a binding under "f", "g" or "map" names an atom, or a tuple of atoms for
+# their composite
+REFUSALS = [
+    ("dwork", "R5", "fwd", lambda c: Struct("X"), {},
+     "missing binding 'square' (a declared square name)"),
+    ("dwork", "R5", "fwd", lambda c: Struct("X"), {"square": 3},
+     "binding 'square' should be a declared square name, got int"),
+    ("dwork", "R5", "fwd", lambda c: Struct("X"), {"square": "nosuch"},
+     "unknown square 'nosuch'"),
+    # pi ends at X, where pi does not start
+    ("dwork", "R1", "bwd", lambda c: Struct("X"), {"f": "pi", "g": "pi"},
+     "cited maps do not compose"),
+    # pi . iota is not the written s . pi
+    ("dwork", "R1", "fwd",
+     lambda c: Opb(c.composite("pi"), Opb(c.composite("s"), Struct("Adual"))),
+     {"f": "iota", "g": "pi"}, "cited factors do not compose to the same map"),
+    ("dwork", "R1", "bwd", lambda c: Struct("X"), {"f": "j", "g": "iota"},
+     "cited factors are not an identity"),
+    ("dwork", "R10", "fwd", lambda c: RGamma(SubName("S"), Struct("X")),
+     {"layers": 0}, "layers must be a positive integer"),
+    ("dwork", "R10", "bwd",
+     lambda c: Oim(c.composite("s", "j"), Opb(c.composite("s", "j"),
+                                              Struct("Adual"))),
+     {}, "embedding must normalize to a declared atom"),
+    ("dwork", "R10", "fwd", lambda c: RGamma(SubName("S"), Struct("X")), {},
+     "center S is not smooth"),
+    ("dwork", "R10", "bwd",
+     lambda c: Oim(c.composite("j"), Opb(c.composite("j"), Struct("X"))), {},
+     "center S is not smooth"),
+    # F is t pulled back along gammaV . stilde, not along iota . pi
+    ("dwork", "R11", "bwd", lambda c: Exp("V", FuncName("F")),
+     {"f": ("iota", "pi"), "psi": FuncName("F")},
+     "twist is not the pullback of the cited function"),
+    ("transform_ctx", "R14", "fwd",
+     lambda c: Fourier("Vb", Oim(c.composite("f"), Var("N", "Vb"))), {},
+     "pushforward does not land in the transformed bundle"),
+    ("transform_ctx", "R14", "fwd",
+     lambda c: Fourier("Wb", Oim(c.composite("f"), Var("N", "Vb"))),
+     {"map": "negW"}, "cited map differs from the written one"),
+    ("transform_ctx", "R14", "bwd",
+     lambda c: Opb(c.composite("tf"), Fourier("Wb", Var("P", "Wb"))), {},
+     "transform bundle is not the source of the transposed map"),
+    ("transform_ctx", "R15", "fwd",
+     lambda c: Oim(c.composite("tf"), Fourier("Vb", Var("N", "Vb"))), {},
+     "transform bundle is not the target of the transposed map"),
+    ("transform_ctx", "R15", "bwd",
+     lambda c: Fourier("Wb", Opb(c.composite("f"), Var("P", "Wb"))), {},
+     "pullback does not start at the transformed bundle"),
+    ("dwork", "R19", "fwd", lambda c: Struct("X"), {"law": "nosuch"},
+     "unknown law 'nosuch'"),
+    ("product_ctx", "R20", "fwd", lambda c: Struct("Xv"), {"law": "nosuch"},
+     "unknown law 'nosuch'"),
+    ("product_ctx", "R20", "bwd",
+     lambda c: ETensor(Struct("Xv"), Var("M", "Xv")),
+     {"law": "etens_opb_proj2"}, "no declared product of Xv and Xv"),
+    # Xv x Yp is not declared, only Yp x Xv
+    ("product_ctx", "R20", "bwd",
+     lambda c: ETensor(Oim(c.composite("f"), Var("M", "Xv")), Struct("Yp")),
+     {"law": "etens_oim_fstmap"}, "no declared product map f x id"),
+]
+
+
+@pytest.mark.parametrize("context, rule, direction, term, b, reason",
+                         REFUSALS)
+def test_every_citation_guard_refuses_with_its_reason(
+        context, rule, direction, term, b, reason, request):
+    ctx = request.getfixturevalue(context)
+    b = {k: ctx.composite(*((v,) if isinstance(v, str) else v))
+         if k in ("f", "g", "map") else v for k, v in b.items()}
+    with pytest.raises(RuleError) as exc:
+        _step(ctx, term(ctx), rule, direction, b=b)
+    assert exc.value.reason == reason
+
+
+def test_a_lemma_refuses_a_subterm_it_does_not_match(dwork):
+    lemmas = {"L": (Struct("X"), Struct("X"))}
+    with pytest.raises(RuleError) as exc:
+        _step(dwork, Struct("V"), "lemma:L", "fwd", lemmas=lemmas)
+    assert exc.value.reason == "subterm does not match lemma L"
+
+
 # --- moves offered to the search ----------------------------------------------
 
 
@@ -627,6 +715,26 @@ def test_a_written_map_is_read_only_as_written(dwork, rule, node, written):
     assert delta == 0
     split = Opb(f, Opb(g, exp)) if node is Opb else Oim(g, Oim(f, exp))
     assert serialize(out) == serialize(split)
+
+
+def _compose_splits(fillers):
+    """The R1 splits `Moves` offers at a pullback along b . a, in a context
+    of a : X -> Y, b : Y -> Z and `fillers` more atoms on X."""
+    ctx = dsl.load_script(
+        "variety X dim 1;\nvariety Y dim 1;\nvariety Z dim 1;\n"
+        "morphism a : X -> Y;\nmorphism b : Y -> Z;\nobject M on Z;\n"
+        + "".join(f"morphism h{i} : X -> X;\n" for i in range(fillers))).ctx
+    term = Opb(ctx.composite("b", "a"), Var("M", "Z"))
+    return len(ctx.atoms), [
+        (b["f"].atoms, b["g"].atoms)
+        for rule, d, b, *_ in Moves(ctx)(term) if (rule, d) == ("R1", "bwd")]
+
+
+def test_no_compose_split_is_offered_past_the_atom_pair_cap():
+    # 50 atoms make 2 500 pairs, the most the search indexes
+    cap = math.isqrt(_ATOM_PAIR_CAP)
+    assert _compose_splits(cap - 2) == (cap, [(("a",), ("b",))])
+    assert _compose_splits(cap - 1) == (cap + 1, [])
 
 
 # --- every law at every kind of atom ------------------------------------------

@@ -1,5 +1,7 @@
 """Twisted de Rham complex: frozen dimensions, exactness, reference agreement."""
 
+from collections import Counter
+
 import pytest
 
 from dworklab import parse_poly, twisted_cohomology
@@ -86,11 +88,11 @@ def test_stage_pivot_counts_match_ranks_of_all_rows(text, names, _expected):
     cx = TwistedComplex(F, rungs[-1][0])
     for D, dims in rungs:
         assert cx.rung(D) == dims
-    for k in range(cx.n + 1):
-        stages = [e for e, _deg in cx._leads[k]]
-        for e in range(cx._fed + 1):
+    assert cx._ranks
+    for e, ranks in enumerate(cx._ranks):
+        for k in range(cx.n + 1):
             rows = [_decoded(cx, r) for r in cx.rows(k, e)]
-            assert sum(1 for s in stages if s <= e) == oracles.rank(rows)
+            assert ranks[k] == oracles.rank(rows)
 
 
 @pytest.mark.parametrize("text,names,_expected", CHEAP_CASES)
@@ -113,12 +115,32 @@ def test_ladder_skips_rows_known_dependent(text, names, _expected,
     for D in cutoffs:
         cx.rung(D)
     monkeypatch.undo()
-    total = sum(len(cx.rows(k, cx._fed)) for k in range(cx.n))
+    fed = len(cx._ranks) - 1
+    total = sum(len(cx.rows(k, fed)) for k in range(cx.n))
     # grade 0 has no pivots below it, so one variable leaves nothing out
     if cx.n == 1:
         assert len(added) == total
     else:
         assert len(added) < total
+
+
+@pytest.mark.parametrize("text,names", [("x*y", XY), ("y*(x^3-x)", XY)])
+def test_a_ladder_looks_up_each_block_at_most_twice(text, names,
+                                                    monkeypatch):
+    """Over a whole ladder, each (degree, mask) block is looked up once
+    to build its rows and once to count its size, never again by a later
+    rung."""
+    lookups = Counter()
+    block = TwistedComplex._block
+
+    def counted(cx, e, mask):
+        lookups[e, mask] += 1
+        return block(cx, e, mask)
+
+    monkeypatch.setattr(TwistedComplex, "_block", counted)
+    res = twisted_cohomology(parse_poly(text, names))
+    assert len(res.rungs) >= 3
+    assert max(lookups.values()) <= 2
 
 
 @pytest.mark.parametrize("text,names", [("x*y", XY), ("y*(x^2-1/3)", XY)])
