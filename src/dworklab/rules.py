@@ -738,6 +738,13 @@ def _along_identity(moves, sub):
     return ({},) if moves.ctx.is_identity(sub.morphism) else ()
 
 
+def _with_unit_factor(moves, sub):
+    """No bindings, once, where a factor of the written tensor is a
+    structure sheaf."""
+    return ({},) if (isinstance(sub.left, Struct)
+                     or isinstance(sub.right, Struct)) else ()
+
+
 def _along_second_projection(moves, sub):
     """No bindings, once, where the written map normalizes to the second
     projection of a plain product."""
@@ -790,7 +797,7 @@ RULES = {
         ("fwd", "opb_id"): Offer(Opb, pick=_along_identity),
         ("fwd", "oim_id"): Offer(Oim, pick=_along_identity),
         ("fwd", "struct_pullback"): Offer(Opb, Struct),
-        ("fwd", "tensor_unit"): Offer(Tensor),
+        ("fwd", "tensor_unit"): Offer(Tensor, pick=_with_unit_factor),
         ("bwd", "struct_pullback"): Offer(Struct, None, "f", lambda m, s: [
             m.ctx.composite(a.name) for a in m.ctx.atoms.values()
             if a.source == s.variety]),

@@ -14,29 +14,50 @@ and rank W is the number of window elements, since multiplying by g_I^2
 is injective and distinct (I, dx) parts use disjoint columns.  Then
 dim(U ∩ W) = rank U + |W| − rank(U ∪ W).
 
-A ladder carries what each rung learns to the next.  Rung t + 1's
-grade-(q−1) kernel rows are rows of window(P + 1, D_{t+1}) at pole P + 1,
-and since step ≤ maxdeg + 1 that window lies inside the U domain
-window(P + 1, D + maxdeg + 1) of rung t.  The U echelon of grade q is
-therefore fed the monomials inside the next window first, and its lead
-set at that point is the kernel lead set of rung t + 1, whose size is
-the kernel rank; that rung then builds no kernel row at all.  Rung 0, a
-rung asked for out of order, and a constant section (maxdeg 0,
-step 2 > maxdeg + 1) eliminate a fresh kernel instead.  The
-top grade n + r − 1 (the full piece with every dx) has differential
-zero, so its kernel is its whole window and no row of it is built.
-Only lead sets are carried, never pivot rows.
+A ladder keeps records, not echelons.  Stage s of a pole p is
+window(p, s) minus window(p, s − 1): for each piece I the degree
+p·deg g_I + s, stage 0 holding every degree ≤ p·deg g_I.  `_feed(p, q, D)`
+eliminates grade q's rows at pole p in a fresh echelon, stage by stage
+through stage D, and keeps per (pole, grade) the record of the last
+echelon it fed there: the pivot count after each stage and the pivots'
+leads in the order found.  An echelon never replaces a pivot, so the
+pivots found by stage s are an echelon basis of the rows of
+window(p, s), and a record gives the rank at every stage it reached.  No
+echelon outlives the call that fed it.
 
-U rows that d² = 0 proves dependent are never built.  Every grade-(q−2)
-kernel row of window(P, D) lands in window(P + 1, D): its piece-I part
-has degree ≤ (P + 1)·deg g_I + D − 1 and its Čech part degree
-≤ (P + 1)·deg g_J + D.  That row lies in the kernel of the grade-(q−1)
-rows at pole P + 1, so the U row of the basis element at its pivot's
-lead is a combination of the U rows at the pivot's other, smaller
-columns, all inside the next window.  By induction on code order the
-rows left fed span what all the rows span, both for the prefix and for
-the whole of U, and an echelon whose leads are largest columns has a
-lead set fixed by its span: every lead set, rank and rung is unchanged.
+Rung t reads three ranks per grade q.  U is `_feed(P + 1, q − 1, D_img)`,
+with D_img = D + maxdeg + 1; the embedded W rows then go into that same
+echelon, giving rank(U ∪ W); and rank d(W) is the count at stage D of the
+record of (P, q), fed again only when that record does not reach D.
+Then dims[q] = rank(U ∪ W) − rank U − rank d(W), which is
+dim ker − dim(U ∩ W) with |W| cancelled.  At grade 0 there is no U and
+the embedded rows are independent, so they are counted, not fed.  The
+top grade n + r − 1 (the full piece with every dx) has differential
+zero, so no row of it is built.  Rung t's U echelon at pole P + 1 is
+fed through D_t + maxdeg + 1 ≥ D_{t+1} whenever step ≤ maxdeg + 1, so
+rung t + 1 reads every rank d(W) from a record and builds no pole-P row
+at all.  Rung 0, a rung asked out of order or again, and a constant
+section (maxdeg 0, step 2 > maxdeg + 1) take the same path; they only
+find fewer records that reach far enough.
+
+Rows that d² = 0 proves dependent are never built.  `_feed(p, q, ·)`
+leaves out an element whose code leads a pivot that the record of
+(p − 1, q − 1) found by stage D_(p−2), the cutoff of rung p − 2
+(`schedule(p − 2)`), or every pivot of a record that stopped short of
+it.  Such a pivot is a combination of rows d(x) for x in
+window(p − 1, D_(p−2)), and d maps window(p − 1, s) into window(p, s):
+the piece-I part of d(x) has degree ≤ p·deg g_I + s − 1 and its Čech
+part degree ≤ p·deg g_J + s.  The pivot is then in the kernel of the
+grade-q rows at pole p, so the row of the element at its lead is a
+combination of the rows at its other, smaller columns, all inside
+window(p, D_(p−2)).  The only stages ever read at pole p are D_(p−1)
+and D_(p−2) + maxdeg + 1, both beyond D_(p−2), so by induction on code
+order the rows fed through either span what all its rows span, and an
+echelon whose leads are largest columns has a lead set fixed by its
+span: every count read is unchanged, whatever order the rungs come in.
+The pivots found by stage D_(p−2) are exactly those of the rows of d on
+the window rung p − 2 reads at pole p − 1; a higher threshold would
+skip more.
 
 Only the weight-0 block is eliminated.  `weights` holds integer rows w
 spanning the rational kernel of the exponent differences inside each f_i
@@ -51,15 +72,16 @@ it is taken from.  Written at pole P + 1, ι_E ω has numerator degree at
 most (P + 1)·deg g_I + D + 1, inside the U domain window since
 D_img = D + maxdeg + 1.  So every closed window element of weight λ ≠ 0
 lies in U ∩ W, and its block adds 0 to every rung, not only in the
-limit.  `_window` therefore returns the weight-0 block of each (I, mask),
-degree by degree.  The complex keeps one `forms.WeightBlocks` index: a
+limit.  `_stages` therefore lists the weight-0 block of each (I, mask),
+stage by stage.  The complex keeps one `forms.WeightBlocks` index: a
 degree is walked once, the first time a window asks for it, and only the
 monomials whose weight some (I, mask, pole) of a rung up to t_max can
-ask for are kept, so a block's part of one degree is one lookup.  The U
-prefix the carry reads is each block's degrees <= the next window's
-bound, the d² = 0 skip stays inside one block, and the embedded W rows
-take their codes from the pole-P block itself.  A kernel
-of dimension 0 gives one block holding every element.
+ask for are kept, so a block's part of one degree is one lookup.  A
+(pole, grade) is listed once, and again only for a stage beyond it, so
+rung t + 1's W reads the listing rung t's U made.  The d² = 0 skip stays
+inside one block, and the embedded W rows take their codes from the
+pole-P block itself.  A kernel of dimension 0 gives one block holding
+every element.
 
 Each f_i is first multiplied by the lcm of its coefficient denominators.
 That changes no window and no image subspace, and it makes every row
@@ -76,8 +98,8 @@ mono, piece, mask).  A complex has one width, chosen in `__init__` from
 the rung cap `t_max` its ladder takes: a pole-p row of degree e reaches
 exponents at most e + p·max deg f_i + deg g, a rung's widest rows are its
 image rows at pole P + 1, and W is the bit length of that bound at rung
-t_max.  Every code, template and carried lead set is valid for the life
-of the complex, and a rung or row beyond the cap raises ValueError.
+t_max.  Every code, template and recorded lead is valid for the life of
+the complex, and a rung or row beyond the cap raises ValueError.
 Rows are built from one template per (I, mask, pole): the
 `forms.template` the twisted side uses too, with q = g_I, dp = dg_I,
 c = −pole and sign (−1)^(|I|−1), whose merged part then takes the Čech
@@ -173,9 +195,19 @@ class CechDeRham:
         # g_I² as (code offset, coefficient) pairs, for the embedded rows
         self._embed = {I: [(self._codes.mono(m), c) for m, c in sq.items()]
                        for I, sq in squares.items()}
-        # (next rung, {grade: kernel pivot leads}); a kernel's rank is the
-        # size of its lead set
-        self._carry = None
+        # grade -> its (I, mask, fields, deg g_I), pieces first, then masks
+        self._groups = {}
+        for I in self.pieces:
+            for k in range(self.n + 1):
+                for mask in masks_of_degree(self.n, k):
+                    self._groups.setdefault(len(I) - 1 + k, []).append(
+                        (I, mask, self.piece_index[I] << self.n | mask,
+                         self.g[I].degree()))
+        # (pole, grade) -> (pivot count after each stage, pivot leads in
+        # the order found) of the last echelon `_feed` fed there
+        self._records = {}
+        # (pole, grade) -> its `_stages` listing, up to the last stage asked
+        self._listed = {}
 
     def _reach(self, deg, pole):
         """Bound on the exponents of a pole-`pole` row of degree `deg`."""
@@ -243,22 +275,24 @@ class CechDeRham:
         return shifted_row(self._codes.mono(mono), mono,
                            *self._template(I, mask, pole))
 
-    def _window(self, pole, D):
-        """The weight-0 block of the window (pole, D) by total grade, as
-        (I, mask, blocks) groups: blocks[e] lists (mono, code(mono)) of
-        the block's elements of degree e in graded order, for every e up
-        to the numerator bound pole·deg g_I + D, each one lookup in the
-        complex's weight index."""
-        grades = {}
-        for I in self.pieces:
-            degrees = range(pole * self.g[I].degree() + D + 1)
-            for k in range(self.n + 1):
-                for mask in masks_of_degree(self.n, k):
-                    key = self._keys[I, mask, pole]
-                    grades.setdefault(len(I) - 1 + k, []).append(
-                        (I, mask, [self._index[e].get(key, ())
-                                   for e in degrees]))
-        return grades
+    def _stages(self, pole, q, D):
+        """The weight-0 block of grade q's window (pole, D), stage by
+        stage: for s = 0..D, stage s as (I, mask, fields, pairs) chunks,
+        pairs listing (mono, code(mono)) of the (I, mask) block's elements
+        of one degree in graded order, each one lookup in the complex's
+        weight index.  Empty chunks are left out, and a (pole, grade) is
+        listed again only for a stage beyond its last listing."""
+        stages = self._listed.get((pole, q), ())
+        if len(stages) <= D:
+            stages = self._listed[pole, q] = [[] for _ in range(D + 1)]
+            index = self._index
+            for I, mask, fields, gdeg in self._groups[q]:
+                key, low = self._keys[I, mask, pole], pole * gdeg
+                for e in range(low + D + 1):
+                    if pairs := index[e].get(key):
+                        stages[max(e - low, 0)].append(
+                            (I, mask, fields, pairs))
+        return stages[:D + 1]
 
     def window_basis(self, pole, D):
         """Every (I, mono, mask) of the window (pole, D), every weight
@@ -273,65 +307,57 @@ class CechDeRham:
         d0, step = self.maxdeg + self.n + 1, max(2, self.maxdeg)
         return 1 + t, d0 + step * t
 
+    def _feed(self, pole, q, D):
+        """A fresh echelon of grade q's rows at `pole`, fed in stage order
+        through stage D, and its record kept as that of (pole, q).  An
+        element whose code leads a pivot the record of (pole − 1, q − 1)
+        found by stage D_(pole−2) is left out before its row is built (the
+        module docstring says why)."""
+        # no record there: nothing to skip
+        counts, leads = self._records.get((pole - 1, q - 1), ((0,), ()))
+        upto = self.schedule(pole - 2)[1]
+        skip = set(leads[:counts[min(upto, len(counts) - 1)]])
+        ech, counts = Echelon(), []
+        for stage in self._stages(pole, q, D):
+            for I, mask, fields, pairs in stage:
+                for mono, base in pairs:
+                    if base | fields not in skip:
+                        ech.add(self.diff_row(I, mono, mask, pole))
+            counts.append(len(ech))
+        self._records[pole, q] = counts, list(ech.pivots)
+        return ech
+
+    def _rank(self, pole, q, D):
+        """Rank of grade q's rows at `pole` through stage D: read from the
+        record of (pole, q), fed again first if that stops short of D."""
+        counts = self._records.get((pole, q), ((),))[0]
+        return counts[D] if len(counts) > D else len(self._feed(pole, q, D))
+
     def rung(self, t):
         """Windowed dims of every total grade q at rung t."""
         P, D = self.schedule(t)
-        D_img = D + self.maxdeg + 1
-        # rung t + 1's kernel window lies inside this rung's image window
-        # unless every f_i is constant (step 2 > maxdeg + 1)
-        D_next = self.schedule(t + 1)[1]
-        carries = D_next <= D_img
         self._check(self._rung_reach(t))
-        n, index = self.n, self.piece_index
-        carry = self._carry
-        # grade -> kernel pivot leads at this rung
-        kernels = carry[1] if carry and carry[0] == t else {}
-        # the top grade's differential is zero
-        kernels[self.n + self.r - 1] = set()
-        window = self._window(P, D)
-        image = self._window(P + 1, D_img)
-        # the U rows inside rung t + 1's kernel window: in each (I, mask)
-        # block those of degree <= cut[I]
-        cut = {I: (P + 1) * self.g[I].degree() + min(D_next, D_img)
-               for I in self.pieces}
+        top = self.n + self.r - 1
         embed = self._embed
-        dims, ahead = {}, {}
-        for q in range(self.n + self.r):
-            basis = window[q]
-            size = sum(len(block) for _I, _mask, blocks in basis
-                       for block in blocks)
-            if q not in kernels:
-                ech = Echelon()
-                for I, mask, blocks in basis:
-                    for mono, _base in chain.from_iterable(blocks):
-                        ech.add(self.diff_row(I, mono, mask, P))
-                kernels[q] = set(ech.pivots)
-            ker = size - len(kernels[q])
+        dims = {}
+        for q in range(top + 1):
+            # the top grade's differential is zero
+            rank_dw = self._rank(P, q, D) if q < top else 0
             if q == 0:
-                dims[0] = ker
+                # no U, and the embedded rows are independent: count them
+                dims[0] = sum(len(chunk[-1]) for chunk in chain.from_iterable(
+                    self._stages(P, 0, D))) - rank_dw
                 continue
-            # d² = 0: a U element leading a grade-(q-2) kernel pivot has
-            # a row in the span of the rows at that pivot's other columns
-            skip = kernels[q - 2] if q > 1 else ()
-            ech = Echelon()
-            for prefix in (True, False):
-                for I, mask, blocks in image[q - 1]:
-                    fields = index[I] << n | mask
-                    part = (blocks[:cut[I] + 1] if prefix
-                            else blocks[cut[I] + 1:])
-                    for mono, base in chain.from_iterable(part):
-                        if base | fields not in skip:
-                            ech.add(self.diff_row(I, mono, mask, P + 1))
-                if prefix:
-                    ahead[q - 1] = set(ech.pivots)
+            ech = self._feed(P + 1, q - 1, D + self.maxdeg + 1)
             rank_u = len(ech)
-            for I, mask, blocks in basis:
-                fields = index[I] << n | mask
-                for _mono, base in chain.from_iterable(blocks):
+            for I, _mask, fields, pairs in chain.from_iterable(
+                    self._stages(P, q, D)):
+                for _mono, base in pairs:
                     base |= fields
                     ech.add({base + off: c for off, c in embed[I]})
-            dims[q] = ker - (rank_u + size - len(ech))
-        self._carry = (t + 1, ahead) if carries else None
+            dims[q] = len(ech) - rank_u - rank_dw
+            # free this echelon before the next grade feeds its own
+            del ech
         return dims
 
 

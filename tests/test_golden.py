@@ -27,9 +27,10 @@ engine as it stood after both changes above, at about 1 s each;
 reading these documents, so no ladder runs twice.
 
 The CI workflow also compares `x*y*z` (dwork-check-xyz.json), `x, y, x+y`,
-`x^2+y^3+z^6` and `x^3+y^3+z^3` (each under a 10 s timeout), the two
-four-variable inputs (each under a 5 s timeout), `verify-paper` and the
-machine-output search from the shell.
+the two inputs with no torus `x^2*y + 1/3*y^3 + 3*y^2 - 1/2` and
+`y*(x^2-1/3)`, `x^2+y^3+z^6` and `x^3+y^3+z^3` (these four each under a
+10 s timeout), the two four-variable inputs (each under a 5 s timeout),
+`verify-paper` and the machine-output search from the shell.
 """
 
 import pathlib

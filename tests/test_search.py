@@ -232,9 +232,10 @@ def _rows(moves, sub):
 
 
 # keyless offers whose pick only gates them: R19 forward along an
-# identity, R20 `etens_opb_proj2` forward along a plain product's second
-# projection
+# identity and at a tensor with a structure-sheaf factor, R20
+# `etens_opb_proj2` forward along a plain product's second projection
 GATED = {("R19", ("fwd", "opb_id")), ("R19", ("fwd", "oim_id")),
+         ("R19", ("fwd", "tensor_unit")),
          ("R20", ("fwd", "etens_opb_proj2"))}
 
 
@@ -414,8 +415,10 @@ def test_one_move_table_per_prove(monkeypatch):
     # calls; trying each candidate once per distinct subterm, with the undo
     # checks, took 6 560 tries; probing the last layer for a meeting and
     # offering base change, the transform's backward step and the
-    # identity and projection laws only along their maps takes 2 147
-    assert tries == {"accepted": 1011, "refused": 1136}
+    # identity and projection laws only along their maps took 2 147; the
+    # unit law offered only at a tensor with a structure-sheaf factor
+    # takes 2 071
+    assert tries == {"accepted": 1011, "refused": 1060}
 
 
 def _table(ctx, mode="strict-smooth"):

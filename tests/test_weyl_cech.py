@@ -84,13 +84,13 @@ def _grade(I, mask):
 
 
 def _rung_counting(monkeypatch, cx, t):
-    """rung(t), with the (I, mask, pole) of every `diff_row` call and
-    every row `Echelon.add` is given."""
+    """rung(t), with the (I, mono, mask, pole) of every `diff_row` call
+    and every row `Echelon.add` is given."""
     built, added = [], []
     diff_row, add = CechDeRham.diff_row, Echelon.add
 
     def counted_row(self, I, mono, mask, pole):
-        built.append((I, mask, pole))
+        built.append((I, mono, mask, pole))
         return diff_row(self, I, mono, mask, pole)
 
     def counted_add(ech, row):
@@ -104,35 +104,49 @@ def _rung_counting(monkeypatch, cx, t):
     return dims, built, added
 
 
-def test_ladder_carries_kernels_and_skips_dependent_rows(monkeypatch):
-    """Rung 1 after rung 0 builds no pole-P kernel row, and leaves out U
-    rows whose basis element leads a grade-(q-2) kernel pivot."""
+def _window_codes(cx, pole, q, D):
+    """Codes of grade q's weight-0 window (pole, D), read stage by stage."""
+    return [base | fields for stage in cx._stages(pole, q, D)
+            for _I, _mask, fields, pairs in stage for _mono, base in pairs]
+
+
+def test_a_rung_after_its_predecessor_builds_no_pole_p_row(monkeypatch):
+    """Rung 1 after rung 0 reads every rank d(W) from a record, so it
+    builds no pole-P row, and leaves out exactly the U rows whose basis
+    element leads a pivot that the record of (P, q - 2) found by stage
+    D: the rows d² = 0 proves dependent."""
     cx = CechDeRham(_polys(["x", "y"], XY), 1)
     cx.rung(0)
-    _dims, built, added = _rung_counting(monkeypatch, cx, 1)
     P, D = cx.schedule(1)
     top = cx.n + cx.r - 1
-    assert not [pole for _I, _mask, pole in built if pole == P]
-    fed_u = sum(1 for _I, _mask, pole in built if pole == P + 1)
+    # U of grade q is grade q - 1 at pole P + 1; its skip is the record of
+    # (P, q - 2) through stage D
+    dependent = set()
+    for q in range(2, top + 1):
+        counts, leads = cx._records[P, q - 2]
+        dependent.update(leads[:counts[D]])
+    _dims, built, added = _rung_counting(monkeypatch, cx, 1)
+    assert not [pole for *_, pole in built if pole == P]
+    fed_u = [cx.code(I, mono, mask) for I, mono, mask, pole in built
+             if pole == P + 1]
     # the rung eliminates only the weight-0 block of each window
-    size_u = sum(len(block) for q, groups in
-                 cx._window(P + 1, D + cx.maxdeg + 1).items() if q < top
-                 for _I, _mask, blocks in groups for block in blocks)
-    size_w = sum(len(block) for q, groups in cx._window(P, D).items()
-                 if q > 0 for _I, _mask, blocks in groups for block in blocks)
-    # each built row is added once, and so is each embedded W row
-    assert len(added) == fed_u + size_w
-    assert fed_u < size_u
+    window_u = [code for q in range(top)
+                for code in _window_codes(cx, P + 1, q, D + cx.maxdeg + 1)]
+    assert dependent and dependent <= set(window_u)
+    assert sorted(fed_u) == sorted(set(window_u) - dependent)
+    # each built row is added once, and so is each embedded W row above
+    # grade 0, whose rows are counted, not fed
+    size_w = sum(len(_window_codes(cx, P, q, D)) for q in range(1, top + 1))
+    assert len(added) == len(fed_u) + size_w
 
 
-def test_widening_between_rungs_drops_the_carry(monkeypatch):
+def test_widening_is_refused_and_rungs_answer_in_any_order(monkeypatch):
     """Codes never widen between rungs: a `diff_row` call above the cap
-    is refused and leaves the carried kernels for the next rung, while a
-    rung that is not the next one drops the carry and eliminates fresh
-    kernels."""
+    is refused and leaves the records for the next rung, which builds no
+    pole-P row.  Rungs asked out of order, or again, equal fresh
+    complexes' rungs."""
     fs = _polys(["x", "y"], XY)
     cx = CechDeRham(fs, 2)
-    top = cx.n + cx.r - 1
     cx.rung(0)
     codes = cx._codes
     with pytest.raises(ValueError):
@@ -140,14 +154,43 @@ def test_widening_between_rungs_drops_the_carry(monkeypatch):
     assert cx._codes is codes
     dims, built, _added = _rung_counting(monkeypatch, cx, 1)
     P = cx.schedule(1)[0]
-    assert not [pole for _I, _mask, pole in built if pole == P]
+    assert not [pole for *_, pole in built if pole == P]
     assert dims == CechDeRham(fs, 1).rung(1)
-    cx.rung(0)
-    dims, built, _added = _rung_counting(monkeypatch, cx, 2)
-    P = cx.schedule(2)[0]
-    assert any(pole == P and _grade(I, mask) < top
-               for I, mask, pole in built)
-    assert dims == CechDeRham(fs, 2).rung(2)
+    cx = CechDeRham(fs, 2)
+    for t in (2, 0, 1, 2, 0):
+        assert cx.rung(t) == CechDeRham(fs, t).rung(t)
+
+
+# (input, `diff_row` calls, `Echelon.add` calls that reduce to zero) of a
+# whole Čech ladder
+LADDER_WORK = [
+    (["x^3+y^3+x"], 2316, 1108),
+    (["x", "y", "x+y"], 301, 122),
+]
+
+
+@pytest.mark.parametrize("texts,rows,zeros", LADDER_WORK)
+def test_a_ladder_builds_and_reduces_the_pinned_rows(texts, rows, zeros,
+                                                    monkeypatch):
+    """The d² = 0 skips leave out the same rows whatever the feed order:
+    a ladder builds as many rows, and as many reduce to zero, as when
+    they were pinned."""
+    counts = {"rows": 0, "zeros": 0}
+    diff_row, add = CechDeRham.diff_row, Echelon.add
+
+    def counted_row(self, *args):
+        counts["rows"] += 1
+        return diff_row(self, *args)
+
+    def counted_add(ech, row):
+        lead = add(ech, row)
+        counts["zeros"] += lead is None
+        return lead
+
+    monkeypatch.setattr(CechDeRham, "diff_row", counted_row)
+    monkeypatch.setattr(Echelon, "add", counted_add)
+    assert complement_cohomology(_polys(texts, XY)).stabilized
+    assert counts == {"rows": rows, "zeros": zeros}
 
 
 @pytest.mark.parametrize("texts,names", [(["(x^2-1)^3"], X), (["x", "y"], XY)])

@@ -190,11 +190,15 @@ def test_an_input_without_a_torus_is_one_block(monkeypatch):
                  if (row := tw.apply(mono, mask))]
         assert tw.rows(k, 8) == every
     P, D = ce.schedule(0)
-    # blocks[e] holds the block's elements of degree e
-    assert sorted((I, mono, mask) for groups in ce._window(P, D).values()
-                  for I, mask, blocks in groups
-                  for e, block in enumerate(blocks)
-                  for mono, _code in block if sum(mono) == e) == sorted(
+    # stage s of the piece holds its elements of degree P·deg g + s, and
+    # stage 0 every lower degree too
+    low = P * ce.g[ce.pieces[0]].degree()
+    assert sorted((I, mono, mask) for q in range(ce.n + ce.r)
+                  for s, stage in enumerate(ce._stages(P, q, D))
+                  for I, mask, _fields, pairs in stage
+                  for mono, _code in pairs
+                  if sum(mono) == low + s or s == 0 and sum(mono) <= low
+                  ) == sorted(
         (I, mono, mask) for I in ce.pieces for mask in range(1 << ce.n)
         for mono in graded_monomials(ce.n, P * ce.g[I].degree() + D))
     for cx, rungs in ((tw, twisted_cohomology(F).rungs),
