@@ -20,10 +20,10 @@ p·deg g_I + s, stage 0 holding every degree ≤ p·deg g_I.  `_feed(p, q, D)`
 eliminates grade q's rows at pole p in a fresh echelon, stage by stage
 through stage D, and keeps per (pole, grade) the record of the last
 echelon it fed there: the pivot count after each stage and the pivots'
-leads in the order found.  An echelon never replaces a pivot, so the
-pivots found by stage s are an echelon basis of the rows of
-window(p, s), and a record gives the rank at every stage it reached.  No
-echelon outlives the call that fed it.
+leads.  An echelon never replaces a pivot, so the pivots found by stage
+s are an echelon basis of the rows of window(p, s), and a record gives
+the rank at every stage it reached.  No echelon outlives the call that
+fed it.
 
 Rung t reads three ranks per grade q.  U is `_feed(P + 1, q − 1, D_img)`,
 with D_img = D + maxdeg + 1; the embedded W rows then go into that same
@@ -41,23 +41,23 @@ section (maxdeg 0, step 2 > maxdeg + 1) take the same path; they only
 find fewer records that reach far enough.
 
 Rows that d² = 0 proves dependent are never built.  `_feed(p, q, ·)`
-leaves out an element whose code leads a pivot that the record of
-(p − 1, q − 1) found by stage D_(p−2), the cutoff of rung p − 2
-(`schedule(p − 2)`), or every pivot of a record that stopped short of
-it.  Such a pivot is a combination of rows d(x) for x in
-window(p − 1, D_(p−2)), and d maps window(p − 1, s) into window(p, s):
-the piece-I part of d(x) has degree ≤ p·deg g_I + s − 1 and its Čech
-part degree ≤ p·deg g_J + s.  The pivot is then in the kernel of the
-grade-q rows at pole p, so the row of the element at its lead is a
-combination of the rows at its other, smaller columns, all inside
-window(p, D_(p−2)).  The only stages ever read at pole p are D_(p−1)
-and D_(p−2) + maxdeg + 1, both beyond D_(p−2), so by induction on code
-order the rows fed through either span what all its rows span, and an
-echelon whose leads are largest columns has a lead set fixed by its
-span: every count read is unchanged, whatever order the rungs come in.
-The pivots found by stage D_(p−2) are exactly those of the rows of d on
-the window rung p − 2 reads at pole p − 1; a higher threshold would
-skip more.
+leaves out every element whose code leads a pivot of the record of
+(p − 1, q − 1).  Pole p − 1 is fed only as rung p − 3's U, through
+stage D_(p−3) + maxdeg + 1, and as rung p − 2's d(W), through D_(p−2),
+so that record reaches some stage s at most the larger of the two.  Its
+pivots are combinations of rows d(x) for x in window(p − 1, s), and d
+maps window(p − 1, s) into window(p, s): the piece-I part of d(x) has
+degree ≤ p·deg g_I + s − 1 and its Čech part degree ≤ p·deg g_J + s.
+A pivot is then in the kernel of the grade-q rows at pole p, so the row
+of the element at its lead is a combination of the rows at its other,
+smaller columns, all inside window(p, s).  Pole p is read only at
+D_(p−1), by rung p − 1's d(W), and at D_(p−2) + maxdeg + 1, by rung
+p − 2's U.  Both are at least s, since D_(p−1) = D_(p−3) + 2·step and
+2·step ≥ maxdeg + 1 for step = max(2, maxdeg).  So by induction on code
+order the rows fed through either stage span what all its rows span,
+and an echelon whose leads are largest columns has a lead set fixed by
+its span: every count read is unchanged, whatever order the rungs come
+in.
 
 Only the weight-0 block is eliminated.  `weights` holds integer rows w
 spanning the rational kernel of the exponent differences inside each f_i
@@ -100,15 +100,17 @@ exponents at most e + p·max deg f_i + deg g, a rung's widest rows are its
 image rows at pole P + 1, and W is the bit length of that bound at rung
 t_max.  Every code, template and recorded lead is valid for the life of
 the complex, and a rung or row beyond the cap raises ValueError.
-Rows are built from one template per (I, mask, pole): the
-`forms.template` the twisted side uses too, with q = g_I, dp = dg_I,
-c = −pole and sign (−1)^(|I|−1), whose merged part then takes the Čech
-terms; each of its scaled parts is a g_I part for variable j, scaled by
-mono[j].  A row is the template shifted by code(mono)
-(`forms.shifted_row`); the scaled parts can meet the merged one, so they
-are added entry by entry.  The embedded window rows shift the codes of
-the terms of g_I², formed once per complex, the same way.  A complex
-refuses a pole order above `MAX_POLE` before it builds anything.
+Rows are built from templates made once per (I, pole), one per mask:
+the `forms.template` the twisted side uses too, with q = g_I and
+dp = dg_I, both signed (−1)^(|I|−1) once per piece, and c = −pole.  Its
+merged part then takes the Čech terms, each factor f_j0^pole·g_(I ∪ j0)
+formed once for every mask; each of its scaled parts is a g_I part for
+variable j, scaled by mono[j].  A row is the template shifted by
+code(mono) (`forms.shifted_row`); the scaled parts can meet the merged
+one, so they are added entry by entry.  The embedded window rows shift
+the codes of the terms of g_I², formed once per complex, the same way.
+A complex refuses a pole order above `MAX_POLE` before it builds
+anything.
 """
 
 from __future__ import annotations
@@ -153,16 +155,17 @@ class CechDeRham:
             self.pieces.extend(combinations(range(self.r), size))
         self.piece_index = {I: i for i, I in enumerate(self.pieces)}
         self.g = {}
-        self.g_int = {}
-        self.dg = {}
+        # I -> (g_I, [dg_I/dx_j]) as ints, signed (−1)^(|I|−1)
+        self._signed = {}
         squares = {}
         for I in self.pieces:
             gI = MultiPoly.constant(self.n, 1)
             for i in I:
                 gI = gI * self.fs[i]
             self.g[I] = gI
-            self.g_int[I] = _int_terms(gI)
-            self.dg[I] = [_int_terms(gI.diff(j)) for j in range(self.n)]
+            sgI = -gI if (len(I) - 1) & 1 else gI
+            self._signed[I] = (_int_terms(sgI), [_int_terms(sgI.diff(j))
+                                                for j in range(self.n)])
             squares[I] = _int_terms(gI * gI)
         self.maxdeg = max(f.degree() for f in self.fs)
         # one Euler field E with E f_i = d_i·f_i per row; see the module
@@ -185,7 +188,6 @@ class CechDeRham:
                     self._keys[I, mask, pole] = tuple(
                         pole * d - v for d, v in zip(dsum, mw))
         self._gdeg = max(g.degree() for g in self.g.values())
-        self._pole_cache = {}
         self._codes = GradedCodes(
             self.n, self.n + (len(self.pieces) - 1).bit_length(),
             self._rung_reach(t_max))
@@ -203,8 +205,8 @@ class CechDeRham:
                     self._groups.setdefault(len(I) - 1 + k, []).append(
                         (I, mask, self.piece_index[I] << self.n | mask,
                          self.g[I].degree()))
-        # (pole, grade) -> (pivot count after each stage, pivot leads in
-        # the order found) of the last echelon `_feed` fed there
+        # (pole, grade) -> (pivot count after each stage, pivot leads) of
+        # the last echelon `_feed` fed there
         self._records = {}
         # (pole, grade) -> its `_stages` listing, up to the last stage asked
         self._listed = {}
@@ -235,45 +237,37 @@ class CechDeRham:
         return (self.pieces[fields >> self.n], mono,
                 fields & ((1 << self.n) - 1))
 
-    def _cech_factor(self, I, j0, pole):
-        """f_j0^pole * g_(I ∪ j0), cached per pole."""
-        key = (I, j0, pole)
-        got = self._pole_cache.get(key)
-        if got is None:
-            J = tuple(sorted(I + (j0,)))
-            got = _int_terms((self.fs[j0] ** pole) * self.g[J])
-            self._pole_cache[key] = got
-        return got
-
-    def _template(self, I, mask, pole):
-        """(merged part, scaled parts) of x^0/g_I^pole dx_mask as code
-        offsets: the `forms.template` of g_I·d − pole·dg_I∧, signed
-        (−1)^(|I|−1), with the Čech terms added to its merged part."""
-        key = (I, mask, pole)
-        tpl = self._templates.get(key)
-        if tpl is not None:
-            return tpl
+    def _template(self, I, pole):
+        """Per mask, the (merged part, scaled parts) of x^0/g_I^pole dx_mask
+        as code offsets: the `forms.template` of g_I·d − pole·dg_I∧, signed
+        (−1)^(|I|−1), with the Čech terms added to its merged part.  Each
+        Čech factor f_j0^pole·g_(I ∪ j0) is formed once, for every mask."""
+        tpls = self._templates.get((I, pole))
+        if tpls is not None:
+            return tpls
         mono_code = self._codes.mono
         n, index = self.n, self.piece_index
-        merged, scaled = template(mono_code, n, mask, index[I] << n,
-                                  self.g_int[I], self.dg[I], -pole,
-                                  -1 if (len(I) - 1) & 1 else 1)
+        tpls = self._templates[I, pole] = [
+            template(mono_code, n, mask, index[I] << n, *self._signed[I],
+                     -pole) for mask in range(1 << n)]
         for j0 in range(self.r):
             if j0 in I:
                 continue
             J = tuple(sorted(I + (j0,)))
             sgn = -1 if J.index(j0) & 1 else 1
-            there = index[J] << n | mask
-            for m, c in self._cech_factor(I, j0, pole).items():
-                add_into(merged, mono_code(m) + there, sgn * c)
-        tpl = self._templates[key] = (merged, scaled)
-        return tpl
+            there = index[J] << n
+            factor = [(mono_code(m) + there, sgn * c) for m, c in
+                      _int_terms((self.fs[j0] ** pole) * self.g[J]).items()]
+            for mask, (merged, _scaled) in enumerate(tpls):
+                for off, c in factor:
+                    add_into(merged, off + mask, c)
+        return tpls
 
     def diff_row(self, I, mono, mask, pole):
         """Total differential of x^mono/g_I^pole dx_mask, at pole + 1."""
         self._check(self._reach(sum(mono), pole))
         return shifted_row(self._codes.mono(mono), mono,
-                           *self._template(I, mask, pole))
+                           *self._template(I, pole)[mask])
 
     def _stages(self, pole, q, D):
         """The weight-0 block of grade q's window (pole, D), stage by
@@ -310,13 +304,11 @@ class CechDeRham:
     def _feed(self, pole, q, D):
         """A fresh echelon of grade q's rows at `pole`, fed in stage order
         through stage D, and its record kept as that of (pole, q).  An
-        element whose code leads a pivot the record of (pole − 1, q − 1)
-        found by stage D_(pole−2) is left out before its row is built (the
-        module docstring says why)."""
+        element whose code leads any pivot of the record of
+        (pole − 1, q − 1) is left out before its row is built (the module
+        docstring says why)."""
         # no record there: nothing to skip
-        counts, leads = self._records.get((pole - 1, q - 1), ((0,), ()))
-        upto = self.schedule(pole - 2)[1]
-        skip = set(leads[:counts[min(upto, len(counts) - 1)]])
+        skip = set(self._records.get((pole - 1, q - 1), ((), ()))[1])
         ech, counts = Echelon(), []
         for stage in self._stages(pole, q, D):
             for I, mask, fields, pairs in stage:

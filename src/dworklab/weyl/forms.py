@@ -15,12 +15,12 @@ degree's simplex reads one dict lookup a monomial.
 Both de Rham complexes have a differential of one shape on a basis
 element x^mono dx_mask: q·d + c·dp∧, with q a polynomial, dp a list of
 polynomials (one per variable) and c a constant.  The twisted side takes
-q = L, dp = L·dF and c = 1; the Čech side takes q = g_I, dp = dg_I and
-c = −pole.  `template` writes it once per mask as code offsets: a merged
-part holding c·dp[j] dx_j∧dx_mask for each j, and one scaled part per j
-holding q·x^{−e_j} dx_j∧dx_mask, since d contributes
-mono[j]·q·x^{mono − e_j} there.  `shifted_row` then gives the row of one
-monomial by adding code(mono) to every offset.
+q = L, dp = L·dF and c = 1; the Čech side takes q = g_I and dp = dg_I,
+both signed (−1)^(|I|−1), and c = −pole.  `template` writes it once per
+mask as code offsets: a merged part holding c·dp[j] dx_j∧dx_mask for
+each j, and one scaled part per j holding q·x^{−e_j} dx_j∧dx_mask, since
+d contributes mono[j]·q·x^{mono − e_j} there.  `shifted_row` then gives
+the row of one monomial by adding code(mono) to every offset.
 """
 
 from __future__ import annotations
@@ -56,16 +56,15 @@ def add_into(row, col, val):
         row.pop(col, None)
 
 
-def template(mono_code, nvars, mask, fields, q, dp, c, sign=1):
+def template(mono_code, nvars, mask, fields, q, dp, c):
     """(merged, scaled) parts of q·d + c·dp∧ on x^0 dx_mask, every column
     carrying `fields`; q and each dp[j] map exponent tuples to
     coefficients.  merged maps code offset -> coefficient, in (j,
     monomial) order; scaled lists (j, [(offset, coefficient), ...]), the
-    terms of q·x^{−e_j}, to be scaled by mono[j].  `sign` multiplies
-    every term."""
+    terms of q·x^{−e_j}, to be scaled by mono[j]."""
     merged, scaled = {}, []
     for j in range(nvars):
-        sgn = wedge_sign(j, mask) * sign
+        sgn = wedge_sign(j, mask)
         if not sgn:
             continue
         tgt = fields | mask | 1 << j

@@ -26,6 +26,11 @@ engine as it stood after both changes above, at about 1 s each;
 `tests/test_closed_forms.py` checks their tables against closed forms by
 reading these documents, so no ladder runs twice.
 
+The inputs with no torus `x^3+y^3+x` (dwork-check-x3+y3+x.json) and
+`y*(x^3-x)` (dwork-check-y_x3-x.json) were recorded before the Čech
+ladder's d² = 0 skip began to read every lead of the (p − 1, q − 1)
+record, a change that lowers the rows their ladders build.
+
 The CI workflow also compares `x*y*z` (dwork-check-xyz.json), `x, y, x+y`,
 the two inputs with no torus `x^2*y + 1/3*y^3 + 3*y^2 - 1/2` and
 `y*(x^2-1/3)`, `x^2+y^3+z^6` and `x^3+y^3+z^3` (these four each under a
@@ -64,6 +69,8 @@ CASES = [
     (["--f", "x^2+y^3+z^6"], "dwork-check-x2+y3+z6.json", 0),
     (["--f", "x1*x2*x3*x4"], "dwork-check-x1x2x3x4.json", 0),
     (["--f", "x1^3+x2^3+x3^3+x4^3"], "dwork-check-cubes4.json", 0),
+    (["--f", "x^3+y^3+x"], "dwork-check-x3+y3+x.json", 0),
+    (["--f", "y*(x^3-x)"], "dwork-check-y_x3-x.json", 0),
 ]
 
 

@@ -113,18 +113,17 @@ def _window_codes(cx, pole, q, D):
 def test_a_rung_after_its_predecessor_builds_no_pole_p_row(monkeypatch):
     """Rung 1 after rung 0 reads every rank d(W) from a record, so it
     builds no pole-P row, and leaves out exactly the U rows whose basis
-    element leads a pivot that the record of (P, q - 2) found by stage
-    D: the rows d² = 0 proves dependent."""
+    element leads a pivot of the record of (P, q - 2): the rows d² = 0
+    proves dependent."""
     cx = CechDeRham(_polys(["x", "y"], XY), 1)
     cx.rung(0)
     P, D = cx.schedule(1)
     top = cx.n + cx.r - 1
-    # U of grade q is grade q - 1 at pole P + 1; its skip is the record of
-    # (P, q - 2) through stage D
+    # U of grade q is grade q - 1 at pole P + 1; its skip is every lead of
+    # the record of (P, q - 2)
     dependent = set()
     for q in range(2, top + 1):
-        counts, leads = cx._records[P, q - 2]
-        dependent.update(leads[:counts[D]])
+        dependent.update(cx._records[P, q - 2][1])
     _dims, built, added = _rung_counting(monkeypatch, cx, 1)
     assert not [pole for *_, pole in built if pole == P]
     fed_u = [cx.code(I, mono, mask) for I, mono, mask, pole in built
@@ -164,8 +163,10 @@ def test_widening_is_refused_and_rungs_answer_in_any_order(monkeypatch):
 # (input, `diff_row` calls, `Echelon.add` calls that reduce to zero) of a
 # whole Čech ladder
 LADDER_WORK = [
-    (["x^3+y^3+x"], 2316, 1108),
+    (["x^3+y^3+x"], 2276, 1068),
     (["x", "y", "x+y"], 301, 122),
+    (["y*(x^3-x)"], 218, 137),
+    (["x*y-1/2"], 70, 45),
 ]
 
 
@@ -191,6 +192,36 @@ def test_a_ladder_builds_and_reduces_the_pinned_rows(texts, rows, zeros,
     monkeypatch.setattr(Echelon, "add", counted_add)
     assert complement_cohomology(_polys(texts, XY)).stabilized
     assert counts == {"rows": rows, "zeros": zeros}
+
+
+@pytest.mark.parametrize("texts,names", [
+    (["x^3-x"], X),
+    # maxdeg 0: the schedule's step is 2, above maxdeg + 1
+    (["2"], X),
+    (["x*y-1/2"], XY),
+    (["x", "y", "x+y"], XY),
+    (["y*(x^3-x)"], XY),
+    (["x^2+y^3+z^6"], ("x", "y", "z")),
+])
+def test_no_record_reaches_past_a_stage_read_one_pole_up(texts, names):
+    """The d² = 0 skip at pole p + 1 uses every lead of a pole-p record,
+    which is sound only if that record stops at or before both stages
+    ever read at pole p + 1: D_p, by rung p's d(W), and
+    D_(p−1) + maxdeg + 1, by rung p − 1's U.  So it must hold for every
+    record, with rungs asked in order and out of order.  The complex's
+    cap is one rung above the last asked, so a record goes as far as the
+    feeds take it, not only as far as the code width allows."""
+    fs = _polys(texts, names)
+    for order in ((0, 1, 2, 3, 4), (3, 0, 2, 1, 4, 0)):
+        cx = CechDeRham(fs, 5)
+        for t in order:
+            cx.rung(t)
+            # one rung feeds each (pole, grade) at most once, so every
+            # record written is still there when the rung returns
+            for (pole, _q), (counts, _leads) in cx._records.items():
+                reads = (cx.schedule(pole)[1],
+                         cx.schedule(pole - 1)[1] + cx.maxdeg + 1)
+                assert len(counts) - 1 <= min(reads), (order, t, pole)
 
 
 @pytest.mark.parametrize("texts,names", [(["(x^2-1)^3"], X), (["x", "y"], XY)])
