@@ -2,6 +2,13 @@
 
 Exit codes: 0 success, 1 falsified/invalid, 2 input error, 3 inconclusive,
 4 internal error (an exception no command maps; never a verdict).
+
+Only the concrete engine (`weyl`) is imported with this module.  The
+symbolic engine (`certificates`, `dsl`, `search` and what they import)
+loads when `verify-paper` or `prove` runs, so `dwork-check` never pays
+for it.  `verify_paper`, `check_certificate` and `search_prove` stay
+globals of this module, as wrappers that import on call: the commands
+look them up here, so a tracer can replace them here.
 """
 
 from __future__ import annotations
@@ -12,11 +19,8 @@ import sys
 from dataclasses import replace
 from functools import cache
 
-from .certificates import check_certificate, verify_paper
-from .dsl import load_script
 from .errors import ParseError
 from .reports import machine_document, render_report, search_dict
-from .search import prove as search_prove
 from .weyl.compare import dwork_compare
 from .weyl.poly import default_names, parse_poly
 
@@ -82,6 +86,21 @@ def _fail_input(msg):
     return 2
 
 
+def verify_paper(*args, **kwargs):
+    from .certificates import verify_paper
+    return verify_paper(*args, **kwargs)
+
+
+def check_certificate(*args, **kwargs):
+    from .certificates import check_certificate
+    return check_certificate(*args, **kwargs)
+
+
+def search_prove(*args, **kwargs):
+    from .search import prove
+    return prove(*args, **kwargs)
+
+
 def cmd_verify_paper(args):
     mode = _MODES[args.mode] if args.mode else None
     rep = verify_paper(mode=mode, allowed_strata=args.strata)
@@ -90,6 +109,8 @@ def cmd_verify_paper(args):
 
 
 def cmd_prove(args):
+    from .dsl import load_script
+
     try:
         with open(args.script, encoding="utf-8") as fh:
             text = fh.read()

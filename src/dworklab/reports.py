@@ -9,17 +9,16 @@ search's steps and closure, a cohomology report's grade tables and its
 `SearchResult`, `Closure`, `CohomologyReport` and `DworkComparison` keep
 a `__dict__` (no `slots=True`); `ProofStep` has slots and is written out
 field by field.
+
+A report's kind is read from its class name, so this module imports no
+other part of the package: rendering a cohomology report loads nothing of
+the symbolic engine.  The renderers of symbolic reports import `dsl` when
+they run, to spell step bindings and paths as a script writes them.
 """
 
 from __future__ import annotations
 
 import json
-
-from .certificates import PaperReport, ValidationReport
-# step bindings and paths are spelled as a script writes them
-from .dsl import render_expr as binding_str, render_path
-from .search import SearchResult
-from .weyl.compare import CohomologyReport, DworkComparison
 
 SCHEMA_VERSION = 1
 
@@ -41,6 +40,13 @@ def paper_dict(rep):
     if rep.stratum_needs is not None:
         out["stratum_needs"] = rep.stratum_needs
     return out
+
+
+def binding_str(value):
+    """A step binding, spelled as a script writes it."""
+    from .dsl import render_expr
+
+    return render_expr(value)
 
 
 def search_dict(res):
@@ -81,6 +87,8 @@ def _dims_str(dims):
 
 
 def validation_text(rep, verbose=True):
+    from .dsl import render_path
+
     lines = [f"{rep.certificate}: {rep.status}"
              + (f" ({rep.reason})" if rep.reason else "")]
     lines.append(f"  mode: {rep.mode}   steps: {len(rep.steps)}")
@@ -115,6 +123,8 @@ def paper_text(rep):
 
 
 def search_text(res):
+    from .dsl import render_path
+
     if not res.found:
         return (f"no proof found (depth {res.depth}, "
                 f"{res.expanded} expansions)\n")
@@ -148,21 +158,22 @@ def comparison_text(cmp):
 
 # --- one table of report kinds -----------------------------------------------------
 
-# report class, machine kind, dict form, text form
-_KINDS = (
-    (ValidationReport, "validation", validation_dict, validation_text),
-    (PaperReport, "paper", paper_dict, paper_text),
-    (SearchResult, "search", search_dict, search_text),
-    (CohomologyReport, "cohomology", cohomology_dict, cohomology_text),
-    (DworkComparison, "comparison", comparison_dict, comparison_text),
-)
+# report class name (no report class has subclasses) -> machine kind,
+# dict form, text form
+_KINDS = {
+    "ValidationReport": ("validation", validation_dict, validation_text),
+    "PaperReport": ("paper", paper_dict, paper_text),
+    "SearchResult": ("search", search_dict, search_text),
+    "CohomologyReport": ("cohomology", cohomology_dict, cohomology_text),
+    "DworkComparison": ("comparison", comparison_dict, comparison_text),
+}
 
 
 def _kind_of(obj):
-    for cls, kind, dict_form, text_form in _KINDS:
-        if isinstance(obj, cls):
-            return kind, dict_form, text_form
-    raise TypeError(f"no report form for {type(obj).__name__}")
+    name = type(obj).__name__
+    if name not in _KINDS:
+        raise TypeError(f"no report form for {name}")
+    return _KINDS[name]
 
 
 def machine_document(kind, fields):

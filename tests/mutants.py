@@ -78,6 +78,12 @@ MUTANTS = [
       "test_walked_blocks_equal_weighing_every_monomial"],
      "the weight walk's packing base without its factor 2: distinct "
      "weights can pack alike"),
+    ("dworklab/cli.py",
+     "from .errors import ParseError\n",
+     "from .dsl import load_script\nfrom .errors import ParseError\n",
+     ["tests/test_package.py::test_dwork_check_loads_no_symbolic_module"],
+     "the CLI imports the script language with itself, and with it the "
+     "whole symbolic engine, which dwork-check never uses"),
 ]
 
 
@@ -111,12 +117,9 @@ def _run(row):
             env=env, capture_output=True, text=True, cwd=ROOT)
         if not where.stdout.startswith(str(src)):
             return f"stale: dworklab imports from {where.stdout.strip()!r}"
-        # hypothesis's pytest plugin only reports; some versions of it
-        # warn while reporting a failure, which the suite's
-        # `filterwarnings = error` turns into an internal error
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q",
-             "-p", "no:cacheprovider", "-p", "no:hypothesispytest", *tests],
+             "-p", "no:cacheprovider", *tests],
             env=env, capture_output=True, text=True, cwd=ROOT)
     if done.returncode == 1:
         return "killed"

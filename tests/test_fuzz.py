@@ -7,7 +7,10 @@ and exit 4 a crash.  Hypothesis runs derandomized, with no example
 database, so every run draws the same examples.
 """
 
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -108,3 +111,31 @@ def test_a_polynomial_is_a_match_an_input_error_or_inconclusive(text, piece,
         text = text[:at] + piece + text[at:]
     # `--f=` keeps a leading sign from reading as a flag
     assert main(["dwork-check", f"--f={text}"]) in (0, 2, 3)
+
+
+# --- the suite's own configuration ---------------------------------------------------
+
+FAILING_PROPERTY = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+"""
+
+
+def test_a_failing_property_test_is_a_plain_failure(tmp_path):
+    """Under the repository's pytest configuration (warnings are errors), a
+    falsified `@given` test exits 1 like any failing test; a warning raised
+    while hypothesis reports the example must not make it exit 3."""
+    config = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY,
+                                               encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-c", str(config),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider",
+         str(tmp_path / "test_property.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "INTERNALERROR" not in done.stdout + done.stderr
