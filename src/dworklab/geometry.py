@@ -413,12 +413,13 @@ class GeometryContext:
 
     def subvariety(self, name, ambient, codim=None, smooth=None, reduced=True,
                    image="", caps=(), preimages=()):
-        """Declare a subvariety, then each (a, b) of `caps` meeting in it
-        and each (map, result) of `preimages`, the preimage of it along
-        the map (see `cap_fact` and `pre_fact`).  Given `image`, the name
-        of an embedding atom into the ambient, it is that atom's image
-        (stored as `Subvariety.image_of`): its codimension defaults to
-        dim ambient - dim source and its smoothness to the source's.  An
+        """Declare a subvariety, then each (a, b) of `caps` meeting in it,
+        all in one ambient, and each (map, result) of `preimages`, the
+        preimage of it along the map, a subvariety of the map's source;
+        these facts enter only here.  Given `image`, the name of an
+        embedding atom into the ambient, it is that atom's image (stored
+        as `Subvariety.image_of`): its codimension defaults to dim
+        ambient - dim source and its smoothness to the source's.  An
         embedding has one image: a second is refused."""
         _fresh(self.subvarieties, "subvariety", name)
         amb = self.need_variety(ambient)
@@ -453,20 +454,12 @@ class GeometryContext:
     def need_subvariety(self, name) -> Subvariety:
         return _need(self.subvarieties, name, "subvariety")
 
-    def cap_fact(self, a, b, result):
-        """Record that a and b meet in result, all in one ambient."""
-        self._facts([(a, b, result)], ())
-
-    def pre_fact(self, morphism_name, sub, result):
-        """Record that the preimage of sub along the map is result."""
-        self._facts((), [(morphism_name, sub, result)])
-
-    def _facts(self, caps, preimages, new=None):
+    def _facts(self, caps, preimages, new):
         """Check every cap fact (a, b, result) and preimage fact (map, sub,
-        result), then record them all.  They may name `new`, a
-        subvariety not declared yet."""
+        result), then record them all.  They may name `new`, the
+        subvariety being declared."""
         def ambient(z):
-            if new is not None and z == new.name:
+            if z == new.name:
                 return new.ambient
             return self.need_subvariety(z).ambient
 

@@ -62,12 +62,12 @@ from .terms import (
     Struct,
     Tensor,
     hoist_shifts,
+    keyed_subterms,
     navigate,
     normal_key,
     normalize,
     replace,
     serialize,
-    size,
     split_shift,
     variety_of,
     with_shift,
@@ -826,10 +826,11 @@ class Moves:
     gates, and yields those accepted as ``(rule, direction, bindings, undo
     direction, undo bindings, replacement, delta)``; a move and its undo
     are always the same rule.  `rows` keeps them per serialized subterm,
-    each with its size change and the replacement's serialization, and
-    `undoes` decides once per row whether its undo is exact.  Built once
-    per search, so the indexes the picks read are gathered once; rules
-    that the strata budget or the exclusions refuse are left out."""
+    each with its size change and the replacement's serialization, both
+    read off one keyed walk of the replacement, and `undoes` decides once
+    per row whether its undo is exact.  Built once per search, so the
+    indexes the picks read are gathered once; rules that the strata
+    budget or the exclusions refuse are left out."""
 
     def __init__(self, ctx, mode="strict-smooth", allowed_strata=1,
                  excluded=frozenset()):
@@ -915,18 +916,19 @@ class Moves:
                     continue
                 yield name, direction, b, ud, ub, new, delta
 
-    def rows(self, sub, key):
-        """The moves at `sub`, serialized as `key`, matched on first sight:
-        each row is ``(rule, direction, bindings, undo direction, undo
+    def rows(self, sub, key, n):
+        """The moves at `sub`, serialized as `key` and `n` nodes large, as
+        the search's keyed walk gives them, matched on first sight: each
+        row is ``(rule, direction, bindings, undo direction, undo
         bindings, replacement, delta, size change, serialized
-        replacement)``.  A subterm where no move applies gets the empty
-        tuple."""
+        replacement)``.  Each replacement is walked once, by
+        `keyed_subterms`, for both its size and its serialization.  A
+        subterm where no move applies gets the empty tuple."""
         rows = self._rows.get(key)
         if rows is None:
-            n = size(sub)
             rows = self._rows[key] = tuple(
-                (*row, size(row[5]) - n, serialize(row[5]))
-                for row in self(sub))
+                (*row, root[4] - n, root[2]) for row in self(sub)
+                for root in keyed_subterms(row[5])[:1])
         return rows
 
     def undoes(self, key, i):

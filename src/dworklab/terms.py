@@ -139,10 +139,6 @@ def replace(t, path, new):
     return rebuild(t, kids)
 
 
-def size(t) -> int:
-    return 1 + sum(size(c) for c in children(t))
-
-
 def subterms(t, prefix=()):
     """(path, subterm) for every subterm of t, preorder."""
     yield prefix, t
@@ -180,10 +176,11 @@ def serialize(t) -> str:
 
 
 def keyed_subterms(t):
-    """(path, subterm, serialization, offset) for every subterm of t,
+    """(path, subterm, serialization, offset, size) for every subterm of t,
     preorder, as `subterms` lists them.  Each serialization is built once,
-    from its children's, exactly as `serialize` writes it, and the offset
-    is where it starts in t's own, which comes first."""
+    from its children's, exactly as `serialize` writes it; the offset is
+    where it starts in t's own, which comes first, and the size is its
+    node count, the number of entries it adds to the walk."""
     out = []
     _keyed(t, (), 0, out)
     return out
@@ -213,7 +210,7 @@ def _keyed(t, path, start, out):
         key = f"{head}{_keyed(t.arg, path + (0,), start + len(head), out)})"
     else:
         key = serialize(t)
-    out[at] = (path, t, key, start)
+    out[at] = (path, t, key, start, len(out) - at)
     return key
 
 

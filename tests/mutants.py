@@ -32,6 +32,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 CECH = "dworklab/weyl/cech.py"
 CECH_TESTS = "tests/test_weyl_cech.py::"
+SEARCH_TESTS = "tests/test_search.py::"
 
 # (file under src/, old text, new text, test node ids, reason)
 MUTANTS = [
@@ -84,6 +85,46 @@ MUTANTS = [
      ["tests/test_package.py::test_dwork_check_loads_no_symbolic_module"],
      "the CLI imports the script language with itself, and with it the "
      "whole symbolic engine, which dwork-check never uses"),
+    ("dworklab/weyl/forms.py",
+     "for a in range(rest + 1):\n                    walk(",
+     "for a in range(rest, -1, -1):\n                    walk(",
+     ["tests/test_weyl_forms.py::"
+      "test_walked_blocks_equal_weighing_every_monomial"],
+     "a weight-walk level in descending order: the blocks hold the same "
+     "monomials, but no longer in graded order"),
+    ("dworklab/terms.py",
+     "out[at] = (path, t, key, start, len(out) - at)",
+     "out[at] = (path, t, key, start, len(out) - at - 1)",
+     [f"{SEARCH_TESTS}test_move_table_at_the_size_cap"],
+     "the keyed walk records one node too few: terms one node over the "
+     "size cap reach the frontier"),
+    ("dworklab/rules.py",
+     "(*row, root[4] - n, root[2])",
+     "(*row, root[4] - n, key)",
+     [f"{SEARCH_TESTS}test_move_table_gives_the_reference_successors",
+      f"{SEARCH_TESTS}test_search_work_is_pinned"],
+     "the move table splices the subterm's own serialization in place of "
+     "the replacement's: every successor reads as its parent"),
+    ("dworklab/search.py",
+     "if fd + bd == max_depth else None",
+     "if fd + bd >= max_depth - 1 else None",
+     [f"{SEARCH_TESTS}test_search_meets_where_the_plain_search_does"],
+     "the search starts probing one layer early: the layer before the last "
+     "is never expanded, so chains of full depth are missed"),
+    ("dworklab/rules.py",
+     '("fwd", sq.f_prime, sq.h_prime)',
+     '("fwd", sq.h_prime, sq.f_prime)',
+     [f"{SEARCH_TESTS}test_narrowed_candidates_lose_no_move"],
+     "R5 forward looks squares up by their swapped legs, so it is offered "
+     "where it cannot rewrite and not where it can"),
+    ("dworklab/geometry.py",
+     "self.identities.append(self._identity(lhs, rhs))\n"
+     "        self._normal_atoms.clear()\n",
+     "self.identities.append(self._identity(lhs, rhs))\n",
+     ["tests/test_geometry.py::"
+      "test_a_declared_identity_renormalizes_maps_seen_before"],
+     "declare_identity keeps the memo of normal forms, so maps normalized "
+     "before the identity keep their stale normal forms"),
 ]
 
 

@@ -22,7 +22,7 @@ from dworklab.certificates import get_certificate
 from dworklab.errors import RuleError
 from dworklab.rules import Moves, apply_step
 from dworklab.search import prove
-from dworklab.terms import equal_normal, size, split_shift, subterms
+from dworklab.terms import equal_normal, split_shift, subterms
 from dworklab.weyl.cech import CechDeRham, complement_cohomology
 from dworklab.weyl.compare import (
     _nonzero,
@@ -98,7 +98,7 @@ def _accepted_moves(ctx, moves, term, gates):
     for path, sub in subterms(core):
         for rule, d, b, ud, ub, _new, _delta in moves(sub):
             after, _d = apply_step(ctx, term, rule, d, path, b, **gates)
-            if size(after) <= 64:
+            if len(list(subterms(after))) <= 64:
                 yield path, (rule, ud, ub), after
 
 

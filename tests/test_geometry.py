@@ -161,10 +161,10 @@ def test_the_first_pair_in_key_order_merges_first():
     # (B, C), in sub_key order, (A, B) is the first with a cap fact
     ctx = GeometryContext()
     ctx.variety("X", 2)
-    for name in "ABCDE":
+    for name in "ABC":
         ctx.subvariety(name, "X", codim=1)
-    ctx.cap_fact("B", "C", "E")
-    ctx.cap_fact("A", "B", "D")
+    ctx.subvariety("E", "X", codim=1, caps=[("B", "C")])
+    ctx.subvariety("D", "X", codim=1, caps=[("A", "B")])
     cap = SubCap((SubName("C"), SubName("B"), SubName("A")))
     assert ctx.normalize_sub(cap) == SubCap((SubName("C"), SubName("D")))
 
@@ -328,14 +328,18 @@ def test_transpose_lookup_in_either_declaration_order():
 
 
 def test_subvariety_facts_are_typed(dwork):
-    dwork.cap_fact("sX", "iotaX", "iotaS")
-    with pytest.raises(GeometryError, match="ambients"):
-        dwork.cap_fact("S", "sX", "iotaS")
-    dwork.pre_fact("s", "iotaS", "S")
-    with pytest.raises(GeometryError, match="does not land"):
-        dwork.pre_fact("j", "iotaS", "S")
-    with pytest.raises(GeometryError, match="source"):
-        dwork.pre_fact("s", "iotaX", "iotaS")
+    dwork.subvariety("T", "Adual", codim=2, caps=[("sX", "iotaX")],
+                     preimages=[("s", "S")])
+    assert dwork.cap_facts[frozenset(("sX", "iotaX"))] == "T"
+    assert dwork.pre_facts[(("s",), "T")] == "S"
+    caps, pres = dict(dwork.cap_facts), dict(dwork.pre_facts)
+    for match, facts in (("ambients", {"caps": [("S", "sX")]}),
+                         ("does not land", {"preimages": [("j", "S")]}),
+                         ("source", {"preimages": [("s", "iotaS")]})):
+        with pytest.raises(GeometryError, match=match):
+            dwork.subvariety("U", "Adual", codim=2, **facts)
+        assert "U" not in dwork.subvarieties
+        assert (dwork.cap_facts, dwork.pre_facts) == (caps, pres)
 
 
 def test_find_pmap(graph_ctx):

@@ -28,9 +28,9 @@ from dworklab.terms import (
     Var,
     canonical_shift,
     equation_variety,
+    keyed_subterms,
     replace,
     serialize,
-    size,
     split_shift,
     subterms,
     with_shift,
@@ -158,6 +158,11 @@ def _offers(moves, sub):
                 yield name, direction, {"law": law, **b} if law else dict(b)
 
 
+def _size(t):
+    """t's node count, by the reference walker."""
+    return len(list(subterms(t)))
+
+
 def _reference_successors(moves, term):
     """The successors found the direct way: every offered candidate applied
     to the whole term with `apply_step`, then the undo its rule names
@@ -171,7 +176,7 @@ def _reference_successors(moves, term):
                 nt, _delta = apply_step(ctx, term, rule, d, path, b, **gates)
             except RuleError:
                 continue
-            if size(nt) > search._SIZE_CAP:
+            if _size(nt) > search._SIZE_CAP:
                 continue
             _new, _delta, (ud, ub) = rules.rewrite(ctx, sub, rule, d, b,
                                                    **gates)
@@ -224,6 +229,18 @@ def test_move_table_gives_the_reference_successors(expanded):
     assert len(expanded) > 800
     for table, term in expanded:
         _assert_reference_successors(table, term)
+
+
+def test_the_keyed_walk_keys_and_sizes_every_expanded_subterm(expanded):
+    # each entry's serialization and size are the reference walkers'
+    assert len(expanded) > 800
+    for _table, term in expanded:
+        walk = keyed_subterms(term)
+        whole = walk[0][2]
+        for path, sub, key, start, n in walk:
+            assert key == serialize(sub), path
+            assert whole[start:start + len(key)] == key, path
+            assert n == _size(sub), path
 
 
 def _rows(moves, sub):
@@ -295,9 +312,9 @@ def _plain_successors(moves, term, seen, forward):
     for path, sub in subterms(core):
         key = serialize(sub)
         for i, (rule, d, b, ud, ub, new, delta, *_) in enumerate(
-                moves.rows(sub, key)):
+                moves.rows(sub, key, _size(sub))):
             nt = with_shift(replace(core, path, new), k + delta)
-            if size(nt) > search._SIZE_CAP:
+            if _size(nt) > search._SIZE_CAP:
                 continue
             nk = serialize(nt)
             if nk in seen or not (forward or moves.undoes(key, i)):
@@ -479,7 +496,7 @@ def test_a_replacement_on_another_variety_is_refused_at_every_path(
     for term in (pulled, Oim(pi, pulled)):
         assert all(row[0] != "R98"
                    for _path, sub in subterms(term)
-                   for row in table.rows(sub, serialize(sub)))
+                   for row in table.rows(sub, serialize(sub), _size(sub)))
         _assert_reference_successors(table, term)
 
 

@@ -21,7 +21,6 @@ from dworklab.terms import (
     normalize,
     replace,
     serialize,
-    size,
     split_shift,
     subterms,
     variety_of,
@@ -88,7 +87,7 @@ def test_subterm_paths_and_size(dwork):
     paths = [path for path, _sub in subterms(t)]
     assert ((), (0,), (0, 0)) == tuple(paths)
     assert all(sub is navigate(t, path) for path, sub in subterms(t))
-    assert size(t) == 3
+    assert [n for *_rest, n in keyed_subterms(t)] == [3, 2, 1]
 
 
 def test_keyed_subterms_serialize_each_subterm_in_place(dwork):
@@ -101,12 +100,12 @@ def test_keyed_subterms_serialize_each_subterm_in_place(dwork):
         2)
     walk = keyed_subterms(t)
     whole = serialize(t)
-    assert [(path, sub) for path, sub, _key, _start in walk] == list(
-        subterms(t))
-    assert walk[0][2:] == (whole, 0)
-    for _path, sub, key, start in walk:
+    assert [(path, sub) for path, sub, *_rest in walk] == list(subterms(t))
+    assert walk[0][2:] == (whole, 0, 11)
+    for _path, sub, key, start, n in walk:
         assert key == serialize(sub)
         assert whole[start:start + len(key)] == key
+        assert n == len(list(subterms(sub)))
 
 
 def test_shift_canonicalization(dwork):
