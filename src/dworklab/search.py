@@ -20,12 +20,14 @@ it takes the subterm's size from the expansion's walk and walks each
 replacement once, for both its size and its serialization.  A
 successor's serialization is spliced from those: the replacement's put
 in the subterm's place, the root shift with the delta folded in wrapped
-around it.  The successor term itself, the replacement put in at its
-path, is built only when the frontier records a step; nothing is
-re-applied to the whole term.  `rules.rewrite` accepts only replacements
-that are well-formed on the subterm's own variety, so from well-formed
-goal sides every successor is well-formed; a goal with an ill-formed
-side, or with sides on two varieties, is not searched.
+around it by `terms.shifted_key`.  This module never spells term text
+itself: keys come from `terms`, and are only cut and joined here.  The
+successor term itself, the replacement put in at its path, is built
+only when the frontier records a step; nothing is re-applied to the
+whole term.  `rules.rewrite` accepts only replacements that are
+well-formed on the subterm's own variety, so from well-formed goal
+sides every successor is well-formed; a goal with an ill-formed side,
+or with sides on two varieties, is not searched.
 `Moves.undoes` decides whether a move's undo lands back exactly on the
 subterm, with the opposite delta, once per (subterm, move), the first
 time a backward edge needs it.
@@ -34,10 +36,11 @@ The layer that brings the two depths to `max_depth` only probes: what it
 makes is never expanded, so only a meeting counts.  It skips every
 subterm whose surrounding text, the term's serialization before and
 after it, fits no key the other side has recorded (root shifts
-unwrapped on both sides; one sorted list per layer, bisected), and
-builds a term, a step or an undo check only for a successor whose key
-the other side has.  It meets where the plain layer, which builds every
-successor, meets.  `expanded` counts the successors generated.
+unwrapped on both sides, by `terms.core_key` on theirs; one sorted list
+per layer, bisected), and builds a term, a step or an undo check only
+for a successor whose key the other side has.  It meets where the
+plain layer, which builds every successor, meets.  `expanded` counts
+the successors generated.
 """
 
 from __future__ import annotations
@@ -54,10 +57,12 @@ from .rules import Moves, apply_step  # noqa: F401
 from .terms import (
     Oim,
     canonical_shift,
+    core_key,
     equation_variety,
     keyed_subterms,
     replace,
     serialize,
+    shifted_key,
     split_shift,
     with_shift,
 )
@@ -86,9 +91,9 @@ def _successors(moves, term, seen, forward=True, probe=None):
     and is None otherwise.
 
     With a `probe`, the other side's recorded keys and their sorted
-    cores (`_cores`), the expansion only looks for a meeting: a subterm
-    whose surrounding text fits no core offers nothing, and a step is
-    given only for a key the other side has."""
+    cores (`terms.core_key`), the expansion only looks for a meeting: a
+    subterm whose surrounding text fits no core offers nothing, and a
+    step is given only for a key the other side has."""
     core, k = split_shift(term)
     walk = keyed_subterms(core)
     _path, _core, ckey, _start, n = walk[0]
@@ -103,9 +108,7 @@ def _successors(moves, term, seen, forward=True, probe=None):
             shift = k + delta
             if n + grow + (shift != 0) > _SIZE_CAP:
                 continue
-            nk = ckey[:start] + new_key + ckey[end:]
-            if shift:
-                nk = f"({nk})[{shift}]"
+            nk = shifted_key(ckey[:start] + new_key + ckey[end:], shift)
             if (nk not in meet if probe else nk in seen) or not (
                     forward or moves.undoes(key, i)):
                 yield nk, None, None
@@ -113,13 +116,6 @@ def _successors(moves, term, seen, forward=True, probe=None):
             step = (ProofStep(rule, d, path, b) if forward
                     else ProofStep(rule, ud, path, ub))
             yield nk, with_shift(replace(core, path, new_sub), shift), step
-
-
-def _cores(keys):
-    """The recorded keys with any root shift ``(core)[k]`` unwrapped,
-    sorted, for `_fits`."""
-    return sorted({key[1:key.rindex(")[")] if key.startswith("(") else key
-                   for key in keys})
 
 
 def _fits(cores, head, tail):
@@ -169,8 +165,10 @@ def _mitm(moves, lhs, rhs, max_depth):
         parents = fpar if forward else bpar
         other = bpar if forward else fpar
         nxt = {}
-        # the last layer can only meet the other side: it only probes
-        probe = (other, _cores(other)) if fd + bd == max_depth else None
+        # the last layer can only meet the other side: it only probes,
+        # against the other side's keys and their cores, sorted
+        probe = ((other, sorted({core_key(key) for key in other}))
+                 if fd + bd == max_depth else None)
         for key, term in src.items():
             for nk, nt, step in _successors(moves, term, parents, forward,
                                             probe):

@@ -13,6 +13,12 @@ sheaf and exponential modules absorb pullbacks, the tensor unit is dropped,
 tensor factors are sorted (it is commutative), and shifts are hoisted to the
 root and merged.  Nothing else — in particular nested pullbacks are *not*
 composed; that is a proof step, not a normalization.
+
+Every term has one serialization, its key, and `_keyed` is the one place
+that spells it: `serialize` reads the key of a whole term off it, and
+`keyed_subterms` every subterm's, with its offset in the whole and its
+size.  `shifted_key` and `core_key` wrap a key in a root shift and unwrap
+it again, so the search can splice keys without knowing their text.
 """
 
 from __future__ import annotations
@@ -146,72 +152,81 @@ def subterms(t, prefix=()):
         yield from subterms(c, prefix + (i,))
 
 
-def morphism_key(m: Morphism) -> str:
-    return ".".join(m.atoms) if m.atoms else f"id@{m.source}"
-
-
 def serialize(t) -> str:
-    """Canonical string; used for hashing frontiers and sorting factors."""
-    if isinstance(t, Struct):
-        return f"O[{t.variety}]"
-    if isinstance(t, Var):
-        return f"{t.name}@{t.variety}"
-    if isinstance(t, Exp):
-        return f"Exp[{t.variety}]({func_key(t.func)})"
-    if isinstance(t, Tensor):
-        return f"Tensor({serialize(t.left)},{serialize(t.right)})"
-    if isinstance(t, ETensor):
-        return f"ETensor({serialize(t.left)},{serialize(t.right)})"
-    if isinstance(t, Opb):
-        return f"Opb[{morphism_key(t.morphism)}]({serialize(t.arg)})"
-    if isinstance(t, Oim):
-        return f"Oim[{morphism_key(t.morphism)}]({serialize(t.arg)})"
-    if isinstance(t, RGamma):
-        return f"RGamma[{sub_key(t.sub)}]({serialize(t.arg)})"
-    if isinstance(t, Fourier):
-        return f"Fourier[{t.bundle}]({serialize(t.arg)})"
-    if isinstance(t, Shift):
-        return f"({serialize(t.arg)})[{t.k}]"
-    raise TermError(f"not a term: {t!r}")
+    """Canonical string; used for hashing frontiers and sorting factors.
+    It is the key `_keyed` spells for t, with no walk entries recorded."""
+    return _keyed(t, None, 0, None)
 
 
 def keyed_subterms(t):
     """(path, subterm, serialization, offset, size) for every subterm of t,
     preorder, as `subterms` lists them.  Each serialization is built once,
-    from its children's, exactly as `serialize` writes it; the offset is
-    where it starts in t's own, which comes first, and the size is its
-    node count, the number of entries it adds to the walk."""
+    from its children's, by the walk `serialize` reads its key from; the
+    offset is where it starts in t's own, which comes first, and the size
+    is its node count, the number of entries it adds to the walk."""
     out = []
     _keyed(t, (), 0, out)
     return out
 
 
 def _keyed(t, path, start, out):
-    """Append the `keyed_subterms` entries of t, at `path` and offset
-    `start`, to `out`; returns t's serialization."""
-    at = len(out)
-    out.append(None)
-    if isinstance(t, (Tensor, ETensor)):
-        head = f"{type(t).__name__}("
-        left = _keyed(t.left, path + (0,), start + len(head), out)
-        right = _keyed(t.right, path + (1,),
-                       start + len(head) + len(left) + 1, out)
-        key = f"{head}{left},{right})"
-    elif isinstance(t, Shift):
-        key = f"({_keyed(t.arg, path + (0,), start + 1, out)})[{t.k}]"
-    elif isinstance(t, (Opb, Oim, RGamma, Fourier)):
-        if isinstance(t, RGamma):
-            label = sub_key(t.sub)
-        elif isinstance(t, Fourier):
-            label = t.bundle
-        else:
-            label = morphism_key(t.morphism)
-        head = f"{type(t).__name__}[{label}]("
-        key = f"{head}{_keyed(t.arg, path + (0,), start + len(head), out)})"
+    """t's serialization, spelled here and nowhere else.  With a list
+    `out`, also appends the `keyed_subterms` entries of t, at `path` and
+    offset `start`, to it; with None, records nothing and builds no
+    path."""
+    # the text before the children, the one child (None for a leaf and
+    # for the two of a tensor) and the text after them ("" for a leaf);
+    # tested by identity, leaves first, since `serialize` runs through here
+    cls = type(t)
+    kid, tail = None, ""
+    if cls is Struct:
+        head = f"O[{t.variety}]"
+    elif cls is Var:
+        head = f"{t.name}@{t.variety}"
+    elif cls is Exp:
+        head = f"Exp[{t.variety}]({func_key(t.func)})"
+    elif cls is Opb or cls is Oim:
+        m = t.morphism
+        label = ".".join(m.atoms) if m.atoms else f"id@{m.source}"
+        head, kid, tail = f"{cls.__name__}[{label}](", t.arg, ")"
+    elif cls is Tensor or cls is ETensor:
+        head, tail = f"{cls.__name__}(", ")"
+    elif cls is Fourier:
+        head, kid, tail = f"Fourier[{t.bundle}](", t.arg, ")"
+    elif cls is RGamma:
+        head, kid, tail = f"RGamma[{sub_key(t.sub)}](", t.arg, ")"
+    elif cls is Shift:
+        head, kid, tail = "(", t.arg, f")[{t.k}]"
     else:
-        key = serialize(t)
-    out[at] = (path, t, key, start, len(out) - at)
+        raise TermError(f"not a term: {t!r}")
+    keep = out is not None
+    if keep:
+        at = len(out)
+        out.append(None)
+    key = head
+    inner = keep and start + len(head)
+    if kid is not None:
+        key = f"{head}{_keyed(kid, keep and path + (0,), inner, out)}{tail}"
+    elif tail:
+        left = _keyed(t.left, keep and path + (0,), inner, out)
+        right = _keyed(t.right, keep and path + (1,),
+                       inner + len(left) + 1, out)
+        key = f"{head}{left},{right}{tail}"
+    if keep:
+        out[at] = (path, t, key, start, len(out) - at)
     return key
+
+
+def shifted_key(key, k):
+    """The serialization of a term serialized as `key`, shifted by k, as
+    `_keyed` spells a root shift; `key` itself when k is 0."""
+    return f"({key})[{k}]" if k else key
+
+
+def core_key(key):
+    """The serialization `key` with any root shift ``(core)[k]``
+    unwrapped: the core's, as `shifted_key` wraps it."""
+    return key[1:key.rindex(")[")] if key.startswith("(") else key
 
 
 # --- well-formedness --------------------------------------------------------

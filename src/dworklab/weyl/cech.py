@@ -122,7 +122,7 @@ from .forms import (WeightBlocks, add_into, mask_weight, masks_of_degree,
 from .ladder import ladder
 # `rank` stays importable here: bench/spans.py traces it under this name.
 from .linalg import Echelon, GradedCodes, kernel_lattice, rank  # noqa: F401
-from .poly import MultiPoly, graded_monomials
+from .poly import MultiPoly
 
 
 def _int_terms(p):
@@ -288,14 +288,6 @@ class CechDeRham:
                             (I, mask, fields, pairs))
         return stages[:D + 1]
 
-    def window_basis(self, pole, D):
-        """Every (I, mono, mask) of the window (pole, D), every weight
-        block included; `rung` eliminates only the weight-0 one."""
-        return [(I, mono, mask) for I in self.pieces
-                for mono in graded_monomials(self.n,
-                                             pole * self.g[I].degree() + D)
-                for mask in range(1 << self.n)]
-
     def schedule(self, t):
         """(P, D_t) at rung t, as in the module docstring."""
         d0, step = self.maxdeg + self.n + 1, max(2, self.maxdeg)
@@ -358,9 +350,15 @@ def complement_rung(fs, t):
 
 
 def complement_cohomology(fs, t_max=None):
-    """Ladder the rung index t = 0..t_max (pole orders 1..t_max + 1) until
-    three consecutive answers agree; `t_max` defaults to 9, for the
-    library and `dwork-check` alike."""
+    """Ladder the rung index until three consecutive answers agree: the
+    first report `complement_ladder` yields."""
+    return next(complement_ladder(fs, t_max))
+
+
+def complement_ladder(fs, t_max=None):
+    """The complement ladder of `fs`, as `ladder` runs it: the rung index
+    t = 0..t_max (pole orders 1..t_max + 1); `t_max` defaults to 9, for
+    the library and `dwork-check` alike."""
     if t_max is None:
         t_max = 9
     return ladder("complement", CechDeRham(fs, t_max).rung, range(t_max + 1))

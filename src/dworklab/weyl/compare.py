@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cech import complement_cohomology
+from .cech import complement_cohomology, complement_ladder
 from .ladder import CohomologyReport
 from .poly import MultiPoly
-from .twisted import twisted_cohomology
+from .twisted import twisted_cohomology, twisted_ladder
 
 
 # the most sections `dwork_compare` takes: the Čech side has 2^r − 1
@@ -34,7 +34,11 @@ def supports_cohomology(fs, t_max=None):
     """Cohomology supported on the common zero locus of `fs`, read off the
     complement ladder; `t_max` (None: its default) goes to
     `complement_cohomology`."""
-    rep = complement_cohomology(fs, t_max=t_max)
+    return _supported(complement_cohomology(fs, t_max=t_max))
+
+
+def _supported(rep):
+    """A complement report turned, in place, into the supported one."""
     rep.kind = "supports"
     if rep.dims is None:
         return rep
@@ -71,6 +75,16 @@ class DworkComparison:
 def dwork_compare(fs, d0=None, d_max=None, t_max=None):
     """Twisted cohomology of sum y_i f_i against supported cohomology.
 
+    Each side's ladder stops at its first three agreeing rungs.  When the
+    two tables then differ, a side may have stopped on windows too small
+    to hold a class, so both ladders are run again, each on past its
+    first stop to its cap, and the verdict is read again.  It is a
+    mismatch only when each side's last three rungs agree and both caps
+    are the defaults; it is inconclusive when one side's do not agree, or
+    when a cap the caller set may be what keeps a class out of a window.
+    Only such a run pays for its first rungs twice.  A continued report's
+    note names the grades the first tables differed in.
+
     The caps go through as given, None for the defaults that
     `twisted_cohomology` and `complement_cohomology` decide; a `d_max`
     below the first twisted cutoff raises `twisted_cohomology`'s
@@ -82,7 +96,34 @@ def dwork_compare(fs, d0=None, d_max=None, t_max=None):
     F = dwork_twist(fs)
     trep = twisted_cohomology(F, d0=d0, d_max=d_max)
     srep = supports_cohomology(fs, t_max=t_max)
-    if trep.dims is None or srep.dims is None:
+    differ = _differ(trep.dims, srep.dims)
+    if differ:
+        trep = _to_cap(twisted_ladder(F, d0=d0, d_max=d_max))
+        srep = _supported(_to_cap(complement_ladder(fs, t_max=t_max)))
+        for rep in (trep, srep):
+            rep.note = "; ".join(filter(None, (
+                f"continued to the cap: the first tables differed in "
+                f"grades {differ}", rep.note)))
+        differ = _differ(trep.dims, srep.dims)
+    # a cap set by the caller can end a ladder on windows too small to
+    # hold a class, so only the default caps can show a mismatch
+    if (trep.dims is None or srep.dims is None
+            or differ and (d_max is not None or t_max is not None)):
         return DworkComparison(False, trep, srep, inconclusive=True)
-    match = _nonzero(trep.dims) == _nonzero(srep.dims)
-    return DworkComparison(match, trep, srep)
+    return DworkComparison(not differ, trep, srep)
+
+
+def _to_cap(ladder):
+    """The report a `ladder` generator yields once resumed past its first
+    stop: every cutoff run."""
+    next(ladder)
+    return next(ladder)
+
+
+def _differ(a, b):
+    """The grades two tables differ in once zero entries are dropped,
+    sorted; empty when either table is missing."""
+    if a is None or b is None:
+        return []
+    a, b = _nonzero(a), _nonzero(b)
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))

@@ -210,7 +210,13 @@ def twisted_rung(F, D):
 
 
 def twisted_cohomology(F, d0=None, d_max=None):
-    """Ladder the window cutoff, step 2, until three consecutive rungs agree.
+    """Ladder the window cutoff, step 2, until three consecutive rungs agree:
+    the first report `twisted_ladder` yields."""
+    return next(twisted_ladder(F, d0, d_max))
+
+
+def twisted_ladder(F, d0=None, d_max=None):
+    """The twisted ladder of F, as `ladder` runs it, cutoffs step 2.
 
     The ladder starts at `d0`, else at deg F + 1, and stops at `d_max`,
     else at 30 when F has at most three variables and 16 beyond; these

@@ -117,6 +117,36 @@ MUTANTS = [
      [f"{SEARCH_TESTS}test_narrowed_candidates_lose_no_move"],
      "R5 forward looks squares up by their swapped legs, so it is offered "
      "where it cannot rewrite and not where it can"),
+    ("dworklab/terms.py",
+     'return key[1:key.rindex(")[")] if key.startswith("(") else key',
+     "return key",
+     [f"{SEARCH_TESTS}test_search_meets_where_the_plain_search_does",
+      f"{SEARCH_TESTS}test_search_rediscovers_the_support_collapse"],
+     "the other side's root shift is not unwrapped: the last layer's "
+     "probe skips every subterm of a goal with a shifted side"),
+    ("dworklab/rules.py",
+     '("bwd", sq.h, sq.f)',
+     '("bwd", sq.f, sq.h)',
+     [f"{SEARCH_TESTS}test_narrowed_candidates_lose_no_move"],
+     "R5 backward looks squares up by their swapped legs, so it is offered "
+     "where it cannot rewrite and not where it can"),
+    ("dworklab/weyl/compare.py",
+     "    if differ:\n        trep = _to_cap(",
+     "    if False:\n        trep = _to_cap(",
+     ["tests/test_cli.py::test_a_small_window_is_not_a_false_mismatch",
+      "tests/test_fuzz.py::test_a_small_window_or_cap_is_never_a_mismatch",
+      "tests/test_weyl_compare.py::"
+      "test_a_window_too_small_for_a_class_is_not_a_mismatch"],
+     "the verdict is read off the first stops again: a ladder that stopped "
+     "on windows too small to hold a class gives a false mismatch"),
+    ("dworklab/weyl/compare.py",
+     "or differ and (d_max is not None or t_max is not None)):",
+     "or False):",
+     ["tests/test_cli.py::test_a_cap_that_keeps_a_class_out_is_inconclusive",
+      "tests/test_weyl_compare.py::"
+      "test_tables_first_read_apart_go_on_to_the_caps"],
+     "a caller's cap is trusted like the defaults: a twisted cap below the "
+     "cutoff where a class shows gives a false mismatch"),
     ("dworklab/geometry.py",
      "self.identities.append(self._identity(lhs, rhs))\n"
      "        self._normal_atoms.clear()\n",

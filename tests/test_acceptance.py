@@ -37,6 +37,7 @@ from dworklab.weyl.twisted import TwistedComplex, twisted_cohomology
 import docgen
 from conftest import BUNDLED
 from test_certificates import EXPECTED_RULES, EXPECTED_STEPS
+from test_weyl_cech import window_basis
 
 X = ("x",)
 XY = ("x", "y")
@@ -183,7 +184,7 @@ def _twisted_square_is_zero(F, D):
 
 def _cech_square_is_zero(cx, t):
     P, D = cx.schedule(t)
-    for I, mono, mask in cx.window_basis(P, D):
+    for I, mono, mask in window_basis(cx, P, D):
         out = {}
         row = _decoded(cx, cx.diff_row(I, mono, mask, P))
         for (J, m2, mask2), c in row.items():

@@ -266,6 +266,28 @@ def test_dwork_check_window_flag(capsys):
     assert data["twisted"]["rungs"][0][0] == 5
 
 
+def test_a_small_window_is_not_a_false_mismatch(capsys):
+    """From cutoff 2 the twisted side of x^9+y^8 reads zeros at 2, 4 and
+    6, though its class shows at 8: the first tables differ, so both
+    ladders go on to their caps, where they agree."""
+    assert main(["dwork-check", "--f", "x^9+y^8", "--window", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("result: match\n")
+    assert "  rung 30: {0: 0, 1: 0, 2: 1, 3: 0}\n" in out
+    assert out.count("the first tables differed in grades [2]") == 2
+
+
+def test_a_cap_that_keeps_a_class_out_is_inconclusive(capsys):
+    """With `--d-max 6` the twisted side of x^9+y^8 never reaches cutoff 8,
+    where its class shows: its zeros agree up to the cap, and the run is
+    inconclusive, not a mismatch."""
+    argv = ["dwork-check", "--f", "x^9+y^8", "--window", "2", "--d-max", "6"]
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    assert out.endswith("result: inconclusive (raise the caps)\n")
+    assert "  rung 6: {0: 0, 1: 0, 2: 0, 3: 0}\n" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["dwork-check", "--f", "x", "--window", "-5"],
     ["dwork-check", "--f", "x", "--window", "1000"],
@@ -315,7 +337,7 @@ def test_dwork_check_runs_the_library_caps(texts, monkeypatch):
 
     def recording(kind, _rung, cutoffs):
         seen.append((kind, list(cutoffs)))
-        return CohomologyReport(kind=kind, dims=None)  # no rung is run
+        yield CohomologyReport(kind=kind, dims=None)  # no rung is run
 
     monkeypatch.setattr(twisted, "ladder", recording)
     monkeypatch.setattr(cech, "ladder", recording)

@@ -113,6 +113,32 @@ def test_a_polynomial_is_a_match_an_input_error_or_inconclusive(text, piece,
     assert main(["dwork-check", f"--f={text}"]) in (0, 2, 3)
 
 
+# pure powers, so both sides have a torus and stay cheap at every degree
+POWERS = st.lists(
+    st.tuples(st.sampled_from(["1", "2", "-1", "1/2", "-3"]),
+              st.sampled_from("xy"), st.integers(1, 7)),
+    min_size=1, max_size=2)
+
+
+@settings(FUZZ, max_examples=100)
+@given(terms=POWERS, data=st.data())
+def test_a_small_window_or_cap_is_never_a_mismatch(terms, data):
+    """A `--window` below the default, or a low `--d-max` or `--pole-max`,
+    can leave a ladder on windows too small to hold a class: the run must
+    then end in a match or an honest "inconclusive", never a mismatch."""
+    text = "+".join(f"{c}*{v}^{e}" for c, v, e in terms)
+    deg_f = max(e for _c, _v, e in terms) + 1  # deg F = deg f + 1
+    window = data.draw(st.integers(0, deg_f + 1), label="window")
+    argv = ["dwork-check", f"--f={text}", "--window", str(window)]
+    d_max = data.draw(st.none() | st.integers(0, deg_f + 8), label="d_max")
+    if d_max is not None:
+        argv += ["--d-max", str(d_max)]
+    pole_max = data.draw(st.none() | st.integers(1, 4), label="pole_max")
+    if pole_max is not None:
+        argv += ["--pole-max", str(pole_max)]
+    assert main(argv) in (0, 2, 3)
+
+
 # --- the suite's own configuration ---------------------------------------------------
 
 FAILING_PROPERTY = """\

@@ -15,12 +15,14 @@ from dworklab.terms import (
     Struct,
     Tensor,
     Var,
+    core_key,
     equal_normal,
     keyed_subterms,
     navigate,
     normalize,
     replace,
     serialize,
+    shifted_key,
     split_shift,
     subterms,
     variety_of,
@@ -100,12 +102,32 @@ def test_keyed_subterms_serialize_each_subterm_in_place(dwork):
         2)
     walk = keyed_subterms(t)
     whole = serialize(t)
+    # the text format itself, pinned apart from the walk that spells it
+    assert whole == (
+        "(Tensor(Opb[iotacheck](Oim[s](M@X)),RGamma[n:S]((ETensor("
+        "Exp[V](n:F),Fourier[V](O[V])))[-3])))[2]")
     assert [(path, sub) for path, sub, *_rest in walk] == list(subterms(t))
     assert walk[0][2:] == (whole, 0, 11)
     for _path, sub, key, start, n in walk:
         assert key == serialize(sub)
         assert whole[start:start + len(key)] == key
         assert n == len(list(subterms(sub)))
+
+
+def test_shifted_keys_wrap_and_unwrap_as_shift_nodes_spell(dwork):
+    core = Oim(dwork.composite("s"), Shift(Struct("X"), 2))
+    key = serialize(core)
+    assert shifted_key(key, 0) == key
+    for k in (1, -3):
+        wrapped = shifted_key(key, k)
+        assert wrapped == serialize(Shift(core, k))
+        assert core_key(wrapped) == key
+    assert core_key(key) == key
+
+
+def test_serialize_refuses_what_is_not_a_term():
+    with pytest.raises(TermError, match="not a term: 'X'"):
+        serialize(Tensor(Struct("X"), "X"))
 
 
 def test_shift_canonicalization(dwork):

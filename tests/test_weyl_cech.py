@@ -224,6 +224,15 @@ def test_no_record_reaches_past_a_stage_read_one_pole_up(texts, names):
                 assert len(counts) - 1 <= min(reads), (order, t, pole)
 
 
+def window_basis(cx, pole, D):
+    """Every (I, mono, mask) of the window (pole, D) of the complex `cx`,
+    every weight block included; `rung` eliminates only the weight-0
+    one."""
+    return [(I, mono, mask) for I in cx.pieces
+            for mono in graded_monomials(cx.n, pole * cx.g[I].degree() + D)
+            for mask in range(1 << cx.n)]
+
+
 @pytest.mark.parametrize("texts,names", [(["(x^2-1)^3"], X), (["x", "y"], XY)])
 def test_embedded_window_rows_are_independent(texts, names):
     # the rung counts rank W as |W|: g_I^2 * x^mono over one grade's window
@@ -231,7 +240,7 @@ def test_embedded_window_rows_are_independent(texts, names):
     for t in (0, 1):
         P, D = cx.schedule(t)
         grades = {}
-        for I, mono, mask in cx.window_basis(P, D):
+        for I, mono, mask in window_basis(cx, P, D):
             emb = MultiPoly(cx.n, {mono: Fraction(1)}) * cx.g[I] * cx.g[I]
             q = len(I) - 1 + bin(mask).count("1")
             grades.setdefault(q, []).append(
@@ -246,7 +255,7 @@ def test_total_differential_squares_to_zero(texts, names):
     cx = CechDeRham(_polys(texts, names), 1)
     for t in (0, 1):
         P, D = cx.schedule(t)
-        for I, mono, mask in cx.window_basis(P, D):
+        for I, mono, mask in window_basis(cx, P, D):
             row = _decoded(cx, cx.diff_row(I, mono, mask, P))
             out = {}
             for (J, m2, mask2), c in row.items():

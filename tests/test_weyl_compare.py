@@ -136,6 +136,66 @@ def test_inconclusive_when_capped():
     assert "not stabilize" in cmp2.supports.note
 
 
+Z = {0: 0, 1: 0, 2: 0}
+ONE = {0: 0, 1: 0, 2: 1}
+
+
+@pytest.mark.parametrize("tables,caps,verdict,rungs", [
+    # three agreeing rungs of a matching table: never continued
+    ([ONE] * 5, {}, "match", 3),
+    # zeros first, then the class: the ladder goes on and matches
+    ([Z, Z, Z, ONE, ONE, ONE], {}, "match", 6),
+    # zeros to the default cap, three agreeing: a mismatch
+    ([Z] * 4, {}, "MISMATCH", 4),
+    # the same at a cap the caller set, which may be what hides the class
+    ([Z] * 4, {"d_max": 6}, "inconclusive", 4),
+    ([Z] * 4, {"t_max": 4}, "inconclusive", 4),
+    # the class shows at the cap only: no three agree there
+    ([Z, Z, Z, ONE], {}, "inconclusive", 4),
+], ids=["agree", "continued", "mismatch", "capped twisted", "capped poles",
+        "unsettled"])
+def test_tables_first_read_apart_go_on_to_the_caps(monkeypatch, tables, caps,
+                                                   verdict, rungs):
+    """The verdict on scripted rung tables, one per cutoff, against a
+    complement that settles on h^0 = h^1 = 1, that is supports {2: 1}."""
+    from dworklab.weyl import compare
+    from dworklab.weyl.ladder import ladder
+
+    def scripted(kind, script):
+        return lambda *_a, **_k: ladder(kind, script.__getitem__,
+                                        range(len(script)))
+
+    twisted = scripted("twisted", tables)
+    complement = scripted("complement", [{0: 1, 1: 1, 2: 0}] * 5)
+    # the first stops and the runs to the caps
+    monkeypatch.setattr(compare, "twisted_cohomology",
+                        lambda *_a, **_k: next(twisted()))
+    monkeypatch.setattr(compare, "complement_cohomology",
+                        lambda *_a, **_k: next(complement()))
+    monkeypatch.setattr(compare, "twisted_ladder", twisted)
+    monkeypatch.setattr(compare, "complement_ladder", complement)
+    cmp = dwork_compare(_polys(["x"], X), **caps)
+    got = ("inconclusive" if cmp.inconclusive
+           else "match" if cmp.match else "MISMATCH")
+    assert got == verdict
+    assert len(cmp.twisted.rungs) == rungs
+    continued = rungs > 3
+    assert len(cmp.supports.rungs) == (5 if continued else 3)
+    for rep in (cmp.twisted, cmp.supports):
+        assert ("first tables differed in grades [2]" in rep.note) == continued
+    settled = tables[-3] == tables[-2] == tables[-1]
+    assert ("not stabilize" in cmp.twisted.note) == (not settled)
+
+
+def test_a_window_too_small_for_a_class_is_not_a_mismatch():
+    # x^9 + y^8 shows its class at cutoff 8: from cutoff 2 the twisted
+    # side first reads zeros at 2, 4 and 6
+    cmp = dwork_compare(_polys(["x^9+y^8"], XY), d0=2)
+    assert cmp.match and not cmp.inconclusive
+    assert [cut for cut, _dims in cmp.twisted.rungs] == list(range(2, 31, 2))
+    assert _nonzero(cmp.twisted.dims) == _nonzero(cmp.supports.dims) == {2: 1}
+
+
 def random_poly(rng):
     """Nonzero polynomial in 1 or 2 variables, degree <= 3, with up to four
     terms whose coefficients are +-1..3 over 1..3."""
