@@ -145,13 +145,6 @@ def replace(t, path, new):
     return rebuild(t, kids)
 
 
-def subterms(t, prefix=()):
-    """(path, subterm) for every subterm of t, preorder."""
-    yield prefix, t
-    for i, c in enumerate(children(t)):
-        yield from subterms(c, prefix + (i,))
-
-
 def serialize(t) -> str:
     """Canonical string; used for hashing frontiers and sorting factors.
     It is the key `_keyed` spells for t, with no walk entries recorded."""
@@ -160,7 +153,7 @@ def serialize(t) -> str:
 
 def keyed_subterms(t):
     """(path, subterm, serialization, offset, size) for every subterm of t,
-    preorder, as `subterms` lists them.  Each serialization is built once,
+    in preorder, children left to right.  Each serialization is built once,
     from its children's, by the walk `serialize` reads its key from; the
     offset is where it starts in t's own, which comes first, and the size
     is its node count, the number of entries it adds to the walk."""

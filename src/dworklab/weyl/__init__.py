@@ -7,8 +7,8 @@ rank, not floating-point estimates.
 """
 
 from .poly import MultiPoly, parse_poly, poly_to_str
-from .twisted import twisted_cohomology, twisted_rung
-from .cech import complement_cohomology, complement_rung
+from .twisted import twisted_cohomology
+from .cech import complement_cohomology
 from .compare import (
     CohomologyReport,
     DworkComparison,
@@ -21,9 +21,7 @@ __all__ = [
     "parse_poly",
     "poly_to_str",
     "twisted_cohomology",
-    "twisted_rung",
     "complement_cohomology",
-    "complement_rung",
     "supports_cohomology",
     "dwork_compare",
     "CohomologyReport",

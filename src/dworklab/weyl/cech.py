@@ -226,11 +226,6 @@ class CechDeRham:
         if not self._codes.covers(top):
             raise ValueError(f"exponent bound {top} is above the cap")
 
-    def code(self, I, mono, mask):
-        """Column code of (I, x^mono, dx_mask); ValueError if it does not
-        fit."""
-        return self._codes.encode(mono, self.piece_index[I] << self.n | mask)
-
     def column(self, code):
         """(I, mono, mask) of a column code."""
         mono, fields = self._codes.decode(code)
@@ -343,10 +338,6 @@ class CechDeRham:
             # free this echelon before the next grade feeds its own
             del ech
         return dims
-
-
-def complement_rung(fs, t):
-    return CechDeRham(fs, t).rung(t)
 
 
 def complement_cohomology(fs, t_max=None):

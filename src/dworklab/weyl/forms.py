@@ -116,9 +116,10 @@ class WeightBlocks(dict):
     per level; with r of the degree left and p the packed prefix, the
     last two variables then run through the progression
     p + r·c_{n−1} + a·(c_{n−2} − c_{n−1}) for x_{n−2}^a x_{n−1}^{r−a},
-    a = 0 … r, one dict lookup a monomial.  That is `monomials_of_degree`
-    order, so every list comes out graded.  The packed columns and keys
-    are made once per B, which the degrees of one index share in runs."""
+    a = 0 … r, one dict lookup a monomial.  Within the degree that is
+    ascending lexicographic order, so every list comes out in graded
+    order.  The packed columns and keys are made once per B, which the
+    degrees of one index share in runs."""
 
     def __init__(self, lattice, nvars, code, keys):
         super().__init__()

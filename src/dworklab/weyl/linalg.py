@@ -32,8 +32,8 @@ monomials is the sum of their codes, and `code >> shift` is the degree.
 A caller builds one `GradedCodes` per complex, sized from the largest
 exponent its cap lets a row reach, and keeps it: W never changes, so a
 code stays valid for the complex's life.  `covers` is the caller's check
-against that cap, `mono` the unchecked fast path for exponents under it,
-and `encode` refuses a digit that would overflow into its neighbour.
+against that cap, and `mono` the unchecked code of exponents under it, to
+which the caller adds its fields.
 """
 
 from __future__ import annotations
@@ -136,15 +136,6 @@ class GradedCodes:
         for e in mono:
             d = d << w | e
         return (sum(mono) << self._digits | d) << self.low
-
-    def encode(self, mono, fields):
-        if len(mono) != self.nvars or not all(
-                0 <= e and e >> self.width == 0 for e in mono):
-            raise ValueError(f"exponents {mono} do not fit "
-                             f"{self.width}-bit digits")
-        if not 0 <= fields < 1 << self.low:
-            raise ValueError(f"fields {fields} do not fit {self.low} bits")
-        return self.mono(mono) | fields
 
     def decode(self, code):
         """(mono, fields) of a code."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -134,31 +133,6 @@ def default_names(nvars):
 
 def count_monomials(nvars, d):
     return math.comb(d + nvars, nvars) if d >= 0 else 0
-
-
-def monomials_of_degree(nvars, total):
-    """Exponent tuples of total degree exactly `total`, in the order
-    `graded_monomials` lists them."""
-    if nvars == 0:
-        if total == 0:
-            yield ()
-        return
-    for cut in itertools.combinations(range(total + nvars - 1), nvars - 1):
-        prev = -1
-        e = []
-        for c in cut:
-            e.append(c - prev - 1)
-            prev = c
-        e.append(total + nvars - 2 - prev)
-        yield tuple(e)
-
-
-def graded_monomials(nvars, d):
-    """Exponent tuples of total degree <= d, graded then lexicographic."""
-    out = []
-    for total in range(d + 1):
-        out.extend(monomials_of_degree(nvars, total))
-    return out
 
 
 _SPACE = re.compile(r"\s*")

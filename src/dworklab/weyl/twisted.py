@@ -122,10 +122,6 @@ class TwistedComplex:
         if not self._codes.covers(top + self._rise):
             raise ValueError(f"domain degree {top} is above the cap")
 
-    def code(self, mono, mask=0):
-        """Column code of x^mono dx_mask; ValueError if it does not fit."""
-        return self._codes.encode(mono, mask)
-
     def column(self, code):
         """(mono, mask) of a column code."""
         return self._codes.decode(code)
@@ -151,20 +147,19 @@ class TwistedComplex:
         return shifted_row(self._codes.mono(mono), mono,
                            *self._templates[mask])
 
-    def rows(self, k, hi, lo=0, *, exclude=()):
-        """Nonzero rows of the weight-0 grade-k basis elements of degrees
-        lo..hi, in degree order, leaving out those whose codes are in
-        `exclude`."""
-        self._check(hi)
+    def rows(self, k, e, exclude=()):
+        """Nonzero rows of the weight-0 grade-k basis elements of degree e,
+        mask by mask, each block in graded order, leaving out those whose
+        codes are in `exclude`."""
+        self._check(e)
         out = []
-        for e in range(lo, hi + 1):
-            for mask in self._masks[k]:
-                merged, scaled = self._templates[mask]
-                for mono, base in self._block(e, mask):
-                    if base | mask in exclude:
-                        continue
-                    if row := shifted_row(base, mono, merged, scaled):
-                        out.append(row)
+        for mask in self._masks[k]:
+            merged, scaled = self._templates[mask]
+            for mono, base in self._block(e, mask):
+                if base | mask in exclude:
+                    continue
+                if row := shifted_row(base, mono, merged, scaled):
+                    out.append(row)
         return out
 
     def _feed(self, top):
@@ -185,7 +180,7 @@ class TwistedComplex:
         below = [{}] + [ech.pivots for ech in self._echelons]
         for e in range(len(self._ranks), top + 1):
             for k, ech in enumerate(self._echelons):
-                for row in self.rows(k, e, e, exclude=below[k]):
+                for row in self.rows(k, e, exclude=below[k]):
                     ech.add(row)
             self._ranks.append((*map(len, self._echelons), 0))
 
@@ -203,10 +198,6 @@ class TwistedComplex:
             inside = sum(lead >> shift <= D for lead in leads)
             dims[k] = self.block_size(k, D) - ranks[k] - inside
         return dims
-
-
-def twisted_rung(F, D):
-    return TwistedComplex(F, D).rung(D)
 
 
 def twisted_cohomology(F, d0=None, d_max=None):

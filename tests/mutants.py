@@ -68,8 +68,8 @@ MUTANTS = [
      [f"{CECH_TESTS}test_rungs_match_reference"],
      "W embedded by g_I instead of g_I², one pole short of U"),
     ("dworklab/weyl/twisted.py",
-     "exclude=below[k]",
-     "exclude=below[k + 1]",
+     "self.rows(k, e, exclude=below[k])",
+     "self.rows(k, e, exclude=below[k + 1])",
      ["tests/test_weyl_twisted.py::test_ladder_skips_rows_known_dependent"],
      "the twisted skip reads grade k's own pivots instead of grade k − 1's"),
     ("dworklab/weyl/forms.py",
@@ -79,6 +79,30 @@ MUTANTS = [
       "test_walked_blocks_equal_weighing_every_monomial"],
      "the weight walk's packing base without its factor 2: distinct "
      "weights can pack alike"),
+    ("dworklab/weyl/forms.py",
+     "shift = (2 * max(e * self._wmax, self._kmax)).bit_length()\n"
+     "        packing = self._packings.get(shift)\n"
+     "        if packing is None:\n"
+     "            def pack(vec):\n"
+     "                return sum(v << i * shift for i, v in enumerate(vec))",
+     "shift = max(e * self._wmax, self._kmax, 1)\n"
+     "        packing = self._packings.get(shift)\n"
+     "        if packing is None:\n"
+     "            def pack(vec):\n"
+     "                return sum(v * shift ** i for i, v in enumerate(vec))",
+     ["tests/test_weyl_forms.py::"
+      "test_walked_blocks_equal_weighing_every_monomial"],
+     "the weight walk packs in base exactly M: a weight one carry away "
+     "from a key packs like it"),
+    ("dworklab/weyl/forms.py",
+     "add_into(merged, mono_code(m) + tgt, c * sgn * v)",
+     "add_into(merged, mono_code(m) + tgt,\n"
+     "                     (c if j or m != max(dp[j]) else -c) * sgn * v)",
+     ["tests/test_newton_property.py::"
+      "test_twisted_table_of_a_drawn_convenient_f_is_its_newton_number"],
+     "one term of the template's dF_0, its largest exponent, changes "
+     "sign: the twisted differential is no longer d + dF∧, and drawn "
+     "tables miss their Newton numbers"),
     ("dworklab/cli.py",
      "from .errors import ParseError\n",
      "from .dsl import load_script\nfrom .errors import ParseError\n",
@@ -155,6 +179,19 @@ MUTANTS = [
       "test_a_declared_identity_renormalizes_maps_seen_before"],
      "declare_identity keeps the memo of normal forms, so maps normalized "
      "before the identity keep their stale normal forms"),
+    ("dworklab/geometry.py",
+     "flat.extend(a.args)",
+     "flat.append(a)",
+     ["tests/test_geometry.py::test_a_nested_intersection_flattens"],
+     "an intersection nested in an intersection is kept whole, so equal "
+     "intersections get different normal forms"),
+    ("dworklab/rules.py",
+     "verdict = False",
+     "verdict = True",
+     [f"{SEARCH_TESTS}"
+      "test_a_move_whose_undo_is_refused_is_not_undone_exactly"],
+     "a move whose undo the rules refuse counts as undone exactly: the "
+     "search would take it as a backward edge"),
 ]
 
 

@@ -96,6 +96,12 @@ def monomials_upto(nvars: int, d: int):
     return out
 
 
+def graded_monomials(nvars: int, d: int):
+    """All exponent tuples of total degree <= d, in graded order: by total
+    degree, then lexicographically."""
+    return sorted(monomials_upto(nvars, d), key=lambda m: (sum(m), m))
+
+
 def _nck(n, k):
     out = 1
     for i in range(k):
@@ -368,3 +374,18 @@ def oracle_supports(fs, nvars: int, t_max: int = 8):
         if k >= 1 and v:
             out[k + 1] = v
     return out
+
+
+# ---------------------------------------------------------------------------
+# terms
+
+
+def subterms(t, prefix=()):
+    """(path, subterm) for every subterm of a term, in preorder.  A node's
+    children are its `left` and `right` fields, or its `arg` field; a node
+    with none of them is a leaf."""
+    yield prefix, t
+    kids = [getattr(t, name) for name in ("left", "right", "arg")
+            if hasattr(t, name)]
+    for i, c in enumerate(kids):
+        yield from subterms(c, prefix + (i,))

@@ -22,7 +22,7 @@ from dworklab.certificates import get_certificate
 from dworklab.errors import RuleError
 from dworklab.rules import Moves, apply_step
 from dworklab.search import prove
-from dworklab.terms import equal_normal, split_shift, subterms
+from dworklab.terms import equal_normal, split_shift
 from dworklab.weyl.cech import CechDeRham, complement_cohomology
 from dworklab.weyl.compare import (
     _nonzero,
@@ -31,10 +31,10 @@ from dworklab.weyl.compare import (
     supports_cohomology,
 )
 from dworklab.weyl.forms import masks_of_degree
-from dworklab.weyl.poly import graded_monomials
 from dworklab.weyl.twisted import TwistedComplex, twisted_cohomology
 
 import docgen
+import oracles
 from conftest import BUNDLED
 from test_certificates import EXPECTED_RULES, EXPECTED_STEPS
 from test_weyl_cech import window_basis
@@ -96,10 +96,10 @@ def test_shift_ledger_balance():
 def _accepted_moves(ctx, moves, term, gates):
     """(path, undo, result) for each move the rules accept in term."""
     core, _k = split_shift(term)
-    for path, sub in subterms(core):
+    for path, sub in oracles.subterms(core):
         for rule, d, b, ud, ub, _new, _delta in moves(sub):
             after, _d = apply_step(ctx, term, rule, d, path, b, **gates)
-            if len(list(subterms(after))) <= 64:
+            if len(list(oracles.subterms(after))) <= 64:
                 yield path, (rule, ud, ub), after
 
 
@@ -167,7 +167,7 @@ def _twisted_square_is_zero(F, D):
     bound = max(D - 2 * F.degree(), 0)
     for k in range(cx.n):
         for mask in masks_of_degree(cx.n, k):
-            for mono in graded_monomials(cx.n, bound):
+            for mono in oracles.graded_monomials(cx.n, bound):
                 out = {}
                 for (m2, mask2), c in _decoded(cx,
                                                cx.apply(mono, mask)).items():

@@ -180,6 +180,10 @@ def test_closure_must_be_a_closed_wrapping(dwork):
     wrong_source = check_certificate(
         dwork, dataclasses.replace(base, closure=Closure("kashiwara", "j")))
     assert wrong_source.status == "invalid"
+    unknown = check_certificate(
+        dwork, dataclasses.replace(base, closure=Closure("kashiwara", "no")))
+    assert unknown.status == "invalid"
+    assert unknown.reason == "goal ill-formed: unknown map 'no'"
 
 
 def test_failing_step_reports_index_and_reason(dwork):

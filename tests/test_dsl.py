@@ -109,6 +109,25 @@ def test_tokens_keep_their_kinds_and_spans():
     assert exc.value.span == (42, 43)
 
 
+@pytest.mark.parametrize("statement,message", [
+    ("step R1 fwd at /0/x;", "expected a path index"),
+    ("step R1 fwd at /0 with nope=X;", "unknown binding key 'nope'"),
+])
+def test_a_bad_path_index_or_binding_key_spans_its_statement(statement,
+                                                             message):
+    text = f"variety X dim 1;\n{statement}\nvariety Y dim 1;\n"
+    with pytest.raises(ParseError) as exc:
+        dsl.parse_script(text)
+    assert exc.value.message == message
+    lo, hi = exc.value.span
+    assert text[lo:hi] == statement
+
+
+def test_render_statement_refuses_what_is_not_a_statement():
+    with pytest.raises(TypeError, match="^cannot render int$"):
+        dsl.render_statement(3)
+
+
 def test_binder_rejects_duplicates_with_spans():
     text = "variety X dim 1;\nvariety X dim 2;\n"
     with pytest.raises(ParseError) as exc:

@@ -364,6 +364,59 @@ def test_reduction_is_idempotent(dwork):
     assert dwork.normalize_sub(r) == dwork.normalize_sub(SubRed(SubName("S")))
 
 
+def _plane():
+    """Subvarieties A, B and C of a plane P that no cap fact relates, D of
+    another plane Q, and a map g : X -> Q."""
+    ctx = GeometryContext()
+    for name, dim in (("P", 2), ("Q", 2), ("X", 1)):
+        ctx.variety(name, dim)
+    for name in "ABC":
+        ctx.subvariety(name, "P", codim=1)
+    ctx.subvariety("D", "Q", codim=1)
+    ctx.morphism("g", "X", "Q")
+    return ctx
+
+
+def test_a_nested_intersection_flattens():
+    ctx = _plane()
+    a, b, c = SubName("A"), SubName("B"), SubName("C")
+    flat = SubCap((a, b, c))
+    assert ctx.normalize_sub(SubCap((SubCap((c, a)), b))) == flat
+    assert ctx.normalize_sub(SubCap((b, SubCap((a, c))))) == flat
+    assert ctx.normalize_sub(flat) == flat
+
+
+def test_a_preimage_along_an_identity_is_its_argument():
+    ctx = _plane()
+    cap = SubCap((SubName("A"), SubName("B")))
+    assert ctx.normalize_sub(SubPre(ctx.identity("P"), cap)) == cap
+
+
+def test_sub_ambient_refuses_mismatched_ambients():
+    ctx = _plane()
+    with pytest.raises(GeometryError) as exc:
+        ctx.sub_ambient(SubCap((SubName("A"), SubName("D"))))
+    assert str(exc.value) == "intersection across ambients: ['P', 'Q']"
+    with pytest.raises(GeometryError) as exc:
+        ctx.sub_ambient(SubPre(ctx.composite("g"), SubName("A")))
+    assert str(exc.value) == ("preimage of a subvariety of P along a map "
+                              "into Q")
+
+
+def test_empty_composites_identities_and_transposes_are_refused():
+    ctx = _plane()
+    with pytest.raises(GeometryError, match="^empty composite needs a "
+                                            "variety"):
+        ctx.composite()
+    with pytest.raises(GeometryError, match="^identity needs a nonempty "
+                                            "left side$"):
+        ctx.declare_identity((), ("g",))
+    assert ctx.identities == []
+    with pytest.raises(GeometryError, match="^cannot transpose an identity "
+                                            "without its bundle$"):
+        ctx.transpose_morphism(ctx.identity("P"))
+
+
 def test_sub_ambient_and_smoothness(dwork):
     assert dwork.sub_ambient(SubName("S")) == "X"
     assert dwork.sub_ambient(SubName("iotaS")) == "Adual"

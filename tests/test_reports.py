@@ -18,7 +18,7 @@ from dworklab import (
 from dworklab.cli import main
 from dworklab.geometry import FuncName, FuncPull, SubCap, SubName, SubPre, SubRed
 from dworklab.reports import binding_str, text_report
-from dworklab.weyl import parse_poly
+from dworklab.weyl import CohomologyReport, parse_poly
 
 
 def _first_report(suite):
@@ -160,6 +160,16 @@ def test_inconclusive_comparison_text():
     data = json.loads(machine_report(cmp))
     assert data["twisted"]["dims"] is None
     assert data["twisted"]["stabilized"] is False
+
+
+def test_a_stabilized_empty_table_reads_as_braces():
+    # the supported table of x, y, x+1, y+1 is empty; none stabilized
+    # reads differently
+    empty = CohomologyReport("supports", {}, [(0, {}), (1, {}), (2, {})])
+    assert text_report(empty) == ("supports: {}\n  rung 0: {}\n"
+                                  "  rung 1: {}\n  rung 2: {}\n")
+    assert text_report(CohomologyReport("supports", None, [(0, {})])) == (
+        "supports: (not stabilized)\n  rung 0: {}\n")
 
 
 def test_binding_str_forms(dwork):

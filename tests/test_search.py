@@ -32,9 +32,10 @@ from dworklab.terms import (
     replace,
     serialize,
     split_shift,
-    subterms,
     with_shift,
 )
+
+from oracles import subterms
 
 
 def test_search_rediscovers_the_support_collapse():
@@ -525,6 +526,31 @@ def test_an_undo_that_leaves_a_shift_is_no_backward_edge(dwork, monkeypatch):
         leaks = [undo for step, _nk, undo in _table_successors(table, term)
                  if step.rule == "R99"]
         assert leaks and leaks == [None] * len(leaks)
+
+
+def _one_way(ctx, sub, direction, b, mode):
+    """M -> M (x) O, whose undo the rule refuses."""
+    if direction == "bwd":
+        raise rules.Fail("no way back")
+    if not isinstance(sub, Var):
+        raise rules.Fail("need an object")
+    return Tensor(sub, Struct(sub.variety)), 0, ("bwd", {})
+
+
+def test_a_move_whose_undo_is_refused_is_not_undone_exactly(dwork,
+                                                            monkeypatch):
+    # no built-in rule refuses its own undo, so a made-up rule does: its
+    # move is a forward edge, and `undoes` judges it not exact
+    monkeypatch.setitem(rules.RULES, "R97",
+                        (0, _one_way, {"fwd": rules.Offer(Var)}))
+    table = _table(dwork)
+    m = Var("M", "X")
+    key = serialize(m)
+    rows = table.rows(m, key, _size(m))
+    at = [i for i, row in enumerate(rows) if row[0] == "R97"]
+    assert at
+    assert [table.undoes(key, i) for i in at] == [False] * len(at)
+    _assert_reference_successors(table, m)
 
 
 def test_search_between_two_varieties_expands_nothing(dwork):

@@ -24,9 +24,10 @@ from dworklab.terms import (
     serialize,
     shifted_key,
     split_shift,
-    subterms,
     variety_of,
 )
+
+from oracles import subterms
 
 
 def _section_side(ctx):
@@ -52,6 +53,33 @@ def test_variety_of_rejects_mismatches(dwork):
         variety_of(dwork, Exp("X", FuncName("F")))  # F lives on V
     with pytest.raises(TermError):
         variety_of(dwork, Struct("nope"))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda s: Tensor(Struct("X"), Var("M", "nope")),
+     "at /1: unknown variety 'nope'"),
+    (lambda s: Oim(s, Var("N", "X")), "at /0: undeclared object 'N'"),
+    (lambda s: Shift(Var("M", "V"), 1),
+     "at /0: object 'M' lives on X, not V"),
+    # a geometry refusal below a term is wrapped, with the term's path
+    (lambda s: Tensor(Struct("V"), Exp("V", FuncName("nope"))),
+     "at /1: unknown function 'nope'"),
+    (lambda s: Oim(s, RGamma(SubName("nope"), Struct("X"))),
+     "at /0: unknown subvariety 'nope'"),
+    (lambda s: Fourier("Adual", Fourier("X", Struct("X"))),
+     "at /0: bundle 'X' has no declared pairing"),
+    (lambda s: Tensor(Struct("Adual"), Fourier("V", Struct("X"))),
+     "at /1: transform of a term on X, expected V"),
+    (lambda s: Tensor(Struct("X"), Shift(Struct("X"), 1.5)),
+     "at /1: shift by non-integer 1.5"),
+    (lambda s: Tensor(Struct("X"), "junk"), "at /1: not a term: 'junk'"),
+], ids=["var-variety", "undeclared", "other-variety", "exp-function",
+        "rgamma-support", "unpaired-bundle", "wrong-bundle", "shift",
+        "non-term"])
+def test_each_refusal_names_its_path(dwork, build, message):
+    with pytest.raises(TermError) as exc:
+        variety_of(dwork, build(dwork.composite("s")))
+    assert str(exc.value) == message
 
 
 def test_variety_of_lets_a_caller_bug_through(dwork):
@@ -82,6 +110,16 @@ def test_navigate_and_replace(dwork):
         navigate(t, (1,))
     with pytest.raises(TermError):
         navigate(t, (0, 0, 0))
+
+
+def test_replace_goes_through_a_shift_and_refuses_a_missing_child(dwork):
+    s = dwork.composite("s")
+    m = Var("M", "X")
+    assert replace(Shift(Oim(s, Struct("X")), 2), (0, 0), m) == Shift(
+        Oim(s, m), 2)
+    with pytest.raises(TermError) as exc:
+        replace(Oim(s, Struct("X")), (1,), m)
+    assert str(exc.value) == "no child 1 in Oim[s](O[X])"
 
 
 def test_subterm_paths_and_size(dwork):

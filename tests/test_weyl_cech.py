@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from dworklab import complement_cohomology, parse_poly
-from dworklab.weyl.cech import MAX_POLE, CechDeRham, complement_rung
+from dworklab.weyl.cech import MAX_POLE, CechDeRham
 from dworklab.weyl.linalg import Echelon
-from dworklab.weyl.poly import MultiPoly, graded_monomials
+from dworklab.weyl.poly import MultiPoly
 
 import oracles
 
@@ -55,7 +55,7 @@ def test_rungs_match_reference(texts, names, ts):
     terms = [f.terms for f in fs]
     n = fs[0].nvars
     for t in ts:
-        assert complement_rung(fs, t) == oracles.oracle_complement_rung(
+        assert CechDeRham(fs, t).rung(t) == oracles.oracle_complement_rung(
             terms, n, t)
 
 
@@ -76,7 +76,7 @@ def test_rungs_after_a_ladder(texts, names):
     for t in (0, 1, 2, 3, 1, 3, 0):
         if t not in want:
             want[t] = oracles.oracle_complement_rung(terms, cx.n, t)
-        assert cx.rung(t) == complement_rung(fs, t) == want[t]
+        assert cx.rung(t) == CechDeRham(fs, t).rung(t) == want[t]
 
 
 def _grade(I, mask):
@@ -104,6 +104,12 @@ def _rung_counting(monkeypatch, cx, t):
     return dims, built, added
 
 
+def _code(cx, I, mono, mask):
+    """The column code of (I, x^mono, dx_mask), built as the complex
+    builds it: the monomial's code with the piece and mask fields."""
+    return cx._codes.mono(mono) | cx.piece_index[I] << cx.n | mask
+
+
 def _window_codes(cx, pole, q, D):
     """Codes of grade q's weight-0 window (pole, D), read stage by stage."""
     return [base | fields for stage in cx._stages(pole, q, D)
@@ -126,7 +132,7 @@ def test_a_rung_after_its_predecessor_builds_no_pole_p_row(monkeypatch):
         dependent.update(cx._records[P, q - 2][1])
     _dims, built, added = _rung_counting(monkeypatch, cx, 1)
     assert not [pole for *_, pole in built if pole == P]
-    fed_u = [cx.code(I, mono, mask) for I, mono, mask, pole in built
+    fed_u = [_code(cx, I, mono, mask) for I, mono, mask, pole in built
              if pole == P + 1]
     # the rung eliminates only the weight-0 block of each window
     window_u = [code for q in range(top)
@@ -229,7 +235,8 @@ def window_basis(cx, pole, D):
     every weight block included; `rung` eliminates only the weight-0
     one."""
     return [(I, mono, mask) for I in cx.pieces
-            for mono in graded_monomials(cx.n, pole * cx.g[I].degree() + D)
+            for mono in oracles.graded_monomials(
+                cx.n, pole * cx.g[I].degree() + D)
             for mask in range(1 << cx.n)]
 
 
@@ -287,7 +294,7 @@ def _block_rung(cx, lam, t):
     def basis(q, pole, bound):
         return [(I, mono, mask) for I in cx.pieces
                 for mask in range(1 << cx.n) if _grade(I, mask) == q
-                for mono in graded_monomials(
+                for mono in oracles.graded_monomials(
                     cx.n, pole * cx.g[I].degree() + bound)
                 if weight(I, mono, mask, pole) == lam]
 
@@ -362,7 +369,7 @@ def test_a_pole_above_the_cap_is_refused_before_anything_is_built(t_max):
 def test_a_complex_at_the_pole_cap_builds():
     cx = CechDeRham(_polys(["x*y"], XY), MAX_POLE - 1)
     assert cx.schedule(MAX_POLE - 1)[0] == MAX_POLE
-    assert cx.rung(0) == complement_rung(_polys(["x*y"], XY), 0)
+    assert cx.rung(0) == CechDeRham(_polys(["x*y"], XY), 0).rung(0)
 
 
 def test_ladder_can_give_up():

@@ -2,8 +2,9 @@
 monomial.
 
 `forms.WeightBlocks` packs weights into integers and walks the degree-e
-simplex; the reference here weighs each monomial of the degree with
-`forms.weight`, the way the index did before it walked.  There are 0 to
+simplex; the reference here weighs each monomial of the degree, listed
+in graded order by `oracles.graded_monomials`, with `forms.weight`, the
+way the index did before it walked.  There are 0 to
 5 variables, and lattices have negative entries and any rank from 0 to
 n (an empty lattice keeps every monomial when () is a key).  The keys
 mix weights a drawn degree reaches, vectors far outside them and
@@ -11,6 +12,8 @@ vectors one carry away from a reached weight in every base a packing
 could wrongly use.  Hypothesis runs derandomized, with no example
 database, so every run draws the same examples.
 """
+
+import functools
 
 import pytest
 
@@ -21,7 +24,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from dworklab.weyl import forms  # noqa: E402
 from dworklab.weyl.linalg import GradedCodes  # noqa: E402
-from dworklab.weyl.poly import monomials_of_degree  # noqa: E402
+
+import oracles  # noqa: E402
 
 SEEDED = settings(derandomize=True, database=None, deadline=None,
                   max_examples=300,
@@ -29,9 +33,16 @@ SEEDED = settings(derandomize=True, database=None, deadline=None,
 E_MAX = 20
 
 
+@functools.cache
+def of_degree(nvars, e):
+    """The monomials of degree exactly e, in the oracle's graded order."""
+    return tuple(m for m in oracles.graded_monomials(nvars, e)
+                 if sum(m) == e)
+
+
 def weigh_every_monomial(lattice, nvars, code, keys, e):
     groups = {}
-    for mono in monomials_of_degree(nvars, e):
+    for mono in of_degree(nvars, e):
         key = forms.weight(lattice, mono)
         if key in keys:
             groups.setdefault(key, []).append((mono, code(mono)))
@@ -51,7 +62,7 @@ def indexes(draw):
     # with no variable, only degree 0 has a monomial
     for e in draw(st.lists(st.integers(0, E_MAX if n else 0), max_size=4)):
         # the weight of a monomial that degree e reaches
-        mono = draw(st.sampled_from(list(monomials_of_degree(n, e))))
+        mono = draw(st.sampled_from(of_degree(n, e)))
         keys.add(forms.weight(lattice, mono))
     # vectors a degree may not reach, up to past 2·E_MAX·max|w_ij|
     keys |= set(draw(st.lists(

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from dworklab import parse_poly
-from dworklab.weyl.cech import CechDeRham, complement_rung
+from dworklab.weyl.cech import CechDeRham
 from dworklab.weyl.linalg import Echelon, kernel_lattice
-from dworklab.weyl.twisted import TwistedComplex, twisted_rung
+from dworklab.weyl.twisted import TwistedComplex
 
 import oracles
 
@@ -33,19 +33,20 @@ def test_add_leaves_the_callers_row_alone(row, reduced):
     assert ech.pivots == stored
 
 
-def _top_exponent(code, n, fields):
-    """The largest exponent `code` accepts in the first variable."""
-    e = 0
-    while True:
-        try:
-            code((e + 1,) + (0,) * (n - 1), *fields)
-        except ValueError:
-            return e
-        e += 1
-
-
 def _random_monos(rng, n, top, count):
     return [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(count)]
+
+
+def _within_the_cap(codes, built):
+    """Every built code decodes to exponents no larger than the cap the
+    codes were sized for, and builds back to itself as the complexes
+    build codes: the monomial's code with the fields in the low bits.  An
+    exponent that overflowed its digit would carry into its neighbour and
+    fail the second check."""
+    for code in built:
+        mono, fields = codes.decode(code)
+        assert max(mono, default=0) <= codes.top
+        assert codes.mono(mono) | fields == code
 
 
 @pytest.mark.parametrize("text,names", [
@@ -55,54 +56,62 @@ def _random_monos(rng, n, top, count):
 def test_twisted_codes_follow_the_graded_order(text, names):
     rng = random.Random(20260)
     F = parse_poly(text, names)
-    cx = TwistedComplex(F, F.degree() + 1)
-    n = cx.n
-    cx.rung(F.degree() + 1)
-    top = _top_exponent(cx.code, n, (0,))
-    assert top & (top + 1) == 0  # a digit uses its whole width
-    for j in range(n):
-        with pytest.raises(ValueError):
-            cx.code(tuple(top + 1 if i == j else 0 for i in range(n)))
+    D = F.degree() + 1
+    cx = TwistedComplex(F, D)
+    codes, n = cx._codes, cx.n
+    cx.rung(D)
+    # a digit is as wide as the cap's largest exponent needs
+    assert codes.width == codes.top.bit_length()
+    assert codes.covers(codes.top) and not codes.covers(codes.top + 1)
+    _within_the_cap(codes, [code for k in range(n)
+                            for e in range(D + cx.slack + 1)
+                            for row in cx.rows(k, e) for code in row])
+    top = (1 << codes.width) - 1  # the largest exponent a digit holds
     cols = {(mono, rng.randrange(1 << n))
             for mono in _random_monos(rng, n, top, 400)}
     cols |= {((top,) * n, (1 << n) - 1), ((0,) * n, 0)}
-    codes = {col: cx.code(*col) for col in cols}
-    assert sorted(cols, key=codes.get) == sorted(
+    built = {col: codes.mono(col[0]) | col[1] for col in cols}
+    assert sorted(cols, key=built.get) == sorted(
         cols, key=lambda col: (sum(col[0]), col[0], col[1]))
-    assert all(cx.column(code) == col for col, code in codes.items())
+    assert all(cx.column(code) == col for col, code in built.items())
     for _ in range(300):
         a = tuple(rng.randint(0, top) for _ in range(n))
         b = tuple(rng.randint(0, top - e) for e in a)
         mask = rng.randrange(1 << n)
         product = tuple(x + y for x, y in zip(a, b))
-        assert cx.code(a, mask) + cx.code(b) == cx.code(product, mask)
+        assert (codes.mono(a) | mask) + codes.mono(b) == (
+            codes.mono(product) | mask)
 
 
 def test_cech_codes_follow_the_graded_order():
     rng = random.Random(20261)
     cx = CechDeRham([parse_poly(t, XY) for t in ("x", "y", "x-y^2")], 0)
-    n, first = cx.n, cx.pieces[0]
+    codes, n = cx._codes, cx.n
     cx.rung(0)
-    top = _top_exponent(lambda mono: cx.code(first, mono, 0), n, ())
-    assert top & (top + 1) == 0
-    with pytest.raises(ValueError):
-        cx.code(first, (0, top + 1), 0)
+    assert codes.width == codes.top.bit_length()
+    assert codes.covers(codes.top) and not codes.covers(codes.top + 1)
+    _within_the_cap(codes, [lead for _counts, leads in cx._records.values()
+                            for lead in leads])
+
+    def code(I, mono, mask):
+        return codes.mono(mono) | cx.piece_index[I] << n | mask
+
+    top = (1 << codes.width) - 1
     cols = {(rng.choice(cx.pieces), mono, rng.randrange(1 << n))
             for mono in _random_monos(rng, n, top, 400)}
     cols |= {(cx.pieces[-1], (top,) * n, (1 << n) - 1),
-             (first, (0,) * n, 0)}
-    codes = {col: cx.code(*col) for col in cols}
-    assert sorted(cols, key=codes.get) == sorted(
+             (cx.pieces[0], (0,) * n, 0)}
+    built = {col: code(*col) for col in cols}
+    assert sorted(cols, key=built.get) == sorted(
         cols, key=lambda col: (sum(col[1]), col[1], cx.piece_index[col[0]],
                                col[2]))
-    assert all(cx.column(code) == col for col, code in codes.items())
+    assert all(cx.column(c) == col for col, c in built.items())
     for _ in range(300):
         a = tuple(rng.randint(0, top) for _ in range(n))
         b = tuple(rng.randint(0, top - e) for e in a)
         I, mask = rng.choice(cx.pieces), rng.randrange(1 << n)
         product = tuple(x + y for x, y in zip(a, b))
-        assert (cx.code(I, a, mask) + cx.code(first, b, 0)
-                == cx.code(I, product, mask))
+        assert code(I, a, mask) + codes.mono(b) == code(I, product, mask)
 
 
 def test_twisted_widening_keeps_every_rung():
@@ -113,18 +122,17 @@ def test_twisted_widening_keeps_every_rung():
     F = parse_poly("x*y", XY)
     cx = TwistedComplex(F, 13)
     codes = cx._codes
+    width = codes.width
     cx.rung(3)
-    top = _top_exponent(cx.code, cx.n, (0,))
     cx.rung(13)
-    assert cx._codes is codes
-    assert _top_exponent(cx.code, cx.n, (0,)) == top
+    assert cx._codes is codes and codes.width == width
     for D in (13, 3, 5, 9):
         want = oracles.oracle_twisted_rung(F.terms, F.nvars, D)
-        assert cx.rung(D) == twisted_rung(F, D) == want
+        assert cx.rung(D) == TwistedComplex(F, D).rung(D) == want
     with pytest.raises(ValueError):
         cx.rung(15)
     assert cx._codes is codes
-    assert cx.rung(13) == twisted_rung(F, 13)
+    assert cx.rung(13) == TwistedComplex(F, 13).rung(13)
 
 
 def test_cech_widening_keeps_every_rung():
@@ -133,21 +141,18 @@ def test_cech_widening_keeps_every_rung():
     rung above the cap refused with the complex left intact."""
     fs = [parse_poly("x^2-1", ("x",))]
     cx = CechDeRham(fs, 8)
-    codes, first = cx._codes, cx.pieces[0]
-    cx.rung(0)
-    top = _top_exponent(lambda mono: cx.code(first, mono, 0), cx.n, ())
-    for t in range(1, 9):
+    codes = cx._codes
+    width = codes.width
+    for t in range(9):
         cx.rung(t)
-    assert cx._codes is codes
-    assert _top_exponent(lambda mono: cx.code(first, mono, 0),
-                         cx.n, ()) == top
+    assert cx._codes is codes and codes.width == width
     for t in (8, 0, 1, 2):
         want = oracles.oracle_complement_rung([fs[0].terms], 1, t)
-        assert cx.rung(t) == complement_rung(fs, t) == want
+        assert cx.rung(t) == CechDeRham(fs, t).rung(t) == want
     with pytest.raises(ValueError):
         cx.rung(9)
     assert cx._codes is codes
-    assert cx.rung(8) == complement_rung(fs, 8)
+    assert cx.rung(8) == CechDeRham(fs, 8).rung(8)
 
 
 def _dot(w, v):
