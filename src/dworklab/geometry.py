@@ -598,9 +598,10 @@ class GeometryContext:
             m = self.normalize_morphism(s.morphism)
             if self.is_identity(m):
                 return arg
-            if isinstance(arg, SubName):
-                hit = self.pre_facts.get((m.atoms, arg.name))
-                if hit is not None:
+            # a fact names its map as declared: compare normal forms
+            for (atoms, name), hit in self.pre_facts.items():
+                if arg == SubName(name) and self.morphisms_equal(
+                        self.composite(*atoms), m):
                     return SubName(hit)
             return SubPre(m, arg)
         raise GeometryError(f"not a subvariety expression: {s!r}")

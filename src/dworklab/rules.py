@@ -29,11 +29,12 @@ Matching tolerances, applied deterministically:
 
 Each applier also names the step undoing it, read off the subterm it
 rewrote.  Each rule's `RULES` row says where a search tries it: per
-direction (and law), a node shape and candidate bindings.  `Moves` tries
-each candidate once through `rewrite`, so a refused candidate costs one
-exception, and keeps the accepted moves per subterm for one search.  An
-undo may land on a raw form other than the original; `Moves` checks,
-once per move.
+direction (and law), a node shape and candidate bindings, either read
+off the written subterm (`pick`) or listed with the declared maps they
+run along (`along`).  `Moves` tries each candidate once through
+`rewrite`, so a refused candidate costs one exception, and keeps the
+accepted moves per subterm for one search.  An undo may land on a raw
+form other than the original; `Moves` checks, once per move.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .terms import (
     Struct,
     Tensor,
     hoist_shifts,
-    keyed_subterms,
     navigate,
     normal_key,
     normalize,
@@ -80,15 +80,20 @@ _ATOM_PAIR_CAP = 2500
 
 class Offer(NamedTuple):
     """Where a rule is offered one way: at an `outer` node whose argument
-    is an `inner` node (None: any), once per candidate binding.  With a
-    `key`, the candidates bind it to each value `pick(moves, sub)` finds,
-    or else to each declared name (`Moves.names`); without one, they are
-    the bindings `pick` finds, or else none at all."""
+    is an `inner` node (None: any), once per candidate.  A candidate binds
+    `key` to a value or, with no key, is the bindings itself.  The
+    candidates are the values `along(ctx)` pairs with the written node's
+    declared maps, its own and then its argument's, in normal form
+    (``(maps, value)`` pairs, which `Moves` indexes once per search); or
+    else the values `pick(moves, sub)` reads off the written subterm; or
+    else each declared name of `key` (`Moves.names`), or no bindings at
+    all."""
 
     outer: type
     inner: type | None = None
     key: str | None = None
     pick: Callable | None = None
+    along: Callable | None = None
 
 
 class Fail(Exception):
@@ -333,7 +338,9 @@ def _r10_center(ctx, mode, m):
     atom = ctx.atoms[j]
     if atom.kind not in CLOSED_EMBEDDING_KINDS:
         raise Fail(f"{j} is not a closed embedding")
-    name = ctx.images.get(j)
+    # an image is declared of a map as written: compare normal forms
+    name = next((z for a, z in ctx.images.items()
+                 if ctx.morphisms_equal(ctx.composite(a), n)), None)
     if name is None:
         raise Fail(f"{j} has no declared image")
     sv = ctx.subvarieties[name]
@@ -674,14 +681,9 @@ def _lemma(ctx, sub, direction, name, lemmas):
 
 
 # --- where each rule is offered ----------------------------------------------
-# Each pick reads its candidates off the written subterm, or off an index
-# `Moves` gathers once per search.
-
-
-def _splits(moves, sub):
-    """Each declared atom pair composing to the written map."""
-    return moves.splits and moves.splits.get(
-        moves.ctx.normalize_morphism(sub.morphism), ())
+# A pick reads its candidates off the written subterm.  An `along` function
+# lists every candidate with the declared maps it runs along; `Moves`
+# indexes those once per search.
 
 
 def _preimages(moves, sub):
@@ -703,34 +705,11 @@ def _tower(moves, sub):
     return range(1, k + 1)
 
 
-def _negated(moves, sub):
-    """The paired bundles, in name order, with a declared negation."""
-    return [b for b in moves.names["bundle"] if b in moves.ctx.negations]
-
-
 def _paired_with(moves, sub):
     """The bundle paired with the one the written transform is along: a
     bundle is paired at most once."""
     data = moves.ctx.fourier.get(sub.arg.bundle)
     return (data.dual,) if data else ()
-
-
-def _squares(direction):
-    """The pick of R5 one way: the squares, in name order, whose legs
-    that way are the written outer and inner maps (as
-    `ctx.morphisms_equal` decides)."""
-    def pick(moves, sub):
-        norm = moves.ctx.normalize_morphism
-        return moves.square_legs.get(
-            (direction, norm(sub.morphism), norm(sub.arg.morphism)), ())
-    return pick
-
-
-def _dual_projection_of(moves, sub):
-    """The bundles, in name order, whose dual projection is the written
-    map."""
-    return moves.dual_projections.get(
-        moves.ctx.normalize_morphism(sub.morphism), ())
 
 
 def _along_identity(moves, sub):
@@ -745,34 +724,78 @@ def _with_unit_factor(moves, sub):
                      or isinstance(sub.right, Struct)) else ()
 
 
-def _along_second_projection(moves, sub):
-    """No bindings, once, where the written map normalizes to the second
-    projection of a plain product."""
-    atoms = moves.ctx.normalize_morphism(sub.morphism).atoms
-    return ({},) if atoms in moves.second_projections else ()
+def _composable(ctx):
+    """Each composable pair of atoms f, g, along g.f; none at all past
+    the atom pair cap."""
+    maps = [ctx.composite(name) for name in ctx.atoms]
+    if len(maps) ** 2 > _ATOM_PAIR_CAP:
+        maps = []
+    return [((ctx.compose(g, f),), {"f": f, "g": g})
+            for f, g in product(maps, maps) if f.target == g.source]
 
 
-def _dual_section_of(moves, sub):
-    """The bundles, in name order, whose dual's zero section is the written
-    map (as `ctx.morphisms_equal` decides)."""
-    return moves.dual_sections.get(
-        moves.ctx.normalize_morphism(sub.morphism), ())
+def _squares(legs):
+    """Each square, in name order, along the outer and inner maps `legs`
+    gives of it: the legs R5 rewrites one way."""
+    return lambda ctx: [(tuple(map(ctx.composite, legs(ctx.squares[name]))),
+                         name) for name in sorted(ctx.squares)]
+
+
+def _dual_projections(ctx):
+    """Each paired bundle, in name order, along its dual projection."""
+    return [((ctx.composite(ctx.fourier[b].proj_dual),), b)
+            for b in sorted(ctx.fourier)]
+
+
+def _dual_sections(ctx):
+    """Each paired bundle, in name order, along its dual's zero section."""
+    return [((ctx.composite(ctx.bundles[ctx.fourier[b].dual].sect),), b)
+            for b in sorted(ctx.fourier)]
+
+
+def _negated(ctx):
+    """Each paired bundle, in name order, with a declared negation, along
+    that negation."""
+    return [((ctx.composite(ctx.negations[b]),), b)
+            for b in sorted(ctx.fourier) if b in ctx.negations]
+
+
+def _second_projections(ctx):
+    """No bindings, along the second projection of each plain product:
+    the exterior tensor of a fiber product's factors lives elsewhere."""
+    plain = set(ctx.products.values())
+    return [((ctx.composite(a.name),), {}) for a in ctx.atoms.values()
+            if a.kind == "projection" and a.factor == 2 and a.source in plain]
+
+
+def _cap_orders(ctx):
+    """The two members of each declared intersection, in both orders
+    (once if they are one), by their sorted names."""
+    for members in sorted(ctx.cap_facts, key=sorted):
+        a, b = SubName(min(members)), SubName(max(members))
+        for left, right in dict.fromkeys([(a, b), (b, a)]):
+            yield (), {"left": left, "right": right}
 
 
 # name -> (least strata budget, applier, where it is offered: each direction,
 # or (direction, law), the search tries it -> its Offer)
 RULES = {
-    "R1": (0, _r1, {"fwd": Offer(Opb, Opb), "bwd": Offer(Opb, pick=_splits)}),
-    "R2": (0, _r2, {"fwd": Offer(Oim, Oim), "bwd": Offer(Oim, pick=_splits)}),
+    "R1": (0, _r1, {"fwd": Offer(Opb, Opb),
+                    "bwd": Offer(Opb, along=_composable)}),
+    "R2": (0, _r2, {"fwd": Offer(Oim, Oim),
+                    "bwd": Offer(Oim, along=_composable)}),
     "R3": (0, _r3, {"fwd": Offer(Opb, Tensor), "bwd": Offer(Tensor)}),
     "R4": (1, _r4, {"fwd": Offer(Oim, Tensor), "bwd": Offer(Tensor)}),
-    "R5": (0, _r5, {"fwd": Offer(Oim, Opb, "square", _squares("fwd")),
-                    "bwd": Offer(Opb, Oim, "square", _squares("bwd"))}),
+    "R5": (0, _r5, {
+        "fwd": Offer(Oim, Opb, "square",
+                     along=_squares(lambda sq: (sq.f_prime, sq.h_prime))),
+        "bwd": Offer(Opb, Oim, "square",
+                     along=_squares(lambda sq: (sq.h, sq.f)))}),
     "R6": (0, _r6, {"fwd": Offer(RGamma), "bwd": Offer(Tensor)}),
     # merge nested supports, or rebracket them along a declared intersection
-    "R7": (0, _r7, {"fwd": Offer(RGamma, RGamma,
-                                 pick=lambda m, s: ({}, *m.cap_orders)),
-                    "bwd": Offer(RGamma, pick=lambda m, s: m.cap_orders)}),
+    "R7": (0, _r7, {"fwd": Offer(RGamma, RGamma, along=lambda ctx: [
+                        ((), {}), *_cap_orders(ctx)]),
+                    "bwd": Offer(RGamma, along=_cap_orders)}),
     "R8": (0, _r8, {"fwd": Offer(Oim, RGamma, "sub"),
                     "bwd": Offer(RGamma, Oim, pick=_preimages)}),
     "R10": (0, _r10, {"fwd": Offer(RGamma, None, "layers", _tower),
@@ -781,16 +804,18 @@ RULES = {
     "R12": (0, _r12, {"fwd": Offer(Fourier, None, "bundle",
                                    lambda m, s: (s.bundle,)),
                       "bwd": Offer(Oim, Tensor, "bundle",
-                                   _dual_projection_of)}),
+                                   along=_dual_projections)}),
     "R13": (0, _r13, {"fwd": Offer(Fourier, Fourier, "bundle",
                                    lambda m, s: (s.arg.bundle,)),
-                      "bwd": Offer(Opb, None, "bundle", _negated)}),
+                      "bwd": Offer(Opb, None, "bundle", along=_negated)}),
     "R14": (1, _r14, {"fwd": Offer(Fourier, Oim), "bwd": Offer(Opb, Fourier)}),
     "R15": (1, _r15, {"fwd": Offer(Oim, Fourier), "bwd": Offer(Fourier, Opb)}),
-    "R16": (0, _r16, {"fwd": Offer(Oim, None, "bundle", _dual_section_of),
+    "R16": (0, _r16, {"fwd": Offer(Oim, None, "bundle",
+                                   along=_dual_sections),
                       "bwd": Offer(Fourier, Opb, "bundle",
                                    lambda m, s: (s.bundle,))}),
-    "R17": (0, _r17, {"fwd": Offer(Opb, None, "bundle", _dual_section_of),
+    "R17": (0, _r17, {"fwd": Offer(Opb, None, "bundle",
+                                   along=_dual_sections),
                       "bwd": Offer(Oim, Fourier, "bundle", _paired_with)}),
     "R18": (0, _r18, {"fwd": Offer(RGamma), "bwd": Offer(RGamma, None, "sub")}),
     "R19": (0, _r19, {
@@ -805,7 +830,7 @@ RULES = {
     "R20": (0, _r20, {
         ("fwd", "etens_opb_sndmap"): Offer(Opb, ETensor),
         ("fwd", "etens_opb_diag"): Offer(Opb, ETensor),
-        ("fwd", "etens_opb_proj2"): Offer(Opb, pick=_along_second_projection),
+        ("fwd", "etens_opb_proj2"): Offer(Opb, along=_second_projections),
         ("fwd", "etens_oim_idmap"): Offer(Oim, ETensor),
         ("fwd", "etens_oim_fstmap"): Offer(Oim, ETensor),
         ("bwd", "etens_opb_diag"): Offer(Tensor),
@@ -826,11 +851,12 @@ class Moves:
     gates, and yields those accepted as ``(rule, direction, bindings, undo
     direction, undo bindings, replacement, delta)``; a move and its undo
     are always the same rule.  `rows` keeps them per serialized subterm,
-    each with its size change and the replacement's serialization, both
-    read off one keyed walk of the replacement, and `undoes` decides once
-    per row whether its undo is exact.  Built once per search, so the
-    indexes the picks read are gathered once; rules that the strata
-    budget or the exclusions refuse are left out."""
+    each with the replacement's serialization, and `undoes` decides once
+    per row whether its undo is exact.  Built once per search, so each
+    offer's `along` function is indexed once, by the normal forms of its
+    maps, and looked up at the written ones: the table holds nothing
+    that knows a rule.  Rules that the strata budget or the exclusions
+    refuse are left out."""
 
     def __init__(self, ctx, mode="strict-smooth", allowed_strata=1,
                  excluded=frozenset()):
@@ -839,75 +865,44 @@ class Moves:
                       "excluded": excluded}
         # node class -> (rule, direction, law, Offer) offered there
         self.at = {}
+        # each offered `along` function -> the number of maps it runs
+        # along, and its values by the normal forms of those maps
+        self.along = {}
+        norm = ctx.normalize_morphism
         for name, (stratum, _fn, where) in RULES.items():
             if stratum <= allowed_strata and name not in excluded:
                 for way, offer in where.items():
                     direction, law = (way, None) if isinstance(way, str) else way
                     self.at.setdefault(offer.outer, []).append(
                         (name, direction, law, offer))
+                    if offer.along and offer.along not in self.along:
+                        n, index = 0, {}
+                        for maps, value in offer.along(ctx):
+                            n, key = len(maps), tuple(map(norm, maps))
+                            index.setdefault(key, []).append(value)
+                        self.along[offer.along] = n, index
         # the declared names each binding key can take
         self.names = {"bundle": sorted(ctx.fourier),
                       "square": sorted(ctx.squares),
                       "sub": [SubName(n) for n in sorted(ctx.subvarieties)]}
-        norm = ctx.normalize_morphism
-        # R16 and R17 run forward only along a dual's zero section, and
-        # R12 backward only along a dual projection: each bundle by the
-        # normal form of that map
-        self.dual_sections = {}
-        self.dual_projections = {}
-        for b in self.names["bundle"]:
-            data = ctx.fourier[b]
-            sect = norm(ctx.composite(ctx.bundles[data.dual].sect))
-            self.dual_sections.setdefault(sect, []).append(b)
-            proj = norm(ctx.composite(data.proj_dual))
-            self.dual_projections.setdefault(proj, []).append(b)
-        # R5 runs only where the written maps are a square's legs: each
-        # square by the normal forms of the outer and inner legs it
-        # rewrites, each way
-        self.square_legs = {}
-        for name in self.names["square"]:
-            sq = ctx.squares[name]
-            for way, outer, inner in (("fwd", sq.f_prime, sq.h_prime),
-                                      ("bwd", sq.h, sq.f)):
-                legs = (way, norm(ctx.composite(outer)),
-                        norm(ctx.composite(inner)))
-                self.square_legs.setdefault(legs, []).append(name)
-        # R20 `etens_opb_proj2` runs forward only along the second
-        # projection of a plain product, by its normal form's atoms: the
-        # exterior tensor of a fiber product's factors lives elsewhere
-        plain = set(ctx.products.values())
-        self.second_projections = {
-            (a.name,) for a in ctx.atoms.values()
-            if a.kind == "projection" and a.factor == 2 and a.source in plain}
-        # both orders of the two members of each declared intersection
-        orders = []
-        for members in sorted(ctx.cap_facts, key=sorted):
-            a, b = SubName(min(members)), SubName(max(members))
-            orders += dict.fromkeys([(a, b), (b, a)])
-        self.cap_orders = [{"left": a, "right": b} for a, b in orders]
-        # every composable pair of atoms f, g, by the normal form of g.f
-        maps = [ctx.composite(name) for name in ctx.atoms]
-        if len(maps) ** 2 > _ATOM_PAIR_CAP:
-            maps = []
-        self.splits = {}
-        for f, g in product(maps, maps):
-            if f.target == g.source:
-                gf = ctx.normalize_morphism(ctx.compose(g, f))
-                self.splits.setdefault(gf, []).append({"f": f, "g": g})
         self._rows = {}
         self._undoes = {}
 
     def __call__(self, sub):
-        for name, direction, law, (_o, inner, key, pick) in self.at.get(
+        norm = self.ctx.normalize_morphism
+        for name, direction, law, (_o, inner, key, pick, along) in self.at.get(
                 type(sub), ()):
             if inner is not None and not isinstance(sub.arg, inner):
                 continue
-            if key is None:
-                found = pick(self, sub) if pick else ({},)
+            if along:
+                n, index = self.along[along]
+                found = index.get(
+                    tuple(norm(x.morphism) for x in (sub, sub.arg)[:n]), ())
             else:
-                found = ({key: v} for v in (
-                    pick(self, sub) if pick else self.names[key]))
-            for b in found:
+                found = (pick(self, sub) if pick
+                         else self.names[key] if key else ({},))
+            for v in found:
+                b = {key: v} if key else v
                 b = {"law": law, **b} if law else dict(b)
                 try:
                     new, delta, (ud, ub) = rewrite(
@@ -916,19 +911,16 @@ class Moves:
                     continue
                 yield name, direction, b, ud, ub, new, delta
 
-    def rows(self, sub, key, n):
-        """The moves at `sub`, serialized as `key` and `n` nodes large, as
-        the search's keyed walk gives them, matched on first sight: each
-        row is ``(rule, direction, bindings, undo direction, undo
-        bindings, replacement, delta, size change, serialized
-        replacement)``.  Each replacement is walked once, by
-        `keyed_subterms`, for both its size and its serialization.  A
-        subterm where no move applies gets the empty tuple."""
+    def rows(self, sub, key):
+        """The moves at `sub`, serialized as `key` by the search's keyed
+        walk, matched on first sight: each row is ``(rule, direction,
+        bindings, undo direction, undo bindings, replacement, delta,
+        serialized replacement)``.  A subterm where no move applies gets
+        the empty tuple."""
         rows = self._rows.get(key)
         if rows is None:
             rows = self._rows[key] = tuple(
-                (*row, root[4] - n, root[2]) for row in self(sub)
-                for root in keyed_subterms(row[5])[:1])
+                (*row, serialize(row[5])) for row in self(sub))
         return rows
 
     def undoes(self, key, i):

@@ -12,22 +12,21 @@ declared closed embedding.
 The rules are matched once per distinct subterm, not once per place it
 occurs.  `prove` builds one `Moves` and shares it across the direct
 search and every closure retry.  A term is walked once per expansion
-(`keyed_subterms`), which gives each subterm's serialization, its
-offset in the term's and its node count.  `Moves.rows` is keyed by a
-subterm's serialization and keeps the move, its undo, the replacement,
-the shift delta, the size change and the replacement's serialization;
-it takes the subterm's size from the expansion's walk and walks each
-replacement once, for both its size and its serialization.  A
-successor's serialization is spliced from those: the replacement's put
-in the subterm's place, the root shift with the delta folded in wrapped
-around it by `terms.shifted_key`.  This module never spells term text
-itself: keys come from `terms`, and are only cut and joined here.  The
-successor term itself, the replacement put in at its path, is built
-only when the frontier records a step; nothing is re-applied to the
-whole term.  `rules.rewrite` accepts only replacements that are
-well-formed on the subterm's own variety, so from well-formed goal
-sides every successor is well-formed; a goal with an ill-formed side,
-or with sides on two varieties, is not searched.
+(`keyed_subterms`), which gives each subterm's serialization and its
+offset in the term's.  `Moves.rows` is keyed by a subterm's
+serialization and keeps the move, its undo, the replacement, the shift
+delta and the replacement's serialization.  A successor's
+serialization is spliced from those: the replacement's put in the
+subterm's place, the root shift with the delta folded in wrapped around
+it by `terms.shifted_key`.  A successor whose serialization is longer
+than `_KEY_CAP` is dropped, which bounds every frontier.  This module
+never spells term text itself: keys come from `terms`, and are only cut
+and joined here.  The successor term itself, the replacement put in at
+its path, is built only when the frontier records a step; nothing is
+re-applied to the whole term.  `rules.rewrite` accepts only
+replacements that are well-formed on the subterm's own variety, so
+from well-formed goal sides every successor is well-formed; a goal with
+an ill-formed side, or with sides on two varieties, is not searched.
 `Moves.undoes` decides whether a move's undo lands back exactly on the
 subterm, with the opposite delta, once per (subterm, move), the first
 time a backward edge needs it.
@@ -68,8 +67,10 @@ from .terms import (
 )
 
 
-# terms larger than this are never put on a frontier
-_SIZE_CAP = 64
+# terms serialized longer than this are never put on a frontier: the
+# built-in searches make none longer than 176 characters, and a goal
+# nested 200 supports deep none shorter than 2 599 going forward
+_KEY_CAP = 1024
 
 
 @dataclass
@@ -96,26 +97,25 @@ def _successors(moves, term, seen, forward=True, probe=None):
     step is given only for a key the other side has."""
     core, k = split_shift(term)
     walk = keyed_subterms(core)
-    _path, _core, ckey, _start, n = walk[0]
+    ckey = walk[0][2]
     if probe:
         meet, cores = probe
-    for path, sub, key, start, size in walk:
+    for path, sub, key, start in walk:
         end = start + len(key)
         if probe and not _fits(cores, ckey[:start], ckey[end:]):
             continue
-        for i, row in enumerate(moves.rows(sub, key, size)):
-            rule, d, b, ud, ub, new_sub, delta, grow, new_key = row
-            shift = k + delta
-            if n + grow + (shift != 0) > _SIZE_CAP:
+        for i, row in enumerate(moves.rows(sub, key)):
+            rule, d, b, ud, ub, new_sub, delta, new_key = row
+            nk = shifted_key(ckey[:start] + new_key + ckey[end:], k + delta)
+            if len(nk) > _KEY_CAP:
                 continue
-            nk = shifted_key(ckey[:start] + new_key + ckey[end:], shift)
             if (nk not in meet if probe else nk in seen) or not (
                     forward or moves.undoes(key, i)):
                 yield nk, None, None
                 continue
             step = (ProofStep(rule, d, path, b) if forward
                     else ProofStep(rule, ud, path, ub))
-            yield nk, with_shift(replace(core, path, new_sub), shift), step
+            yield nk, with_shift(replace(core, path, new_sub), k + delta), step
 
 
 def _fits(cores, head, tail):

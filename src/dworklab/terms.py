@@ -16,8 +16,8 @@ composed; that is a proof step, not a normalization.
 
 Every term has one serialization, its key, and `_keyed` is the one place
 that spells it: `serialize` reads the key of a whole term off it, and
-`keyed_subterms` every subterm's, with its offset in the whole and its
-size.  `shifted_key` and `core_key` wrap a key in a root shift and unwrap
+`keyed_subterms` every subterm's, with its offset in the whole.
+`shifted_key` and `core_key` wrap a key in a root shift and unwrap
 it again, so the search can splice keys without knowing their text.
 """
 
@@ -152,11 +152,10 @@ def serialize(t) -> str:
 
 
 def keyed_subterms(t):
-    """(path, subterm, serialization, offset, size) for every subterm of t,
-    in preorder, children left to right.  Each serialization is built once,
+    """(path, subterm, serialization, offset) for every subterm of t, in
+    preorder, children left to right.  Each serialization is built once,
     from its children's, by the walk `serialize` reads its key from; the
-    offset is where it starts in t's own, which comes first, and the size
-    is its node count, the number of entries it adds to the walk."""
+    offset is where it starts in t's own, which comes first."""
     out = []
     _keyed(t, (), 0, out)
     return out
@@ -206,7 +205,7 @@ def _keyed(t, path, start, out):
                        inner + len(left) + 1, out)
         key = f"{head}{left},{right}{tail}"
     if keep:
-        out[at] = (path, t, key, start, len(out) - at)
+        out[at] = (path, t, key, start)
     return key
 
 

@@ -116,15 +116,15 @@ MUTANTS = [
       "test_walked_blocks_equal_weighing_every_monomial"],
      "a weight-walk level in descending order: the blocks hold the same "
      "monomials, but no longer in graded order"),
-    ("dworklab/terms.py",
-     "out[at] = (path, t, key, start, len(out) - at)",
-     "out[at] = (path, t, key, start, len(out) - at - 1)",
-     [f"{SEARCH_TESTS}test_move_table_at_the_size_cap"],
-     "the keyed walk records one node too few: terms one node over the "
-     "size cap reach the frontier"),
+    ("dworklab/search.py",
+     "if len(nk) > _KEY_CAP:",
+     "if len(nk) >= _KEY_CAP:",
+     [f"{SEARCH_TESTS}test_move_table_at_the_key_cap"],
+     "the key cap is off by one: a successor serialized exactly as long "
+     "as the cap never reaches the frontier"),
     ("dworklab/rules.py",
-     "(*row, root[4] - n, root[2])",
-     "(*row, root[4] - n, key)",
+     "(*row, serialize(row[5]))",
+     "(*row, key)",
      [f"{SEARCH_TESTS}test_move_table_gives_the_reference_successors",
       f"{SEARCH_TESTS}test_search_work_is_pinned"],
      "the move table splices the subterm's own serialization in place of "
@@ -136,8 +136,8 @@ MUTANTS = [
      "the search starts probing one layer early: the layer before the last "
      "is never expanded, so chains of full depth are missed"),
     ("dworklab/rules.py",
-     '("fwd", sq.f_prime, sq.h_prime)',
-     '("fwd", sq.h_prime, sq.f_prime)',
+     "(sq.f_prime, sq.h_prime)",
+     "(sq.h_prime, sq.f_prime)",
      [f"{SEARCH_TESTS}test_narrowed_candidates_lose_no_move"],
      "R5 forward looks squares up by their swapped legs, so it is offered "
      "where it cannot rewrite and not where it can"),
@@ -149,8 +149,8 @@ MUTANTS = [
      "the other side's root shift is not unwrapped: the last layer's "
      "probe skips every subterm of a goal with a shifted side"),
     ("dworklab/rules.py",
-     '("bwd", sq.h, sq.f)',
-     '("bwd", sq.f, sq.h)',
+     "(sq.h, sq.f)",
+     "(sq.f, sq.h)",
      [f"{SEARCH_TESTS}test_narrowed_candidates_lose_no_move"],
      "R5 backward looks squares up by their swapped legs, so it is offered "
      "where it cannot rewrite and not where it can"),
@@ -192,6 +192,27 @@ MUTANTS = [
       "test_a_move_whose_undo_is_refused_is_not_undone_exactly"],
      "a move whose undo the rules refuse counts as undone exactly: the "
      "search would take it as a backward edge"),
+    ("dworklab/rules.py",
+     "ctx.bundles[ctx.fourier[b].dual].sect",
+     "ctx.bundles[b].sect",
+     [f"{SEARCH_TESTS}test_narrowed_candidates_lose_no_move"],
+     "R16 and R17 forward are indexed by the bundle's own zero section "
+     "instead of its dual's, so they are offered where they cannot "
+     "rewrite and not where they can"),
+    ("dworklab/geometry.py",
+     "self.morphisms_equal(\n                        self.composite(*atoms), m)",
+     "atoms == m.atoms",
+     ["tests/test_cli.py::"
+      "test_a_fact_about_a_map_is_found_through_its_normal_form[preimage]"],
+     "a preimage fact is read by its map's raw atom again: after j = k, "
+     "the preimage along j of S no longer normalizes to the declared T"),
+    ("dworklab/rules.py",
+     "if ctx.morphisms_equal(ctx.composite(a), n)), None)",
+     "if (a,) == n.atoms), None)",
+     ["tests/test_cli.py::"
+      "test_a_fact_about_a_map_is_found_through_its_normal_form[image]"],
+     "an embedding's image is read by its raw atom again: after j = k, "
+     "R10 backward along j finds no image"),
 ]
 
 

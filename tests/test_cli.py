@@ -156,6 +156,33 @@ def test_ill_typed_subvariety_facts_are_input_errors(fact, tmp_path, capsys):
     assert f"{bad}:7:1: " in capsys.readouterr().err
 
 
+# j = k, declared with k: a fact declared of j is read through the
+# normal form of the map written, k
+ALIASED = ("variety X dim 1;\nvariety P dim 2;\n"
+           "morphism j : X -> P closed codim 1;\n"
+           "morphism k : X -> P closed codim 1 with j = k;\n")
+ALIASED_FACTS = {
+    "preimage": ALIASED + "subvariety T in X codim 1;\n"
+    "subvariety S in P codim 1 preimage j T;\n"
+    "goal g : RGamma[pre(j, S)](O[X]) ~ RGamma[T](O[X]);\n"
+    "step R19 bwd at / with law=tensor_unit;\n",
+    "image": ALIASED + "subvariety Z in P image j;\nobject M on P;\n"
+    "goal g : Oim[j](Opb[j](M)) ~ RGamma[Z](M)[1];\n"
+    "step R10 bwd at / with layers=1;\n",
+}
+
+
+@pytest.mark.parametrize("fact", sorted(ALIASED_FACTS))
+def test_a_fact_about_a_map_is_found_through_its_normal_form(
+        fact, tmp_path, capsys):
+    # one harmless identity must not hide the preimage fact, or the
+    # image, declared of j
+    script = tmp_path / f"{fact}.dwk"
+    script.write_text(ALIASED_FACTS[fact], encoding="utf-8")
+    assert main(["prove", str(script)]) == 0
+    assert "g: verified" in capsys.readouterr().out
+
+
 def test_prove_missing_file(tmp_path, capsys):
     assert main(["prove", str(tmp_path / "absent.dwk")]) == 2
     assert "error:" in capsys.readouterr().err

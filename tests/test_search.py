@@ -139,7 +139,10 @@ def _search(ctx, lhs, rhs, depth, cert):
 
 def _offers(moves, sub):
     """Every candidate the `RULES` rows of the rules `moves` tries offer at
-    `sub`, in rule order, read straight off each row's `Offer`s."""
+    `sub`, in rule order, read straight off each row's `Offer`s: of an
+    `along` offer, each value whose maps are the written node's, then its
+    argument's, as `ctx.morphisms_equal` decides."""
+    ctx = moves.ctx
     tried = {name for at in moves.at.values() for name, *_ in at}
     for name, (_stratum, _fn, where) in rules.RULES.items():
         if name not in tried:
@@ -149,19 +152,18 @@ def _offers(moves, sub):
             if not isinstance(sub, offer.outer) or (
                     offer.inner and not isinstance(sub.arg, offer.inner)):
                 continue
-            if offer.key is None:
-                found = offer.pick(moves, sub) if offer.pick else [{}]
+            if offer.along:
+                values = [v for maps, v in offer.along(ctx)
+                          if all(ctx.morphisms_equal(m, x.morphism)
+                                 for m, x in zip(maps, (sub, sub.arg)))]
+            elif offer.pick:
+                values = offer.pick(moves, sub)
             else:
-                values = (offer.pick(moves, sub) if offer.pick
-                          else moves.names[offer.key])
-                found = [{offer.key: v} for v in values]
+                values = moves.names[offer.key] if offer.key else [{}]
+            found = ([{offer.key: v} for v in values] if offer.key
+                     else values)
             for b in found:
                 yield name, direction, {"law": law, **b} if law else dict(b)
-
-
-def _size(t):
-    """t's node count, by the reference walker."""
-    return len(list(subterms(t)))
 
 
 def _reference_successors(moves, term):
@@ -177,7 +179,7 @@ def _reference_successors(moves, term):
                 nt, _delta = apply_step(ctx, term, rule, d, path, b, **gates)
             except RuleError:
                 continue
-            if _size(nt) > search._SIZE_CAP:
+            if len(serialize(nt)) > search._KEY_CAP:
                 continue
             _new, _delta, (ud, ub) = rules.rewrite(ctx, sub, rule, d, b,
                                                    **gates)
@@ -232,16 +234,17 @@ def test_move_table_gives_the_reference_successors(expanded):
         _assert_reference_successors(table, term)
 
 
-def test_the_keyed_walk_keys_and_sizes_every_expanded_subterm(expanded):
-    # each entry's serialization and size are the reference walkers'
+def test_the_keyed_walk_keys_every_expanded_subterm(expanded):
+    # each entry's serialization is the reference walker's, in place
     assert len(expanded) > 800
     for _table, term in expanded:
         walk = keyed_subterms(term)
         whole = walk[0][2]
-        for path, sub, key, start, n in walk:
+        assert [(path, sub) for path, sub, *_rest in walk] == list(
+            subterms(term))
+        for path, sub, key, start in walk:
             assert key == serialize(sub), path
             assert whole[start:start + len(key)] == key, path
-            assert n == _size(sub), path
 
 
 def _rows(moves, sub):
@@ -249,27 +252,30 @@ def _rows(moves, sub):
             for rule, d, b, ud, ub, new, delta in moves(sub)]
 
 
-# keyless offers whose pick only gates them: R19 forward along an
-# identity and at a tensor with a structure-sheaf factor, R20
+# keyless offers that are only gated: R19 forward along an identity and
+# at a tensor with a structure-sheaf factor (picks), R20
 # `etens_opb_proj2` forward along a plain product's second projection
+# (along)
 GATED = {("R19", ("fwd", "opb_id")), ("R19", ("fwd", "oim_id")),
          ("R19", ("fwd", "tensor_unit")),
          ("R20", ("fwd", "etens_opb_proj2"))}
 
 
 def test_narrowed_candidates_lose_no_move(expanded, monkeypatch):
-    # where a pick narrows a key's declared names (the bundle of a written
-    # transform, the bundles whose dual zero section or dual projection is
-    # the written map, the negated or paired bundles, the squares whose
-    # legs are the written maps) or gates a keyless offer, trying every
-    # declared name, or the offer everywhere, accepts the same moves, in
-    # order
+    # where a pick or an `along` index narrows a key's declared names (the
+    # bundle of a written transform, the bundles whose dual zero section
+    # or dual projection is the written map, the negated or paired
+    # bundles, the squares whose legs are the written maps) or gates a
+    # keyless offer, trying every declared name, or the offer everywhere,
+    # accepts the same moves, in order
     names = set(expanded[0][0].names)
     widened = {(name, way) for name, (_s, _fn, where) in rules.RULES.items()
                for way, offer in where.items()
-               if offer.pick and (offer.key in names or (name, way) in GATED)}
+               if (offer.pick or offer.along)
+               and (offer.key in names or (name, way) in GATED)}
     narrowed = {name: (stratum, fn, {
-        way: offer._replace(pick=None) if (name, way) in widened else offer
+        way: offer._replace(pick=None, along=None) if (name, way) in widened
+        else offer
         for way, offer in where.items()})
         for name, (stratum, fn, where) in rules.RULES.items()}
     full = {}
@@ -313,11 +319,11 @@ def _plain_successors(moves, term, seen, forward):
     for path, sub in subterms(core):
         key = serialize(sub)
         for i, (rule, d, b, ud, ub, new, delta, *_) in enumerate(
-                moves.rows(sub, key, _size(sub))):
+                moves.rows(sub, key)):
             nt = with_shift(replace(core, path, new), k + delta)
-            if _size(nt) > search._SIZE_CAP:
-                continue
             nk = serialize(nt)
+            if len(nk) > search._KEY_CAP:
+                continue
             if nk in seen or not (forward or moves.undoes(key, i)):
                 yield nk, None, None
             elif forward:
@@ -443,16 +449,21 @@ def _table(ctx, mode="strict-smooth"):
     return Moves(ctx, mode)
 
 
-def test_move_table_at_the_size_cap(dwork, monkeypatch):
-    # R10 unfolds k nested supports into k push-pull pairs: k nodes more,
-    # shifted by -k, so at the cap the root shift node decides
-    monkeypatch.setattr(search, "_SIZE_CAP", 8)
+def test_move_table_at_the_key_cap(dwork, monkeypatch):
+    # R10 unfolds k nested supports into k push-pull pairs shifted by -k,
+    # so at a cap of 93 characters the root shift's brackets decide which
+    # successors stay; some are exactly 93 characters long
+    monkeypatch.setattr(search, "_KEY_CAP", 93)
     tower = Var("M", "X")
     for _ in range(6):
         tower = RGamma(SubName("S"), tower)
     table = _table(dwork, mode="allow-singular")
+    at_cap = []
     for term in (tower, Shift(tower, 1), Shift(tower, 2)):
         _assert_reference_successors(table, term)
+        at_cap += [nk for _step, nk, _undo in _table_successors(table, term)
+                   if len(nk) == 93]
+    assert at_cap
 
 
 def test_move_table_under_negative_root_shifts(dwork):
@@ -497,7 +508,7 @@ def test_a_replacement_on_another_variety_is_refused_at_every_path(
     for term in (pulled, Oim(pi, pulled)):
         assert all(row[0] != "R98"
                    for _path, sub in subterms(term)
-                   for row in table.rows(sub, serialize(sub), _size(sub)))
+                   for row in table.rows(sub, serialize(sub)))
         _assert_reference_successors(table, term)
 
 
@@ -546,7 +557,7 @@ def test_a_move_whose_undo_is_refused_is_not_undone_exactly(dwork,
     table = _table(dwork)
     m = Var("M", "X")
     key = serialize(m)
-    rows = table.rows(m, key, _size(m))
+    rows = table.rows(m, key)
     at = [i for i, row in enumerate(rows) if row[0] == "R97"]
     assert at
     assert [table.undoes(key, i) for i in at] == [False] * len(at)
