@@ -546,10 +546,17 @@ class GeometryContext:
         return all(self.atoms[a].kind in EMBEDDING_KINDS for a in m.atoms)
 
     def find_pmap(self, c1, c2, source, target):
-        """Declared product map with the given components and endpoints."""
+        """Declared product map with the given endpoints whose components
+        have the normal forms of c1 and c2 (atom names, "id" for the
+        identity), so that a declared identity hides none."""
+        def form(part):
+            return self._rewrite_atoms(() if part == "id" else (part,))
+
+        want = (form(c1), form(c2))
         for atom in self.atoms.values():
-            if (atom.kind == "pmap" and atom.parts == (c1, c2)
-                    and atom.source == source and atom.target == target):
+            if (atom.kind == "pmap" and atom.source == source
+                    and atom.target == target
+                    and tuple(map(form, atom.parts)) == want):
                 return atom.name
         return None
 

@@ -59,6 +59,20 @@ and an echelon whose leads are largest columns has a lead set fixed by
 its span: every count read is unchanged, whatever order the rungs come
 in.
 
+The W side is cleared the same way.  For q ≥ 1, rung t leaves out the
+embedded row of each grade-q window element whose code leads a pivot of
+the record of (P − 1, q − 1), which rung t − 1 read its grade-(q − 1)
+rank d(W) from.  That record reaches some stage s ≤ D_t, by the
+inequality above, so its pivot is a combination of rows d(x) for x in
+window(P − 1, s), with every column in window(P, s), inside W.
+Rewritten at pole P + 1, x has numerator degree at most s above
+(P + 1)·deg g_I, inside the U domain since s ≤ D_img; so the embedded
+pivot, which is d of that rewritten x, lies in U, and the row left out
+lies in the span of U and the embedded rows of smaller codes.  By
+induction on code order rank(U ∪ W) is unchanged, whatever order the
+rungs come in.  Rung 0 has no pole-0 record, so it feeds every embedded
+row.
+
 Only the weight-0 block is eliminated.  `weights` holds integer rows w
 spanning the rational kernel of the exponent differences inside each f_i
 (`linalg.kernel_lattice`), so each Euler field E = sum_j w_j x_j d/dx_j
@@ -329,11 +343,15 @@ class CechDeRham:
                 continue
             ech = self._feed(P + 1, q - 1, D + self.maxdeg + 1)
             rank_u = len(ech)
+            # rung t − 1's d(W) record of grade q − 1: its leads' embedded
+            # rows lie in span(U, smaller ones) (see the module docstring)
+            skip = set(self._records.get((P - 1, q - 1), ((), ()))[1])
             for I, _mask, fields, pairs in chain.from_iterable(
                     self._stages(P, q, D)):
                 for _mono, base in pairs:
                     base |= fields
-                    ech.add({base + off: c for off, c in embed[I]})
+                    if base not in skip:
+                        ech.add({base + off: c for off, c in embed[I]})
             dims[q] = len(ech) - rank_u - rank_dw
             # free this echelon before the next grade feeds its own
             del ech

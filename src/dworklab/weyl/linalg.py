@@ -3,15 +3,18 @@
 Rows are dicts mapping integer column codes to nonzero ints; callers
 build them integer-native and choose the codes so that integer order is
 their grading of the columns.  Elimination is fraction-free in the sense
-of Bareiss: a row is copied once and then reduced in place, each update
-cancels the lead by cross-multiplying with the two leads divided by
-their gcd, and the row is divided by its content before every step, so
-entries stay bounded, no rationals appear and every stored pivot row is
-primitive.  Each pivot is the row's largest code, `max(row)`, compared
-as plain integers.  Echelon rows then have distinct largest columns and
-cannot cancel each other's leads, so when the codes order columns by
-degree first, the span's part inside a window of degree <= D has
-dimension equal to the number of pivots of degree <= D.
+of Bareiss: a row is copied once and then reduced in place, and each
+update cancels the lead by cross-multiplying with the two leads divided
+by their gcd.  The row is divided by its content at the first step, at
+every 16th step and before it is stored, so entries stay bounded, no
+rationals appear and every stored pivot row is primitive.  Between
+divisions the row is a positive multiple of the one that dividing at
+every step would hold, so it meets the same leads, and the pivots stored
+are the same primitive rows.  Each pivot is the row's largest code,
+`max(row)`, compared as plain integers.  Echelon rows then have distinct
+largest columns and cannot cancel each other's leads, so when the codes
+order columns by degree first, the span's part inside a window of
+degree <= D has dimension equal to the number of pivots of degree <= D.
 
 `Echelon` is the one elimination loop.  It grows one row at a time and
 never replaces a pivot, so the pivots present after any prefix of the
@@ -41,6 +44,14 @@ from __future__ import annotations
 from math import gcd
 
 
+def _divide_content(r):
+    """Divide the row by the gcd of its entries, in place."""
+    g = gcd(*r.values())
+    if g > 1:
+        for c in r:
+            r[c] //= g
+
+
 class Echelon:
     """Fraction-free echelon basis, grown by `add`; `pivots` maps each
     lead column to its primitive pivot row."""
@@ -55,20 +66,24 @@ class Echelon:
 
     def add(self, row):
         """Reduce `row` against the pivots; store it and return its lead
-        column, or return None if it lies in their span.  The caller's
-        dict is copied, never changed or kept."""
+        column, or return None if it lies in their span.  The row's
+        content is divided out at the first step, at every 16th and
+        before the row is stored.  The caller's dict is copied, never
+        changed or kept."""
         pivots = self.pivots
         r = dict(row)
+        step = 0
         while r:
-            g = gcd(*r.values())
-            if g > 1:
-                for c in r:
-                    r[c] //= g
+            if not step & 15:
+                _divide_content(r)
             lead = max(r)
             p = pivots.get(lead)
             if p is None:
+                if step & 15:
+                    _divide_content(r)
                 pivots[lead] = r
                 return lead
+            step += 1
             a, b = p[lead], r[lead]
             g = gcd(a, b)
             a, b = a // g, b // g

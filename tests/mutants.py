@@ -50,6 +50,29 @@ MUTANTS = [
      "no Čech d² = 0 skip: the answers stay right, but every dependent "
      "row is built and reduced to zero"),
     (CECH,
+     "skip = set(self._records.get((P - 1, q - 1), ((), ()))[1])",
+     "skip = set(self._records.get((P, q - 1), ((), ()))[1])",
+     [f"{CECH_TESTS}test_a_ladder_builds_and_reduces_the_pinned_rows",
+      f"{CECH_TESTS}test_a_rung_after_its_predecessor_builds_no_pole_p_row"],
+     "the W-side skip reads the (P, q − 1) record, a pole off: its leads "
+     "are not the embedded rows U already spans"),
+    (CECH,
+     "skip = set(self._records.get((P - 1, q - 1), ((), ()))[1])",
+     "skip = set(self._records.get((P - 1, q), ((), ()))[1])",
+     [f"{CECH_TESTS}test_a_ladder_builds_and_reduces_the_pinned_rows",
+      f"{CECH_TESTS}test_a_rung_after_its_predecessor_builds_no_pole_p_row"],
+     "the W-side skip reads the (P − 1, q) record, a grade off: its leads "
+     "are not the embedded rows U already spans"),
+    ("dworklab/weyl/linalg.py",
+     "                if step & 15:\n"
+     "                    _divide_content(r)\n"
+     "                pivots[lead] = r",
+     "                pivots[lead] = r",
+     ["tests/test_echelon_property.py::"
+      "test_stored_pivots_equal_the_plain_loops"],
+     "the echelon stores a row without its final content division: a "
+     "pivot reduced since the last division is not primitive"),
+    (CECH,
      "ech = self._feed(P + 1, q - 1, D + self.maxdeg + 1)",
      "ech = self._feed(P + 1, q - 1, self.schedule(t + 1)[1] "
      "+ self.maxdeg + 1)",
@@ -206,6 +229,13 @@ MUTANTS = [
       "test_a_fact_about_a_map_is_found_through_its_normal_form[preimage]"],
      "a preimage fact is read by its map's raw atom again: after j = k, "
      "the preimage along j of S no longer normalizes to the declared T"),
+    ("dworklab/geometry.py",
+     "and tuple(map(form, atom.parts)) == want):",
+     "and atom.parts == (c1, c2)):",
+     ["tests/test_cli.py::"
+      "test_a_product_map_is_found_through_its_parts_normal_forms"],
+     "a product map is read by its parts' raw names again: after f = h, "
+     "R20 backward along h finds no id x h"),
     ("dworklab/rules.py",
      "if ctx.morphisms_equal(ctx.composite(a), n)), None)",
      "if (a,) == n.atoms), None)",

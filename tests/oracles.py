@@ -6,6 +6,9 @@ dicts keyed by exponent tuples with Fraction coefficients, and ranks come
 from a row-dict Gaussian elimination over Fraction (the library uses
 fraction-free integer elimination with a different pivot order).  Agreement
 between the two paths is what the frozen values in the test suite rest on.
+`echelon_pivots` restates the library's integer echelon in its plainest
+form, dividing by the content at every step, so that its pivots can be
+checked exactly.
 
 Conventions match the library's truncation windows exactly, so rung-by-rung
 values are comparable, not just the stabilized ones:
@@ -22,6 +25,7 @@ values are comparable, not just the stabilized ones:
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 Mono = tuple  # exponent tuple, length = number of variables
@@ -139,6 +143,32 @@ def rank(rows) -> int:
                 nxt.append(r)
         rows = nxt
     return rk
+
+
+def echelon_pivots(rows) -> dict:
+    """The pivots a fraction-free integer echelon stores, lead -> row, in
+    the order their leads are found: each row is reduced by the pivot at
+    its largest column, made primitive before every step, and stored at
+    the first lead with no pivot; a pivot is never replaced.  A reference
+    for the library's `Echelon`, which divides by the content less
+    often."""
+    pivots = {}
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        while r:
+            g = math.gcd(*r.values())
+            r = {c: v // g for c, v in r.items()}
+            lead = max(r)
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = r
+                break
+            g = math.gcd(p[lead], r[lead])
+            a, b = p[lead] // g, r[lead] // g
+            r = {c: a * r.get(c, 0) - b * p.get(c, 0)
+                 for c in r.keys() | p.keys()}
+            r = {c: v for c, v in r.items() if v}
+    return pivots
 
 
 def _wedge_sign(j: int, idx: tuple) -> int:

@@ -14,7 +14,7 @@ from dworklab.weyl.compare import dwork_compare
 from dworklab.weyl.ladder import CohomologyReport
 from dworklab.weyl.poly import parse_poly
 
-from conftest import BUNDLED
+from conftest import BUNDLED, DATA
 
 GOAL_ONLY = ("goal pushpull : Opb[iotacheck](Oim[s](O[X])) ~ "
              "RGamma[S](O[X])[1];\n")
@@ -179,6 +179,32 @@ def test_a_fact_about_a_map_is_found_through_its_normal_form(
     # image, declared of j
     script = tmp_path / f"{fact}.dwk"
     script.write_text(ALIASED_FACTS[fact], encoding="utf-8")
+    assert main(["prove", str(script)]) == 0
+    assert "g: verified" in capsys.readouterr().out
+
+
+# h = f, declared after the product map idf = id x f: each R20 law that
+# looks a product map up by its parts finds it through their normal forms
+ALIASED_PARTS = {
+    "etens_oim_idmap": "object N on Xv;\n"
+    "goal g : ETensor(O[Yp], Oim[f](N)) ~ Oim[idf](ETensor(O[Yp], N));\n",
+    "etens_opb_sndmap": "object N on Yv;\n"
+    "goal g : ETensor(O[Yp], Opb[f](N)) ~ Opb[idf](ETensor(O[Yp], N));\n",
+    "etens_oim_fstmap": "product XvYp = Xv x Yp proj a1 a2;\n"
+    "product YvYp = Yv x Yp proj b1 b2;\n"
+    "morphism fid : XvYp -> YvYp pmap f id;\n"
+    "goal g : ETensor(Oim[f](M), O[Yp]) ~ Oim[fid](ETensor(M, O[Yp]));\n",
+}
+
+
+@pytest.mark.parametrize("law", sorted(ALIASED_PARTS))
+def test_a_product_map_is_found_through_its_parts_normal_forms(
+        law, tmp_path, capsys):
+    script = tmp_path / f"{law}.dwk"
+    script.write_text(
+        (DATA / "product.dwk").read_text(encoding="utf-8")
+        + "morphism h : Xv -> Yv with f = h;\n" + ALIASED_PARTS[law]
+        + f"step R20 bwd at / with law={law};\n", encoding="utf-8")
     assert main(["prove", str(script)]) == 0
     assert "g: verified" in capsys.readouterr().out
 

@@ -35,7 +35,10 @@ The CI workflow also compares `x*y*z` (dwork-check-xyz.json), `x, y, x+y`,
 the two inputs with no torus `x^2*y + 1/3*y^3 + 3*y^2 - 1/2` and
 `y*(x^2-1/3)`, `x^2+y^3+z^6` and `x^3+y^3+z^3` (these four each under a
 10 s timeout), the two four-variable inputs (each under a 5 s timeout),
-`verify-paper` and the machine-output search from the shell.
+the four lines `x, y, x+1, y+1` (dwork-check-x_y_x+1_y+1.json, under a
+30 s timeout; recorded before the Čech rung began to leave out embedded
+W rows known dependent, when it took about 10 s), `verify-paper` and the
+machine-output search from the shell.
 """
 
 import pathlib
