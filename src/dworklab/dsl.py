@@ -4,7 +4,16 @@ A script is a list of `;`-terminated statements with `#` comments.  The
 parser builds a plain document (so scripts can be re-rendered
 canonically and round-tripped); `bind_script` turns a document into a
 geometry context plus a proof certificate.  Parse and bind errors carry
-the byte span of the offending statement.
+the span (character offsets) of the offending statement.
+
+The lexer (`lex`) builds no object per token.  One match finds the first
+stray character outside comments before anything is parsed; one
+capturing `re.split` then gives the token texts, the running sum of the
+parts' lengths their end offsets, and comments are dropped only when the
+text holds a `#`.  The parser reads the token texts as plain strings,
+ending with `""` for end of input, and takes a token's kind from its
+first character: a name (`str.isidentifier`), an integer
+(`str.isdecimal`) or a symbol.  Every span comes from the end offsets.
 
 Expressions come in four sorts: M maps, F functions, S subvarieties and
 D terms.  Each keyword-led form is one row of `FORMS`: its keyword, its
@@ -43,8 +52,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 from inspect import signature
+from itertools import accumulate, compress
 from operator import attrgetter
-from typing import NamedTuple
 
 from .certificates import Closure, Lemma, ProofCertificate, ProofStep
 from .errors import GeometryError, ParseError, TermError
@@ -63,39 +72,33 @@ from . import terms as T
 
 # --- lexer ---------------------------------------------------------------------
 
-# the last group takes any one character no other group does, so the
-# matches tile the text and one `finditer` pass reads it
+# the longest start of a text that holds no stray character: runs of
+# characters that only ever lex as whitespace, names, integers or symbols,
+# runs of `-` that may end in the `>` of an arrow, and comments
+_CLEAN_RE = re.compile(r"(?:[\sA-Za-z_0-9\d;:,()\[\]/=~.]+|-+>?|#[^\n]*)*")
+# one token, or a comment, per match; `split` leaves the whitespace
+# between them
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+|#[^\n]*)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<int>\d+)"
-    r"|(?P<arrow>->)"
-    r"|(?P<sym>[;:,()\[\]/=~.\-])"
-    r"|(?P<stray>.)",
-    re.DOTALL,
-)
+    r"(#[^\n]*|[A-Za-z_][A-Za-z_0-9]*|\d+|->|[;:,()\[\]/=~.\-])")
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    start: int
-    end: int
-
-
-def tokenize(text):
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        start, end = m.span()
-        if kind == "stray":
-            raise ParseError(f"stray character {m.group()!r}",
-                             span=(start, end))
-        out.append(Token(kind, m.group(), start, end))
-    out.append(Token("eof", "", len(text), len(text)))
-    return out
+def lex(text):
+    """The token texts of `text` and their end offsets, each list ending
+    with the end of input: the text `""` at `len(text)`."""
+    clean = _CLEAN_RE.match(text).end()
+    if clean < len(text):
+        raise ParseError(f"stray character {text[clean]!r}",
+                         span=(clean, clean + 1))
+    parts = _TOKEN_RE.split(text)
+    toks = parts[1::2]
+    ends = list(accumulate(map(len, parts)))[1::2]
+    if "#" in text:
+        keep = [tok[0] != "#" for tok in toks]
+        toks = list(compress(toks, keep))
+        ends = list(compress(ends, keep))
+    toks.append("")
+    ends.append(len(text))
+    return toks, ends
 
 
 # --- syntax-only expression leaves ---------------------------------------------
@@ -438,7 +441,7 @@ def _option_speller(head, tail, cls, options):
 
 
 def _tokens(layout):
-    return tuple(tok.text for tok in tokenize(layout)[:-1])
+    return tuple(lex(layout)[0][:-1])
 
 
 def _compile(rows, head, tail):
@@ -486,7 +489,7 @@ for _forms in FORMS.values():
 
 class _Parser:
     def __init__(self, text):
-        self.toks = tokenize(text)
+        self.toks, self.ends = lex(text)
         self.i = 0
         self.stmt_start = 0
         self.depth = 0  # forms enclosing the expression being read
@@ -497,45 +500,47 @@ class _Parser:
 
     def take(self):
         tok = self.toks[self.i]
-        if tok.kind != "eof":
+        if tok:
             self.i += 1
         return tok
 
     def _err(self, msg, tok=None):
-        tok = tok or self.peek()
-        end = tok.end
+        # `tok`, the token just taken, ends at `self.ends[self.i - 1]`; the
+        # end of input, which `take` does not pass, and the next token at
+        # `self.ends[self.i]`
+        end = self.ends[self.i - 1 if tok else self.i]
         # widen to the end of the statement for excision-friendly spans
         j = self.i
-        while self.toks[j].kind != "eof" and self.toks[j].text != ";":
+        while self.toks[j] and self.toks[j] != ";":
             j += 1
-        if self.toks[j].text == ";":
-            end = self.toks[j].end
+        if self.toks[j] == ";":
+            end = self.ends[j]
         raise ParseError(msg, span=(self.stmt_start, end))
 
     def expect(self, text):
         tok = self.take()
-        if tok.text != text:
-            self._err(f"expected {text!r}, found {tok.text or 'end of input'!r}",
+        if tok != text:
+            self._err(f"expected {text!r}, found {tok or 'end of input'!r}",
                       tok)
         return tok
 
     def name(self, what="a name"):
         tok = self.take()
-        if tok.kind != "name":
-            self._err(f"expected {what}, found {tok.text or 'end of input'!r}",
+        if not tok.isidentifier():
+            self._err(f"expected {what}, found {tok or 'end of input'!r}",
                       tok)
-        return tok.text
+        return tok
 
     def integer(self, what="an integer"):
         neg = False
-        if self.peek().text == "-":
+        if self.peek() == "-":
             self.take()
             neg = True
         tok = self.take()
-        if tok.kind != "int":
-            self._err(f"expected {what}, found {tok.text or 'end of input'!r}",
+        if not tok.isdecimal():
+            self._err(f"expected {what}, found {tok or 'end of input'!r}",
                       tok)
-        return -int(tok.text) if neg else int(tok.text)
+        return -int(tok) if neg else int(tok)
 
     def expr(self, sort):
         """One expression of `sort`; a D term may carry shifts `[k]`.
@@ -543,7 +548,7 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self._err(f"expression nests deeper than {MAX_NESTING} levels")
         self.height = 0
-        row = _FORM_ROWS[sort].get(self.peek().text)
+        row = _FORM_ROWS[sort].get(self.peek())
         if row is not None:
             self.take()
             cls, layout, _most, _options = row
@@ -555,7 +560,7 @@ class _Parser:
         else:
             leaf, what = _LEAVES[sort]
             out = leaf(self.name(what))
-        while sort == "D" and self.peek().text == "[":
+        while sort == "D" and self.peek() == "[":
             self.take()
             k = self.integer("a shift")
             self.expect("]")
@@ -587,8 +592,8 @@ class _Parser:
         as `STATEMENTS` says."""
         out = {}
         n = 0
-        while n != most and self.peek().text in options:
-            name, layout, value = options[self.take().text]
+        while n != most and self.peek() in options:
+            name, layout, value = options[self.take()]
             args = self.fill(layout)
             if len(args) > 1:
                 out[name] = out.get(name, ()) + (tuple(args),)
@@ -600,18 +605,18 @@ class _Parser:
     def path(self):
         self.expect("/")
         out = []
-        if self.peek().kind == "int":
-            out.append(int(self.take().text))
-            while self.peek().text == "/":
+        if self.peek().isdecimal():
+            out.append(int(self.take()))
+            while self.peek() == "/":
                 self.take()
                 tok = self.take()
-                if tok.kind != "int":
+                if not tok.isdecimal():
                     self._err("expected a path index", tok)
-                out.append(int(tok.text))
+                out.append(int(tok))
         return tuple(out)
 
     def statement(self):
-        self.stmt_start = self.peek().start
+        self.stmt_start = self.ends[self.i] - len(self.peek())
         kw = self.name("a statement keyword")
         row = _STATEMENT_ROWS.get(kw)
         if row is not None:
@@ -622,33 +627,34 @@ class _Parser:
             if fn is None:
                 self._err(f"unknown statement {kw!r}")
             node = fn()
-        end = self.expect(";").end
+        self.expect(";")
+        end = self.ends[self.i - 1]
         object.__setattr__(node, "span", (self.stmt_start, end))
         return node
 
     def _stmt_morphism(self):
         head = self.fill(_HEADS["morphism"])
         args = {}
-        row = _KIND_ROWS.get(self.peek().text)
+        row = _KIND_ROWS.get(self.peek())
         if row is not None:
             self.take()
             args["kind"], layout, name, several, optional = row
-            if layout and not (optional and self.peek().text != layout[0]):
+            if layout and not (optional and self.peek() != layout[0]):
                 slots = self.fill(layout)
                 args[name] = tuple(slots) if several else slots[0]
         identities = []
-        if self.peek().text == "with":
+        if self.peek() == "with":
             self.take()
             while True:
                 lhs = self._joined(".", "a map name")
                 self.expect("=")
-                if self.peek().text == "id":
+                if self.peek() == "id":
                     self.take()
                     rhs = ()
                 else:
                     rhs = self._joined(".", "a map name")
                 identities.append((lhs, rhs))
-                if self.peek().text != ",":
+                if self.peek() != ",":
                     break
                 self.take()
         return MorphismDecl(*head, **args, identities=tuple(identities))
@@ -657,7 +663,7 @@ class _Parser:
         """Names joined by `sep`, such as a chain of map names `g.f` or a
         dashed mode name, as a tuple."""
         parts = [self.name(what)]
-        while self.peek().text == sep:
+        while self.peek() == sep:
             self.take()
             parts.append(self.name(what))
         return tuple(parts)
@@ -672,7 +678,7 @@ class _Parser:
 
     def _stmt_step(self):
         rule = self.name("a rule name")
-        if rule == "lemma" and self.peek().text == ":":
+        if rule == "lemma" and self.peek() == ":":
             self.take()
             rule = f"lemma:{self.name('a lemma name')}"
         direction = self.name("fwd or bwd")
@@ -681,13 +687,13 @@ class _Parser:
         self.expect("at")
         path = self.path()
         bindings = []
-        if self.peek().text == "with":
+        if self.peek() == "with":
             self.take()
             while True:
                 key = self.name("a binding name")
                 self.expect("=")
                 bindings.append((key, self._binding_value(key)))
-                if self.peek().text != ",":
+                if self.peek() != ",":
                     break
                 self.take()
         return StepDecl(rule, direction, path, tuple(bindings))
@@ -703,13 +709,13 @@ class _Parser:
 
     def _stmt_exclude(self):
         rules = [self.name("a rule name")]
-        while self.peek().kind == "name":
-            rules.append(self.take().text)
+        while self.peek().isidentifier():
+            rules.append(self.take())
         return ExcludeDecl(tuple(rules))
 
     def document(self):
         stmts = []
-        while self.peek().kind != "eof":
+        while self.peek():
             stmts.append(self.statement())
         return ScriptDocument(tuple(stmts))
 

@@ -545,18 +545,21 @@ class GeometryContext:
     def is_embedding(self, m: Morphism) -> bool:
         return all(self.atoms[a].kind in EMBEDDING_KINDS for a in m.atoms)
 
+    def part_form(self, part):
+        """The normal form of a product map's component (an atom name, "id"
+        for the identity): its atoms, `()` for a part equal to the
+        identity, declared so or not."""
+        return self._rewrite_atoms(() if part == "id" else (part,))
+
     def find_pmap(self, c1, c2, source, target):
         """Declared product map with the given endpoints whose components
-        have the normal forms of c1 and c2 (atom names, "id" for the
-        identity), so that a declared identity hides none."""
-        def form(part):
-            return self._rewrite_atoms(() if part == "id" else (part,))
-
-        want = (form(c1), form(c2))
+        have the normal forms of c1 and c2, so that a declared identity
+        hides none."""
+        want = (self.part_form(c1), self.part_form(c2))
         for atom in self.atoms.values():
             if (atom.kind == "pmap" and atom.source == source
                     and atom.target == target
-                    and tuple(map(form, atom.parts)) == want):
+                    and tuple(map(self.part_form, atom.parts)) == want):
                 return atom.name
         return None
 

@@ -612,7 +612,7 @@ def _r20(ctx, sub, direction, b, mode):
             if not (isinstance(sub, node) and isinstance(sub.arg, ETensor)):
                 raise Fail(f"need {node.__name__} of an exterior tensor")
             atom = _single_atom(ctx, sub.morphism)
-            if atom.kind != "pmap" or atom.parts[0] != "id":
+            if atom.kind != "pmap" or ctx.part_form(atom.parts[0]):
                 raise Fail("map is not id x g")
             g = ctx.composite(atom.parts[1])
             return ETensor(sub.arg.left, node(g, sub.arg.right)), 0
@@ -631,7 +631,7 @@ def _r20(ctx, sub, direction, b, mode):
             if not (isinstance(sub, Oim) and isinstance(sub.arg, ETensor)):
                 raise Fail("need a pushforward of an exterior tensor")
             atom = _single_atom(ctx, sub.morphism)
-            if atom.kind != "pmap" or atom.parts[1] != "id":
+            if atom.kind != "pmap" or ctx.part_form(atom.parts[1]):
                 raise Fail("map is not g x id")
             g = ctx.composite(atom.parts[0])
             return ETensor(Oim(g, sub.arg.left), sub.arg.right), 0

@@ -33,6 +33,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 CECH = "dworklab/weyl/cech.py"
 CECH_TESTS = "tests/test_weyl_cech.py::"
 SEARCH_TESTS = "tests/test_search.py::"
+DSL = "dworklab/dsl.py"
+LEX_TESTS = "tests/test_lex_property.py::"
 
 # (file under src/, old text, new text, test node ids, reason)
 MUTANTS = [
@@ -230,7 +232,7 @@ MUTANTS = [
      "a preimage fact is read by its map's raw atom again: after j = k, "
      "the preimage along j of S no longer normalizes to the declared T"),
     ("dworklab/geometry.py",
-     "and tuple(map(form, atom.parts)) == want):",
+     "and tuple(map(self.part_form, atom.parts)) == want):",
      "and atom.parts == (c1, c2)):",
      ["tests/test_cli.py::"
       "test_a_product_map_is_found_through_its_parts_normal_forms"],
@@ -243,6 +245,34 @@ MUTANTS = [
       "test_a_fact_about_a_map_is_found_through_its_normal_form[image]"],
      "an embedding's image is read by its raw atom again: after j = k, "
      "R10 backward along j finds no image"),
+    ("dworklab/rules.py",
+     'if atom.kind != "pmap" or ctx.part_form(atom.parts[0]):',
+     'if atom.kind != "pmap" or atom.parts[0] != "id":',
+     ["tests/test_cli.py::"
+      "test_a_part_declared_the_identity_is_the_identity"
+      "[etens_oim_idmap]"],
+     "R20 forward reads a product map's first part by its raw name "
+     "again: after e = id, e x f is refused as not id x g"),
+    (DSL,
+     r"_0-9\d;:,()",
+     r"_0-9;:,()",
+     [f"{LEX_TESTS}test_lex_agrees_with_the_plain_lexer"],
+     "the stray check reads digits as [0-9], not \\d: a Unicode digit "
+     "such as U+0663, which lexes as an integer, is called stray"),
+    (DSL,
+     'if "#" in text:',
+     "if False:",
+     [f"{LEX_TESTS}test_lex_agrees_with_the_plain_lexer",
+      "tests/test_dsl.py::test_tokens_keep_their_kinds_and_spans"],
+     "comments are not dropped: their text reaches the parser as tokens"),
+    (DSL,
+     "self.stmt_start = self.ends[self.i] - len(self.peek())",
+     "self.stmt_start = self.ends[self.i - 1]",
+     ["tests/test_dsl.py::"
+      "test_a_bad_path_index_or_binding_key_spans_its_statement",
+      "tests/test_cli.py::test_prove_parse_error_span"],
+     "a statement's span starts at the previous token's end, so it "
+     "takes in the whitespace and comments before the statement"),
 ]
 
 

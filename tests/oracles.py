@@ -8,7 +8,9 @@ fraction-free integer elimination with a different pivot order).  Agreement
 between the two paths is what the frozen values in the test suite rest on.
 `echelon_pivots` restates the library's integer echelon in its plainest
 form, dividing by the content at every step, so that its pivots can be
-checked exactly.
+checked exactly.  `tokenize` is the script lexer as one `finditer`
+pass that builds a `Token` per token, the plain form the library's
+split-based lexer must agree with.
 
 Conventions match the library's truncation windows exactly, so rung-by-rung
 values are comparable, not just the stabilized ones:
@@ -26,7 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
 Mono = tuple  # exponent tuple, length = number of variables
 Poly = dict  # Mono -> Fraction
@@ -419,3 +423,42 @@ def subterms(t, prefix=()):
             if hasattr(t, name)]
     for i, c in enumerate(kids):
         yield from subterms(c, prefix + (i,))
+
+
+# ---------------------------------------------------------------------------
+# script lexer
+
+# the last group takes any one character no other group does, so the
+# matches tile the text and one `finditer` pass reads it
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+|#[^\n]*)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<int>\d+)"
+    r"|(?P<arrow>->)"
+    r"|(?P<sym>[;:,()\[\]/=~.\-])"
+    r"|(?P<stray>.)",
+    re.DOTALL,
+)
+
+
+class Token(NamedTuple):
+    kind: str
+    text: str
+    start: int
+    end: int
+
+
+def tokenize(text):
+    """The tokens of a script, ending with an `eof` token at `len(text)`;
+    the first stray character raises `ValueError(message, span)`."""
+    out = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        start, end = m.span()
+        if kind == "stray":
+            raise ValueError(f"stray character {m.group()!r}", (start, end))
+        out.append(Token(kind, m.group(), start, end))
+    out.append(Token("eof", "", len(text), len(text)))
+    return out

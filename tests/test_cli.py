@@ -209,6 +209,33 @@ def test_a_product_map_is_found_through_its_parts_normal_forms(
     assert "g: verified" in capsys.readouterr().out
 
 
+# e = id, declared: each forward R20 law that needs an identity part of
+# its product map reads the part's normal form, not its name
+IDENTITY_PARTS = {
+    "etens_oim_idmap": "morphism ef : YpX -> YpY pmap e f;\n"
+    "goal g : Oim[ef](ETensor(O[Yp], M)) ~ ETensor(O[Yp], Oim[f](M));\n",
+    "etens_opb_sndmap": "morphism ef : YpX -> YpY pmap e f;\n"
+    "object N on Yv;\n"
+    "goal g : Opb[ef](ETensor(O[Yp], N)) ~ ETensor(O[Yp], Opb[f](N));\n",
+    "etens_oim_fstmap": "product XvYp = Xv x Yp proj a1 a2;\n"
+    "product YvYp = Yv x Yp proj b1 b2;\n"
+    "morphism fe : XvYp -> YvYp pmap f e;\n"
+    "goal g : Oim[fe](ETensor(M, O[Yp])) ~ ETensor(Oim[f](M), O[Yp]);\n",
+}
+
+
+@pytest.mark.parametrize("law", sorted(IDENTITY_PARTS))
+def test_a_part_declared_the_identity_is_the_identity(law, tmp_path,
+                                                      capsys):
+    script = tmp_path / f"{law}.dwk"
+    script.write_text(
+        (DATA / "product.dwk").read_text(encoding="utf-8")
+        + "morphism e : Yp -> Yp with e = id;\n" + IDENTITY_PARTS[law]
+        + f"step R20 fwd at / with law={law};\n", encoding="utf-8")
+    assert main(["prove", str(script)]) == 0
+    assert "g: verified" in capsys.readouterr().out
+
+
 def test_prove_missing_file(tmp_path, capsys):
     assert main(["prove", str(tmp_path / "absent.dwk")]) == 2
     assert "error:" in capsys.readouterr().err
