@@ -19,12 +19,13 @@ each bound onto its context.  `SUITE` names them in discharge order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 from .errors import GeometryError, TermError, RuleError
 from .geometry import CLOSED_EMBEDDING_KINDS
+from .records import record
 from .rules import RULES, apply_step, step_stratum
 from .terms import (
     Oim,
@@ -38,15 +39,17 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ProofStep:
     rule: str
     direction: str = "fwd"
     path: tuple = ()
-    bindings: dict = field(default_factory=dict)
+    # shared by every step built without bindings; no step's bindings are
+    # changed in place
+    bindings: dict = {}
 
 
-@dataclass(frozen=True)
+@record
 class Closure:
     """Finish the goal inside a fully faithful pushforward.
 
@@ -58,7 +61,7 @@ class Closure:
     morphism: str
 
 
-@dataclass(frozen=True)
+@record
 class Lemma:
     name: str
     lhs: object
@@ -67,6 +70,13 @@ class Lemma:
 
 @dataclass(frozen=True)
 class ProofCertificate:
+    """A goal, the steps that prove it and the policy they replay under.
+
+    The one dataclass of the package: a caller that changes a certificate
+    (a search's steps put into its goal's certificate, a mutated step)
+    does so with `dataclasses.replace`, and the benchmark's workloads do
+    too.  Every other value class is a `records.record`."""
+
     name: str
     goal_lhs: object
     goal_rhs: object
@@ -78,29 +88,32 @@ class ProofCertificate:
     excluded_rules: frozenset = frozenset()
 
 
-@dataclass
 class StepRecord:
-    index: int
-    rule: str
-    direction: str
-    path: tuple
-    ok: bool
-    delta: int = 0
-    term: str = ""
-    error: str = ""
+    def __init__(self, index, rule, direction, path, ok, delta=0, term="",
+                 error=""):
+        self.index = index
+        self.rule = rule
+        self.direction = direction
+        self.path = path
+        self.ok = ok
+        self.delta = delta
+        self.term = term
+        self.error = error
 
 
-@dataclass
 class ValidationReport:
-    certificate: str
-    status: str = "invalid"          # verified | falsified | invalid
-    reason: str = ""
-    mode: str = ""
-    steps: list = field(default_factory=list)
-    ledger: list = field(default_factory=list)
-    ledger_total: int = 0
-    expected_shift: int = 0
-    rules_used: dict = field(default_factory=dict)
+    def __init__(self, certificate, status="invalid", reason="", mode="",
+                 steps=None, ledger=None, ledger_total=0, expected_shift=0,
+                 rules_used=None):
+        self.certificate = certificate
+        self.status = status  # verified | falsified | invalid
+        self.reason = reason
+        self.mode = mode
+        self.steps = [] if steps is None else steps
+        self.ledger = [] if ledger is None else ledger
+        self.ledger_total = ledger_total
+        self.expected_shift = expected_shift
+        self.rules_used = {} if rules_used is None else rules_used
 
     @property
     def ok(self):
@@ -218,22 +231,23 @@ def get_certificate(name):
     return None
 
 
-@dataclass
 class LemmaNote:
-    certificate: str
-    lemma: str
-    discharged: bool
-    via: list = field(default_factory=list)
+    def __init__(self, certificate, lemma, discharged, via=None):
+        self.certificate = certificate
+        self.lemma = lemma
+        self.discharged = discharged
+        self.via = [] if via is None else via
 
 
-@dataclass
 class PaperReport:
-    ok: bool
-    reports: list
-    lemma_notes: list
-    mode: str = ""
-    # certificate -> sorted rules above the strata bound; None: no bound
-    stratum_needs: dict | None = None
+    def __init__(self, ok, reports, lemma_notes, mode="",
+                 stratum_needs=None):
+        self.ok = ok
+        self.reports = reports
+        self.lemma_notes = lemma_notes
+        self.mode = mode
+        # certificate -> sorted rules above the strata bound; None: no bound
+        self.stratum_needs = stratum_needs
 
 
 def _discharge(ctx, pair, proven):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import replace
 from functools import cache
 
 from .errors import ParseError
@@ -150,6 +149,9 @@ def cmd_prove(args):
     if not res.found:
         sys.stdout.write(render_report(res, args.output))
         return 3
+    # the one dataclass, `ProofCertificate`, is changed with `replace`
+    from dataclasses import replace
+
     found = replace(cert, steps=tuple(res.steps), closure=res.closure,
                     mode=mode, allowed_strata=strata)
     rep = check_certificate(bound.ctx, found)
@@ -193,7 +195,10 @@ def cmd_dwork_check(args):
     except (ValueError, ParseError) as e:
         return _fail_input(str(e))
     for t, f in zip(args.f, fs):
-        if f.degree() <= 0:
+        if f.is_zero():
+            return _fail_input(f"zero polynomial {t!r} cuts out all of "
+                               f"affine {n}-space")
+        if f.degree() == 0:
             return _fail_input(f"constant polynomial {t!r} cuts out nothing")
     t_max = None if args.pole_max is None else args.pole_max - 1
     try:

@@ -33,8 +33,10 @@ binds a form by rebuilding it from its bound fields, and `render_expr`
 spells parsed and bound expressions alike, so the reports spell a
 search's step bindings in script syntax.  Step binding keys map to the
 slot of their value in `_BINDING_SLOTS`.  The class of each statement
-is made from the method that declares it (`_declaration`), so its fields
-are that method's parameters: a `GeometryContext` method for a geometry
+is a record (`records.make_record`) made from the method that declares
+it (`_declaration`), so its fields are that method's parameters, read
+off its code object, then a keyword-only `span` that equality ignores:
+a `GeometryContext` method for a geometry
 declaration, a `_CertificateBuilder` method for a certificate statement
 (`goal`, `lemma`, `step`, `closure`, `mode`, `strata`, `exclude`).  Every
 statement binds through `_DECLARE`, which calls its method on its
@@ -50,8 +52,6 @@ picks the spelling of one class; `step`, whose bindings have separators;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, make_dataclass, replace
-from inspect import signature
 from itertools import accumulate, compress
 from operator import attrgetter
 
@@ -67,6 +67,7 @@ from .geometry import (
     SubPre,
     SubRed,
 )
+from .records import make_record, record
 from . import terms as T
 
 
@@ -105,23 +106,23 @@ def lex(text):
 # Every other expression node is the term or geometry value it binds to.
 
 
-@dataclass(frozen=True)
+@record
 class MName:
     parts: tuple
 
 
-@dataclass(frozen=True)
+@record
 class MId:
     variety: str
 
 
-@dataclass(frozen=True)
+@record
 class SCap:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class DRef:
     name: str
 
@@ -134,12 +135,6 @@ FName, FPull, SName, SPre, SRed = FuncName, FuncPull, SubName, SubPre, SubRed
 DStruct, DExp, DTensor, DETensor = T.Struct, T.Exp, T.Tensor, T.ETensor
 DOpb, DOim, DRGamma, DFourier = T.Opb, T.Oim, T.RGamma, T.Fourier
 DShift = T.Shift
-
-
-@dataclass(frozen=True)
-class _Statement:
-    # the byte span of the statement in its script; equality ignores it
-    span: tuple = field(default=(0, 0), compare=False, kw_only=True)
 
 
 class _CertificateBuilder:
@@ -213,15 +208,16 @@ def _builder(builder):
 def _declaration(name, method, receiver=_CONTEXT):
     """The class of the statement that `method` declares: its fields are
     the method's parameters after `self`, in order and with their
-    defaults.  The method is called on `receiver(builder)`: the context
-    for a geometry declaration, the builder for a certificate statement."""
-    params = list(signature(method).parameters.values())[1:]
-    cls = make_dataclass(
-        name, [(p.name, object) if p.default is p.empty
-               else (p.name, object, p.default) for p in params],
-        bases=(_Statement,), frozen=True)
-    cls.__module__ = __name__
-    get = attrgetter(*[p.name for p in params])
+    defaults, and then `span`, keyword-only, the statement's character
+    span in its script, which equality ignores.  The method is called on
+    `receiver(builder)`: the context for a geometry declaration, the
+    builder for a certificate statement."""
+    code = method.__code__
+    params = code.co_varnames[1:code.co_argcount]
+    cls = make_record(name, params, method.__defaults__ or (),
+                      aside=("span", (0, 0)),
+                      namespace={"__module__": __name__})
+    get = attrgetter(*params)
     _DECLARE[cls] = (receiver, method,
                      get if len(params) > 1 else lambda st: (get(st),))
     return cls
@@ -247,7 +243,7 @@ ExcludeDecl = _declaration("ExcludeDecl", _CertificateBuilder.exclude,
                            _builder)
 
 
-@dataclass(frozen=True)
+@record
 class ScriptDocument:
     statements: tuple
 
@@ -367,12 +363,8 @@ def _bind_ref(ctx, d):
     return T.Var(d.name, variety)
 
 
-def _positional(cls):
-    return [f.name for f in fields(cls) if not f.kw_only]
-
-
 def _rebind(cls):
-    names = _positional(cls)
+    names = cls.__match_args__
     return lambda ctx, x: cls(*[bind_expr(ctx, getattr(x, f)) for f in names])
 
 
@@ -401,7 +393,7 @@ def _speller(fmt, cls, slots):
     # a name or an integer is spelled by `str` (or by `format` itself), an
     # expression by `render_expr`; reading a statement's names with one
     # `attrgetter` and spelling out a form's one or two slots keep this fast
-    names = _positional(cls)[:len(slots)]
+    names = cls.__match_args__[:len(slots)]
     if len(names) > 1 and not FORMS.keys() & slots:
         get = attrgetter(*names)
         return lambda x: fmt.format(*get(x))
@@ -416,9 +408,15 @@ def _speller(fmt, cls, slots):
     return lambda x: fmt.format(*[spell(get(x)) for get, spell in parts])
 
 
+def _defaults(cls):
+    """Each field of a statement class that has a default -> its default."""
+    names, values = cls.__match_args__, cls.__init__.__defaults__ or ()
+    return dict(zip(names[len(names) - len(values):], values))
+
+
 def _option_speller(head, tail, cls, options):
     # spells the head, then the options as `STATEMENTS` says
-    field_default = {f.name: f.default for f in fields(cls)}
+    field_default = _defaults(cls)
     spells = [(attrgetter(name), field_default[name],
                re.sub("[A-Z]", "{}", f" {kw} {layout}".rstrip()),
                len(re.findall("[A-Z]", layout)), value)
@@ -470,7 +468,7 @@ _HEADS = {kw: _tokens(layout) for kw, layout in (
 # kind keyword -> (kind, layout, field, whether the field takes a tuple,
 # whether the arguments may be left out), for the parser
 _KIND_ROWS = {kw: (kind, _tokens(layout), name,
-                   isinstance(getattr(MorphismDecl, name, None), tuple),
+                   isinstance(_defaults(MorphismDecl).get(name), tuple),
                    optional)
               for kw, (kind, layout, name, optional) in _MORPHISM_KINDS.items()}
 # kind -> (keyword, format of the arguments, field, whether they may be
@@ -770,11 +768,11 @@ def render_script(doc):
 # --- binder -----------------------------------------------------------------------
 
 
-@dataclass
 class BoundScript:
-    ctx: GeometryContext
-    certificate: ProofCertificate | None
-    document: ScriptDocument
+    def __init__(self, ctx, certificate, document):
+        self.ctx = ctx
+        self.certificate = certificate
+        self.document = document
 
 
 def bind_script(doc, ctx=None):
@@ -792,7 +790,7 @@ def bind_script(doc, ctx=None):
         if isinstance(st, MorphismDecl) and st.transpose:
             # a map is paired with its transpose once both are declared
             paired.append(st)
-            st = replace(st, transpose="")
+            st = st._replace(transpose="")
         try:
             method(receiver(builder), *[bind_expr(ctx, a) for a in args(st)])
         except (GeometryError, TermError) as e:

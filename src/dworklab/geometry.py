@@ -9,10 +9,10 @@ rewriting of terms elsewhere never mutates raw data based on these facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GeometryError
+from .records import record
 
 # atom kinds that are (locally) closed embeddings
 EMBEDDING_KINDS = {"closed", "open", "section", "zero-section", "diagonal", "graph"}
@@ -24,14 +24,14 @@ CLOSED_EMBEDDING_KINDS = EMBEDDING_KINDS - {"open"}
 _REWRITE_CAP = 64
 
 
-@dataclass(frozen=True)
+@record
 class Variety:
     name: str
     dim: int
     smooth: bool = True
 
 
-@dataclass(frozen=True)
+@record
 class MorphismAtom:
     name: str
     kind: str
@@ -42,7 +42,7 @@ class MorphismAtom:
     parts: tuple = ()  # pmap components, graph base map
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Morphism:
     """Composite of declared atoms, outermost first; () is the identity."""
 
@@ -51,7 +51,7 @@ class Morphism:
     target: str
 
 
-@dataclass(frozen=True)
+@record
 class Bundle:
     name: str  # doubles as the name of the total space
     base: str
@@ -60,7 +60,7 @@ class Bundle:
     sect: str  # zero section, base -> total
 
 
-@dataclass(frozen=True)
+@record
 class FourierData:
     bundle: str
     dual: str
@@ -72,7 +72,7 @@ class FourierData:
     coord: str  # coordinate function on the line
 
 
-@dataclass(frozen=True)
+@record
 class Subvariety:
     name: str
     ambient: str
@@ -82,7 +82,7 @@ class Subvariety:
     image_of: str = ""  # embedding atom whose image this is
 
 
-@dataclass(frozen=True)
+@record
 class CartesianFact:
     """Declared fiber square.
 
@@ -101,33 +101,33 @@ class CartesianFact:
 # --- subvariety and function expressions -----------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SubName:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SubRed:
     arg: object
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SubCap:
     args: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SubPre:
     morphism: Morphism
     arg: object
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FuncName:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FuncPull:
     arg: object
     morphism: Morphism

@@ -2,13 +2,14 @@
 
 Machine output is canonical: schema_version 1, sorted keys, compact
 separators, one trailing newline — byte-identical across runs for the
-same inputs.  Every machine document starts from its dataclass's own
-fields, read with `vars`, and overrides only what needs converting (a
-search's steps and closure, a cohomology report's grade tables and its
-`stabilized` property).  So `ValidationReport`, `StepRecord`, `LemmaNote`,
-`SearchResult`, `Closure`, `CohomologyReport` and `DworkComparison` keep
-a `__dict__` (no `slots=True`); `ProofStep` has slots and is written out
-field by field.
+same inputs.  Every machine document starts from its report's own
+attributes, read with `vars` in the order its `__init__` sets them, and
+overrides only what needs converting (a search's steps and closure, a
+cohomology report's grade tables and its `stabilized` property).  The
+report classes (`ValidationReport`, `StepRecord`, `LemmaNote`,
+`SearchResult`, `CohomologyReport`, `DworkComparison`) are plain classes
+with a `__dict__`; `Closure` and `ProofStep` are records, with slots,
+and are written out field by field.
 
 A report's kind is read from its class name, so this module imports no
 other part of the package: rendering a cohomology report loads nothing of
@@ -51,7 +52,9 @@ def binding_str(value):
 
 def search_dict(res):
     return dict(vars(res),
-                closure=None if res.closure is None else vars(res.closure),
+                closure=None if res.closure is None else {
+                    "kind": res.closure.kind,
+                    "morphism": res.closure.morphism},
                 steps=[{"rule": s.rule, "direction": s.direction,
                         "path": list(s.path),
                         "bindings": {k: binding_str(v)

@@ -45,7 +45,6 @@ the successors generated.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import islice
 
 from .certificates import Closure, ProofStep
@@ -73,13 +72,14 @@ from .terms import (
 _KEY_CAP = 1024
 
 
-@dataclass
 class SearchResult:
-    found: bool
-    steps: list = field(default_factory=list)
-    closure: Closure | None = None
-    expanded: int = 0
-    depth: int = 0
+    def __init__(self, found, steps=None, closure=None, expanded=0,
+                 depth=0):
+        self.found = found
+        self.steps = [] if steps is None else steps
+        self.closure = closure
+        self.expanded = expanded
+        self.depth = depth
 
 
 def _successors(moves, term, seen, forward=True, probe=None):

@@ -1,8 +1,14 @@
 """Terms of the functor calculus and their comparison normal form.
 
-Terms are immutable trees.  Mid-proof they are kept shift-canonical: at most
-one Shift node, at the root.  Paths address children of the shift-stripped
-core; `navigate`/`replace` below work on arbitrary trees and the rewrite
+Terms are immutable trees of `records.record` classes: each node is a
+`__slots__` class whose fields are its constructor's arguments, equal
+only to a node of its own class with equal fields (so `Tensor(a, b)` is
+not `ETensor(a, b)`), and spelled by `repr` as a dataclass would spell
+it.  No code is generated per class, so importing this module is cheap.
+
+Mid-proof terms are kept shift-canonical: at most one Shift node, at the
+root.  Paths address children of the shift-stripped core;
+`navigate`/`replace` below work on arbitrary trees and the rewrite
 driver enforces the canonical shape.
 
 `normalize` computes the comparison normal form.  It encodes exactly the
@@ -23,8 +29,6 @@ it again, so the search can splice keys without knowing their text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GeometryError, TermError
 from .geometry import (
     FuncPull,
@@ -33,62 +37,63 @@ from .geometry import (
     func_key,
     sub_key,
 )
+from .records import record
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Struct:
     variety: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Var:
     name: str
     variety: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Exp:
     variety: str
     func: object
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Tensor:
     left: object
     right: object
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ETensor:
     left: object
     right: object
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Opb:
     morphism: Morphism
     arg: object
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Oim:
     morphism: Morphism
     arg: object
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RGamma:
     sub: object
     arg: object
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Fourier:
     bundle: str
     arg: object
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Shift:
     arg: object
     k: int

@@ -9,12 +9,8 @@ rank, not floating-point estimates.
 from .poly import MultiPoly, parse_poly, poly_to_str
 from .twisted import twisted_cohomology
 from .cech import complement_cohomology
-from .compare import (
-    CohomologyReport,
-    DworkComparison,
-    dwork_compare,
-    supports_cohomology,
-)
+from .compare import DworkComparison, dwork_compare, supports_cohomology
+from .ladder import CohomologyReport
 
 __all__ = [
     "MultiPoly",

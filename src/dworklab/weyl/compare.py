@@ -12,10 +12,7 @@ grade once zero entries are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cech import complement_cohomology, complement_ladder
-from .ladder import CohomologyReport
 from .poly import MultiPoly
 from .twisted import twisted_cohomology, twisted_ladder
 
@@ -64,12 +61,12 @@ def dwork_twist(fs):
     return F
 
 
-@dataclass
 class DworkComparison:
-    match: bool
-    twisted: CohomologyReport
-    supports: CohomologyReport
-    inconclusive: bool = False
+    def __init__(self, match, twisted, supports, inconclusive=False):
+        self.match = match
+        self.twisted = twisted
+        self.supports = supports
+        self.inconclusive = inconclusive
 
 
 def dwork_compare(fs, d0=None, d_max=None, t_max=None):

@@ -3,15 +3,13 @@ on to the cap when a comparison asks for it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class CohomologyReport:
-    kind: str
-    dims: dict | None
-    rungs: list = field(default_factory=list)
-    note: str = ""
+    def __init__(self, kind, dims, rungs=None, note=""):
+        self.kind = kind
+        self.dims = dims
+        self.rungs = [] if rungs is None else rungs
+        self.note = note
 
     @property
     def stabilized(self):

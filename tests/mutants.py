@@ -35,6 +35,8 @@ CECH_TESTS = "tests/test_weyl_cech.py::"
 SEARCH_TESTS = "tests/test_search.py::"
 DSL = "dworklab/dsl.py"
 LEX_TESTS = "tests/test_lex_property.py::"
+RECORDS = "dworklab/records.py"
+RECORD_TESTS = ["tests/test_records.py::test_record_semantics"]
 
 # (file under src/, old text, new text, test node ids, reason)
 MUTANTS = [
@@ -273,6 +275,22 @@ MUTANTS = [
       "tests/test_cli.py::test_prove_parse_error_span"],
      "a statement's span starts at the previous token's end, so it "
      "takes in the whitespace and comments before the statement"),
+    (RECORDS,
+     "if other.__class__ is self.__class__:",
+     "if hasattr(other, \"_key\"):",
+     RECORD_TESTS,
+     "record equality ignores the class: Tensor(a, b) == ETensor(a, b)"),
+    (RECORDS,
+     "_fields=every, _key=attrgetter(*fields))",
+     "_fields=every, _key=attrgetter(*every))",
+     RECORD_TESTS,
+     "a statement's span counts in == and hash, so a re-parsed document "
+     "differs from one built by hand"),
+    (RECORDS,
+     "return hash(self._key(self))",
+     "return hash(self._key(self)[:-1])",
+     RECORD_TESTS,
+     "a record's hash drops its last field"),
 ]
 
 

@@ -95,11 +95,11 @@ def test_get_certificate(suite):
 def _mutations(cert):
     """Single-step perturbations: flipped direction, shifted path, dropped step."""
     for i, st in enumerate(cert.steps):
-        flipped = dataclasses.replace(
-            st, direction="bwd" if st.direction == "fwd" else "fwd")
+        flipped = st._replace(
+            direction="bwd" if st.direction == "fwd" else "fwd")
         yield dataclasses.replace(
             cert, steps=cert.steps[:i] + (flipped,) + cert.steps[i + 1:])
-        bumped = dataclasses.replace(st, path=st.path + (0,))
+        bumped = st._replace(path=st.path + (0,))
         yield dataclasses.replace(
             cert, steps=cert.steps[:i] + (bumped,) + cert.steps[i + 1:])
         yield dataclasses.replace(

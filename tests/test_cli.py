@@ -1,6 +1,5 @@
 """Command line behavior: exit codes, output channels, canonical output."""
 
-import dataclasses
 import json
 import time
 
@@ -92,7 +91,7 @@ def test_prove_corrupted_step(bundled, tmp_path, capsys):
     for i in range(len(statements) - 1, -1, -1):
         st = statements[i]
         if isinstance(st, StepDecl) and st.direction == "bwd":
-            statements[i] = dataclasses.replace(st, direction="fwd")
+            statements[i] = st._replace(direction="fwd")
             flipped = True
             break
     assert flipped
@@ -491,6 +490,21 @@ def test_an_oversized_power_is_refused_before_it_expands(text, degree,
     assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().err == (
         f"error: polynomial degree {degree} is above the cap of 64\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--f", "0"], "zero polynomial '0' cuts out all of affine 1-space"),
+    (["--f", "x-x", "--f", "y"],
+     "zero polynomial 'x-x' cuts out all of affine 2-space"),
+    (["--f", "2"], "constant polynomial '2' cuts out nothing"),
+], ids=["0", "x-x", "2"])
+def test_a_constant_polynomial_is_an_input_error(argv, message, capsys):
+    """The zero polynomial vanishes everywhere and a nonzero constant
+    nowhere; neither leaves a locus to compare."""
+    assert main(["dwork-check", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,6 +1,6 @@
 """Script language: parsing, rendering, spans, and binding."""
 
-import dataclasses
+import inspect
 import pathlib
 import random
 import re
@@ -434,10 +434,15 @@ def test_every_parsed_statement_binds_through_its_method():
     (dsl.ExcludeDecl, ["rules"]),
 ])
 def test_certificate_statement_fields(cls, want):
-    # positional fields in order, each with its default if it has one
-    got = [f.name if f.default is dataclasses.MISSING else (f.name, f.default)
-           for f in dataclasses.fields(cls) if not f.kw_only]
+    # positional fields in order, each with its default if it has one,
+    # then the span, keyword-only
+    *params, span = inspect.signature(cls).parameters.values()
+    got = [p.name if p.default is p.empty else (p.name, p.default)
+           for p in params]
     assert got == want
+    assert cls.__match_args__ == tuple(p.name for p in params)
+    assert (span.name, span.kind, span.default) \
+        == ("span", span.KEYWORD_ONLY, (0, 0))
 
 
 def test_policy_statements_shape_the_certificate():
@@ -490,11 +495,16 @@ step R1 fwd at / with f=id(X), g=gammaV.stilde, map=pi,
 """
 
 
+def _is_node(value):
+    # an expression node is a record, whose fields `__match_args__` names
+    return hasattr(type(value), "__match_args__")
+
+
 def _node_classes(node):
     yield type(node)
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
-        if dataclasses.is_dataclass(value):
+    for name in node.__match_args__:
+        value = getattr(node, name)
+        if _is_node(value):
             yield from _node_classes(value)
 
 
@@ -507,7 +517,7 @@ def test_bound_expressions_spell_as_their_syntax(collapse_text):
             nodes += [st.lhs, st.rhs]
         elif isinstance(st, dsl.StepDecl):
             nodes += [value for _key, value in st.bindings]
-    seen = {cls for node in nodes if dataclasses.is_dataclass(node)
+    seen = {cls for node in nodes if _is_node(node)
             for cls in _node_classes(node)}
     assert {row[0] for forms in dsl.FORMS.values()
             for row in forms.values()} <= seen

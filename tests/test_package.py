@@ -43,6 +43,37 @@ def test_dwork_check_loads_no_symbolic_module():
     assert sorted(loaded & {f"dworklab.{m}" for m in SYMBOLIC}) == []
 
 
+def test_dwork_check_loads_neither_dataclasses_nor_inspect():
+    # the concrete engine and the cli build no dataclass, so a dwork-check
+    # process pays for neither module
+    done = _fresh(
+        "import json\n"
+        "from dworklab.cli import main\n"
+        "code = main(['dwork-check', '--f', 'x*y', '--output', 'machine'])\n"
+        "sys.stderr.write(json.dumps(sorted(sys.modules)))\n"
+        "raise SystemExit(code)\n")
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stderr))
+    assert "dworklab.cli" in loaded
+    assert sorted(loaded & {"dataclasses", "inspect"}) == []
+
+
+def test_proof_certificate_is_the_only_dataclass():
+    # every other value class is a `records.record`, and the reports are
+    # plain classes
+    for name in sorted(dworklab._SUBMODULES):
+        importlib.import_module(f"dworklab.{name}")
+    dworklab.certificates.builtin_suite()
+    found = sorted(
+        f"{modname}.{cls.__qualname__}"
+        for modname, module in list(sys.modules.items())
+        if modname.startswith("dworklab")
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == modname
+        and "__dataclass_fields__" in vars(cls))
+    assert found == ["dworklab.certificates.ProofCertificate"]
+
+
 def test_import_dworklab_loads_no_submodule_and_submodules_resolve():
     done = _fresh(
         "import dworklab\n"

@@ -44,6 +44,17 @@ ALLOWED = {
         "only `dir(dworklab)` calls it, for interactive use",
     ("dworklab/geometry.py", "GeometryContext.identity"):
         "a script's id(V); no bundled script or workload spells one",
+    ("dworklab/records.py", "_repr"):
+        "a record's repr, for error texts of terms that no parsed input "
+        "reaches, and for library callers",
+    ("dworklab/records.py", "_setattr"):
+        "refuses assignment to a field; nothing assigns one",
+    ("dworklab/records.py", "_delattr"):
+        "refuses deletion of a field; nothing deletes one",
+    ("dworklab/records.py", "_getstate"):
+        "copy, deepcopy and pickle of a record; no command copies one",
+    ("dworklab/records.py", "_setstate"):
+        "copy, deepcopy and pickle of a record; no command copies one",
     ("dworklab/weyl/compare.py", "_to_cap"):
         "the continued ladders, run only when two first tables differ",
     ("dworklab/weyl/linalg.py", "rank"):
