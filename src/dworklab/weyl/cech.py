@@ -23,7 +23,9 @@ echelon it fed there: the pivot count after each stage and the pivots'
 leads.  An echelon never replaces a pivot, so the pivots found by stage
 s are an echelon basis of the rows of window(p, s), and a record gives
 the rank at every stage it reached.  No echelon outlives the call that
-fed it.
+fed it, but the records live as long as the complex, and the report of
+its ladder keeps the complex until every rung has run: `to_cap` runs the
+rungs left on it, and they read the records the first rungs left.
 
 Rung t reads three ranks per grade q.  U is `_feed(P + 1, q − 1, D_img)`,
 with D_img = D + maxdeg + 1; the embedded W rows then go into that same
@@ -359,15 +361,11 @@ class CechDeRham:
 
 
 def complement_cohomology(fs, t_max=None):
-    """Ladder the rung index until three consecutive answers agree: the
-    first report `complement_ladder` yields."""
-    return next(complement_ladder(fs, t_max))
-
-
-def complement_ladder(fs, t_max=None):
     """The complement ladder of `fs`, as `ladder` runs it: the rung index
-    t = 0..t_max (pole orders 1..t_max + 1); `t_max` defaults to 9, for
-    the library and `dwork-check` alike."""
+    t = 0..t_max (pole orders 1..t_max + 1), the report at the first
+    three consecutive rungs that agree, which `to_cap` continues on the
+    same complex; `t_max` defaults to 9, for the library and
+    `dwork-check` alike."""
     if t_max is None:
         t_max = 9
     return ladder("complement", CechDeRham(fs, t_max).rung, range(t_max + 1))

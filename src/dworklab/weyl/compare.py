@@ -7,14 +7,17 @@ h^0(complement) − 1 and h^{k+1}_Z = h^k(complement) for k >= 1.
 
 The comparison pits that against the twisted de Rham cohomology of
 F = sum_i y_i f_i on affine (n+r)-space; the two must agree grade by
-grade once zero entries are dropped.
+grade once zero entries are dropped.  A supported report keeps the
+complement report it was read off, so a comparison continues the two
+ladders it started, one complex per side, instead of building them again.
 """
 
 from __future__ import annotations
 
-from .cech import complement_cohomology, complement_ladder
+from .cech import complement_cohomology
+from .ladder import CohomologyReport
 from .poly import MultiPoly
-from .twisted import twisted_cohomology, twisted_ladder
+from .twisted import twisted_cohomology
 
 
 # the most sections `dwork_compare` takes: the Čech side has 2^r − 1
@@ -35,19 +38,17 @@ def supports_cohomology(fs, t_max=None):
 
 
 def _supported(rep):
-    """A complement report turned, in place, into the supported one."""
-    rep.kind = "supports"
-    if rep.dims is None:
-        return rep
-    out = {}
-    h1 = rep.dims.get(0, 0) - 1
-    if h1:
-        out[1] = h1
-    for k, v in rep.dims.items():
-        if k >= 1 and v:
-            out[k + 1] = v
-    rep.dims = out
-    return rep
+    """The supported report read off a complement report, which is left
+    as it is.  Its `to_cap` continues the complement report and reads
+    the supported one off it again."""
+    out = None
+    if rep.dims is not None:
+        h1 = rep.dims.get(0, 0) - 1
+        out = {1: h1} if h1 else {}
+        out.update((k + 1, v) for k, v in rep.dims.items() if k >= 1 and v)
+    sup = CohomologyReport("supports", out, list(rep.rungs), rep.note)
+    sup._rest = lambda _sup: _supported(rep.to_cap())
+    return sup
 
 
 def dwork_twist(fs):
@@ -74,13 +75,14 @@ def dwork_compare(fs, d0=None, d_max=None, t_max=None):
 
     Each side's ladder stops at its first three agreeing rungs.  When the
     two tables then differ, a side may have stopped on windows too small
-    to hold a class, so both ladders are run again, each on past its
-    first stop to its cap, and the verdict is read again.  It is a
-    mismatch only when each side's last three rungs agree and both caps
-    are the defaults; it is inconclusive when one side's do not agree, or
-    when a cap the caller set may be what keeps a class out of a window.
-    Only such a run pays for its first rungs twice.  A continued report's
-    note names the grades the first tables differed in.
+    to hold a class, so both reports are continued (`to_cap`) on the
+    complexes that made them, each ladder running only the cutoffs past
+    its first stop, and the verdict is read again.  It is a mismatch only
+    when each side's last three rungs agree and both caps are the
+    defaults; it is inconclusive when one side's do not agree, or when a
+    cap the caller set may be what keeps a class out of a window.  A
+    continued report's note names the grades the first tables differed
+    in.
 
     The caps go through as given, None for the defaults that
     `twisted_cohomology` and `complement_cohomology` decide; a `d_max`
@@ -95,8 +97,7 @@ def dwork_compare(fs, d0=None, d_max=None, t_max=None):
     srep = supports_cohomology(fs, t_max=t_max)
     differ = _differ(trep.dims, srep.dims)
     if differ:
-        trep = _to_cap(twisted_ladder(F, d0=d0, d_max=d_max))
-        srep = _supported(_to_cap(complement_ladder(fs, t_max=t_max)))
+        trep, srep = trep.to_cap(), srep.to_cap()
         for rep in (trep, srep):
             rep.note = "; ".join(filter(None, (
                 f"continued to the cap: the first tables differed in "
@@ -108,13 +109,6 @@ def dwork_compare(fs, d0=None, d_max=None, t_max=None):
             or differ and (d_max is not None or t_max is not None)):
         return DworkComparison(False, trep, srep, inconclusive=True)
     return DworkComparison(not differ, trep, srep)
-
-
-def _to_cap(ladder):
-    """The report a `ladder` generator yields once resumed past its first
-    stop: every cutoff run."""
-    next(ladder)
-    return next(ladder)
 
 
 def _differ(a, b):

@@ -72,7 +72,10 @@ once, in graded order, keeping only the monomials whose weight is one of
 those keys: a mask's block of one degree is one lookup.  An F with no
 such field (kernel dimension 0) has one block holding every element.
 
-Rungs are laddered (step 2) until three in a row agree.
+Rungs are laddered (step 2) until three in a row agree.  The report
+keeps its complex until every cutoff has run, and `to_cap` runs the
+cutoffs left on it: those rungs find the stages the first ones fed
+already counted.
 """
 
 from __future__ import annotations
@@ -201,13 +204,9 @@ class TwistedComplex:
 
 
 def twisted_cohomology(F, d0=None, d_max=None):
-    """Ladder the window cutoff, step 2, until three consecutive rungs agree:
-    the first report `twisted_ladder` yields."""
-    return next(twisted_ladder(F, d0, d_max))
-
-
-def twisted_ladder(F, d0=None, d_max=None):
-    """The twisted ladder of F, as `ladder` runs it, cutoffs step 2.
+    """The twisted ladder of F, as `ladder` runs it, cutoffs step 2: the
+    report at the first three consecutive rungs that agree, which
+    `to_cap` continues on the same complex.
 
     The ladder starts at `d0`, else at deg F + 1, and stops at `d_max`,
     else at 30 when F has at most three variables and 16 beyond; these

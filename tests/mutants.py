@@ -32,6 +32,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 CECH = "dworklab/weyl/cech.py"
 CECH_TESTS = "tests/test_weyl_cech.py::"
+ZERO_SET_TESTS = ["tests/test_zero_set_property.py::"
+                  "test_a_transform_that_keeps_the_zero_set_keeps_the_tables"]
 SEARCH_TESTS = "tests/test_search.py::"
 DSL = "dworklab/dsl.py"
 LEX_TESTS = "tests/test_lex_property.py::"
@@ -80,7 +82,8 @@ MUTANTS = [
      "ech = self._feed(P + 1, q - 1, D + self.maxdeg + 1)",
      "ech = self._feed(P + 1, q - 1, self.schedule(t + 1)[1] "
      "+ self.maxdeg + 1)",
-     [f"{CECH_TESTS}test_no_record_reaches_past_a_stage_read_one_pole_up"],
+     [f"{CECH_TESTS}test_no_record_reaches_past_a_stage_read_one_pole_up",
+      f"{CECH_TESTS}test_every_record_count_is_the_rank_of_its_whole_window"],
      "U fed one schedule step further: its records reach past a stage "
      "read one pole up, where the whole-record skip is no longer sound"),
     (CECH,
@@ -99,6 +102,19 @@ MUTANTS = [
      "self.rows(k, e, exclude=below[k + 1])",
      ["tests/test_weyl_twisted.py::test_ladder_skips_rows_known_dependent"],
      "the twisted skip reads grade k's own pivots instead of grade k − 1's"),
+    ("dworklab/weyl/twisted.py",
+     "self._keys = [tuple(-v for v in mask_weight(",
+     "self._keys = [tuple(1 - v for v in mask_weight(",
+     ZERO_SET_TESTS,
+     "the twisted weight key is off by one: the complex eliminates a "
+     "block of weight ≠ 0, which adds nothing, so a torus hides every "
+     "class"),
+    (CECH,
+     "pole * d - v for d, v in zip(dsum, mw))",
+     "pole * d - v + 1 for d, v in zip(dsum, mw))",
+     ZERO_SET_TESTS,
+     "the Čech weight key is off by one: the complex eliminates a block "
+     "of weight ≠ 0, which adds nothing, so a torus hides every class"),
     ("dworklab/weyl/forms.py",
      "shift = (2 * max(e * self._wmax, self._kmax)).bit_length()",
      "shift = max(e * self._wmax, self._kmax).bit_length()",
@@ -182,8 +198,8 @@ MUTANTS = [
      "R5 backward looks squares up by their swapped legs, so it is offered "
      "where it cannot rewrite and not where it can"),
     ("dworklab/weyl/compare.py",
-     "    if differ:\n        trep = _to_cap(",
-     "    if False:\n        trep = _to_cap(",
+     "    if differ:\n        trep, srep = trep.to_cap(), srep.to_cap()",
+     "    if False:\n        trep, srep = trep.to_cap(), srep.to_cap()",
      ["tests/test_cli.py::test_a_small_window_is_not_a_false_mismatch",
       "tests/test_fuzz.py::test_a_small_window_or_cap_is_never_a_mismatch",
       "tests/test_weyl_compare.py::"

@@ -416,7 +416,7 @@ def test_dwork_check_runs_the_library_caps(texts, monkeypatch):
 
     def recording(kind, _rung, cutoffs):
         seen.append((kind, list(cutoffs)))
-        yield CohomologyReport(kind=kind, dims=None)  # no rung is run
+        return CohomologyReport(kind=kind, dims=None)  # no rung is run
 
     monkeypatch.setattr(twisted, "ladder", recording)
     monkeypatch.setattr(cech, "ladder", recording)

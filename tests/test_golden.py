@@ -31,6 +31,12 @@ The inputs with no torus `x^3+y^3+x` (dwork-check-x3+y3+x.json) and
 ladder's d² = 0 skip began to read every lead of the (p − 1, q − 1)
 record, a change that lowers the rows their ladders build.
 
+`x^9+y^8 --window 2` (dwork-check-x9+y8_window2.json) is a comparison
+whose first tables differ: the twisted side reads zeros at cutoffs 2, 4
+and 6, and its class only from 8 on, so both ladders are continued to
+their caps (twisted cutoffs 2, 4, …, 30).  It was recorded while each
+continued ladder was still built again from its first rung.
+
 The CI workflow also compares `x*y*z` (dwork-check-xyz.json), `x, y, x+y`,
 the two inputs with no torus `x^2*y + 1/3*y^3 + 3*y^2 - 1/2` and
 `y*(x^2-1/3)`, `x^2+y^3+z^6` and `x^3+y^3+z^3` (these four each under a
@@ -74,6 +80,8 @@ CASES = [
     (["--f", "x1^3+x2^3+x3^3+x4^3"], "dwork-check-cubes4.json", 0),
     (["--f", "x^3+y^3+x"], "dwork-check-x3+y3+x.json", 0),
     (["--f", "y*(x^3-x)"], "dwork-check-y_x3-x.json", 0),
+    (["--f", "x^9+y^8", "--window", "2"], "dwork-check-x9+y8_window2.json",
+     0),
 ]
 
 

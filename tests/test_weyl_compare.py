@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -167,15 +168,11 @@ def test_tables_first_read_apart_go_on_to_the_caps(monkeypatch, tables, caps,
         return lambda *_a, **_k: ladder(kind, script.__getitem__,
                                         range(len(script)))
 
-    twisted = scripted("twisted", tables)
-    complement = scripted("complement", [{0: 1, 1: 1, 2: 0}] * 5)
-    # the first stops and the runs to the caps
+    # each side's ladder, continued by `to_cap` when the first stops differ
     monkeypatch.setattr(compare, "twisted_cohomology",
-                        lambda *_a, **_k: next(twisted()))
+                        scripted("twisted", tables))
     monkeypatch.setattr(compare, "complement_cohomology",
-                        lambda *_a, **_k: next(complement()))
-    monkeypatch.setattr(compare, "twisted_ladder", twisted)
-    monkeypatch.setattr(compare, "complement_ladder", complement)
+                        scripted("complement", [{0: 1, 1: 1, 2: 0}] * 5))
     cmp = dwork_compare(_polys(["x"], X), **caps)
     got = ("inconclusive" if cmp.inconclusive
            else "match" if cmp.match else "MISMATCH")
@@ -196,6 +193,34 @@ def test_a_window_too_small_for_a_class_is_not_a_mismatch():
     assert cmp.match and not cmp.inconclusive
     assert [cut for cut, _dims in cmp.twisted.rungs] == list(range(2, 31, 2))
     assert _nonzero(cmp.twisted.dims) == _nonzero(cmp.supports.dims) == {2: 1}
+
+
+def test_a_continued_comparison_builds_one_complex_per_side(monkeypatch):
+    """First tables that differ continue the two ladders the first stops
+    ran on: one complex per side is built, each cutoff runs once, and the
+    reports, run to their caps, keep neither complex."""
+    built, ran = [], []
+    for cls in (TwistedComplex, CechDeRham):
+        def init(self, *args, _init=cls.__init__):
+            built.append((type(self).__name__, weakref.ref(self)))
+            _init(self, *args)
+
+        def rung(self, cut, _rung=cls.rung):
+            ran.append((type(self).__name__, cut))
+            return _rung(self, cut)
+
+        monkeypatch.setattr(cls, "__init__", init)
+        monkeypatch.setattr(cls, "rung", rung)
+    cmp = dwork_compare(_polys(["x^9+y^8"], XY), d0=2)
+    assert "first tables differed in grades [2]" in cmp.supports.note
+    assert [kind for kind, _ref in built] == ["TwistedComplex", "CechDeRham"]
+    assert [ref() for _kind, ref in built] == [None, None]
+    assert [cut for kind, cut in ran
+            if kind == "TwistedComplex"] == list(range(2, 31, 2))
+    assert [t for kind, t in ran if kind == "CechDeRham"] == list(range(10))
+    # the continued reports read the rungs of those runs, once each
+    assert [cut for cut, _dims in cmp.twisted.rungs] == list(range(2, 31, 2))
+    assert [t for t, _dims in cmp.supports.rungs] == list(range(10))
 
 
 def random_poly(rng):
